@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
 
 from .config import SpecError, load_problem_spec
 from .evolution import StationaryStateError
-from .reporting import build_report, sweep_row, trajectory_rows
+from .reporting import _trajectory_table, build_report, sweep_row
 from .validation import PERTURBABLE_CASES, run_validation
 
 __all__ = ["main", "entry_point"]
@@ -79,6 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_report(args) -> int:
     spec = load_problem_spec(args.input)
     hamiltonian, state = spec.build()
+    if args.gamma is not None and not (math.isfinite(args.gamma) and args.gamma > 0):
+        raise SpecError("--gamma", f"must be a positive finite number, got {args.gamma}")
     gamma = args.gamma if args.gamma is not None else spec.options["gamma"]
     report = build_report(
         hamiltonian,
@@ -97,9 +100,9 @@ def _cmd_trajectory(args) -> int:
     hamiltonian, state = spec.build()
     if args.steps < 2:
         raise SpecError("--steps", f"must be >= 2, got {args.steps}")
-    if args.t_max <= 0:
-        raise SpecError("--t-max", f"must be positive, got {args.t_max}")
-    header, rows = trajectory_rows(hamiltonian, state, args.t_max, args.steps)
+    if not (math.isfinite(args.t_max) and args.t_max > 0):
+        raise SpecError("--t-max", f"must be a positive finite number, got {args.t_max}")
+    header, rows = _trajectory_table(hamiltonian, state, args.t_max, args.steps)
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
@@ -111,6 +114,9 @@ def _cmd_sweep(args) -> int:
     spec = load_problem_spec(args.input)
     if args.points < 2:
         raise SpecError("--points", f"must be >= 2, got {args.points}")
+    for flag, value in (("--from", args.start), ("--to", args.stop)):
+        if not math.isfinite(value):
+            raise SpecError(flag, f"must be a finite number, got {value}")
     grid = np.linspace(args.start, args.stop, args.points)
     rows = []
     for value in grid:

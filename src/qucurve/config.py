@@ -26,6 +26,7 @@ State forms (exactly one):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,19 +155,24 @@ def parse_problem_spec(doc) -> ProblemSpec:
     return ProblemSpec(ham_form, ham_data, state_form, state_data, options)
 
 
+def _is_number(x) -> bool:
+    """A finite JSON number; ``json.load`` also accepts NaN and Infinity."""
+    return isinstance(x, (int, float)) and math.isfinite(x)
+
+
 def _validate_options(options: dict):
-    if not (isinstance(options["gamma"], (int, float)) and options["gamma"] > 0):
+    if not (_is_number(options["gamma"]) and options["gamma"] > 0):
         raise SpecError("options.gamma", f"must be a positive number, got {options['gamma']!r}")
     if not (isinstance(options["s_samples"], int) and options["s_samples"] >= 2):
         raise SpecError("options.s_samples", f"must be an integer >= 2, got {options['s_samples']!r}")
-    if not (isinstance(options["efficiency_t"], (int, float)) and options["efficiency_t"] > 0):
+    if not (_is_number(options["efficiency_t"]) and options["efficiency_t"] > 0):
         raise SpecError("options.efficiency_t", f"must be a positive number, got {options['efficiency_t']!r}")
     grid = options["dt_grid"]
     if grid is not None:
         if (
             not isinstance(grid, list)
             or len(grid) < 2
-            or not all(isinstance(x, (int, float)) and x > 0 for x in grid)
+            or not all(_is_number(x) and x > 0 for x in grid)
         ):
             raise SpecError("options.dt_grid", "must be a list of >= 2 positive numbers")
 
@@ -183,8 +189,8 @@ def _validate_hamiltonian(form: str, ham: dict):
         for k, entry in enumerate(terms):
             if not isinstance(entry, dict) or set(entry) != {"coeff", "word"}:
                 raise SpecError(f"hamiltonian.pauli_terms[{k}]", "must be an object with coeff and word")
-            if not isinstance(entry["coeff"], (int, float)):
-                raise SpecError(f"hamiltonian.pauli_terms[{k}].coeff", "must be a number")
+            if not _is_number(entry["coeff"]):
+                raise SpecError(f"hamiltonian.pauli_terms[{k}].coeff", "must be a finite number")
             word = entry["word"]
             if not isinstance(word, str) or not word or any(c not in "IXYZ" for c in word):
                 raise SpecError(f"hamiltonian.pauli_terms[{k}].word", f"must be a string over I,X,Y,Z, got {word!r}")
@@ -200,8 +206,8 @@ def _validate_hamiltonian(form: str, ham: dict):
             if not isinstance(row, list) or len(row) != n:
                 raise SpecError(f"hamiltonian.dense[{i}]", f"must be a row of {n} entries")
             for j, cell in enumerate(row):
-                if not (isinstance(cell, list) and len(cell) == 2 and all(isinstance(x, (int, float)) for x in cell)):
-                    raise SpecError(f"hamiltonian.dense[{i}][{j}]", "must be an [re, im] pair")
+                if not (isinstance(cell, list) and len(cell) == 2 and all(_is_number(x) for x in cell)):
+                    raise SpecError(f"hamiltonian.dense[{i}][{j}]", "must be an [re, im] pair of finite numbers")
         return rows
     # family
     fam = ham["family"]
@@ -216,8 +222,8 @@ def _validate_hamiltonian(form: str, ham: dict):
         raise SpecError("hamiltonian.couplings", f"unknown couplings {sorted(unknown)} for family {fam!r}")
     for key in expected:
         val = couplings.get(key, 0.0)
-        if not isinstance(val, (int, float)):
-            raise SpecError(f"hamiltonian.couplings.{key}", "must be a number")
+        if not _is_number(val):
+            raise SpecError(f"hamiltonian.couplings.{key}", "must be a finite number")
     return {"family": fam, "couplings": {k: float(couplings.get(k, 0.0)) for k in expected}}
 
 
@@ -230,8 +236,8 @@ def _validate_state(form: str, state: dict):
         if not isinstance(amps, list) or len(amps) < 2:
             raise SpecError("state.amplitudes", "must be a list of >= 2 [re, im] pairs")
         for k, cell in enumerate(amps):
-            if not (isinstance(cell, list) and len(cell) == 2 and all(isinstance(x, (int, float)) for x in cell)):
-                raise SpecError(f"state.amplitudes[{k}]", "must be an [re, im] pair")
+            if not (isinstance(cell, list) and len(cell) == 2 and all(_is_number(x) for x in cell)):
+                raise SpecError(f"state.amplitudes[{k}]", "must be an [re, im] pair of finite numbers")
         return amps
     named = state["named"]
     if not isinstance(named, str) or not named:
@@ -264,6 +270,8 @@ def _split_named_state(named: str):
             args = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise SpecError("state.named", f"non-numeric argument in {named!r}") from exc
+        if not all(math.isfinite(a) for a in args):
+            raise SpecError("state.named", f"non-finite argument in {named!r}")
         if kind == "xi" and not 0.0 <= args[0] <= 1.0:
             raise SpecError("state.named", f"xi must lie in [0, 1], got {args[0]}")
         return kind, args

@@ -14,6 +14,12 @@ curve has unit-norm tangent
 
 and second derivative T'(s) = -(dh)^2 Psi(s), whose squared norm <(dh)^4> is
 constant in s.
+
+States are evolved in the Krylov space of (H - E, psi_0) (Hochbruck and
+Lubich, SIAM J. Numer. Anal. 34, 1997): a Lanczos basis V_m with tridiagonal
+T_m = V_m^dagger (H - E) V_m gives exp(-iHt) psi_0 ~ exp(-iEt) V_m
+exp(-itT_m) e_1, at the cost of m matrix-vector products.  Nothing here
+diagonalizes H itself except ``propagator``, the dense reference.
 """
 
 from __future__ import annotations
@@ -37,17 +43,44 @@ __all__ = [
 # energy variance is negligible relative to the Hamiltonian's scale.
 _STATIONARY_MU2_TOL = 1e-10
 
+# A Krylov state is accepted once the a-posteriori estimate
+# |t| beta_m |e_m^T exp(-itT_m) e_1| of its error is at most this.  The error
+# is the integral over [0, t] of beta_m |e_m^T exp(-isT_m) e_1|, whose
+# integrand grows with s once the basis resolves t; the factor |t| also keeps
+# the estimate unchanged under H -> cH, t -> t/c.
+_KRYLOV_TOL = 1e-14
+
+# Krylov bases are evaluated only at sizes 16, 32, 64, ... (capped at the
+# final size), so the state at t does not depend on earlier requests.
+_KRYLOV_MIN_DIM = 16
+
+# A Lanczos residual at most this times ||H||_F is rounding noise: the
+# Krylov space is invariant under H and the basis is complete.
+_BREAKDOWN_TOL = 1e-14
+
 
 class StationaryStateError(ValueError):
     """The initial state is an eigenstate: the curve degenerates to a point."""
 
 
+def _is_stationary(mu2: float, frobenius_sq: float) -> bool:
+    """Whether an energy variance mu2 is negligible for a Hamiltonian with
+    squared Frobenius norm ``frobenius_sq``."""
+    return mu2 <= _STATIONARY_MU2_TOL * max(1.0, frobenius_sq)
+
+
 class EvolutionProblem:
     """A stationary Hamiltonian together with an initial pure state.
 
-    Diagonalizes H once at construction and caches the eigendecomposition,
-    the mean energy E, and the speed v = sqrt(<(H-E)^2>).  Instances are
-    read-only after construction.
+    Computes the mean energy E and the speed v = sqrt(<(H-E)^2>) at
+    construction with matrix-vector products.  States are evolved in a
+    Lanczos basis of (H - E, psi_0) that grows on demand, with full
+    reorthogonalization, until the error estimate at the requested time is
+    below 1e-14 or the Krylov space is invariant.  The basis and the
+    eigendecompositions of its tridiagonal matrices are cached, so once the
+    basis stops growing one evolution costs one exp and one product with a
+    d x m matrix.  A state depends only on (H, psi_0, t), never on the times
+    requested before.  The public attributes are read-only.
 
     Parameters
     ----------
@@ -69,22 +102,30 @@ class EvolutionProblem:
         self.hamiltonian = hamiltonian
         self.initial_state = initial_state
 
-        w, basis = np.linalg.eigh(hamiltonian.matrix)
-        self._eigenvalues = w
-        self._eigenvectors = basis
-        self._coeffs0 = basis.conj().T @ initial_state.amplitudes
-
-        self.energy = float(np.sum(np.abs(self._coeffs0) ** 2 * w))
-        centered = hamiltonian.matrix @ initial_state.amplitudes - self.energy * initial_state.amplitudes
+        psi = initial_state.amplitudes
+        h = hamiltonian.matrix
+        hpsi = h @ psi
+        self.energy = float(np.vdot(psi, hpsi).real)
+        centered = hpsi - self.energy * psi
         self._mu2 = float(np.vdot(centered, centered).real)
         self.speed = float(np.sqrt(max(self._mu2, 0.0)))
 
-        scale = max(1.0, float(np.sum(w * w)))  # ||H||_F^2 via eigenvalues
-        self._stationary = self._mu2 <= _STATIONARY_MU2_TOL * scale
-        if not self._stationary:
-            self._delta_h = (hamiltonian.matrix - self.energy * np.eye(hamiltonian.dim)) / self.speed
-        else:
-            self._delta_h = None
+        frobenius_sq = float(np.vdot(h, h).real)
+        self._stationary = _is_stationary(self._mu2, frobenius_sq)
+
+        # Lanczos state: basis rows v_0..v_{m-1}, diagonal alpha_0..alpha_{m-1},
+        # off-diagonal beta_0..beta_{m-1} (beta_{m-1} is the norm of the
+        # pending residual, which becomes v_m).
+        self._breakdown = _BREAKDOWN_TOL * np.sqrt(frobenius_sq)
+        self._basis = np.empty((min(self.dim, _KRYLOV_MIN_DIM), self.dim), dtype=complex)
+        self._basis[0] = psi
+        alpha0 = float(np.vdot(psi, centered).real)
+        residual = centered - alpha0 * psi
+        residual -= psi * np.vdot(psi, residual)
+        self._alpha = [alpha0]
+        self._beta = [float(np.linalg.norm(residual))]
+        self._residual = residual
+        self._rotations: dict[int, tuple] = {}
 
     @property
     def dim(self) -> int:
@@ -96,21 +137,66 @@ class EvolutionProblem:
 
     @property
     def delta_h(self) -> np.ndarray:
-        """Dimensionless centered Hamiltonian (H - E)/v; <(dh)^2> = 1."""
+        """Dimensionless centered Hamiltonian (H - E)/v as a dense matrix; <(dh)^2> = 1."""
         self._require_moving()
-        return self._delta_h
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (eigenvalues, eigenvector columns) of the Hamiltonian."""
-        return self._eigenvalues, self._eigenvectors
+        return (self.hamiltonian.matrix - self.energy * np.eye(self.dim)) / self.speed
 
     def _require_moving(self):
         if self._stationary:
             raise StationaryStateError("stationary state: arc length undefined")
 
+    def _apply_delta_h(self, vec: np.ndarray) -> np.ndarray:
+        """(H - E) vec / v, without forming the centered matrix."""
+        return (self.hamiltonian.matrix @ vec - self.energy * vec) / self.speed
+
+    def _complete(self, m: int) -> bool:
+        """Whether the first m Lanczos vectors span an invariant subspace."""
+        return m == self.dim or self._beta[m - 1] <= self._breakdown
+
+    def _grow(self, target: int) -> None:
+        """Extend the Lanczos basis to ``target`` vectors or until it is complete."""
+        h = self.hamiltonian.matrix
+        if target > self._basis.shape[0]:
+            grown = np.empty((target, self.dim), dtype=complex)
+            grown[: len(self._alpha)] = self._basis[: len(self._alpha)]
+            self._basis = grown
+        while len(self._alpha) < target and not self._complete(len(self._alpha)):
+            m = len(self._alpha)
+            v = self._residual / self._beta[-1]
+            self._basis[m] = v
+            w = h @ v - self.energy * v
+            alpha = float(np.vdot(v, w).real)
+            w -= alpha * v + self._beta[-1] * self._basis[m - 1]
+            basis = self._basis[: m + 1]
+            for _ in range(2):  # one Gram-Schmidt pass leaves O(eps * growth) overlaps
+                w -= np.conj(basis @ np.conj(w)) @ basis
+            self._alpha.append(alpha)
+            self._beta.append(float(np.linalg.norm(w)))
+            self._residual = w
+
+    def _rotation(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Cached (theta, U[0, :], U^T V_m^T, beta_m U[m-1, :] U[0, :]) for
+        the eigendecomposition T_m = U diag(theta) U^T."""
+        rot = self._rotations.get(m)
+        if rot is None:
+            tri = np.diag(self._alpha[:m])
+            off = np.arange(m - 1)
+            tri[off, off + 1] = tri[off + 1, off] = self._beta[: m - 1]
+            theta, u = np.linalg.eigh(tri)
+            rot = (theta, u[0], u.T @ self._basis[:m], self._beta[m - 1] * u[m - 1] * u[0])
+            self._rotations[m] = rot
+        return rot
+
     def _evolve_vec(self, t: float) -> np.ndarray:
-        phases = np.exp(-1j * self._eigenvalues * t)
-        return self._eigenvectors @ (phases * self._coeffs0)
+        size = _KRYLOV_MIN_DIM
+        while True:
+            self._grow(min(size, self.dim))
+            m = min(size, len(self._alpha))
+            theta, u0, rows, g = self._rotation(m)
+            phases = np.exp(-1j * theta * t)
+            if self._complete(m) or abs(t) * abs(np.dot(g, phases)) <= _KRYLOV_TOL:
+                return np.exp(-1j * self.energy * t) * ((u0 * phases) @ rows)
+            size *= 2
 
     def __repr__(self):
         return (
@@ -124,6 +210,8 @@ def propagator(hamiltonian: HermitianOperator, t: float) -> np.ndarray:
 
     Diagonalizing and re-exponentiating is exactly unitary up to rounding,
     unlike a truncated series, so U^dagger U = I holds to ~1e-15 for any t.
+    This dense O(d^3) route is the reference the Krylov evolution is checked
+    against.
     """
     w, basis = np.linalg.eigh(hamiltonian.matrix)
     return (basis * np.exp(-1j * w * t)) @ basis.conj().T
@@ -152,9 +240,8 @@ def state_at_arclength(problem: EvolutionProblem, s: float) -> StateVector:
 
 def tangent(problem: EvolutionProblem, s: float) -> StateVector:
     """Unit tangent T(s) = -i (dh) Psi(s) of the arc-length parametrized curve."""
-    problem._require_moving()
     psi = state_at_arclength(problem, s)
-    return StateVector(-1j * (problem.delta_h @ psi.amplitudes))
+    return StateVector(-1j * problem._apply_delta_h(psi.amplitudes))
 
 
 def tangent_derivative(problem: EvolutionProblem, s: float) -> np.ndarray:
@@ -163,7 +250,5 @@ def tangent_derivative(problem: EvolutionProblem, s: float) -> np.ndarray:
     Not normalized: its squared norm equals the fourth moment <(dh)^4>,
     constant along the curve.
     """
-    problem._require_moving()
     psi = state_at_arclength(problem, s)
-    dh = problem.delta_h
-    return -(dh @ (dh @ psi.amplitudes))
+    return -problem._apply_delta_h(problem._apply_delta_h(psi.amplitudes))

@@ -76,13 +76,28 @@ def _project_off(vec: np.ndarray, *units: np.ndarray) -> np.ndarray:
     return r
 
 
+def _binormal_present(tau_sq: float) -> bool:
+    """Whether a squared torsion is large enough to normalize the binormal."""
+    return bool(np.sqrt(max(tau_sq, 0.0)) > _BINORMAL_NORM_TOL)
+
+
+def _curvature_torsion(problem: EvolutionProblem, s: float) -> tuple[float, float]:
+    """(kappa^2, tau^2) at arc length s from one state evaluation.
+
+    With T = -i dh Psi and T' = -i dh T, kappa^2 = ||P_Psi T'||^2 and
+    tau^2 = ||P_T P_Psi T'||^2.
+    """
+    psi = state_at_arclength(problem, s).amplitudes
+    tan = -1j * problem._apply_delta_h(psi)
+    perp = _project_off(-1j * problem._apply_delta_h(tan), psi)
+    nbar = _project_off(perp, tan)
+    return float(np.vdot(perp, perp).real), float(np.vdot(nbar, nbar).real)
+
+
 def curvature_geometric(problem: EvolutionProblem, s: float) -> float:
     """Squared curvature as ||P_Psi T'(s)||^2, the acceleration component
     orthogonal to the curve point itself."""
-    psi = state_at_arclength(problem, s).amplitudes
-    tprime = tangent_derivative(problem, s)
-    r = _project_off(tprime, psi)
-    return float(np.vdot(r, r).real)
+    return _curvature_torsion(problem, s)[0]
 
 
 def binormal_raw(problem: EvolutionProblem, s: float) -> np.ndarray:
@@ -100,8 +115,7 @@ def binormal_raw(problem: EvolutionProblem, s: float) -> np.ndarray:
 def torsion_geometric(problem: EvolutionProblem, s: float) -> float:
     """Squared torsion as ||Nbar(s)||^2; exactly zero for planar curves up to
     rounding (~1e-30 in the squared norm)."""
-    nbar = binormal_raw(problem, s)
-    return float(np.vdot(nbar, nbar).real)
+    return _curvature_torsion(problem, s)[1]
 
 
 def cartan_matrix(problem: EvolutionProblem, s: float) -> np.ndarray:
@@ -132,8 +146,7 @@ def cartan_matrix(problem: EvolutionProblem, s: float) -> np.ndarray:
     frame = [psi, tan]
     derivs = [tan, tprime]
     if tau > _BINORMAL_NORM_TOL:
-        dh = problem.delta_h
-        tsecond = 1j * (dh @ (dh @ (dh @ psi)))
+        tsecond = -1j * problem._apply_delta_h(tprime)
         nprime = (tsecond + tan + 1j * alpha3 * tprime) / tau
         frame.append(nbar / tau)
         derivs.append(nprime)
@@ -174,7 +187,7 @@ def build_frame(problem: EvolutionProblem, s: float, completion_seed=None) -> Qu
 
     binormal = None
     core = [psi, tan]
-    if np.sqrt(max(tau_sq, 0.0)) > _BINORMAL_NORM_TOL:
+    if _binormal_present(tau_sq):
         binormal = StateVector(nbar / np.linalg.norm(nbar))
         core.append(binormal.amplitudes)
 

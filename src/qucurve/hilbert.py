@@ -75,7 +75,7 @@ class StateVector:
         if a.ndim != 1 or a.shape[0] < 2:
             raise ValueError(f"state must be a 1-d vector with d >= 2, got shape {a.shape}")
         nrm = np.linalg.norm(a)
-        if abs(nrm - 1.0) > _NORM_TOL:
+        if not abs(nrm - 1.0) <= _NORM_TOL:  # also rejects NaN
             raise ValueError(f"state norm {nrm!r} deviates from 1 by more than {_NORM_TOL:.0e}")
         a = a.copy()
         a.setflags(write=False)
@@ -113,7 +113,7 @@ class HermitianOperator:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
         dev = np.max(np.abs(m - m.conj().T))
-        if dev > _HERM_TOL:
+        if not dev <= _HERM_TOL:  # also rejects NaN
             raise ValueError(
                 f"matrix is not Hermitian: max |M - M^dagger| = {dev:.3e} > {_HERM_TOL:.0e}"
             )
@@ -163,15 +163,25 @@ def _as_vector(v) -> np.ndarray:
     return np.asarray(v, dtype=complex)
 
 
-def _word_matrix(word: str) -> np.ndarray:
-    m = PAULI[word[0]]
-    for c in word[1:]:
-        m = np.kron(m, PAULI[c])
-    return m
+def _pauli_masks(word: str) -> tuple[int, int, complex]:
+    """Binary symplectic form of a Pauli word: (x, z, i^#Y).
+
+    The word maps each basis state to a signed basis state,
+    P|j> = i^#Y (-1)^popcount(j & z) |j ^ x>, where x marks the X and Y
+    letters and z the Z and Y letters (Aaronson and Gottesman, PRA 70,
+    052328, 2004).  The leftmost letter owns the most significant bit.
+    """
+    x = z = 0
+    for c in word:
+        x = (x << 1) | (c in "XY")
+        z = (z << 1) | (c in "ZY")
+    return x, z, (1, 1j, -1, -1j)[word.count("Y") % 4]
 
 
 def build_operator(terms, n_qubits: int) -> HermitianOperator:
     """Assemble sum_k c_k P_k over n-qubit Pauli words.
+
+    Each word is a signed permutation matrix, so a term fills d entries.
 
     Parameters
     ----------
@@ -190,12 +200,19 @@ def build_operator(terms, n_qubits: int) -> HermitianOperator:
         raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
     dim = 2**n_qubits
     total = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim)
     for k, term in enumerate(terms):
         if term.n_qubits != n_qubits:
             raise ValueError(
                 f"term {k} word {term.word!r} has {term.n_qubits} qubits, expected {n_qubits}"
             )
-        total += term.coefficient * _word_matrix(term.word)
+        x, z, phase = _pauli_masks(term.word)
+        parity = np.zeros(dim, dtype=np.int64)
+        masked = cols & z
+        for bit in range(n_qubits):  # popcount(j & z) mod 2, without NumPy 2's bitwise_count
+            parity ^= masked >> bit
+        sign = 1 - 2 * (parity & 1)
+        total[cols ^ x, cols] += term.coefficient * (phase * sign)
     return HermitianOperator(total)
 
 

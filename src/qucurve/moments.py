@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import _STATIONARY_MU2_TOL, StationaryStateError
+from .evolution import StationaryStateError, _is_stationary
 from .hilbert import HermitianOperator, StateVector
 
 __all__ = [
@@ -72,8 +72,7 @@ def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> Momen
     mu3 = float(np.vdot(w1, w2).real)
     mu4 = float(np.vdot(w2, w2).real)
 
-    scale = max(1.0, float(np.sum(np.abs(hamiltonian.matrix) ** 2)))  # ||H||_F^2
-    if mu2 <= _STATIONARY_MU2_TOL * scale:
+    if _is_stationary(mu2, float(np.vdot(hamiltonian.matrix, hamiltonian.matrix).real)):
         alpha3 = alpha4 = None
     else:
         alpha3 = mu3 / mu2**1.5

@@ -8,12 +8,13 @@ is a pure function of the input document, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .evolution import EvolutionProblem, evolve
-from .frame import build_frame, curvature_geometric, torsion_geometric
+from .frame import _binormal_present, _curvature_torsion
 from .hilbert import HermitianOperator, StateVector
 from .models import geodesic_efficiency, state_to_bloch
 from .moments import central_moments, curvature_from_moments, pearson_gap, torsion_from_moments
@@ -94,8 +95,7 @@ def build_report(
     tau_m_raw = torsion_from_moments(mom)
 
     s_points = np.linspace(0.0, 1.0, s_samples)
-    kappa_gs = [curvature_geometric(problem, s) for s in s_points]
-    tau_gs = [torsion_geometric(problem, s) for s in s_points]
+    kappa_gs, tau_gs = zip(*(_curvature_torsion(problem, s) for s in s_points))
     for name, vals in (("kappa_sq_geometric", kappa_gs), ("tau_sq_geometric", tau_gs)):
         spread = max(vals) - min(vals)
         if spread > 1e-9:
@@ -126,8 +126,6 @@ def build_report(
             "dt_grid": list(kfit.dt_grid),
         }
 
-    frame = build_frame(problem, 0.0)
-
     return GeometryReport(
         dimension=problem.dim,
         energy=problem.energy,
@@ -139,7 +137,7 @@ def build_report(
         alpha3=mom.alpha3,
         alpha4=mom.alpha4,
         pearson_gap=pearson_gap(mom),
-        frame_present=frame.binormal is not None,
+        frame_present=_binormal_present(tau_g),
         oracle=oracle,
         warnings=warnings,
     )
@@ -152,6 +150,18 @@ def trajectory_rows(
 
     Columns: t, s, fidelity_to_initial, re/im of every amplitude, the Bloch
     components for a qubit, and the (constant) squared curvature and torsion.
+    """
+    header, rows = _trajectory_table(hamiltonian, state, t_max, steps)
+    return header, list(rows)
+
+
+def _trajectory_table(
+    hamiltonian: HermitianOperator, state: StateVector, t_max: float, steps: int
+) -> tuple[list[str], Iterator[list[str]]]:
+    """Header and a generator of formatted rows for a trajectory CSV.
+
+    Arguments are checked before returning; each row is formatted only when
+    the generator reaches it, so a writer can stream the table.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
@@ -171,18 +181,19 @@ def trajectory_rows(
         header += ["ax", "ay", "az"]
     header += ["kappa_sq", "tau_sq"]
 
-    rows = []
-    for t in np.linspace(0.0, t_max, steps):
-        psi = evolve(problem, t)
-        fid = abs(state.inner(psi)) ** 2
-        row = [format_float(t), format_float(problem.speed * t), format_float(fid)]
-        for amp in psi.amplitudes:
-            row += [format_float(amp.real), format_float(amp.imag)]
-        if d == 2:
-            row += [format_float(c) for c in state_to_bloch(psi)]
-        row += [format_float(kappa), format_float(tau)]
-        rows.append(row)
-    return header, rows
+    def rows():
+        for t in np.linspace(0.0, t_max, steps):
+            psi = evolve(problem, t)
+            fid = abs(state.inner(psi)) ** 2
+            row = [format_float(t), format_float(problem.speed * t), format_float(fid)]
+            for amp in psi.amplitudes:
+                row += [format_float(amp.real), format_float(amp.imag)]
+            if d == 2:
+                row += [format_float(c) for c in state_to_bloch(psi)]
+            row += [format_float(kappa), format_float(tau)]
+            yield row
+
+    return header, rows()
 
 
 def sweep_row(

@@ -86,6 +86,59 @@ class TestReportCommand:
         capsys.readouterr()
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInput:
+    """json.load accepts NaN and Infinity; each must end in exit 2 naming the field."""
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            (
+                {"hamiltonian": {"dense": [[[NAN, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}, "state": {"named": "0"}},
+                "hamiltonian.dense[0][0]",
+            ),
+            (
+                {"hamiltonian": {"pauli_terms": [{"coeff": 1.0, "word": "X"}]}, "state": {"amplitudes": [[NAN, 0.0], [1.0, 0.0]]}},
+                "state.amplitudes[0]",
+            ),
+            (
+                {"hamiltonian": {"pauli_terms": [{"coeff": NAN, "word": "X"}]}, "state": {"named": "0"}},
+                "hamiltonian.pauli_terms[0].coeff",
+            ),
+            (
+                {"hamiltonian": {"family": "single_qubit", "couplings": {"mx": INF}}, "state": {"named": "0"}},
+                "hamiltonian.couplings.mx",
+            ),
+            (
+                {"hamiltonian": {"family": "single_qubit", "couplings": {"mx": 1.0}}, "state": {"named": "bloch:nan,0"}},
+                "state.named",
+            ),
+        ],
+    )
+    def test_problem_file_field(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--gamma", "nan", "--oracle", "report"], "--gamma"),
+            (["trajectory", "--t-max", "nan", "--steps", "3"], "--t-max"),
+            (["sweep", "--param", "xi", "--from", "0.2", "--to", "inf", "--points", "3"], "--to"),
+        ],
+    )
+    def test_command_line_flag(self, argv, flag, xi_family_file, tmp_path, capsys):
+        argv = argv + ["--input", xi_family_file]
+        if argv[0] != "--gamma":
+            argv += ["--output", str(tmp_path / "out.csv")]
+        assert main(argv) == 2
+        assert flag in capsys.readouterr().err
+
+
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         assert main([]) == 2

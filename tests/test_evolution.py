@@ -8,6 +8,8 @@ from qucurve import (
     StationaryStateError,
     evolve,
     expectation,
+    ghz_state,
+    heisenberg3,
     parallel_transported_state,
     propagator,
     state_at_arclength,
@@ -16,7 +18,7 @@ from qucurve import (
 )
 from qucurve.hilbert import PAULI
 
-from conftest import crossed_fields_state, random_problem
+from conftest import crossed_fields_state, random_hermitian, random_problem, random_state
 
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
 SIGMA_Z = HermitianOperator(PAULI["Z"])
@@ -258,3 +260,67 @@ class TestInvariances:
             state_at_arclength(prob, s).amplitudes,
             atol=1e-11,
         )
+
+
+class TestKrylovEvolution:
+    """Lanczos evolution against the dense propagator reference."""
+
+    @pytest.mark.parametrize("dim", [64, 256])
+    def test_matches_propagator_on_random_problems(self, dim):
+        rng = np.random.default_rng(dim)
+        prob = random_problem(rng, dim)
+        evals = np.linalg.eigvalsh(prob.hamiltonian.matrix)
+        # at t_full the spectral half-width times t is dim: the Krylov basis
+        # must grow to (nearly) the whole space
+        t_full = dim / (0.5 * (evals[-1] - evals[0]))
+        for t in (0.0, 1e-3, 0.3, 2.0, t_full, 5 * t_full):
+            expected = propagator(prob.hamiltonian, t) @ prob.initial_state.amplitudes
+            np.testing.assert_allclose(evolve(prob, t).amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_ghz_on_heisenberg3(self):
+        # GHZ spans a small invariant subspace: the Lanczos basis breaks down early
+        ham = heisenberg3(1.4, 0.3, 0.6, 0.9)
+        prob = EvolutionProblem(ham, ghz_state())
+        for t in (0.0, 0.4, 3.0, 50.0):
+            expected = propagator(ham, t) @ prob.initial_state.amplitudes
+            np.testing.assert_allclose(evolve(prob, t).amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_two_level_superposition(self):
+        rng = np.random.default_rng(89)
+        ham = random_hermitian(rng, 64)
+        evals, evecs = np.linalg.eigh(ham.matrix)
+        i, j, phi = 5, 40, 0.8
+        prob = EvolutionProblem(ham, StateVector((evecs[:, i] + np.exp(1j * phi) * evecs[:, j]) / np.sqrt(2)))
+        for t in (0.0, 0.3, 7.0, 50.0):
+            expected = (
+                np.exp(-1j * evals[i] * t) * evecs[:, i]
+                + np.exp(1j * (phi - evals[j] * t)) * evecs[:, j]
+            ) / np.sqrt(2)
+            np.testing.assert_allclose(evolve(prob, t).amplitudes, expected, rtol=0, atol=1e-12)
+
+    def test_state_independent_of_earlier_requests(self):
+        rng = np.random.default_rng(97)
+        ham, psi = random_hermitian(rng, 128), random_state(rng, 128)
+        prob = EvolutionProblem(ham, psi)
+        first = evolve(prob, 0.05).amplitudes
+        evolve(prob, 50.0)
+        np.testing.assert_array_equal(evolve(prob, 0.05).amplitudes, first)
+        late = EvolutionProblem(ham, psi)
+        evolve(late, 50.0)
+        np.testing.assert_array_equal(evolve(late, 0.05).amplitudes, first)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf])
+    def test_non_finite_time_fails_closed(self, t):
+        prob = random_problem(np.random.default_rng(107), 40)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="norm"):
+            evolve(prob, t)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_scaled_hamiltonian_at_rescaled_time(self, scale):
+        rng = np.random.default_rng(101)
+        prob = random_problem(rng, 64)
+        scaled = EvolutionProblem(HermitianOperator(scale * prob.hamiltonian.matrix), prob.initial_state)
+        for t in (0.2, 3.0):
+            np.testing.assert_allclose(
+                evolve(scaled, t / scale).amplitudes, evolve(prob, t).amplitudes, rtol=0, atol=1e-12
+            )

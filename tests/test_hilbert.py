@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,10 @@ class TestStateVector:
         with pytest.raises(ValueError):
             s.amplitudes[0] = 0.0
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="norm"):
+            StateVector([np.nan, 1.0])
+
     def test_inner_product_conjugates_left(self):
         a = StateVector([1, 0])
         b = StateVector([1j, 0])
@@ -49,6 +55,10 @@ class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             HermitianOperator([[0, 1], [0, 0]])
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            HermitianOperator([[np.nan, 0.0], [0.0, 1.0]])
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -61,7 +71,27 @@ class TestHermitianOperator:
         np.testing.assert_allclose(op.apply(v), op.matrix @ v.amplitudes, rtol=0, atol=0)
 
 
+def _kron_word(word):
+    m = PAULI[word[0]]
+    for c in word[1:]:
+        m = np.kron(m, PAULI[c])
+    return m
+
+
 class TestBuildOperator:
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    def test_every_word_equals_kron_product(self, n_qubits):
+        words = ["".join(w) for w in itertools.product("IXYZ", repeat=n_qubits)]
+        for word in words:
+            op = build_operator([PauliTerm(-0.37, word)], n_qubits)
+            np.testing.assert_array_equal(op.matrix, -0.37 * _kron_word(word))
+        coeffs = np.random.default_rng(n_qubits).normal(size=len(words))
+        expected = np.zeros((2**n_qubits, 2**n_qubits), dtype=complex)
+        for c, word in zip(coeffs, words):
+            expected += c * _kron_word(word)
+        op = build_operator([PauliTerm(float(c), w) for c, w in zip(coeffs, words)], n_qubits)
+        np.testing.assert_array_equal(op.matrix, expected)
+
     def test_single_x_word(self):
         op = build_operator([PauliTerm(1.0, "X")], 1)
         np.testing.assert_array_equal(op.matrix, PAULI["X"])

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from qucurve import (
+    EvolutionProblem,
     StateVector,
+    build_frame,
     StationaryStateError,
     build_report,
     format_float,
@@ -15,6 +17,8 @@ from qucurve import (
 )
 from qucurve.hilbert import PAULI, HermitianOperator
 from qucurve.models import single_qubit
+
+from conftest import random_hermitian, random_state
 
 SIGMA_Z = HermitianOperator(PAULI["Z"])
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
@@ -112,6 +116,46 @@ class TestBuildReport:
     def test_stationary_state_raises(self):
         with pytest.raises(StationaryStateError):
             build_report(SIGMA_Z, StateVector([1, 0]))
+
+    def test_frame_present_matches_built_frame(self, crossed_fields_problem):
+        planar = EvolutionProblem(single_qubit([1.0, 0.0, 1.0]), StateVector([1, 0]))
+        for prob, present in ((planar, False), (crossed_fields_problem, True)):
+            rep = build_report(prob.hamiltonian, prob.initial_state)
+            assert rep.frame_present is present
+            assert rep.frame_present == (build_frame(prob, 0.0).binormal is not None)
+
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            pytest.param(
+                1e-6,
+                marks=pytest.mark.xfail(
+                    raises=StationaryStateError,
+                    strict=True,
+                    reason="the stationary test floors ||H||_F^2 at 1, so mu2 ~ 1e-12 reads as an eigenstate",
+                ),
+            ),
+            1e6,
+        ],
+    )
+    def test_geometry_invariant_under_hamiltonian_scaling(self, scale):
+        rng = np.random.default_rng(103)
+        ham, psi = random_hermitian(rng, 16), random_state(rng, 16)
+        base = build_report(ham, psi)
+        rep = build_report(HermitianOperator(scale * ham.matrix), psi)
+        assert rep.speed == pytest.approx(scale * base.speed, rel=1e-12)
+        assert rep.frame_present == base.frame_present
+        assert rep.warnings == base.warnings
+        for key in (
+            "kappa_sq_moments",
+            "kappa_sq_geometric",
+            "tau_sq_moments",
+            "tau_sq_geometric",
+            "alpha3",
+            "alpha4",
+            "pearson_gap",
+        ):
+            assert getattr(rep, key) == pytest.approx(getattr(base, key), rel=1e-12), key
 
 
 class TestTrajectoryRows:
