@@ -24,8 +24,8 @@ from qucurve import (
     central_moments,
     curvature_from_moments,
     geodesic_efficiency,
-    pearson_gap,
     single_qubit,
+    torsion_from_moments,
     xi_curvature,
     xi_efficiency,
     xi_kurtosis,
@@ -45,7 +45,7 @@ for xi in (0.30, 0.45, 0.60, 1 / np.sqrt(2), 0.80, 0.92):
     mom = central_moments(SIGMA_Z, xi_state(xi))
     print(f"{xi:6.3f} {xi_curvature(xi):18.10f} "
           f"{curvature_from_moments(mom):18.10f} "
-          f"{xi_kurtosis(xi):10.6f} {pearson_gap(mom):12.2e}")
+          f"{xi_kurtosis(xi):10.6f} {torsion_from_moments(mom):12.2e}")
 
 # %%
 # The balanced weight is a geodesic: kappa^2 = 0 exactly, and the transport

@@ -49,7 +49,7 @@ print("\nprojector path along the curve")
 print(f"{'s':>6s} {'kappa^2':>22s} {'tau^2':>22s}")
 for s in (0.0, 0.7, 1.4):
     print(f"{s:6.2f} {curvature_geometric(problem, s):22.15f} "
-          f"{torsion_geometric(problem, s)**2:22.15f}")
+          f"{torsion_geometric(problem, s):22.15f}")
 
 # %%
 # The frame itself.  At s = 0 the tangent mixes |01> and |10> and the

@@ -15,135 +15,21 @@ another:
   sampled curves in R^3.
 """
 
-from .config import ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
-from .evolution import (
-    EvolutionProblem,
-    StationaryStateError,
-    evolve,
-    parallel_transported_state,
-    propagator,
-    state_at_arclength,
-    tangent,
-    tangent_derivative,
-)
-from .frame import QuantumFrame, binormal_raw, build_frame, cartan_matrix, curvature_geometric, torsion_geometric
-from .hilbert import (
-    HermitianOperator,
-    LinearDependenceError,
-    PauliTerm,
-    StateVector,
-    build_operator,
-    expectation,
-    gram_schmidt,
-    projector_orthogonal,
-)
-from .models import (
-    bell_state,
-    bloch_to_state,
-    curvature_bloch,
-    geodesic_efficiency,
-    ghz_state,
-    heisenberg3,
-    heisenberg_ghz_coefficients,
-    heisenberg_w_coefficients,
-    local_bell_coefficients,
-    local_product_coefficients,
-    nonlocal_bell_coefficients,
-    nonlocal_product_coefficients,
-    single_qubit,
-    state_to_bloch,
-    torsion_bloch,
-    two_qubit_local,
-    two_qubit_nonlocal,
-    w_state,
-    xi_curvature,
-    xi_efficiency,
-    xi_kurtosis,
-    xi_state,
-)
-from .moments import MomentSet, central_moments, curvature_from_moments, pearson_gap, torsion_from_moments
-from .oracles import (
-    FitResult,
-    SpaceCurveSamples,
-    classical_frenet_serret,
-    fit_curvature_coefficient,
-    fit_torsion_coefficient,
-    fubini_study_sq,
-    geodesic_interpolate,
-    normalized_fit,
-    sphere_geodesic_curvature,
-)
-from .reporting import GeometryReport, build_report, format_float, sweep_row, trajectory_rows
+from . import config, evolution, frame, hilbert, models, moments, oracles, reporting
+from .config import *  # noqa: F401,F403
+from .evolution import *  # noqa: F401,F403
+from .frame import *  # noqa: F401,F403
+from .hilbert import *  # noqa: F401,F403
+from .models import *  # noqa: F401,F403
+from .moments import *  # noqa: F401,F403
+from .oracles import *  # noqa: F401,F403
+from .reporting import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
+# The public names are exactly the submodules' own export lists.
 __all__ = [
-    "EvolutionProblem",
-    "StationaryStateError",
-    "evolve",
-    "parallel_transported_state",
-    "propagator",
-    "state_at_arclength",
-    "tangent",
-    "tangent_derivative",
-    "QuantumFrame",
-    "binormal_raw",
-    "build_frame",
-    "cartan_matrix",
-    "curvature_geometric",
-    "torsion_geometric",
-    "HermitianOperator",
-    "LinearDependenceError",
-    "PauliTerm",
-    "StateVector",
-    "build_operator",
-    "expectation",
-    "gram_schmidt",
-    "projector_orthogonal",
-    "bell_state",
-    "bloch_to_state",
-    "curvature_bloch",
-    "geodesic_efficiency",
-    "ghz_state",
-    "heisenberg3",
-    "heisenberg_ghz_coefficients",
-    "heisenberg_w_coefficients",
-    "local_bell_coefficients",
-    "local_product_coefficients",
-    "nonlocal_bell_coefficients",
-    "nonlocal_product_coefficients",
-    "single_qubit",
-    "state_to_bloch",
-    "torsion_bloch",
-    "two_qubit_local",
-    "two_qubit_nonlocal",
-    "w_state",
-    "xi_curvature",
-    "xi_efficiency",
-    "xi_kurtosis",
-    "xi_state",
-    "MomentSet",
-    "central_moments",
-    "curvature_from_moments",
-    "pearson_gap",
-    "torsion_from_moments",
-    "FitResult",
-    "SpaceCurveSamples",
-    "classical_frenet_serret",
-    "fit_curvature_coefficient",
-    "fit_torsion_coefficient",
-    "fubini_study_sq",
-    "geodesic_interpolate",
-    "normalized_fit",
-    "sphere_geodesic_curvature",
-    "GeometryReport",
-    "build_report",
-    "format_float",
-    "sweep_row",
-    "trajectory_rows",
-    "ProblemSpec",
-    "SpecError",
-    "load_problem_spec",
-    "parse_problem_spec",
-    "__version__",
-]
+    name
+    for module in (config, evolution, frame, hilbert, models, moments, oracles, reporting)
+    for name in module.__all__
+] + ["__version__"]

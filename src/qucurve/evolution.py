@@ -40,7 +40,8 @@ __all__ = [
 ]
 
 # An initial state is treated as an eigenstate (zero-speed curve) when the
-# energy variance is negligible relative to the Hamiltonian's scale.
+# energy variance is negligible relative to the mean squared eigenvalue
+# ||H||_F^2 / d, a scale that moves with H -> cH and not with d.
 _STATIONARY_MU2_TOL = 1e-10
 
 # A Krylov state is accepted once the a-posteriori estimate
@@ -63,10 +64,10 @@ class StationaryStateError(ValueError):
     """The initial state is an eigenstate: the curve degenerates to a point."""
 
 
-def _is_stationary(mu2: float, frobenius_sq: float) -> bool:
-    """Whether an energy variance mu2 is negligible for a Hamiltonian with
-    squared Frobenius norm ``frobenius_sq``."""
-    return mu2 <= _STATIONARY_MU2_TOL * max(1.0, frobenius_sq)
+def _is_stationary(mu2: float, frobenius_sq: float, dim: int) -> bool:
+    """Whether an energy variance mu2 is negligible for a d x d Hamiltonian
+    with squared Frobenius norm ``frobenius_sq``."""
+    return mu2 <= _STATIONARY_MU2_TOL * frobenius_sq / dim
 
 
 class EvolutionProblem:
@@ -111,7 +112,7 @@ class EvolutionProblem:
         self.speed = float(np.sqrt(max(self._mu2, 0.0)))
 
         frobenius_sq = float(np.vdot(h, h).real)
-        self._stationary = _is_stationary(self._mu2, frobenius_sq)
+        self._stationary = _is_stationary(self._mu2, frobenius_sq, self.dim)
 
         # Lanczos state: basis rows v_0..v_{m-1}, diagonal alpha_0..alpha_{m-1},
         # off-diagonal beta_0..beta_{m-1} (beta_{m-1} is the norm of the

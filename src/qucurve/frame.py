@@ -10,7 +10,15 @@ Squared curvature and torsion computed this way agree with the moment
 formulas; both paths are exposed so they can cross-check each other.
 
 The frame's structure matrix C (the analogue of the classical Frenet-Serret
-coefficient matrix) collects C[i][j] = <frame_j | d/ds frame_i>.  It is
+coefficient matrix) collects C[i][j] = <frame_j | d/ds frame_i>.  Since
+Psi(s) = exp(-i s dh) psi_0 and the Gram coefficients that build T and N
+from Psi are constant along the curve, every frame vector is a fixed
+polynomial in dh applied to Psi(s), so d/ds f = -i dh f.  With the frame
+vectors as the columns of F, C is therefore the transpose of the compression
+F^dagger (-i dh) F of -i dh onto the frame: row i lists the frame components
+of d/ds f_i, as in the classical d/ds (T, N, B) = C (T, N, B).  The frame
+is the Lanczos basis of (dh, Psi) up to phases, so |C| is the leading 3x3
+block of its Jacobi matrix (Parker et al., PRX 9, 041017, 2019).  C is
 skew-Hermitian, with |C[1][2]| = tau and |C[1][1]| = sqrt(kappa^2 - tau^2).
 """
 
@@ -20,14 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import EvolutionProblem, state_at_arclength, tangent, tangent_derivative
-from .hilbert import StateVector, _as_vector
-from .moments import central_moments
+from .evolution import EvolutionProblem, state_at_arclength
+from .hilbert import StateVector
 
 __all__ = [
     "QuantumFrame",
     "curvature_geometric",
-    "binormal_raw",
     "torsion_geometric",
     "build_frame",
     "cartan_matrix",
@@ -81,35 +87,49 @@ def _binormal_present(tau_sq: float) -> bool:
     return bool(np.sqrt(max(tau_sq, 0.0)) > _BINORMAL_NORM_TOL)
 
 
-def _curvature_torsion(problem: EvolutionProblem, s: float) -> tuple[float, float]:
-    """(kappa^2, tau^2) at arc length s from one state evaluation.
+def _frame_vectors(problem: EvolutionProblem, s: float) -> tuple[np.ndarray, ...]:
+    """(Psi, T, P_Psi T', Nbar) at arc length s from one state evaluation.
 
-    With T = -i dh Psi and T' = -i dh T, kappa^2 = ||P_Psi T'||^2 and
-    tau^2 = ||P_T P_Psi T'||^2.
+    With T = -i dh Psi and T' = -i dh T, the projections are applied as
+    vector operations in sequence, never as assembled projector matrices.
     """
     psi = state_at_arclength(problem, s).amplitudes
     tan = -1j * problem._apply_delta_h(psi)
     perp = _project_off(-1j * problem._apply_delta_h(tan), psi)
     nbar = _project_off(perp, tan)
+    return psi, tan, perp, nbar
+
+
+def _curvature_torsion(problem: EvolutionProblem, s: float) -> tuple[float, float]:
+    """(kappa^2, tau^2) = (||P_Psi T'||^2, ||P_T P_Psi T'||^2) at arc length s."""
+    _, _, perp, nbar = _frame_vectors(problem, s)
     return float(np.vdot(perp, perp).real), float(np.vdot(nbar, nbar).real)
+
+
+def _frame_rows(
+    problem: EvolutionProblem, s: float
+) -> tuple[np.ndarray, float, float, np.ndarray]:
+    """Frame rows F = (Psi, T[, N]), kappa^2, tau^2 and Nbar at arc length s."""
+    psi, tan, perp, nbar = _frame_vectors(problem, s)
+    tau_sq = float(np.vdot(nbar, nbar).real)
+    rows = [psi, tan]
+    if _binormal_present(tau_sq):
+        rows.append(nbar / np.linalg.norm(nbar))
+    return np.array(rows), float(np.vdot(perp, perp).real), tau_sq, nbar
+
+
+def _structure_matrix(problem: EvolutionProblem, rows: np.ndarray) -> np.ndarray:
+    """C[i][j] = <f_j | -i dh f_i> for the stacked frame rows, zero-padded to 3x3."""
+    k = rows.shape[0]
+    cart = np.zeros((3, 3), dtype=complex)
+    cart[:k, :k] = (-1j * problem._apply_delta_h(rows.T)).T @ rows.conj().T
+    return cart
 
 
 def curvature_geometric(problem: EvolutionProblem, s: float) -> float:
     """Squared curvature as ||P_Psi T'(s)||^2, the acceleration component
     orthogonal to the curve point itself."""
     return _curvature_torsion(problem, s)[0]
-
-
-def binormal_raw(problem: EvolutionProblem, s: float) -> np.ndarray:
-    """Unnormalized binormal Nbar(s) = P_T P_Psi T'(s).
-
-    The projections are applied as vector operations in sequence, never as
-    assembled projector matrices.
-    """
-    psi = state_at_arclength(problem, s).amplitudes
-    tan = tangent(problem, s).amplitudes
-    tprime = tangent_derivative(problem, s)
-    return _project_off(_project_off(tprime, psi), tan)
 
 
 def torsion_geometric(problem: EvolutionProblem, s: float) -> float:
@@ -121,103 +141,31 @@ def torsion_geometric(problem: EvolutionProblem, s: float) -> float:
 def cartan_matrix(problem: EvolutionProblem, s: float) -> np.ndarray:
     """Structure matrix C[i][j] = <frame_j | d/ds frame_i> at arc length s.
 
-    All derivatives are analytic.  For the first two rows,
-    dPsi/ds = T and dT/ds = -(dh)^2 Psi.  For the binormal row, note that
-    Nbar(s) = [ -(dh)^2 + <(dh)^2> + alpha3 * dh ] Psi(s) is a fixed operator
-    acting on Psi(s) (the Gram coefficients <Psi|T'> = -1 and
-    <T|T'> = -i*alpha3 are s-independent), so with constant norm tau
-
-        N'(s) = ( T''(s) + T(s) + i*alpha3*T'(s) ) / tau,
-        T''(s) = i (dh)^3 Psi(s).
-
+    Every frame vector f obeys d/ds f = -i dh f, so C[i][j] = <f_j | -i dh f_i>.
     When the curve is planar the binormal row and column are zero and only
     the 2x2 principal block is meaningful.
     """
-    psi = state_at_arclength(problem, s).amplitudes
-    tan = tangent(problem, s).amplitudes
-    tprime = tangent_derivative(problem, s)
-    nbar = _project_off(_project_off(tprime, psi), tan)
-    tau = float(np.linalg.norm(nbar))
-
-    mom = central_moments(problem.hamiltonian, problem.initial_state)
-    alpha3 = mom.alpha3
-
-    cart = np.zeros((3, 3), dtype=complex)
-    frame = [psi, tan]
-    derivs = [tan, tprime]
-    if tau > _BINORMAL_NORM_TOL:
-        tsecond = -1j * problem._apply_delta_h(tprime)
-        nprime = (tsecond + tan + 1j * alpha3 * tprime) / tau
-        frame.append(nbar / tau)
-        derivs.append(nprime)
-    for i, dv in enumerate(derivs):
-        for j, fv in enumerate(frame):
-            cart[i, j] = np.vdot(fv, dv)
-    return cart
+    return _structure_matrix(problem, _frame_rows(problem, s)[0])
 
 
-def build_frame(problem: EvolutionProblem, s: float, completion_seed=None) -> QuantumFrame:
+def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
     """Assemble the full orthonormal frame at arc length s.
 
-    Parameters
-    ----------
-    problem : EvolutionProblem
-    s : float
-        Arc length at which to evaluate the frame.
-    completion_seed : sequence of array_like, optional
-        Candidate vectors used to extend {psi, tangent, binormal} to a basis
-        of C^d.  Defaults to the canonical basis vectors in index order;
-        candidates that are (numerically) inside the span already built are
-        skipped rather than rejected.
-
-    Returns
-    -------
-    QuantumFrame
+    {psi, tangent, binormal} is extended to a basis of C^d by the trailing
+    columns of a complete QR factorization of the frame.  The completion is
+    unique up to phases only when a single vector is missing.
     """
-    psi_sv = state_at_arclength(problem, s)
-    tan_sv = tangent(problem, s)
-    tprime = tangent_derivative(problem, s)
-
-    psi = psi_sv.amplitudes
-    tan = tan_sv.amplitudes
-    perp = _project_off(tprime, psi)
-    kappa_sq = float(np.vdot(perp, perp).real)
-    nbar = _project_off(perp, tan)
-    tau_sq = float(np.vdot(nbar, nbar).real)
-
-    binormal = None
-    core = [psi, tan]
-    if _binormal_present(tau_sq):
-        binormal = StateVector(nbar / np.linalg.norm(nbar))
-        core.append(binormal.amplitudes)
-
-    dim = problem.dim
-    if completion_seed is None:
-        completion_seed = list(np.eye(dim, dtype=complex))
-    extra: list[StateVector] = []
-    basis = list(core)
-    for cand in completion_seed:
-        if len(basis) == dim:
-            break
-        u = _as_vector(cand).copy()
-        for _ in range(2):
-            for q in basis:
-                u -= q * np.vdot(q, u)
-        nrm = np.linalg.norm(u)
-        if nrm < 1e-10:  # candidate already in the span; try the next one
-            continue
-        u /= nrm
-        basis.append(u)
-        extra.append(StateVector(u))
-
+    rows, kappa_sq, tau_sq, nbar = _frame_rows(problem, s)
+    k = rows.shape[0]
+    q = np.linalg.qr(rows.T, mode="complete")[0]
     return QuantumFrame(
         s=s,
-        psi=psi_sv,
-        tangent=tan_sv,
+        psi=StateVector(rows[0]),
+        tangent=StateVector(rows[1]),
         binormal_raw=nbar,
-        binormal=binormal,
-        extra=extra,
+        binormal=StateVector(rows[2]) if k == 3 else None,
+        extra=[StateVector(col) for col in q[:, k:].T],
         kappa_sq=kappa_sq,
         tau_sq=tau_sq,
-        cartan=cartan_matrix(problem, s),
+        cartan=_structure_matrix(problem, rows),
     )

@@ -27,7 +27,6 @@ __all__ = [
     "central_moments",
     "curvature_from_moments",
     "torsion_from_moments",
-    "pearson_gap",
 ]
 
 
@@ -72,7 +71,8 @@ def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> Momen
     mu3 = float(np.vdot(w1, w2).real)
     mu4 = float(np.vdot(w2, w2).real)
 
-    if _is_stationary(mu2, float(np.vdot(hamiltonian.matrix, hamiltonian.matrix).real)):
+    frobenius_sq = float(np.vdot(hamiltonian.matrix, hamiltonian.matrix).real)
+    if _is_stationary(mu2, frobenius_sq, hamiltonian.dim):
         alpha3 = alpha4 = None
     else:
         alpha3 = mu3 / mu2**1.5
@@ -98,17 +98,10 @@ def curvature_from_moments(m: MomentSet) -> float:
 def torsion_from_moments(m: MomentSet) -> float:
     """Squared torsion coefficient tau^2 = alpha4 - 1 - alpha3^2.
 
+    This is also the slack in the Pearson moment inequality
+    alpha4 >= 1 + alpha3^2, which reports quote as ``pearson_gap``.
     Returned raw: tiny negative values (>= -1e-9) are rounding noise on
     exactly-zero torsion and are left to display layers to clamp.
     """
     _require_moving(m)
     return m.alpha4 - 1.0 - m.alpha3**2
-
-
-def pearson_gap(m: MomentSet) -> float:
-    """Slack alpha4 - alpha3^2 - 1 in the Pearson moment inequality.
-
-    Coincides with tau^2; exposed under its statistical name so reports can
-    quote how far the energy distribution is from the saturating family.
-    """
-    return torsion_from_moments(m)

@@ -17,7 +17,7 @@ from .evolution import EvolutionProblem, evolve
 from .frame import _binormal_present, _curvature_torsion
 from .hilbert import HermitianOperator, StateVector
 from .models import geodesic_efficiency, state_to_bloch
-from .moments import central_moments, curvature_from_moments, pearson_gap, torsion_from_moments
+from .moments import central_moments, curvature_from_moments, torsion_from_moments
 from .oracles import fit_curvature_coefficient, fit_torsion_coefficient
 
 __all__ = ["GeometryReport", "build_report", "format_float", "trajectory_rows", "sweep_row"]
@@ -136,7 +136,7 @@ def build_report(
         tau_sq_geometric=tau_g,
         alpha3=mom.alpha3,
         alpha4=mom.alpha4,
-        pearson_gap=pearson_gap(mom),
+        pearson_gap=tau_m_raw,
         frame_present=_binormal_present(tau_g),
         oracle=oracle,
         warnings=warnings,

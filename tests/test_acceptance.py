@@ -17,7 +17,6 @@ from qucurve import (
     EvolutionProblem,
     StateVector,
     bell_state,
-    binormal_raw,
     build_frame,
     cartan_matrix,
     central_moments,
@@ -323,7 +322,7 @@ def test_frame_geometry():
             assert abs(cart[1, 1]) == pytest.approx(skew, abs=1e-8)
 
             if dim == 2:
-                nbar = binormal_raw(prob, s)
+                nbar = build_frame(prob, s).binormal_raw
                 assert np.linalg.norm(nbar) <= 1e-10
                 assert fr.binormal is None
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+import qucurve.frame
 from qucurve import (
     EvolutionProblem,
     StateVector,
-    binormal_raw,
     build_frame,
     cartan_matrix,
     central_moments,
@@ -83,7 +83,7 @@ class TestGeometricPath:
         for dim in (3, 4, 8):
             prob = random_problem(rng, dim)
             s = float(rng.uniform(0, 2))
-            nbar = binormal_raw(prob, s)
+            nbar = build_frame(prob, s).binormal_raw
             psi = state_at_arclength(prob, s).amplitudes
             tan = tangent(prob, s).amplitudes
             assert abs(np.vdot(psi, nbar)) < 1e-12
@@ -127,8 +127,9 @@ class TestGeometricPath:
 
 class TestBuildFrame:
     def test_frame_is_orthonormal_and_complete(self):
+        # at d = 64 the completion is one of many orthonormal bases
         rng = np.random.default_rng(157)
-        for dim in (2, 3, 4, 8):
+        for dim in (2, 3, 4, 8, 64):
             prob = random_problem(rng, dim)
             fr = build_frame(prob, float(rng.uniform(0, 2)))
             vecs = np.array([v.amplitudes for v in fr.vectors()])
@@ -155,13 +156,6 @@ class TestBuildFrame:
         fr = build_frame(prob, s)
         assert fr.kappa_sq == pytest.approx(curvature_geometric(prob, s), rel=1e-12)
         assert fr.tau_sq == pytest.approx(torsion_geometric(prob, s), rel=1e-12)
-
-    def test_custom_completion_seed(self, crossed_fields_problem):
-        seed = [np.array([0, 1j, -1j, 0]) / np.sqrt(2)]
-        fr = build_frame(crossed_fields_problem, 0.0, completion_seed=seed)
-        assert len(fr.extra) == 1
-        overlap = abs(np.vdot(seed[0], fr.extra[0].amplitudes))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCartanMatrix:
@@ -227,3 +221,8 @@ class TestSigmaZPlane:
         assert torsion_geometric(prob, 0.0) == pytest.approx(0.0, abs=1e-12)
         cart = cartan_matrix(prob, 0.0)
         np.testing.assert_allclose(cart[:2, :2], [[0, 1], [-1, 0]], atol=1e-12)
+
+
+def test_frame_route_does_not_use_moment_route():
+    # the frame cross-checks the moment formulas, so it must not read them
+    assert "central_moments" not in vars(qucurve.frame)

@@ -7,7 +7,6 @@ from qucurve import (
     StationaryStateError,
     central_moments,
     curvature_from_moments,
-    pearson_gap,
     torsion_from_moments,
     xi_state,
 )
@@ -105,12 +104,6 @@ class TestMomentGeometry:
         m = central_moments(SIGMA_Z, xi_state(xi_zero))
         assert curvature_from_moments(m) == pytest.approx(4.0, rel=1e-11)
 
-    def test_pearson_gap_equals_torsion(self):
-        rng = np.random.default_rng(107)
-        for dim in (3, 4, 8):
-            m = central_moments(random_hermitian(rng, dim), random_state(rng, dim))
-            assert pearson_gap(m) == torsion_from_moments(m)
-
     def test_pearson_inequality_holds(self):
         rng = np.random.default_rng(109)
         for dim in (2, 3, 4, 6, 8):
@@ -121,7 +114,7 @@ class TestMomentGeometry:
 
     def test_stationary_state_raises(self):
         m = central_moments(SIGMA_Z, StateVector([1, 0]))
-        for fn in (curvature_from_moments, torsion_from_moments, pearson_gap):
+        for fn in (curvature_from_moments, torsion_from_moments):
             with pytest.raises(StationaryStateError, match="arc length undefined"):
                 fn(m)
 

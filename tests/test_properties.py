@@ -1,0 +1,92 @@
+"""Property tests: the curve's geometry is blind to the gauge and the frame.
+
+kappa^2, tau^2 and the moduli of the structure matrix depend only on the ray
+of the state and on the centred, rescaled Hamiltonian dh.  They are therefore
+unchanged by a global phase of psi, a shift of the energy zero, a rescaling
+H -> cH (c > 0) and a simultaneous change of basis (H, psi) -> (U H U^dagger,
+U psi).  Each property is checked on the moment route, the projector route
+and |cartan|.  Examples are drawn deterministically, so the suite is
+reproducible.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qucurve import (
+    EvolutionProblem,
+    HermitianOperator,
+    StateVector,
+    cartan_matrix,
+    central_moments,
+    curvature_from_moments,
+    curvature_geometric,
+    torsion_from_moments,
+    torsion_geometric,
+)
+
+from conftest import random_hermitian, random_state
+
+REL, ABS = 1e-9, 1e-10
+
+deterministic = settings(derandomize=True, database=None, deadline=None, max_examples=25)
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+dims = st.sampled_from([2, 3, 4, 8])
+arc_lengths = st.floats(min_value=0.0, max_value=3.0)
+
+
+def _geometry(ham: HermitianOperator, state: StateVector, s: float):
+    """(kappa^2, tau^2) by moments, the same by projectors, and |cartan| at s."""
+    mom = central_moments(ham, state)
+    prob = EvolutionProblem(ham, state)
+    return (
+        np.array([curvature_from_moments(mom), torsion_from_moments(mom)]),
+        np.array([curvature_geometric(prob, s), torsion_geometric(prob, s)]),
+        np.abs(cartan_matrix(prob, s)),
+    )
+
+
+def _assert_same_geometry(base, moved):
+    for want, got in zip(base, moved):
+        np.testing.assert_allclose(got, want, rtol=REL, atol=ABS)
+
+
+def _draw(seed: int, dim: int):
+    rng = np.random.default_rng(seed)
+    return rng, random_hermitian(rng, dim), random_state(rng, dim)
+
+
+@deterministic
+@given(seed=seeds, dim=dims, s=arc_lengths, phase=st.floats(min_value=0.0, max_value=2 * np.pi))
+def test_global_phase(seed, dim, s, phase):
+    _, ham, state = _draw(seed, dim)
+    rotated = StateVector(np.exp(1j * phase) * state.amplitudes)
+    _assert_same_geometry(_geometry(ham, state, s), _geometry(ham, rotated, s))
+
+
+@deterministic
+@given(seed=seeds, dim=dims, s=arc_lengths, shift=st.floats(min_value=-10.0, max_value=10.0))
+def test_energy_shift(seed, dim, s, shift):
+    _, ham, state = _draw(seed, dim)
+    shifted = HermitianOperator(ham.matrix + shift * np.eye(dim))
+    _assert_same_geometry(_geometry(ham, state, s), _geometry(shifted, state, s))
+
+
+@deterministic
+@given(seed=seeds, dim=dims, s=arc_lengths, log_c=st.floats(min_value=-6.0, max_value=6.0))
+def test_hamiltonian_scaling(seed, dim, s, log_c):
+    _, ham, state = _draw(seed, dim)
+    scaled = HermitianOperator(10.0**log_c * ham.matrix)
+    _assert_same_geometry(_geometry(ham, state, s), _geometry(scaled, state, s))
+
+
+@deterministic
+@given(seed=seeds, dim=dims, s=arc_lengths)
+def test_unitary_conjugation(seed, dim, s):
+    rng, ham, state = _draw(seed, dim)
+    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    u = np.linalg.qr(z)[0]
+    conjugated = HermitianOperator(u @ ham.matrix @ u.conj().T)
+    moved = StateVector(u @ state.amplitudes)
+    _assert_same_geometry(_geometry(ham, state, s), _geometry(conjugated, moved, s))
