@@ -11,7 +11,8 @@ numeric options:
 }
 
 Hamiltonian forms (exactly one):
-  pauli_terms -- list of {coeff, word} over I/X/Y/Z
+  pauli_terms -- list of {coeff, word} over I/X/Y/Z, words of equal length
+                 and at most MAX_QUBITS (20) letters
   dense       -- row-major matrix of [re, im] pairs
   family      -- {"family": name, "couplings": {...}} for the built-in model
                  families; required by parameter sweeps, which rebind a named
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .hilbert import HermitianOperator, PauliTerm, StateVector, build_operator
+from .hilbert import MAX_QUBITS, HermitianOperator, PauliTerm, StateVector, build_operator
 
 __all__ = ["SpecError", "ProblemSpec", "load_problem_spec", "parse_problem_spec"]
 
@@ -194,6 +195,8 @@ def _validate_hamiltonian(form: str, ham: dict):
             word = entry["word"]
             if not isinstance(word, str) or not word or any(c not in "IXYZ" for c in word):
                 raise SpecError(f"hamiltonian.pauli_terms[{k}].word", f"must be a string over I,X,Y,Z, got {word!r}")
+            if len(word) > MAX_QUBITS:
+                raise SpecError(f"hamiltonian.pauli_terms[{k}].word", f"has {len(word)} letters, more than {MAX_QUBITS}")
             if len(word) != len(terms[0]["word"]):
                 raise SpecError(f"hamiltonian.pauli_terms[{k}].word", "all words must have equal length")
         return terms

@@ -18,8 +18,9 @@ constant in s.
 States are evolved in the Krylov space of (H - E, psi_0) (Hochbruck and
 Lubich, SIAM J. Numer. Anal. 34, 1997): a Lanczos basis V_m with tridiagonal
 T_m = V_m^dagger (H - E) V_m gives exp(-iHt) psi_0 ~ exp(-iEt) V_m
-exp(-itT_m) e_1, at the cost of m matrix-vector products.  Nothing here
-diagonalizes H itself except ``propagator``, the dense reference.
+exp(-itT_m) e_1, at the cost of m products ``H.apply(v)``, so a Pauli-backed
+H is never formed as a matrix.  Nothing here diagonalizes H itself except
+``propagator``, the dense reference.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ class EvolutionProblem:
     """A stationary Hamiltonian together with an initial pure state.
 
     Computes the mean energy E and the speed v = sqrt(<(H-E)^2>) at
-    construction with matrix-vector products.  States are evolved in a
+    construction with one product ``H.apply(psi_0)``.  States are evolved in a
     Lanczos basis of (H - E, psi_0) that grows on demand, with full
     reorthogonalization, until the error estimate at the requested time is
     below 1e-14 or the Krylov space is invariant.  The basis and the
@@ -104,14 +105,13 @@ class EvolutionProblem:
         self.initial_state = initial_state
 
         psi = initial_state.amplitudes
-        h = hamiltonian.matrix
-        hpsi = h @ psi
+        hpsi = hamiltonian.apply(psi)
         self.energy = float(np.vdot(psi, hpsi).real)
         centered = hpsi - self.energy * psi
         self._mu2 = float(np.vdot(centered, centered).real)
         self.speed = float(np.sqrt(max(self._mu2, 0.0)))
 
-        frobenius_sq = float(np.vdot(h, h).real)
+        frobenius_sq = hamiltonian.frobenius_sq
         self._stationary = _is_stationary(self._mu2, frobenius_sq, self.dim)
 
         # Lanczos state: basis rows v_0..v_{m-1}, diagonal alpha_0..alpha_{m-1},
@@ -148,7 +148,7 @@ class EvolutionProblem:
 
     def _apply_delta_h(self, vec: np.ndarray) -> np.ndarray:
         """(H - E) vec / v, without forming the centered matrix."""
-        return (self.hamiltonian.matrix @ vec - self.energy * vec) / self.speed
+        return (self.hamiltonian.apply(vec) - self.energy * vec) / self.speed
 
     def _complete(self, m: int) -> bool:
         """Whether the first m Lanczos vectors span an invariant subspace."""
@@ -156,7 +156,6 @@ class EvolutionProblem:
 
     def _grow(self, target: int) -> None:
         """Extend the Lanczos basis to ``target`` vectors or until it is complete."""
-        h = self.hamiltonian.matrix
         if target > self._basis.shape[0]:
             grown = np.empty((target, self.dim), dtype=complex)
             grown[: len(self._alpha)] = self._basis[: len(self._alpha)]
@@ -165,7 +164,7 @@ class EvolutionProblem:
             m = len(self._alpha)
             v = self._residual / self._beta[-1]
             self._basis[m] = v
-            w = h @ v - self.energy * v
+            w = self.hamiltonian.apply(v) - self.energy * v
             alpha = float(np.vdot(v, w).real)
             w -= alpha * v + self._beta[-1] * self._basis[m - 1]
             basis = self._basis[: m + 1]

@@ -1,18 +1,21 @@
 """Finite-dimensional Hilbert space primitives.
 
-States are unit vectors in C^d, observables are Hermitian matrices, and
-multi-qubit operators are assembled from Pauli words.  Everything here is
-dense; dimensions stay small (d <= 1024), so no sparse or structured
-representations are used.
+States are unit vectors in C^d and observables are Hermitian operators.  An
+operator is backed either by a dense matrix or, when assembled from Pauli
+words, by the words' signed permutations grouped by their bit-flip masks; the
+second backing applies H to a vector in O(d) per group and never stores a
+d x d matrix, so Pauli sums reach MAX_QUBITS qubits.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
+    "MAX_QUBITS",
     "PAULI",
     "StateVector",
     "HermitianOperator",
@@ -33,6 +36,11 @@ PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+# Longest Pauli word accepted.  A Pauli-backed operator stores an index row
+# and a complex row of 2^n entries per x-mask group, and a state is 2^n
+# amplitudes (16 MiB at n = 20), so a longer word would be a runaway request.
+MAX_QUBITS = 20
 
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
@@ -100,37 +108,68 @@ class StateVector:
 
 
 class HermitianOperator:
-    """A Hermitian matrix acting on C^d.
+    """A Hermitian operator acting on C^d.
 
-    Non-Hermitian input is rejected rather than symmetrized: silently taking
-    (M + M^dagger)/2 would hide caller bugs.
+    ``HermitianOperator(matrix)`` stores a dense matrix.  Non-Hermitian input
+    is rejected rather than symmetrized: silently taking (M + M^dagger)/2
+    would hide caller bugs.  ``build_operator`` gives the other backing, a
+    Pauli sum in G groups: group g is the permutation ``perms[g] = j ^ x_g``
+    with the diagonal ``diags[g]``, (M v)[j] = sum_g diags[g, j] v[j ^ x_g],
+    so no d x d array is stored.  ``matrix`` is the dense form either way;
+    a Pauli-backed operator builds it on first access.  ``frobenius_sq`` is
+    ||M||_F^2, computed once.
     """
 
-    __slots__ = ("matrix",)
+    __slots__ = ("dim", "frobenius_sq", "_matrix", "_perms", "_diags")
 
     def __init__(self, matrix):
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-        dev = np.max(np.abs(m - m.conj().T))
+        dev = _hermitian_deviation(m)
         if not dev <= _HERM_TOL:  # also rejects NaN
             raise ValueError(
                 f"matrix is not Hermitian: max |M - M^dagger| = {dev:.3e} > {_HERM_TOL:.0e}"
             )
-        m = m.copy()
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._set(m.shape[0], float(np.vdot(m, m).real), m, None, None)
+
+    @classmethod
+    def _from_pauli_groups(cls, perms, diags, frobenius_sq: float) -> "HermitianOperator":
+        """Pauli-backed operator; the caller guarantees Hermiticity."""
+        perms.setflags(write=False)
+        diags.setflags(write=False)
+        op = cls.__new__(cls)
+        op._set(diags.shape[1], frobenius_sq, None, perms, diags)
+        return op
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("HermitianOperator is immutable")
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
+    def matrix(self) -> np.ndarray:
+        """The dense d x d matrix (read-only)."""
+        if self._matrix is None:
+            m = np.zeros((self.dim, self.dim), dtype=complex)
+            rows = np.arange(self.dim)
+            for perm, diag in zip(self._perms, self._diags):
+                m[rows, perm] = diag
+            m.setflags(write=False)
+            object.__setattr__(self, "_matrix", m)
+        return self._matrix
 
     def apply(self, vec) -> np.ndarray:
-        """Matrix-vector product M @ v as a plain ndarray."""
-        return self.matrix @ _as_vector(vec)
+        """M @ v for a vector (d,) or a block of columns (d, k), as a plain ndarray."""
+        v = _as_vector(vec)
+        if self._perms is None:
+            return self._matrix @ v
+        if v.ndim == 2:  # one gather per column beats a (G, d, k) gather
+            return np.stack([self.apply(col) for col in v.T], axis=1)
+        return (self._diags * v[self._perms]).sum(0)
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype or complex)
@@ -147,6 +186,8 @@ class PauliTerm:
     word: str
 
     def __post_init__(self):
+        if not isinstance(self.coefficient, numbers.Real):  # a complex weight breaks Hermiticity
+            raise ValueError(f"coefficient must be a real number, got {self.coefficient!r}")
         if not np.isfinite(self.coefficient):
             raise ValueError(f"coefficient must be finite, got {self.coefficient!r}")
         if not self.word or any(c not in PAULI for c in self.word):
@@ -155,6 +196,14 @@ class PauliTerm:
     @property
     def n_qubits(self) -> int:
         return len(self.word)
+
+
+def _hermitian_deviation(m: np.ndarray) -> float:
+    """max |M - M^dagger|, NaN if M holds a NaN.  The deviation is symmetric,
+    so the block upper triangle covers every pair of entries."""
+    b = 64  # rows per block, so no d x d temporary is allocated
+    devs = [np.abs(m[s : s + b, s:] - m[s:, s : s + b].conj().T).max() for s in range(0, len(m), b)]
+    return float(np.max(devs))
 
 
 def _as_vector(v) -> np.ndarray:
@@ -193,27 +242,42 @@ def build_operator(terms, n_qubits: int) -> HermitianOperator:
     Returns
     -------
     HermitianOperator
-        The dense 2^n x 2^n sum.  Real coefficients on Hermitian words make
-        the result Hermitian by construction; the constructor re-checks.
+        The Pauli-backed 2^n x 2^n sum: one (permutation, diagonal) pair per
+        distinct x-mask, the diagonals summed over the words that share it.
+        Real coefficients on Hermitian words make it Hermitian by
+        construction, and ||H||_F^2 = 2^n sum_w c_w^2 over distinct words.
+
+    Raises
+    ------
+    ValueError
+        If n_qubits lies outside [1, MAX_QUBITS] or a word has another length.
     """
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise ValueError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n_qubits}")
     dim = 2**n_qubits
-    total = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
+    rows = np.arange(dim)
+    groups: dict[int, np.ndarray] = {}  # x-mask -> summed diagonal, in order of first use
+    weights: dict[str, float] = {}
     for k, term in enumerate(terms):
         if term.n_qubits != n_qubits:
             raise ValueError(
                 f"term {k} word {term.word!r} has {term.n_qubits} qubits, expected {n_qubits}"
             )
         x, z, phase = _pauli_masks(term.word)
+        # Row j holds the entry of column j ^ x, whose sign is (-1)^popcount((j ^ x) & z).
         parity = np.zeros(dim, dtype=np.int64)
-        masked = cols & z
-        for bit in range(n_qubits):  # popcount(j & z) mod 2, without NumPy 2's bitwise_count
+        masked = (rows ^ x) & z
+        for bit in range(n_qubits):  # popcount mod 2, without NumPy 2's bitwise_count
             parity ^= masked >> bit
         sign = 1 - 2 * (parity & 1)
-        total[cols ^ x, cols] += term.coefficient * (phase * sign)
-    return HermitianOperator(total)
+        diag = groups.setdefault(x, np.zeros(dim, dtype=complex))
+        diag += term.coefficient * (phase * sign)
+        weights[term.word] = weights.get(term.word, 0.0) + term.coefficient
+    perms = rows ^ np.array(list(groups), dtype=np.int64).reshape(-1, 1)
+    diags = np.array(list(groups.values())).reshape(len(groups), dim)
+    return HermitianOperator._from_pauli_groups(
+        perms, diags, dim * sum(c * c for c in weights.values())
+    )
 
 
 def expectation(op: HermitianOperator, state: StateVector) -> float:

@@ -53,26 +53,27 @@ class MomentSet:
 def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> MomentSet:
     """Compute <H> and central moments mu2..mu4 of H in a pure state.
 
-    Uses repeated matrix-vector products with (H - <H> I): with
+    Uses two products ``H.apply`` with (H - <H> I): with
     w1 = (H-<H>)psi and w2 = (H-<H>)w1,
 
         mu2 = <w1|w1>,  mu3 = <w1|w2>,  mu4 = <w2|w2>,
 
     so mu2 and mu4 are nonnegative by construction and mu3 is real up to
-    rounding.  This costs O(d^2) and avoids forming matrix powers.
+    rounding.  This never forms matrix powers, nor a matrix for a
+    Pauli-backed H.
     """
     if hamiltonian.dim != state.dim:
         raise ValueError(f"dimension mismatch: operator {hamiltonian.dim}, state {state.dim}")
     psi = state.amplitudes
-    mean = float(np.vdot(psi, hamiltonian.matrix @ psi).real)
-    w1 = hamiltonian.matrix @ psi - mean * psi
-    w2 = hamiltonian.matrix @ w1 - mean * w1
+    h_psi = hamiltonian.apply(psi)
+    mean = float(np.vdot(psi, h_psi).real)
+    w1 = h_psi - mean * psi
+    w2 = hamiltonian.apply(w1) - mean * w1
     mu2 = float(np.vdot(w1, w1).real)
     mu3 = float(np.vdot(w1, w2).real)
     mu4 = float(np.vdot(w2, w2).real)
 
-    frobenius_sq = float(np.vdot(hamiltonian.matrix, hamiltonian.matrix).real)
-    if _is_stationary(mu2, frobenius_sq, hamiltonian.dim):
+    if _is_stationary(mu2, hamiltonian.frobenius_sq, hamiltonian.dim):
         alpha3 = alpha4 = None
     else:
         alpha3 = mu3 / mu2**1.5

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qucurve import xi_curvature
+from qucurve import MAX_QUBITS, xi_curvature
 from qucurve.cli import main
 
 
@@ -80,6 +80,15 @@ class TestReportCommand:
         path.write_text(json.dumps({"hamiltonian": {}, "state": {"named": "0"}}))
         assert main(["report", "--input", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_word_over_qubit_ceiling_exit_code(self, tmp_path, capsys):
+        # one letter over the limit; no operator is built
+        word = "Z" * (MAX_QUBITS + 1)
+        doc = {"hamiltonian": {"pauli_terms": [{"coeff": 1.0, "word": word}]}, "state": {"named": "0" * len(word)}}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        assert main(["report", "--input", str(path)]) == 2
+        assert "hamiltonian.pauli_terms[0].word" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["report", "--input", "/no/such/file.json"]) == 2

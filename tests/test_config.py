@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qucurve import ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
+from qucurve import MAX_QUBITS, ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
 
 
 def minimal_doc():
@@ -69,6 +69,14 @@ class TestParsing:
         doc = minimal_doc()
         doc["hamiltonian"]["pauli_terms"][0]["coeff"] = "one"
         with pytest.raises(SpecError, match="coeff"):
+            parse_problem_spec(doc)
+
+    def test_pauli_word_qubit_ceiling(self):
+        doc = minimal_doc()
+        doc["hamiltonian"]["pauli_terms"] = [{"coeff": 1.0, "word": "X" * MAX_QUBITS}]
+        parse_problem_spec(doc)  # validation only; nothing is built
+        doc["hamiltonian"]["pauli_terms"] = [{"coeff": 1.0, "word": "X" * (MAX_QUBITS + 1)}]
+        with pytest.raises(SpecError, match=rf"pauli_terms\[0\]\.word: has {MAX_QUBITS + 1} letters"):
             parse_problem_spec(doc)
 
     def test_dense_hamiltonian(self):

@@ -4,8 +4,11 @@ import pytest
 import qucurve.frame
 from qucurve import (
     EvolutionProblem,
+    HermitianOperator,
+    PauliTerm,
     StateVector,
     build_frame,
+    build_operator,
     cartan_matrix,
     central_moments,
     curvature_from_moments,
@@ -18,7 +21,7 @@ from qucurve import (
 from qucurve.hilbert import PAULI
 from qucurve.models import single_qubit
 
-from conftest import random_problem
+from conftest import random_problem, random_state
 
 
 def crossed_fields_tangent(s):
@@ -226,3 +229,23 @@ class TestSigmaZPlane:
 def test_frame_route_does_not_use_moment_route():
     # the frame cross-checks the moment formulas, so it must not read them
     assert "central_moments" not in vars(qucurve.frame)
+
+
+@pytest.mark.parametrize("n", [3, 6, 10])
+def test_pauli_backing_matches_dense_backing(n):
+    # the same operator behind both backings: apply by grouped permutations
+    # against the dense matvec, through both routes and the structure matrix
+    rng = np.random.default_rng(n)
+    words = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(2 * n)]
+    pauli = build_operator([PauliTerm(float(c), w) for c, w in zip(rng.normal(size=2 * n), words)], n)
+    dense = HermitianOperator(pauli.matrix)
+    state = random_state(rng, 2**n)
+    got, want = [], []
+    for op, out in ((pauli, got), (dense, want)):
+        mom = central_moments(op, state)
+        prob = EvolutionProblem(op, state)
+        out.append([curvature_from_moments(mom), torsion_from_moments(mom)])
+        out.append([curvature_geometric(prob, 0.7), torsion_geometric(prob, 0.7)])
+        out.append(cartan_matrix(prob, 0.7))
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)

@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qucurve import (
+    MAX_QUBITS,
     HermitianOperator,
     LinearDependenceError,
     PauliTerm,
@@ -69,6 +72,31 @@ class TestHermitianOperator:
         op = random_hermitian(rng, 4)
         v = random_state(rng, 4)
         np.testing.assert_allclose(op.apply(v), op.matrix @ v.amplitudes, rtol=0, atol=0)
+
+    def test_deviation_over_many_blocks(self):
+        # d = 150 spans three row blocks; the worst entry sits below the diagonal
+        rng = np.random.default_rng(19)
+        m = random_hermitian(rng, 150).matrix.copy()
+        m[140, 3] += 2e-12 + 1e-12j
+        with pytest.raises(ValueError, match=r"max \|M - M\^dagger\| = 2\.236e-12 > 1e-12"):
+            HermitianOperator(m)
+        m[140, 3] -= 2e-12 + 1e-12j
+        m[149, 70] = np.nan
+        with pytest.raises(ValueError, match="nan"):
+            HermitianOperator(m)
+
+    def test_owns_a_copy_of_its_input(self):
+        m = np.eye(2, dtype=complex)
+        op = HermitianOperator(m)
+        m[0, 0] = 5.0
+        assert op.matrix[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            op.matrix[0, 0] = 5.0
+
+    def test_frobenius_sq_of_dense(self):
+        rng = np.random.default_rng(23)
+        op = random_hermitian(rng, 6)
+        assert op.frobenius_sq == np.vdot(op.matrix, op.matrix).real
 
 
 def _kron_word(word):
@@ -140,6 +168,64 @@ class TestBuildOperator:
     def test_rejects_nonfinite_coefficient(self):
         with pytest.raises(ValueError, match="finite"):
             PauliTerm(float("nan"), "X")
+
+    @pytest.mark.parametrize("coefficient", [1j, 1.0 + 0.5j, np.complex128(2.0)])
+    def test_rejects_non_real_coefficient(self, coefficient):
+        # a Pauli-backed operator is Hermitian only for real weights
+        with pytest.raises(ValueError, match="real number"):
+            PauliTerm(coefficient, "X")
+
+    def test_rejects_word_over_qubit_ceiling(self):
+        word = "Z" * (MAX_QUBITS + 1)
+        with pytest.raises(ValueError, match=rf"\[1, {MAX_QUBITS}\]"):
+            build_operator([PauliTerm(1.0, word)], len(word))
+
+    def test_pauli_backing_stores_no_matrix(self):
+        op = build_operator([PauliTerm(0.5, "XY"), PauliTerm(-1.0, "ZZ"), PauliTerm(2.0, "YX")], 2)
+        assert op._matrix is None and op._diags.shape == (2, 4)
+        op.matrix
+        assert op._matrix is not None
+
+
+# Random Pauli sums with repeated words and exactly cancelling pairs.
+_pauli_sums = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(
+                st.text(alphabet="IXYZ", min_size=n, max_size=n),
+                st.floats(min_value=-1.0, max_value=1.0),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(case=_pauli_sums)
+def test_pauli_backing_matches_its_matrix(case):
+    n, draws, seed = case
+    terms = []
+    for word, c, cancel in draws:
+        terms.append(PauliTerm(c, word))
+        if cancel:
+            terms.append(PauliTerm(-c, word))
+    op = build_operator(terms, n)
+    dense = op.matrix
+    rng = np.random.default_rng(seed)
+    d = 2**n
+    block = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
+    np.testing.assert_allclose(op.apply(block[:, 0]), dense @ block[:, 0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(op.apply(block), dense @ block, rtol=0, atol=1e-14)
+    # Relative to the scale before cancellation: the entries of ``dense`` carry
+    # rounding of order eps * sum |c_k| where words of one x-mask cancel, while
+    # frobenius_sq sums each word's coefficients first.
+    scale = d * sum(abs(t.coefficient) for t in terms) ** 2
+    assert abs(op.frobenius_sq - np.vdot(dense, dense).real) <= 1e-13 * scale
 
 
 class TestExpectation:

@@ -5,7 +5,8 @@ of the state and on the centred, rescaled Hamiltonian dh.  They are therefore
 unchanged by a global phase of psi, a shift of the energy zero, a rescaling
 H -> cH (c > 0) and a simultaneous change of basis (H, psi) -> (U H U^dagger,
 U psi).  Each property is checked on the moment route, the projector route
-and |cartan|.  Examples are drawn deterministically, so the suite is
+and |cartan|.  The evolved state itself is unchanged by H -> cH together with
+t -> t/c.  Examples are drawn deterministically, so the suite is
 reproducible.
 """
 
@@ -21,6 +22,7 @@ from qucurve import (
     central_moments,
     curvature_from_moments,
     curvature_geometric,
+    evolve,
     torsion_from_moments,
     torsion_geometric,
 )
@@ -90,3 +92,17 @@ def test_unitary_conjugation(seed, dim, s):
     conjugated = HermitianOperator(u @ ham.matrix @ u.conj().T)
     moved = StateVector(u @ state.amplitudes)
     _assert_same_geometry(_geometry(ham, state, s), _geometry(conjugated, moved, s))
+
+
+@deterministic
+@given(seed=seeds, dim=dims, t=st.floats(min_value=0.0, max_value=5.0), log_c=st.floats(min_value=-6.0, max_value=6.0))
+def test_time_rescaling(seed, dim, t, log_c):
+    _, ham, state = _draw(seed, dim)
+    c = 10.0**log_c
+    scaled = EvolutionProblem(HermitianOperator(c * ham.matrix), state)
+    np.testing.assert_allclose(
+        evolve(scaled, t / c).amplitudes,
+        evolve(EvolutionProblem(ham, state), t).amplitudes,
+        rtol=0,
+        atol=1e-12,
+    )

@@ -15,8 +15,10 @@ from qucurve import (
     xi_curvature,
     xi_state,
 )
+from qucurve.config import parse_problem_spec
 from qucurve.hilbert import PAULI, HermitianOperator
 from qucurve.models import single_qubit
+from qucurve.reporting import _trajectory_table
 
 from conftest import random_hermitian, random_state
 
@@ -224,3 +226,90 @@ class TestSweepRow:
         row = sweep_row(single_qubit([0, 0, 2.0]), xi_state(0.8), 0.8, efficiency_t=0.5)
         assert len(row) == 6
         assert all(isinstance(float(x), float) for x in row)
+
+
+class TestPauliPathIsMatrixFree:
+    """An n = 12 Ising chain through every report path with ``matrix`` disabled."""
+
+    N = 12
+
+    @pytest.fixture
+    def chain(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        n = self.N
+        zz, hx = rng.uniform(0.5, 1.5, n - 1), rng.uniform(0.5, 1.5, n)
+        terms = [{"coeff": c, "word": "I" * i + "ZZ" + "I" * (n - i - 2)} for i, c in enumerate(zz)]
+        terms += [{"coeff": h, "word": "I" * i + "X" + "I" * (n - i - 1)} for i, h in enumerate(hx)]
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        psi /= np.linalg.norm(psi)
+        doc = {
+            "hamiltonian": {"pauli_terms": terms},
+            "state": {"amplitudes": [[a.real, a.imag] for a in psi]},
+        }
+
+        def no_dense(op):
+            raise AssertionError("dense matrix built on the Pauli path")
+
+        monkeypatch.setattr(HermitianOperator, "matrix", property(no_dense))
+        ham, state = parse_problem_spec(doc).build()
+        return ham, state, self._reference(zz, hx, state.amplitudes)
+
+    @staticmethod
+    def _reference(zz, hx, psi):
+        """Moments and a short-time evolution with an independent Ising apply."""
+        n = len(hx)
+        idx = np.arange(2**n)
+        spins = 1 - 2 * ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1)
+        diag = (spins[:, :-1] * spins[:, 1:]) @ zz
+
+        def apply(v):
+            return diag * v + sum(h * v[idx ^ (1 << (n - 1 - i))] for i, h in enumerate(hx))
+
+        mean = np.vdot(psi, apply(psi)).real
+        w1 = apply(psi) - mean * psi
+        w2 = apply(w1) - mean * w1
+        mu2, mu3, mu4 = np.vdot(w1, w1).real, np.vdot(w1, w2).real, np.vdot(w2, w2).real
+        alpha3, alpha4 = mu3 / mu2**1.5, mu4 / mu2**2
+        t = 0.05
+        term, evolved = psi.copy(), psi.copy()
+        for k in range(1, 40):  # Taylor series of exp(-iHt) psi; ||H|| t < 2
+            term = -1j * t / k * apply(term)
+            evolved = evolved + term
+        return {
+            "energy": mean,
+            "speed": np.sqrt(mu2),
+            "kappa_sq": alpha4 - 1.0,
+            "tau_sq": alpha4 - 1.0 - alpha3**2,
+            "alpha4": alpha4,
+            "alpha3_sq": alpha3**2,
+            "t": t,
+            "fidelity": abs(np.vdot(psi, evolved)) ** 2,
+            "eta": np.arccos(abs(np.vdot(psi, evolved))) / (np.sqrt(mu2) * t),
+        }
+
+    def test_report(self, chain):
+        ham, state, ref = chain
+        rep = build_report(ham, state)
+        assert rep.dimension == 2**self.N
+        assert rep.energy == pytest.approx(ref["energy"], rel=1e-12, abs=1e-12)
+        assert rep.speed == pytest.approx(ref["speed"], rel=1e-12)
+        for route in ("moments", "geometric"):
+            assert getattr(rep, f"kappa_sq_{route}") == pytest.approx(ref["kappa_sq"], rel=1e-10)
+            assert getattr(rep, f"tau_sq_{route}") == pytest.approx(ref["tau_sq"], rel=1e-10)
+        assert rep.warnings == []
+
+    def test_trajectory_rows(self, chain):
+        ham, state, ref = chain
+        header, rows = _trajectory_table(ham, state, t_max=ref["t"], steps=2)
+        first, last = list(rows)
+        assert len(first) == len(header) == 3 + 2 * 2**self.N + 2
+        assert float(first[2]) == pytest.approx(1.0, abs=1e-12)
+        assert float(last[2]) == pytest.approx(ref["fidelity"], abs=1e-12)
+        assert float(last[-2]) == pytest.approx(ref["kappa_sq"], rel=1e-10)
+        assert float(last[-1]) == pytest.approx(ref["tau_sq"], rel=1e-10)
+
+    def test_sweep_row(self, chain):
+        ham, state, ref = chain
+        row = [float(x) for x in sweep_row(ham, state, 0.25, efficiency_t=ref["t"])]
+        expected = [0.25, ref["kappa_sq"], ref["tau_sq"], ref["eta"], ref["alpha4"], ref["alpha3_sq"]]
+        np.testing.assert_allclose(row, expected, rtol=1e-10)
