@@ -132,19 +132,21 @@ class HermitianOperator:
                 f"matrix is not Hermitian: max |M - M^dagger| = {dev:.3e} > {_HERM_TOL:.0e}"
             )
         m.setflags(write=False)
-        self._set(m.shape[0], float(np.vdot(m, m).real), m, None, None)
+        self._set(dim=len(m), frobenius_sq=float(np.vdot(m, m).real), _matrix=m, _perms=None, _diags=None)
 
     @classmethod
-    def _from_pauli_groups(cls, perms, diags, frobenius_sq: float) -> "HermitianOperator":
+    def _from_pauli_groups(cls, perms: np.ndarray, diags: np.ndarray) -> "HermitianOperator":
         """Pauli-backed operator; the caller guarantees Hermiticity."""
         perms.setflags(write=False)
         diags.setflags(write=False)
         op = cls.__new__(cls)
-        op._set(diags.shape[1], frobenius_sq, None, perms, diags)
+        # the groups fill disjoint entries, so ||M||_F^2 sums their squared moduli
+        frobenius_sq = float(np.vdot(diags, diags).real)
+        op._set(dim=diags.shape[1], frobenius_sq=frobenius_sq, _matrix=None, _perms=perms, _diags=diags)
         return op
 
-    def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
+    def _set(self, **fields):
+        for name, value in fields.items():
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # immutable
@@ -245,7 +247,7 @@ def build_operator(terms, n_qubits: int) -> HermitianOperator:
         The Pauli-backed 2^n x 2^n sum: one (permutation, diagonal) pair per
         distinct x-mask, the diagonals summed over the words that share it.
         Real coefficients on Hermitian words make it Hermitian by
-        construction, and ||H||_F^2 = 2^n sum_w c_w^2 over distinct words.
+        construction.
 
     Raises
     ------
@@ -257,7 +259,6 @@ def build_operator(terms, n_qubits: int) -> HermitianOperator:
     dim = 2**n_qubits
     rows = np.arange(dim)
     groups: dict[int, np.ndarray] = {}  # x-mask -> summed diagonal, in order of first use
-    weights: dict[str, float] = {}
     for k, term in enumerate(terms):
         if term.n_qubits != n_qubits:
             raise ValueError(
@@ -272,12 +273,9 @@ def build_operator(terms, n_qubits: int) -> HermitianOperator:
         sign = 1 - 2 * (parity & 1)
         diag = groups.setdefault(x, np.zeros(dim, dtype=complex))
         diag += term.coefficient * (phase * sign)
-        weights[term.word] = weights.get(term.word, 0.0) + term.coefficient
     perms = rows ^ np.array(list(groups), dtype=np.int64).reshape(-1, 1)
     diags = np.array(list(groups.values())).reshape(len(groups), dim)
-    return HermitianOperator._from_pauli_groups(
-        perms, diags, dim * sum(c * c for c in weights.values())
-    )
+    return HermitianOperator._from_pauli_groups(perms, diags)
 
 
 def expectation(op: HermitianOperator, state: StateVector) -> float:

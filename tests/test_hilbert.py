@@ -221,11 +221,8 @@ def test_pauli_backing_matches_its_matrix(case):
     block = rng.normal(size=(d, 3)) + 1j * rng.normal(size=(d, 3))
     np.testing.assert_allclose(op.apply(block[:, 0]), dense @ block[:, 0], rtol=0, atol=1e-14)
     np.testing.assert_allclose(op.apply(block), dense @ block, rtol=0, atol=1e-14)
-    # Relative to the scale before cancellation: the entries of ``dense`` carry
-    # rounding of order eps * sum |c_k| where words of one x-mask cancel, while
-    # frobenius_sq sums each word's coefficients first.
-    scale = d * sum(abs(t.coefficient) for t in terms) ** 2
-    assert abs(op.frobenius_sq - np.vdot(dense, dense).real) <= 1e-13 * scale
+    expected = np.vdot(dense, dense).real
+    assert abs(op.frobenius_sq - expected) <= 1e-13 * expected
 
 
 class TestExpectation:
