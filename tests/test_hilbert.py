@@ -182,9 +182,8 @@ class TestBuildOperator:
 
     def test_pauli_backing_stores_no_matrix(self):
         op = build_operator([PauliTerm(0.5, "XY"), PauliTerm(-1.0, "ZZ"), PauliTerm(2.0, "YX")], 2)
-        assert op._matrix is None and op._diags.shape == (2, 4)
-        op.matrix
-        assert op._matrix is not None
+        assert op._matrix is None and op._diags.shape == (2, 4)  # XY and YX share an x-mask
+        assert op.matrix.shape == (4, 4) and op._matrix is not None
 
 
 # Random Pauli sums with repeated words and exactly cancelling pairs.
