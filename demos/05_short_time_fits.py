@@ -3,12 +3,16 @@ Reading curvature and torsion off short-time distances
 ======================================================
 
 Neither coefficient needs derivatives to be measured.  Over a short window
-dt the transported state's squared distance to the best geodesic through
-its endpoints shrinks like dt^4, and the prefactor is (mu4 - mu2^2)/4 in
-the squared-distance normalization used here; the distance from the plane
-spanned by the endpoint pair shrinks like dt^4 as well, with prefactor
-tau^2 mu2^2.  Fitting those quartics gives an independent, derivative-free
-measurement of the same numbers the moment formulas produce.
+dt the midpoint psi(dt) lies off the geodesic segment from psi(0) to
+psi(2 dt); its least squared distance to that segment shrinks like dt^4,
+with prefactor (mu4 - mu2^2)/4 in the squared-distance normalization used
+here.  That least distance needs no search: the segment lies in a real
+2-plane, and the distance is the smallest eigenvalue of a 2 x 2 real
+symmetric matrix built from the midpoint's overlaps with the plane.  The
+distance of psi(2 dt) from the plane spanned by psi(0) and psi(dt) shrinks
+like dt^4 as well, with prefactor tau^2 mu2^2.  Fitting those quartics gives
+an independent, derivative-free measurement of the same numbers the moment
+formulas produce.
 
 This demo shows the raw fits, their scaling diagnostics, and the planar
 counterexample where the torsion fit correctly returns zero.
@@ -23,7 +27,6 @@ from qucurve import (
     curvature_from_moments,
     fit_curvature_coefficient,
     fit_torsion_coefficient,
-    normalized_fit,
     single_qubit,
     torsion_from_moments,
     two_qubit_nonlocal,
@@ -32,6 +35,7 @@ from qucurve import (
 problem = EvolutionProblem(two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0), StateVector([1, 0, 0, 0]))
 mom = central_moments(problem.hamiltonian, problem.initial_state)
 speed = float(np.sqrt(mom.mu2))
+mu2_sq = mom.mu2**2
 
 # %%
 # Geodesic-deviation fit.  For the crossed-fields problem mu4 - mu2^2 = 4,
@@ -44,7 +48,7 @@ fit = fit_curvature_coefficient(problem, grid)
 print("geodesic-deviation fit (crossed fields)")
 print(f"  dt grid          = {fit.dt_grid}")
 print(f"  raw coefficient  = {fit.coefficient!r}   (moments say {mom.mu4 - mom.mu2**2!r})")
-print(f"  normalized       = {normalized_fit(problem, fit)!r}   "
+print(f"  normalized       = {fit.coefficient / mu2_sq!r}   "
       f"(kappa^2 = {curvature_from_moments(mom)!r})")
 print(f"  fit residual     = {fit.residual:.2e}")
 
@@ -54,7 +58,7 @@ print(f"  fit residual     = {fit.residual:.2e}")
 tfit = fit_torsion_coefficient(problem, grid)
 print("\nplane-deviation fit (crossed fields)")
 print(f"  raw coefficient  = {tfit.coefficient!r}")
-print(f"  normalized       = {normalized_fit(problem, tfit)!r}   "
+print(f"  normalized       = {tfit.coefficient / mu2_sq!r}   "
       f"(tau^2 = {torsion_from_moments(mom)!r})")
 print(f"  fit residual     = {tfit.residual:.2e}")
 
@@ -70,7 +74,7 @@ print(f"{'base dt':>10s} {'normalized':>18s} {'residual':>12s}")
 for base in (4e-2, 2e-2, 1e-2, 5e-3):
     g = tuple(k * base / speed for k in (1.0, 2.0, 4.0))
     f = fit_curvature_coefficient(problem, g)
-    print(f"{base:10.0e} {normalized_fit(problem, f):18.12f} {f.residual:12.2e}")
+    print(f"{base:10.0e} {f.coefficient / mu2_sq:18.12f} {f.residual:12.2e}")
 
 # %%
 # The planar counterexample: any single qubit.  The geodesic fit still sees
@@ -84,6 +88,6 @@ qgrid = tuple(k * 1e-3 / qspeed for k in (1.0, 2.0, 4.0))
 qfit = fit_curvature_coefficient(qubit, qgrid)
 qtfit = fit_torsion_coefficient(qubit, qgrid)
 print("\nsingle qubit (planar)")
-print(f"  normalized curvature fit = {normalized_fit(qubit, qfit)!r}")
+print(f"  normalized curvature fit = {qfit.coefficient / qmom.mu2**2!r}")
 print(f"  kappa^2 from moments     = {curvature_from_moments(qmom)!r}")
 print(f"  raw torsion coefficient  = {qtfit.coefficient:.2e}  (exactly planar)")

@@ -6,22 +6,20 @@
                        --points N --output out.csv
     qucurve validate   [--perturb CASE]
 
-Exit codes: 0 success, 2 malformed input (schema/usage), 3 degenerate
-geometry (the state is an eigenstate of its Hamiltonian).  All numeric
-output is deterministic: identical inputs give byte-identical bytes.
+Exit codes are listed in ``EXIT_CODES``, which ``--help`` prints.  All
+numeric output is deterministic: identical inputs give byte-identical bytes.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 
 import numpy as np
 
 from .config import SpecError, load_problem_spec
-from .evolution import StationaryStateError
+from .evolution import NumericalError, StationaryStateError
 from .reporting import _trajectory_table, build_report, sweep_row
 from .validation import PERTURBABLE_CASES, run_validation
 
@@ -30,12 +28,20 @@ __all__ = ["main", "entry_point"]
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_DEGENERATE = 3
+EXIT_NUMERICAL = 4
+
+EXIT_CODES = (
+    "exit codes: 0 success; 1 validation failures; 2 malformed input or usage; 3 degenerate geometry "
+    "(an eigenstate); 4 numerical failure (a cross-check or fit missed its tolerance). The messages "
+    "of 2 and 4 name the field, flag or quantity."
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qucurve",
         description="Curvature and torsion of quantum state evolution.",
+        epilog=EXIT_CODES,
     )
     parser.add_argument(
         "--gamma",
@@ -77,6 +83,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_csv(path: str, header: list[str], rows) -> None:
+    """Comma-joined lines; column names and float reprs never need csv quoting."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+
+
 def _cmd_report(args) -> int:
     spec = load_problem_spec(args.input)
     hamiltonian, state = spec.build()
@@ -102,11 +115,7 @@ def _cmd_trajectory(args) -> int:
         raise SpecError("--steps", f"must be >= 2, got {args.steps}")
     if not (math.isfinite(args.t_max) and args.t_max > 0):
         raise SpecError("--t-max", f"must be a positive finite number, got {args.t_max}")
-    header, rows = _trajectory_table(hamiltonian, state, args.t_max, args.steps)
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_csv(args.output, *_trajectory_table(hamiltonian, state, args.t_max, args.steps))
     return EXIT_OK
 
 
@@ -123,10 +132,7 @@ def _cmd_sweep(args) -> int:
         bound = spec.with_parameter(args.param, float(value))
         hamiltonian, state = bound.build()
         rows.append(sweep_row(hamiltonian, state, float(value), spec.options["efficiency_t"]))
-    with open(args.output, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["param", "kappa_sq", "tau_sq", "eta", "alpha4", "alpha3_sq"])
-        writer.writerows(rows)
+    _write_csv(args.output, ["param", "kappa_sq", "tau_sq", "eta", "alpha4", "alpha3_sq"], rows)
     return EXIT_OK
 
 
@@ -165,6 +171,9 @@ def main(argv=None) -> int:
     except StationaryStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except NumericalError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 def entry_point():

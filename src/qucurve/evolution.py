@@ -31,6 +31,7 @@ from .hilbert import HermitianOperator, StateVector
 
 __all__ = [
     "StationaryStateError",
+    "NumericalError",
     "EvolutionProblem",
     "propagator",
     "evolve",
@@ -63,6 +64,10 @@ _BREAKDOWN_TOL = 1e-14
 
 class StationaryStateError(ValueError):
     """The initial state is an eigenstate: the curve degenerates to a point."""
+
+
+class NumericalError(ValueError):
+    """A computed quantity failed its own accuracy check; the message names it."""
 
 
 def _is_stationary(mu2: float, frobenius_sq: float, dim: int) -> bool:

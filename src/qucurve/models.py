@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolution import EvolutionProblem, StationaryStateError, evolve
+from .evolution import EvolutionProblem, NumericalError, StationaryStateError, evolve
 from .hilbert import PauliTerm, StateVector, build_operator
 
 __all__ = [
@@ -107,7 +107,7 @@ def geodesic_efficiency(problem: EvolutionProblem, t: float) -> float:
     overlap = abs(problem.initial_state.inner(evolve(problem, t)))
     eta = float(np.arccos(np.clip(overlap, 0.0, 1.0)) / (problem.speed * t))
     if eta > 1.0 + 1e-9:
-        raise ValueError(f"efficiency {eta!r} exceeds 1 beyond tolerance")
+        raise NumericalError(f"geodesic efficiency eta = {eta!r} exceeds 1 beyond tolerance")
     return eta
 
 

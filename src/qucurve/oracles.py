@@ -5,13 +5,17 @@ rest of the library, so this module derives the same quantities a third way,
 from physically measurable data only:
 
 * curvature -- how fast the true evolution peels away from the Fubini-Study
-  geodesic through its endpoints; the minimal squared distance grows as
-  (mu4 - mu2^2) * (gamma^2/4) * dt^4;
+  geodesic segment from psi(0) to psi(2 dt); the minimal squared distance
+  of psi(dt) from it grows as (mu4 - mu2^2) * (gamma^2/4) * dt^4.  The
+  segment lies on a great circle in a real 2-plane, so that minimum is the
+  smallest eigenvalue of a 2 x 2 real symmetric matrix, taken in closed
+  form with no search;
 * torsion -- how fast the state leaves the plane spanned by two earlier
   snapshots; the out-of-plane weight grows as tau^2 * mu2^2 * dt^4.
 
 Fitting the quartic coefficients on a small grid of time steps and dividing
-by mu2^2 recovers the dimensionless kappa^2 and tau^2.
+by mu2^2 recovers the dimensionless kappa^2 and tau^2.  A column of fitted
+values that is all rounding noise reports a misfit of exactly 0.
 
 A sampled-space-curve Frenet-Serret extractor is included so the quantum
 quantities can be checked against ordinary curves in R^3 (e.g. circles on a
@@ -26,23 +30,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import EvolutionProblem, evolve
-from .hilbert import StateVector, _as_vector, gram_schmidt
-from .moments import central_moments
+from .evolution import EvolutionProblem, NumericalError, evolve
+from .hilbert import _as_vector, gram_schmidt
 
 __all__ = [
     "FitResult",
     "SpaceCurveSamples",
     "fubini_study_sq",
-    "geodesic_interpolate",
     "fit_curvature_coefficient",
     "fit_torsion_coefficient",
-    "normalized_fit",
     "classical_frenet_serret",
     "sphere_geodesic_curvature",
 ]
 
 _OVERLAP_TOL = 1e-10
+
+# Squared distances of unit vectors up to (64 eps)^2 ~ 2e-28 are rounding noise:
+# an exact zero reads at most 2.4 eps^2 at d <= 256, while kappa^2 or tau^2 >= 1e-3
+# on the default grid dt v = 1e-3 gives values above 1e-16.
+_ROUNDING_FLOOR = (64 * np.finfo(float).eps) ** 2
 
 
 @dataclass(frozen=True)
@@ -93,78 +99,54 @@ def fubini_study_sq(psi1, psi2, gamma: float = 2.0) -> float:
     return float(gamma**2 * np.vdot(r, r).real)
 
 
-def geodesic_interpolate(psi_i, psi_f, xi: float) -> StateVector:
-    """Point at fraction xi along the Fubini-Study geodesic between two states.
+def _min_geodesic_deviation(a: np.ndarray, p: np.ndarray, b: np.ndarray, gamma: float) -> float:
+    """Minimal squared Fubini-Study distance from p to the geodesic segment a -> b.
 
-    The geodesic blends the endpoints with the relative phase of the final
-    state aligned to the initial one:
+    With b phase-aligned to a, the segment is g(θ) = cos θ a + sin θ e for
+    θ in [0, θ_b], where e is the unit part of b orthogonal to a and
+    cos θ_b = |<a|b>|.  With x = <a|p> and y = <e|p>, |<g(θ)|p>|^2 is the
+    quadratic form of M = [[|x|^2, Re x̄y], [Re x̄y, |y|^2]] at (cos θ, sin θ),
+    so over the whole circle the squared distance is least at the top
+    eigenvector of M, where it is
 
-        [ (1-xi) psi_i + xi * (z/|z|) psi_f ] / sqrt(1 - 2 xi (1-xi) (1-|z|)),
+        gamma^2 (1 - λ_max) = gamma^2 (||r||^2 + λ_min),   λ_min = Im(x̄y)^2 / λ_max,
 
-    with z = <psi_f|psi_i>.  Endpoints are required to be non-orthogonal
-    (|z| > 1e-10); at xi = 0 or 1 the corresponding endpoint is returned up
-    to a global phase.
+    with r the part of p outside span{a, e}.  The right-hand form has no
+    1 - λ cancellation.  If that eigenvector's angle lies outside [0, θ_b],
+    the segment's minimum is at one of its endpoints.
     """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"xi must lie in [0, 1], got {xi}")
-    a = _as_vector(psi_i)
-    b = _as_vector(psi_f)
-    z = complex(np.vdot(b, a))
+    z = complex(np.vdot(a, b))
     if abs(z) <= _OVERLAP_TOL:
-        raise ValueError("geodesic undefined: endpoint states are orthogonal")
-    blend = (1.0 - xi) * a + xi * (z / abs(z)) * b
-    norm_sq = 1.0 - 2.0 * xi * (1.0 - xi) * (1.0 - abs(z))
-    return StateVector(blend / np.sqrt(norm_sq))
-
-
-def _golden_minimize(f, lo: float, hi: float, xtol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [lo, hi]; returns (x, f(x))."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc < fd else (d, fd)
-
-
-def _min_geodesic_deviation(problem: EvolutionProblem, dt: float, gamma: float) -> float:
-    """min over xi of d^2( psi(dt), geodesic(psi(0) -> psi(2 dt); xi) )."""
-    psi0 = problem.initial_state
-    psi_mid = evolve(problem, dt)
-    psi_end = evolve(problem, 2.0 * dt)
-
-    def dev(xi):
-        return fubini_study_sq(psi_mid, geodesic_interpolate(psi0, psi_end, xi), gamma)
-
-    # Coarse scan seeds the bracket; the deviation is smooth and, for small
-    # dt, very nearly quadratic around a single interior minimum.
-    grid = np.linspace(0.0, 1.0, 65)
-    vals = [dev(x) for x in grid]
-    i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-    _, fmin = _golden_minimize(dev, lo, hi)
-    return min(fmin, vals[i])
+        raise NumericalError("geodesic undefined: endpoint states psi(0) and psi(2 dt) are orthogonal")
+    e = (b - z * a) * (z.conjugate() / abs(z))
+    e -= a * np.vdot(a, e)  # second Gram-Schmidt pass: <a|e> ~ eps, not eps / sin θ_b
+    sin_b = float(np.linalg.norm(e))
+    if sin_b == 0.0:
+        return fubini_study_sq(a, p, gamma)
+    e /= sin_b
+    x = complex(np.vdot(a, p))
+    y = complex(np.vdot(e, p))
+    r = p - x * a - y * e
+    xx, yy, xy = abs(x) ** 2, abs(y) ** 2, x.conjugate() * y
+    theta = 0.5 * np.arctan2(2.0 * xy.real, xx - yy)
+    if not 0.0 <= theta <= np.arctan2(sin_b, abs(z)):
+        return min(fubini_study_sq(a, p, gamma), fubini_study_sq(b, p, gamma))
+    lam_max = 0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy.real))
+    return float(gamma**2 * (np.vdot(r, r).real + xy.imag**2 / lam_max))
 
 
 def _fit_quartic(dt_grid, values) -> tuple[float, float]:
-    """Least-squares C for y = C dt^4 through the origin, plus relative misfit."""
+    """Least-squares C for y = C dt^4 through the origin, plus relative misfit.
+
+    A column whose values all lie within ``_ROUNDING_FLOOR`` of zero holds
+    no signal, so its misfit is reported as exactly 0.0.
+    """
     x = np.asarray(dt_grid, dtype=float) ** 4
     y = np.asarray(values, dtype=float)
     coeff = float(np.dot(x, y) / np.dot(x, x))
-    norm = float(np.linalg.norm(y))
-    if norm == 0.0:
+    if np.all(np.abs(y) <= _ROUNDING_FLOOR):
         return coeff, 0.0
-    residual = float(np.linalg.norm(y - coeff * x) / norm)
+    residual = float(np.linalg.norm(y - coeff * x) / np.linalg.norm(y))
     return coeff, residual
 
 
@@ -187,24 +169,30 @@ def fit_curvature_coefficient(
     """Curvature constant mu4 - mu2^2 from geodesic-deviation scaling.
 
     For each step dt, the evolved midpoint psi(dt) is compared against the
-    geodesic through psi(0) and psi(2 dt); the minimal squared distance is
-    fitted to C dt^4 and the returned coefficient is 4 C / gamma^2, which
-    approaches mu4 - mu2^2 as dt -> 0.  Dividing by mu2^2 gives kappa^2.
+    geodesic segment from psi(0) to psi(2 dt); the minimal squared distance,
+    divided by gamma^2, is fitted to C dt^4 and the returned coefficient is
+    4 C, which approaches mu4 - mu2^2 as dt -> 0.  Dividing by mu2^2 gives
+    kappa^2.
 
     Raises
     ------
-    ValueError
-        If the quartic model misfits by more than 5%, or endpoints degenerate.
+    NumericalError
+        If the quartic model misfits by more than 5%, or a step makes the
+        endpoints psi(0) and psi(2 dt) orthogonal.
     StationaryStateError
         For an eigenstate input.
     """
     problem._require_moving()
     dts = _check_grid(problem, dt_grid)
-    values = [_min_geodesic_deviation(problem, dt, gamma) for dt in dts]
+    psi0 = problem.initial_state.amplitudes
+    values = []
+    for dt in dts:
+        mid, end = evolve(problem, dt).amplitudes, evolve(problem, 2.0 * dt).amplitudes
+        values.append(_min_geodesic_deviation(psi0, mid, end, gamma) / gamma**2)
     coeff, residual = _fit_quartic(dts, values)
     if residual > 0.05:
-        raise ValueError(f"quartic fit residual {residual:.3g} exceeds 5%")
-    return FitResult(coefficient=4.0 * coeff / gamma**2, residual=residual, dt_grid=dts)
+        raise NumericalError(f"fit_residual_kappa: quartic fit residual {residual:.3g} exceeds 5%")
+    return FitResult(coefficient=4.0 * coeff, residual=residual, dt_grid=dts)
 
 
 def fit_torsion_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
@@ -230,12 +218,6 @@ def fit_torsion_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
         values.append(float(np.vdot(r, r).real))
     coeff, residual = _fit_quartic(dts, values)
     return FitResult(coefficient=coeff, residual=residual, dt_grid=dts)
-
-
-def normalized_fit(problem: EvolutionProblem, fit: FitResult) -> float:
-    """Divide a fitted quartic constant by mu2^2, yielding kappa^2 or tau^2."""
-    mom = central_moments(problem.hamiltonian, problem.initial_state)
-    return fit.coefficient / mom.mu2**2
 
 
 def classical_frenet_serret(samples: SpaceCurveSamples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

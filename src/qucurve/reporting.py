@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .evolution import EvolutionProblem, evolve
+from .evolution import EvolutionProblem, NumericalError, evolve
 from .frame import _binormal_present, _curvature_torsion
 from .hilbert import HermitianOperator, StateVector
 from .models import geodesic_efficiency, state_to_bloch
@@ -62,7 +62,7 @@ def _clamp_tau(value: float, label: str, warnings: list[str]) -> float:
         warnings.append(f"{label} raw value {value!r} clamped to 0.0 (rounding below zero)")
         return 0.0
     if value < _CLAMP_FLOOR:
-        raise ValueError(f"{label} = {value!r} violates the nonnegativity bound {_CLAMP_FLOOR}")
+        raise NumericalError(f"{label} = {value!r} violates the nonnegativity bound {_CLAMP_FLOOR}")
     return value
 
 
@@ -86,6 +86,9 @@ def build_report(
     ------
     StationaryStateError
         If the state is an eigenstate of the Hamiltonian.
+    NumericalError
+        If the moment and projector paths disagree, tau^2 falls below the
+        rounding floor, or the oracle's curvature fit misfits.
     """
     problem = EvolutionProblem(hamiltonian, state)
     warnings: list[str] = []
@@ -104,11 +107,11 @@ def build_report(
     tau_g = tau_gs[0]
 
     if abs(kappa_m - kappa_g) > _PATH_AGREEMENT * max(1.0, abs(kappa_m)):
-        raise ValueError(
-            f"moment and geometric curvature disagree: {kappa_m!r} vs {kappa_g!r}"
+        raise NumericalError(
+            f"kappa_sq_moments {kappa_m!r} and kappa_sq_geometric {kappa_g!r} disagree"
         )
     if abs(tau_m_raw - tau_g) > _PATH_AGREEMENT * max(1.0, abs(tau_m_raw)):
-        raise ValueError(f"moment and geometric torsion disagree: {tau_m_raw!r} vs {tau_g!r}")
+        raise NumericalError(f"tau_sq_moments {tau_m_raw!r} and tau_sq_geometric {tau_g!r} disagree")
 
     tau_m = _clamp_tau(tau_m_raw, "tau_sq_moments", warnings)
 
@@ -186,8 +189,7 @@ def _trajectory_table(
             psi = evolve(problem, t)
             fid = abs(state.inner(psi)) ** 2
             row = [format_float(t), format_float(problem.speed * t), format_float(fid)]
-            for amp in psi.amplitudes:
-                row += [format_float(amp.real), format_float(amp.imag)]
+            row += map(repr, psi.amplitudes.view(np.float64).tolist())
             if d == 2:
                 row += [format_float(c) for c in state_to_bloch(psi)]
             row += [format_float(kappa), format_float(tau)]

@@ -35,7 +35,6 @@ from qucurve import (
     local_product_coefficients,
     nonlocal_bell_coefficients,
     nonlocal_product_coefficients,
-    normalized_fit,
     parallel_transported_state,
     single_qubit,
     sphere_geodesic_curvature,
@@ -242,9 +241,10 @@ def test_finite_difference_oracle():
         prob = random_problem(rng, dim)
         grid = tuple(j * 1e-3 / prob.speed for j in (1.0, 2.0, 4.0))
         kappa, tau = pipeline_coefficients(prob.hamiltonian, prob.initial_state)
-        kappa_fit = normalized_fit(prob, fit_curvature_coefficient(prob, grid))
+        mu2_sq = central_moments(prob.hamiltonian, prob.initial_state).mu2 ** 2
+        kappa_fit = fit_curvature_coefficient(prob, grid).coefficient / mu2_sq
         assert kappa_fit == pytest.approx(kappa, rel=0.02, abs=1e-8)
-        tau_fit = normalized_fit(prob, fit_torsion_coefficient(prob, grid))
+        tau_fit = fit_torsion_coefficient(prob, grid).coefficient / mu2_sq
         assert tau_fit == pytest.approx(tau, rel=0.02, abs=1e-8)
 
     # a single qubit's curve can never leave the plane of two snapshots:

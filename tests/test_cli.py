@@ -1,12 +1,17 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qucurve import MAX_QUBITS, xi_curvature
+import qucurve.models
+import qucurve.reporting
+from qucurve import MAX_QUBITS, StateVector, xi_curvature
 from qucurve.cli import main
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
 @pytest.fixture
@@ -90,6 +95,44 @@ class TestReportCommand:
         assert main(["report", "--input", str(path)]) == 2
         assert "hamiltonian.pauli_terms[0].word" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "doc, quantity",
+        [
+            # steps of dt*v ~ 1 are far outside the quartic regime, so the
+            # curvature fit misses its 5% residual gate
+            (
+                {
+                    "hamiltonian": {"family": "heisenberg3", "couplings": {"Jx": 1.0, "h": 0.5}},
+                    "state": {"named": "ghz"},
+                    "options": {"dt_grid": [0.5, 1.0]},
+                },
+                "fit_residual_kappa",
+            ),
+            # sigma_x turns |0> into |1> at t = pi/2, so the step pi/4 has no geodesic
+            (
+                {
+                    "hamiltonian": {"family": "single_qubit", "couplings": {"mx": 1.0}},
+                    "state": {"named": "0"},
+                    "options": {"dt_grid": [np.pi / 4, 0.1]},
+                },
+                "psi(2 dt)",
+            ),
+        ],
+    )
+    def test_numerical_failure_exit_code(self, doc, quantity, tmp_path):
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qucurve.cli", "--oracle", "report", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert quantity in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["report", "--input", "/no/such/file.json"]) == 2
         capsys.readouterr()
@@ -148,10 +191,66 @@ class TestNonFiniteInput:
         assert flag in capsys.readouterr().err
 
 
+def _skew_curvature(monkeypatch):
+    orig = qucurve.reporting._curvature_torsion
+
+    def skewed(prob, s):
+        kappa, tau = orig(prob, s)
+        return kappa + 1.0, tau
+
+    monkeypatch.setattr(qucurve.reporting, "_curvature_torsion", skewed)
+
+
+def _negative_torsion(monkeypatch):
+    orig = qucurve.reporting._curvature_torsion
+    monkeypatch.setattr(qucurve.reporting, "_curvature_torsion", lambda prob, s: (orig(prob, s)[0], -1e-3))
+    monkeypatch.setattr(qucurve.reporting, "torsion_from_moments", lambda mom: -1e-3)
+
+
+def _overshooting_evolution(monkeypatch):
+    # a qubit state orthogonal to the start is pi/2 away, farther than the
+    # path length v t <= 1 of the sweep's xi states allows
+    def orthogonal(prob, t):
+        a, b = prob.initial_state.amplitudes
+        return StateVector([-np.conj(b), np.conj(a)])
+
+    monkeypatch.setattr(qucurve.models, "evolve", orthogonal)
+
+
+class TestNumericalFailures:
+    """Each accuracy gate ends in exit 4 with a message naming its quantity."""
+
+    @pytest.mark.parametrize(
+        "corrupt, command, quantity",
+        [
+            (_skew_curvature, "report", "kappa_sq_geometric"),
+            (_negative_torsion, "report", "tau_sq_moments"),
+            (_overshooting_evolution, "sweep", "eta"),
+        ],
+    )
+    def test_exit_code(self, corrupt, command, quantity, xi_family_file, tmp_path, monkeypatch, capsys):
+        corrupt(monkeypatch)
+        argv = [command, "--input", xi_family_file]
+        if command == "sweep":
+            out = tmp_path / "sweep.csv"
+            argv += ["--param", "xi", "--from", "0.2", "--to", "0.8", "--points", "2"]
+            argv += ["--output", str(out)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert quantity in captured.err
+
+
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
         capsys.readouterr()
+
+    def test_help_lists_exit_codes(self, capsys):
+        assert main(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        for code in ("0 success", "1 validation", "2 malformed", "3 degenerate", "4 numerical"):
+            assert code in out
 
     def test_unknown_flag(self, crossed_fields_file, capsys):
         assert main(["report", "--input", crossed_fields_file, "--bogus"]) == 2
@@ -203,6 +302,35 @@ class TestTrajectoryCommand:
             outs.append(out.read_bytes())
         capsys.readouterr()
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize(
+        "fixture, doc",
+        [
+            # d = 2 adds the Bloch columns
+            (
+                "trajectory_qubit.csv",
+                {
+                    "hamiltonian": {"family": "single_qubit", "couplings": {"mz": 1.0}},
+                    "state": {"named": "xi:0.5,0.0"},
+                },
+            ),
+            (
+                "trajectory_heisenberg3_w.csv",
+                {
+                    "hamiltonian": {"family": "heisenberg3", "couplings": {"Jx": 1.0, "h": 0.5}},
+                    "state": {"named": "w"},
+                },
+            ),
+        ],
+    )
+    def test_matches_fixture_bytes(self, fixture, doc, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "traj.csv"
+        argv = ["trajectory", "--input", str(path), "--t-max", "2.0", "--steps", "7"]
+        assert main(argv + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
 
     def test_bad_steps(self, crossed_fields_file, tmp_path, capsys):
         out = tmp_path / "traj.csv"
