@@ -1,13 +1,14 @@
 """Command-line interface.
 
-    qucurve [--gamma G] [--oracle] report     --input problem.json
+    qucurve [--oracle] report --input problem.json
     qucurve trajectory --input problem.json --t-max T --steps N --output out.csv
     qucurve sweep      --input problem.json --param NAME --from A --to B \\
                        --points N --output out.csv
     qucurve validate   [--perturb CASE]
 
-Exit codes are listed in ``EXIT_CODES``, which ``--help`` prints.  All
-numeric output is deterministic: identical inputs give byte-identical bytes.
+``--steps`` and ``--points`` are at most ``MAX_GRID_POINTS``.  Exit codes are
+listed in ``EXIT_CODES``, which ``--help`` prints.  All numeric output is
+deterministic: identical inputs give byte-identical bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .config import SpecError, load_problem_spec
 from .evolution import NumericalError, StationaryStateError
-from .reporting import _trajectory_table, build_report, sweep_row
+from .reporting import build_report, sweep_row, trajectory_rows
 from .validation import PERTURBABLE_CASES, run_validation
 
 __all__ = ["main", "entry_point"]
@@ -29,6 +30,9 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERICAL = 4
+
+# Most rows of a trajectory or sweep grid: np.linspace allocates the grid up front.
+MAX_GRID_POINTS = 1_000_000
 
 EXIT_CODES = (
     "exit codes: 0 success; 1 validation failures; 2 malformed input or usage; 3 degenerate geometry "
@@ -42,12 +46,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qucurve",
         description="Curvature and torsion of quantum state evolution.",
         epilog=EXIT_CODES,
-    )
-    parser.add_argument(
-        "--gamma",
-        type=float,
-        default=None,
-        help="Fubini-Study metric prefactor; overrides the problem file's option (default 2).",
     )
     parser.add_argument(
         "--oracle",
@@ -93,39 +91,29 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 def _cmd_report(args) -> int:
     spec = load_problem_spec(args.input)
     hamiltonian, state = spec.build()
-    if args.gamma is not None and not (math.isfinite(args.gamma) and args.gamma > 0):
-        raise SpecError("--gamma", f"must be a positive finite number, got {args.gamma}")
-    gamma = args.gamma if args.gamma is not None else spec.options["gamma"]
-    report = build_report(
-        hamiltonian,
-        state,
-        gamma=gamma,
-        s_samples=spec.options["s_samples"],
-        with_oracle=args.oracle,
-        dt_grid=spec.options["dt_grid"],
-    )
+    report = build_report(hamiltonian, state, with_oracle=args.oracle, dt_grid=spec.options["dt_grid"])
     print(report.to_json())
     return EXIT_OK
 
 
 def _cmd_trajectory(args) -> int:
-    spec = load_problem_spec(args.input)
-    hamiltonian, state = spec.build()
-    if args.steps < 2:
-        raise SpecError("--steps", f"must be >= 2, got {args.steps}")
+    if not 2 <= args.steps <= MAX_GRID_POINTS:
+        raise SpecError("--steps", f"must lie in [2, {MAX_GRID_POINTS}], got {args.steps}")
     if not (math.isfinite(args.t_max) and args.t_max > 0):
         raise SpecError("--t-max", f"must be a positive finite number, got {args.t_max}")
-    _write_csv(args.output, *_trajectory_table(hamiltonian, state, args.t_max, args.steps))
+    spec = load_problem_spec(args.input)
+    hamiltonian, state = spec.build()
+    _write_csv(args.output, *trajectory_rows(hamiltonian, state, args.t_max, args.steps))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    spec = load_problem_spec(args.input)
-    if args.points < 2:
-        raise SpecError("--points", f"must be >= 2, got {args.points}")
+    if not 2 <= args.points <= MAX_GRID_POINTS:
+        raise SpecError("--points", f"must lie in [2, {MAX_GRID_POINTS}], got {args.points}")
     for flag, value in (("--from", args.start), ("--to", args.stop)):
         if not math.isfinite(value):
             raise SpecError(flag, f"must be a finite number, got {value}")
+    spec = load_problem_spec(args.input)
     grid = np.linspace(args.start, args.stop, args.points)
     rows = []
     for value in grid:

@@ -7,35 +7,44 @@ numeric options:
   "hamiltonian": {"pauli_terms": [{"coeff": 1.0, "word": "XZ"},
                                   {"coeff": 1.0, "word": "ZX"}]},
   "state": {"named": "00"},
-  "options": {"gamma": 2.0, "s_samples": 10}
+  "options": {"dt_grid": [0.001, 0.002, 0.004], "efficiency_t": 1.0}
 }
 
 Hamiltonian forms (exactly one):
   pauli_terms -- list of {coeff, word} over I/X/Y/Z, words of equal length
                  and at most MAX_QUBITS (20) letters
-  dense       -- row-major matrix of [re, im] pairs
+  dense       -- row-major matrix of [re, im] pairs, at most MAX_DENSE_DIM
+                 (2048) rows
   family      -- {"family": name, "couplings": {...}} for the built-in model
                  families; required by parameter sweeps, which rebind a named
                  coupling.
 
 State forms (exactly one):
-  amplitudes  -- list of [re, im] pairs (unit norm)
+  amplitudes  -- list of [re, im] pairs (unit norm), at most 2**MAX_QUBITS
   named       -- "bloch:theta,phi", "xi:xi,phi", "bell:phi+|phi-|psi+|psi-",
                  "ghz", "w", or a computational basis string like "010"
+
+Numbers must be finite JSON numbers, not booleans.  ``parse_problem_spec``
+is the only pass over a document, so ``ProblemSpec.build`` only constructs.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import models
 from .hilbert import MAX_QUBITS, HermitianOperator, PauliTerm, StateVector, build_operator
 
-__all__ = ["SpecError", "ProblemSpec", "load_problem_spec", "parse_problem_spec"]
+__all__ = ["MAX_DENSE_DIM", "SpecError", "ProblemSpec", "load_problem_spec", "parse_problem_spec"]
+
+# Largest dense Hamiltonian: a d x d complex matrix of 64 MiB.
+MAX_DENSE_DIM = 2048
 
 
 class SpecError(ValueError):
@@ -46,33 +55,53 @@ class SpecError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
-_FAMILY_COUPLINGS = {
-    "single_qubit": ("mx", "my", "mz", "m0"),
-    "two_qubit_nonlocal": ("m1", "m2", "m3", "m4"),
-    "two_qubit_local": ("m1", "m2", "m3", "m4"),
-    "heisenberg3": ("Jx", "Jy", "Jz", "h"),
+# Built-in families: coupling names, in the order the builder takes them.  The
+# builders are looked up at call time, so a replaced models function is used.
+_FAMILIES = {
+    "single_qubit": (("mx", "my", "mz", "m0"), lambda mx, my, mz, m0: models.single_qubit([mx, my, mz], m0)),
+    "two_qubit_nonlocal": (("m1", "m2", "m3", "m4"), lambda *m: models.two_qubit_nonlocal(*m)),
+    "two_qubit_local": (("m1", "m2", "m3", "m4"), lambda *m: models.two_qubit_local(*m)),
+    "heisenberg3": (("Jx", "Jy", "Jz", "h"), lambda *j: models.heisenberg3(*j)),
+}
+
+# Named states "kind:a,b" with two numeric arguments: the argument names, which
+# a sweep rebinds, and the builder.
+_NAMED_ARGS = {
+    "bloch": (
+        ("theta", "phi"),
+        lambda theta, phi: StateVector([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)]),
+    ),
+    "xi": (("xi", "phi"), models.xi_state),
 }
 
 _DEFAULT_OPTIONS = {
-    "gamma": 2.0,
     "dt_grid": None,  # None -> {1, 2, 4} * 1e-3 / v, chosen per problem
-    "s_samples": 10,
     "efficiency_t": 1.0,
 }
 
 
 @dataclass
 class ProblemSpec:
-    """Validated problem description; ``build()`` materializes the pieces."""
+    """Parsed problem description; ``build()`` constructs the pieces."""
 
     hamiltonian_form: str  # "pauli_terms" | "dense" | "family"
-    hamiltonian_data: dict | list
+    hamiltonian_data: object  # [PauliTerm] | complex (d, d) array | {"family": name, "couplings": {...}}
     state_form: str  # "amplitudes" | "named"
-    state_data: object
+    state_data: object  # complex (d,) array | (kind, args)
     options: dict = field(default_factory=dict)
 
     def build(self) -> tuple[HermitianOperator, StateVector]:
-        op = _build_hamiltonian(self.hamiltonian_form, self.hamiltonian_data)
+        data = self.hamiltonian_data
+        if self.hamiltonian_form == "pauli_terms":
+            op = build_operator(data, len(data[0].word))
+        elif self.hamiltonian_form == "dense":
+            try:
+                op = HermitianOperator(data)
+            except ValueError as exc:
+                raise SpecError("hamiltonian.dense", str(exc)) from exc
+        else:
+            names, builder = _FAMILIES[data["family"]]
+            op = builder(*(data["couplings"][k] for k in names))
         state = _build_state(self.state_form, self.state_data, op.dim)
         if state.dim != op.dim:
             raise SpecError(
@@ -86,23 +115,16 @@ class ProblemSpec:
         Parameters live either in the Hamiltonian family couplings or in the
         named-state arguments (xi, theta, phi).
         """
-        if self.hamiltonian_form == "family" and name in self.hamiltonian_data["couplings"]:
-            data = {
-                "family": self.hamiltonian_data["family"],
-                "couplings": {**self.hamiltonian_data["couplings"], name: float(value)},
-            }
-            return ProblemSpec(self.hamiltonian_form, data, self.state_form, self.state_data, dict(self.options))
-        if self.state_form == "named":
-            kind, args = _split_named_state(str(self.state_data))
-            slots = {"bloch": ("theta", "phi"), "xi": ("xi", "phi")}.get(kind)
-            if slots and name in slots:
-                args = list(args)
-                args[slots.index(name)] = float(value)
-                data = f"{kind}:{','.join(repr(a) for a in args)}"
-                return ProblemSpec(
-                    self.hamiltonian_form, self.hamiltonian_data, self.state_form, data, dict(self.options)
-                )
-        raise SpecError("param", f"unknown parameter {name!r} for this problem")
+        ham, state = self.hamiltonian_data, self.state_data
+        names = _NAMED_ARGS[state[0]][0] if self.state_form == "named" and state[0] in _NAMED_ARGS else ()
+        if self.hamiltonian_form == "family" and name in ham["couplings"]:
+            ham = {"family": ham["family"], "couplings": {**ham["couplings"], name: float(value)}}
+        elif name in names:
+            state = state[0], tuple(float(value) if n == name else a for n, a in zip(names, state[1]))
+            _check_xi(*state)
+        else:
+            raise SpecError("param", f"unknown parameter {name!r} for this problem")
+        return ProblemSpec(self.hamiltonian_form, ham, self.state_form, state, dict(self.options))
 
 
 def load_problem_spec(path: str) -> ProblemSpec:
@@ -124,199 +146,171 @@ def parse_problem_spec(doc) -> ProblemSpec:
     unknown = set(doc) - {"hamiltonian", "state", "options"}
     if unknown:
         raise SpecError("(root)", f"unknown keys {sorted(unknown)}")
-
-    ham = doc.get("hamiltonian")
-    if not isinstance(ham, dict):
-        raise SpecError("hamiltonian", "required object with one of pauli_terms|dense|family")
-    forms = [k for k in ("pauli_terms", "dense", "family") if k in ham]
-    if len(forms) != 1:
-        raise SpecError("hamiltonian", f"exactly one of pauli_terms|dense|family required, got {forms}")
-    ham_form = forms[0]
-    ham_data = _validate_hamiltonian(ham_form, ham)
-
-    state = doc.get("state")
-    if not isinstance(state, dict):
-        raise SpecError("state", "required object with one of amplitudes|named")
-    sforms = [k for k in ("amplitudes", "named") if k in state]
-    if len(sforms) != 1:
-        raise SpecError("state", f"exactly one of amplitudes|named required, got {sforms}")
-    state_form = sforms[0]
-    state_data = _validate_state(state_form, state)
-
-    options = dict(_DEFAULT_OPTIONS)
-    raw_opts = doc.get("options", {})
-    if not isinstance(raw_opts, dict):
-        raise SpecError("options", "must be an object")
-    unknown = set(raw_opts) - set(_DEFAULT_OPTIONS)
-    if unknown:
-        raise SpecError("options", f"unknown keys {sorted(unknown)}")
-    options.update(raw_opts)
-    _validate_options(options)
-
-    return ProblemSpec(ham_form, ham_data, state_form, state_data, options)
+    ham_form, ham = _section(doc, "hamiltonian", ("pauli_terms", "dense", "family"))
+    ham_data = _parse_hamiltonian(ham_form, ham)
+    state_form, state = _section(doc, "state", ("amplitudes", "named"))
+    state_data = _parse_state(state_form, state[state_form])
+    return ProblemSpec(ham_form, ham_data, state_form, state_data, _parse_options(doc.get("options", {})))
 
 
 def _is_number(x) -> bool:
-    """A finite JSON number; ``json.load`` also accepts NaN and Infinity."""
-    return isinstance(x, (int, float)) and math.isfinite(x)
+    """A finite JSON number; ``json.load`` also gives booleans, NaN, Infinity and huge ints."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
-def _validate_options(options: dict):
-    if not (_is_number(options["gamma"]) and options["gamma"] > 0):
-        raise SpecError("options.gamma", f"must be a positive number, got {options['gamma']!r}")
-    if not (isinstance(options["s_samples"], int) and options["s_samples"] >= 2):
-        raise SpecError("options.s_samples", f"must be an integer >= 2, got {options['s_samples']!r}")
+def _section(doc: dict, name: str, forms: tuple[str, ...]) -> tuple[str, dict]:
+    """The one form present in ``doc[name]``; a family comes with its couplings."""
+    part = doc.get(name)
+    alternatives = "|".join(forms)
+    if not isinstance(part, dict):
+        raise SpecError(name, f"required object with one of {alternatives}")
+    present = [k for k in forms if k in part]
+    if len(present) != 1:
+        raise SpecError(name, f"exactly one of {alternatives} required, got {present}")
+    form = present[0]
+    extra = set(part) - ({form, "couplings"} if form == "family" else {form})
+    if extra:
+        raise SpecError(name, f"unknown keys {sorted(extra)}")
+    return form, part
+
+
+def _parse_options(raw) -> dict:
+    if not isinstance(raw, dict):
+        raise SpecError("options", "must be an object")
+    unknown = set(raw) - set(_DEFAULT_OPTIONS)
+    if unknown:
+        raise SpecError("options", f"unknown keys {sorted(unknown)}")
+    options = {**_DEFAULT_OPTIONS, **raw}
     if not (_is_number(options["efficiency_t"]) and options["efficiency_t"] > 0):
         raise SpecError("options.efficiency_t", f"must be a positive number, got {options['efficiency_t']!r}")
     grid = options["dt_grid"]
-    if grid is not None:
-        if (
-            not isinstance(grid, list)
-            or len(grid) < 2
-            or not all(_is_number(x) and x > 0 for x in grid)
-        ):
-            raise SpecError("options.dt_grid", "must be a list of >= 2 positive numbers")
+    if grid is not None and not (
+        isinstance(grid, list) and len(grid) >= 2 and all(_is_number(x) and x > 0 for x in grid)
+    ):
+        raise SpecError("options.dt_grid", "must be a list of >= 2 positive numbers")
+    return options
 
 
-def _validate_hamiltonian(form: str, ham: dict):
-    allowed = {form} | ({"couplings"} if form == "family" else set())
-    extra = set(ham) - allowed
-    if extra:
-        raise SpecError("hamiltonian", f"unknown keys {sorted(extra)}")
+def _complex_pairs(cells: list, pointer: str) -> np.ndarray:
+    """Complex vector of [re, im] pairs, bit-exact (signed zeros too); a failure names the first bad pair."""
+    try:
+        pairs = np.array(cells, dtype=float)
+        types = set(map(type, chain.from_iterable(cells)))
+        valid = (
+            pairs.shape == (len(cells), 2)
+            and all(issubclass(t, (int, float)) and t is not bool for t in types)
+            and bool(np.isfinite(pairs).all())
+        )
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        k = next(
+            k for k, c in enumerate(cells) if not (isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)))
+        )
+        raise SpecError(f"{pointer}[{k}]", "must be an [re, im] pair of finite numbers")
+    return pairs.view(complex)[:, 0]
+
+
+def _parse_hamiltonian(form: str, ham: dict):
     if form == "pauli_terms":
         terms = ham["pauli_terms"]
         if not isinstance(terms, list) or not terms:
             raise SpecError("hamiltonian.pauli_terms", "must be a nonempty list")
+        parsed = []
         for k, entry in enumerate(terms):
+            at = f"hamiltonian.pauli_terms[{k}]"
             if not isinstance(entry, dict) or set(entry) != {"coeff", "word"}:
-                raise SpecError(f"hamiltonian.pauli_terms[{k}]", "must be an object with coeff and word")
-            if not _is_number(entry["coeff"]):
-                raise SpecError(f"hamiltonian.pauli_terms[{k}].coeff", "must be a finite number")
-            word = entry["word"]
+                raise SpecError(at, "must be an object with coeff and word")
+            coeff, word = entry["coeff"], entry["word"]
+            if not _is_number(coeff):
+                raise SpecError(f"{at}.coeff", "must be a finite number")
             if not isinstance(word, str) or not word or any(c not in "IXYZ" for c in word):
-                raise SpecError(f"hamiltonian.pauli_terms[{k}].word", f"must be a string over I,X,Y,Z, got {word!r}")
+                raise SpecError(f"{at}.word", f"must be a string over I,X,Y,Z, got {word!r}")
             if len(word) > MAX_QUBITS:
-                raise SpecError(f"hamiltonian.pauli_terms[{k}].word", f"has {len(word)} letters, more than {MAX_QUBITS}")
-            if len(word) != len(terms[0]["word"]):
-                raise SpecError(f"hamiltonian.pauli_terms[{k}].word", "all words must have equal length")
-        return terms
+                raise SpecError(f"{at}.word", f"has {len(word)} letters, more than {MAX_QUBITS}")
+            if parsed and len(word) != len(parsed[0].word):
+                raise SpecError(f"{at}.word", "all words must have equal length")
+            parsed.append(PauliTerm(float(coeff), word))
+        return parsed
     if form == "dense":
         rows = ham["dense"]
         if not isinstance(rows, list) or not rows:
             raise SpecError("hamiltonian.dense", "must be a nonempty list of rows")
         n = len(rows)
+        if n > MAX_DENSE_DIM:
+            raise SpecError("hamiltonian.dense", f"has {n} rows, more than {MAX_DENSE_DIM}")
+        matrix = np.empty((n, n), dtype=complex)
         for i, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != n:
                 raise SpecError(f"hamiltonian.dense[{i}]", f"must be a row of {n} entries")
-            for j, cell in enumerate(row):
-                if not (isinstance(cell, list) and len(cell) == 2 and all(_is_number(x) for x in cell)):
-                    raise SpecError(f"hamiltonian.dense[{i}][{j}]", "must be an [re, im] pair of finite numbers")
-        return rows
-    # family
+            matrix[i] = _complex_pairs(row, f"hamiltonian.dense[{i}]")
+        return matrix
     fam = ham["family"]
-    if fam not in _FAMILY_COUPLINGS:
-        raise SpecError("hamiltonian.family", f"unknown family {fam!r}; expected one of {sorted(_FAMILY_COUPLINGS)}")
+    if not isinstance(fam, str) or fam not in _FAMILIES:
+        raise SpecError("hamiltonian.family", f"unknown family {fam!r}; expected one of {sorted(_FAMILIES)}")
     couplings = ham.get("couplings")
     if not isinstance(couplings, dict):
         raise SpecError("hamiltonian.couplings", "required object of named couplings")
-    expected = _FAMILY_COUPLINGS[fam]
+    expected = _FAMILIES[fam][0]
     unknown = set(couplings) - set(expected)
     if unknown:
         raise SpecError("hamiltonian.couplings", f"unknown couplings {sorted(unknown)} for family {fam!r}")
     for key in expected:
-        val = couplings.get(key, 0.0)
-        if not _is_number(val):
+        if not _is_number(couplings.get(key, 0.0)):
             raise SpecError(f"hamiltonian.couplings.{key}", "must be a finite number")
     return {"family": fam, "couplings": {k: float(couplings.get(k, 0.0)) for k in expected}}
 
 
-def _validate_state(form: str, state: dict):
-    extra = set(state) - {form}
-    if extra:
-        raise SpecError("state", f"unknown keys {sorted(extra)}")
+def _parse_state(form: str, data):
     if form == "amplitudes":
-        amps = state["amplitudes"]
-        if not isinstance(amps, list) or len(amps) < 2:
+        if not isinstance(data, list) or len(data) < 2:
             raise SpecError("state.amplitudes", "must be a list of >= 2 [re, im] pairs")
-        for k, cell in enumerate(amps):
-            if not (isinstance(cell, list) and len(cell) == 2 and all(_is_number(x) for x in cell)):
-                raise SpecError(f"state.amplitudes[{k}]", "must be an [re, im] pair of finite numbers")
-        return amps
-    named = state["named"]
-    if not isinstance(named, str) or not named:
+        if len(data) > 2**MAX_QUBITS:
+            raise SpecError("state.amplitudes", f"has {len(data)} entries, more than {2**MAX_QUBITS}")
+        return _complex_pairs(data, "state.amplitudes")
+    if not isinstance(data, str) or not data:
         raise SpecError("state.named", "must be a nonempty string")
-    _split_named_state(named)  # validates
-    return named
-
-
-def _split_named_state(named: str):
-    """Return (kind, args) for a named-state string; raise SpecError if malformed."""
-    if named in ("ghz", "w"):
-        return named, ()
-    if set(named) <= {"0", "1"} and named:
-        return "basis", (named,)
-    if ":" not in named:
-        raise SpecError("state.named", f"unrecognized named state {named!r}")
-    kind, _, argstr = named.partition(":")
-    if kind == "bell":
+    if data in ("ghz", "w"):
+        return data, ()
+    if set(data) <= {"0", "1"}:
+        return "basis", (data,)
+    kind, colon, argstr = data.partition(":")
+    if colon and kind == "bell":
         label = argstr.strip()
         try:
             models.bell_state(label)
         except ValueError as exc:
             raise SpecError("state.named", str(exc)) from exc
         return "bell", (label,)
-    if kind in ("bloch", "xi"):
-        parts = [p.strip() for p in argstr.split(",")]
-        if len(parts) != 2:
-            raise SpecError("state.named", f"{kind} takes two comma-separated numbers, got {argstr!r}")
-        try:
-            args = tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise SpecError("state.named", f"non-numeric argument in {named!r}") from exc
-        if not all(math.isfinite(a) for a in args):
-            raise SpecError("state.named", f"non-finite argument in {named!r}")
-        if kind == "xi" and not 0.0 <= args[0] <= 1.0:
-            raise SpecError("state.named", f"xi must lie in [0, 1], got {args[0]}")
-        return kind, args
-    raise SpecError("state.named", f"unrecognized named state {named!r}")
+    if not (colon and kind in _NAMED_ARGS):
+        raise SpecError("state.named", f"unrecognized named state {data!r}")
+    parts = [p.strip() for p in argstr.split(",")]
+    if len(parts) != 2:
+        raise SpecError("state.named", f"{kind} takes two comma-separated numbers, got {argstr!r}")
+    try:
+        args = tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise SpecError("state.named", f"non-numeric argument in {data!r}") from exc
+    if not all(math.isfinite(a) for a in args):
+        raise SpecError("state.named", f"non-finite argument in {data!r}")
+    _check_xi(kind, args)
+    return kind, args
 
 
-def _build_hamiltonian(form: str, data) -> HermitianOperator:
-    if form == "pauli_terms":
-        terms = [PauliTerm(float(t["coeff"]), t["word"]) for t in data]
-        return build_operator(terms, len(terms[0].word))
-    if form == "dense":
-        n = len(data)
-        mat = np.empty((n, n), dtype=complex)
-        for i, row in enumerate(data):
-            for j, (re, im) in enumerate(row):
-                mat[i, j] = complex(re, im)
-        try:
-            return HermitianOperator(mat)
-        except ValueError as exc:
-            raise SpecError("hamiltonian.dense", str(exc)) from exc
-    fam, coup = data["family"], data["couplings"]
-    if fam == "single_qubit":
-        return models.single_qubit([coup["mx"], coup["my"], coup["mz"]], coup["m0"])
-    if fam == "two_qubit_nonlocal":
-        return models.two_qubit_nonlocal(coup["m1"], coup["m2"], coup["m3"], coup["m4"])
-    if fam == "two_qubit_local":
-        return models.two_qubit_local(coup["m1"], coup["m2"], coup["m3"], coup["m4"])
-    return models.heisenberg3(coup["Jx"], coup["Jy"], coup["Jz"], coup["h"])
+def _check_xi(kind: str, args: tuple):
+    if kind == "xi" and not 0.0 <= args[0] <= 1.0:
+        raise SpecError("state.named", f"xi must lie in [0, 1], got {args[0]}")
 
 
 def _build_state(form: str, data, dim: int) -> StateVector:
     if form == "amplitudes":
-        amps = np.array([complex(re, im) for re, im in data])
         try:
-            return StateVector(amps)
+            return StateVector(data)
         except ValueError as exc:
             raise SpecError("state.amplitudes", str(exc)) from exc
-    kind, args = _split_named_state(str(data))
-    if kind == "ghz":
-        return models.ghz_state()
-    if kind == "w":
-        return models.w_state()
+    kind, args = data
+    if kind in _NAMED_ARGS:
+        return _NAMED_ARGS[kind][1](*args)
     if kind == "basis":
         word = args[0]
         if 2 ** len(word) != dim:
@@ -326,8 +320,4 @@ def _build_state(form: str, data, dim: int) -> StateVector:
         return StateVector(amps)
     if kind == "bell":
         return models.bell_state(args[0])
-    if kind == "bloch":
-        theta, phi = args
-        return StateVector([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
-    # xi
-    return models.xi_state(args[0], args[1])
+    return models.ghz_state() if kind == "ghz" else models.w_state()

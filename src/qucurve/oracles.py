@@ -6,10 +6,10 @@ from physically measurable data only:
 
 * curvature -- how fast the true evolution peels away from the Fubini-Study
   geodesic segment from psi(0) to psi(2 dt); the minimal squared distance
-  of psi(dt) from it grows as (mu4 - mu2^2) * (gamma^2/4) * dt^4.  The
-  segment lies on a great circle in a real 2-plane, so that minimum is the
-  smallest eigenvalue of a 2 x 2 real symmetric matrix, taken in closed
-  form with no search;
+  of psi(dt) from it, at unit metric prefactor, grows as
+  (mu4 - mu2^2) / 4 * dt^4.  The segment lies on a great circle in a real
+  2-plane, so that minimum is the smallest eigenvalue of a 2 x 2 real
+  symmetric matrix, taken in closed form with no search;
 * torsion -- how fast the state leaves the plane spanned by two earlier
   snapshots; the out-of-plane weight grows as tau^2 * mu2^2 * dt^4.
 
@@ -99,8 +99,8 @@ def fubini_study_sq(psi1, psi2, gamma: float = 2.0) -> float:
     return float(gamma**2 * np.vdot(r, r).real)
 
 
-def _min_geodesic_deviation(a: np.ndarray, p: np.ndarray, b: np.ndarray, gamma: float) -> float:
-    """Minimal squared Fubini-Study distance from p to the geodesic segment a -> b.
+def _min_geodesic_deviation(a: np.ndarray, p: np.ndarray, b: np.ndarray) -> float:
+    """Minimal squared Fubini-Study distance, at unit prefactor, from p to the segment a -> b.
 
     With b phase-aligned to a, the segment is g(θ) = cos θ a + sin θ e for
     θ in [0, θ_b], where e is the unit part of b orthogonal to a and
@@ -109,7 +109,7 @@ def _min_geodesic_deviation(a: np.ndarray, p: np.ndarray, b: np.ndarray, gamma: 
     so over the whole circle the squared distance is least at the top
     eigenvector of M, where it is
 
-        gamma^2 (1 - λ_max) = gamma^2 (||r||^2 + λ_min),   λ_min = Im(x̄y)^2 / λ_max,
+        1 - λ_max = ||r||^2 + λ_min,   λ_min = Im(x̄y)^2 / λ_max,
 
     with r the part of p outside span{a, e}.  The right-hand form has no
     1 - λ cancellation.  If that eigenvector's angle lies outside [0, θ_b],
@@ -122,7 +122,7 @@ def _min_geodesic_deviation(a: np.ndarray, p: np.ndarray, b: np.ndarray, gamma: 
     e -= a * np.vdot(a, e)  # second Gram-Schmidt pass: <a|e> ~ eps, not eps / sin θ_b
     sin_b = float(np.linalg.norm(e))
     if sin_b == 0.0:
-        return fubini_study_sq(a, p, gamma)
+        return fubini_study_sq(a, p, 1.0)
     e /= sin_b
     x = complex(np.vdot(a, p))
     y = complex(np.vdot(e, p))
@@ -130,9 +130,9 @@ def _min_geodesic_deviation(a: np.ndarray, p: np.ndarray, b: np.ndarray, gamma: 
     xx, yy, xy = abs(x) ** 2, abs(y) ** 2, x.conjugate() * y
     theta = 0.5 * np.arctan2(2.0 * xy.real, xx - yy)
     if not 0.0 <= theta <= np.arctan2(sin_b, abs(z)):
-        return min(fubini_study_sq(a, p, gamma), fubini_study_sq(b, p, gamma))
+        return min(fubini_study_sq(a, p, 1.0), fubini_study_sq(b, p, 1.0))
     lam_max = 0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy.real))
-    return float(gamma**2 * (np.vdot(r, r).real + xy.imag**2 / lam_max))
+    return float(np.vdot(r, r).real + xy.imag**2 / lam_max)
 
 
 def _fit_quartic(dt_grid, values) -> tuple[float, float]:
@@ -163,14 +163,12 @@ def _check_grid(problem: EvolutionProblem, dt_grid):
     return dts
 
 
-def fit_curvature_coefficient(
-    problem: EvolutionProblem, dt_grid, gamma: float = 2.0
-) -> FitResult:
+def fit_curvature_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
     """Curvature constant mu4 - mu2^2 from geodesic-deviation scaling.
 
     For each step dt, the evolved midpoint psi(dt) is compared against the
-    geodesic segment from psi(0) to psi(2 dt); the minimal squared distance,
-    divided by gamma^2, is fitted to C dt^4 and the returned coefficient is
+    geodesic segment from psi(0) to psi(2 dt); the minimal squared distance
+    at unit metric prefactor is fitted to C dt^4 and the returned coefficient is
     4 C, which approaches mu4 - mu2^2 as dt -> 0.  Dividing by mu2^2 gives
     kappa^2.
 
@@ -188,7 +186,7 @@ def fit_curvature_coefficient(
     values = []
     for dt in dts:
         mid, end = evolve(problem, dt).amplitudes, evolve(problem, 2.0 * dt).amplitudes
-        values.append(_min_geodesic_deviation(psi0, mid, end, gamma) / gamma**2)
+        values.append(_min_geodesic_deviation(psi0, mid, end))
     coeff, residual = _fit_quartic(dts, values)
     if residual > 0.05:
         raise NumericalError(f"fit_residual_kappa: quartic fit residual {residual:.3g} exceeds 5%")

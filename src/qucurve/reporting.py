@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
+from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
@@ -28,6 +29,9 @@ _CLAMP_FLOOR = -1e-9
 
 # Cross-path consistency required of every published report.
 _PATH_AGREEMENT = 1e-8
+
+# Arc-length points in [0, 1] on which a report samples the projector route.
+_ARC_SAMPLES = 10
 
 
 @dataclass
@@ -69,18 +73,17 @@ def _clamp_tau(value: float, label: str, warnings: list[str]) -> float:
 def build_report(
     hamiltonian: HermitianOperator,
     state: StateVector,
-    gamma: float = 2.0,
-    s_samples: int = 10,
     with_oracle: bool = False,
     dt_grid=None,
 ) -> GeometryReport:
     """Compute curvature/torsion along the moment and projector paths.
 
-    The geometric quantities are evaluated on ``s_samples`` arc-length points
-    in [0, 1]; they are constants of the motion, so their spread doubles as a
-    self-check (a warning is emitted if it exceeds 1e-9).  With
+    The geometric quantities are evaluated on ``_ARC_SAMPLES`` arc-length
+    points in [0, 1]; they are constants of the motion, so their spread
+    doubles as a self-check (a warning is emitted if it exceeds 1e-9).  With
     ``with_oracle`` the finite-difference fits are run on ``dt_grid``
-    (default {1, 2, 4} * 1e-3 / v) and reported normalized by mu2^2.
+    (default {1, 2, 4} * 1e-3 / v) and reported normalized by mu2^2; the
+    fits' warnings (a coarse grid) join the report's ``warnings``.
 
     Raises
     ------
@@ -97,7 +100,7 @@ def build_report(
     kappa_m = curvature_from_moments(mom)
     tau_m_raw = torsion_from_moments(mom)
 
-    s_points = np.linspace(0.0, 1.0, s_samples)
+    s_points = np.linspace(0.0, 1.0, _ARC_SAMPLES)
     kappa_gs, tau_gs = zip(*(_curvature_torsion(problem, s) for s in s_points))
     for name, vals in (("kappa_sq_geometric", kappa_gs), ("tau_sq_geometric", tau_gs)):
         spread = max(vals) - min(vals)
@@ -119,8 +122,11 @@ def build_report(
     if with_oracle:
         if dt_grid is None:
             dt_grid = [k * 1e-3 / problem.speed for k in (1.0, 2.0, 4.0)]
-        kfit = fit_curvature_coefficient(problem, dt_grid, gamma=gamma)
-        tfit = fit_torsion_coefficient(problem, dt_grid)
+        with catch_warnings(record=True) as caught:
+            simplefilter("always")
+            kfit = fit_curvature_coefficient(problem, dt_grid)
+            tfit = fit_torsion_coefficient(problem, dt_grid)
+        warnings.extend(dict.fromkeys(str(w.message) for w in caught))
         oracle = {
             "kappa_sq": kfit.coefficient / mom.mu2**2,
             "tau_sq": tfit.coefficient / mom.mu2**2,
@@ -148,23 +154,13 @@ def build_report(
 
 def trajectory_rows(
     hamiltonian: HermitianOperator, state: StateVector, t_max: float, steps: int
-) -> tuple[list[str], list[list[str]]]:
-    """Header and formatted rows for a trajectory CSV.
+) -> tuple[list[str], Iterator[list[str]]]:
+    """Header and an iterator of formatted rows for a trajectory CSV.
 
     Columns: t, s, fidelity_to_initial, re/im of every amplitude, the Bloch
     components for a qubit, and the (constant) squared curvature and torsion.
-    """
-    header, rows = _trajectory_table(hamiltonian, state, t_max, steps)
-    return header, list(rows)
-
-
-def _trajectory_table(
-    hamiltonian: HermitianOperator, state: StateVector, t_max: float, steps: int
-) -> tuple[list[str], Iterator[list[str]]]:
-    """Header and a generator of formatted rows for a trajectory CSV.
-
     Arguments are checked before returning; each row is formatted only when
-    the generator reaches it, so a writer can stream the table.
+    the iterator reaches it, so a writer can stream the table.
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")

@@ -9,7 +9,7 @@ import pytest
 import qucurve.models
 import qucurve.reporting
 from qucurve import MAX_QUBITS, StateVector, xi_curvature
-from qucurve.cli import main
+from qucurve.cli import MAX_GRID_POINTS, main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -61,13 +61,6 @@ class TestReportCommand:
         first = capsys.readouterr().out
         main(["report", "--input", crossed_fields_file])
         assert capsys.readouterr().out == first
-
-    def test_gamma_override_accepted(self, crossed_fields_file, capsys):
-        assert main(["--gamma", "1.0", "--oracle", "report", "--input", crossed_fields_file]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        # the fitted coefficient is normalized by gamma^2, so the reported
-        # value must not depend on the metric prefactor
-        assert doc["oracle"]["kappa_sq"] == pytest.approx(1.0, rel=2e-2)
 
     def test_degenerate_geometry_exit_code(self, tmp_path, capsys):
         doc = {
@@ -133,6 +126,27 @@ class TestReportCommand:
         assert quantity in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_coarse_grid_warning_in_report(self, tmp_path):
+        # dt v = 0.17 on the largest step; both fits see it, the report names it once
+        doc = {
+            "hamiltonian": {"pauli_terms": [{"coeff": 1.0, "word": "XZ"}, {"coeff": 1.0, "word": "ZX"}]},
+            "state": {"named": "00"},
+            "options": {"dt_grid": [0.03, 0.06, 0.12]},
+        }
+        path = tmp_path / "coarse.json"
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qucurve.cli", "--oracle", "report", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["warnings"] == [
+            "largest step has dt*v = 0.17 > 0.1; quartic scaling may not dominate"
+        ]
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["report", "--input", "/no/such/file.json"]) == 2
         capsys.readouterr()
@@ -178,15 +192,13 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["--gamma", "nan", "--oracle", "report"], "--gamma"),
+            (["sweep", "--param", "xi", "--from", "nan", "--to", "0.8", "--points", "3"], "--from"),
             (["trajectory", "--t-max", "nan", "--steps", "3"], "--t-max"),
             (["sweep", "--param", "xi", "--from", "0.2", "--to", "inf", "--points", "3"], "--to"),
         ],
     )
     def test_command_line_flag(self, argv, flag, xi_family_file, tmp_path, capsys):
-        argv = argv + ["--input", xi_family_file]
-        if argv[0] != "--gamma":
-            argv += ["--output", str(tmp_path / "out.csv")]
+        argv = argv + ["--input", xi_family_file, "--output", str(tmp_path / "out.csv")]
         assert main(argv) == 2
         assert flag in capsys.readouterr().err
 
@@ -255,6 +267,26 @@ class TestUsageErrors:
     def test_unknown_flag(self, crossed_fields_file, capsys):
         assert main(["report", "--input", crossed_fields_file, "--bogus"]) == 2
         capsys.readouterr()
+
+    def test_no_gamma_flag(self, crossed_fields_file, capsys):
+        # kappa^2 and tau^2 are per unit arc length: no metric prefactor reaches a report
+        assert main(["--gamma", "1", "report", "--input", crossed_fields_file]) == 2
+        assert main(["report", "--input", crossed_fields_file, "--gamma", "1"]) == 2
+        assert "unrecognized arguments: --gamma 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["trajectory", "--t-max", "1", "--steps", str(MAX_GRID_POINTS + 1)], "--steps"),
+            (["sweep", "--param", "xi", "--from", "0.2", "--to", "0.8", "--points", str(MAX_GRID_POINTS + 1)], "--points"),
+        ],
+    )
+    def test_grid_ceiling(self, argv, flag, xi_family_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--input", xi_family_file, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: must lie in [2, {MAX_GRID_POINTS}], got {MAX_GRID_POINTS + 1}" in err
+        assert not out.exists()
 
 
 class TestTrajectoryCommand:
@@ -454,6 +486,54 @@ class TestSweepCommand:
         )
         capsys.readouterr()
         assert code == 3
+
+
+FAMILY_NAMED = {
+    "hamiltonian": {"family": "heisenberg3", "couplings": {"Jx": 1.0, "Jy": 0.4, "h": 0.5}},
+    "state": {"named": "w"},
+}
+# signed zeros and integer entries must reach the operator and state unchanged
+DENSE_AMPLITUDES = {
+    "hamiltonian": {
+        "dense": [
+            [[1.5, -0.0], [0.25, -0.5], [0, 0.75], [-0.125, 0.0]],
+            [[0.25, 0.5], [-1, 0], [0.375, -0.25], [0.0, -0.0]],
+            [[0, -0.75], [0.375, 0.25], [0.5, 0.0], [0.625, 0.125]],
+            [[-0.125, -0.0], [0.0, 0.0], [0.625, -0.125], [-0.25, 0]],
+        ]
+    },
+    "state": {"amplitudes": [[0.5, 0.0], [0.0, 0.5], [-0.5, -0.0], [0.3, 0.4]]},
+}
+
+
+class TestGoldenOutputs:
+    """Report JSON and sweep CSV bytes, pinned by fixture files."""
+
+    @pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["plain", "oracle"])
+    @pytest.mark.parametrize(
+        "stem, doc", [("family_named", FAMILY_NAMED), ("dense_amplitudes", DENSE_AMPLITUDES)]
+    )
+    def test_report_matches_fixture_bytes(self, stem, doc, flags, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert main(flags + ["report", "--input", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        suffix = "_oracle" if flags else ""
+        assert captured.out == (FIXTURES / f"report_{stem}{suffix}.json").read_text()
+
+    def test_xi_sweep_matches_fixture_bytes(self, tmp_path, capsys):
+        doc = {
+            "hamiltonian": {"family": "single_qubit", "couplings": {"mx": 0.6, "mz": 0.8}},
+            "state": {"named": "xi:0.3,0.25"},
+        }
+        path = tmp_path / "xi.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--input", str(path), "--param", "xi", "--from", "0.1", "--to", "0.9", "--points", "7"]
+        assert main(argv + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (FIXTURES / "sweep_single_qubit_xi.csv").read_bytes()
 
 
 class TestValidateCommand:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qucurve import MAX_QUBITS, ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
+from qucurve import MAX_DENSE_DIM, MAX_QUBITS, ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
 
 
 def minimal_doc():
@@ -27,21 +27,13 @@ class TestParsing:
 
     def test_default_options(self):
         spec = parse_problem_spec(minimal_doc())
-        assert spec.options == {
-            "gamma": 2.0,
-            "dt_grid": None,
-            "s_samples": 10,
-            "efficiency_t": 1.0,
-        }
+        assert spec.options == {"dt_grid": None, "efficiency_t": 1.0}
 
     def test_option_overrides(self):
         doc = minimal_doc()
-        doc["options"] = {"gamma": 1.0, "s_samples": 4, "dt_grid": [1e-3, 2e-3]}
+        doc["options"] = {"dt_grid": [1e-3, 2e-3]}
         spec = parse_problem_spec(doc)
-        assert spec.options["gamma"] == 1.0
-        assert spec.options["s_samples"] == 4
-        assert spec.options["dt_grid"] == [1e-3, 2e-3]
-        assert spec.options["efficiency_t"] == 1.0
+        assert spec.options == {"dt_grid": [1e-3, 2e-3], "efficiency_t": 1.0}
 
     def test_root_validation(self):
         with pytest.raises(SpecError, match=r"\(root\)"):
@@ -116,6 +108,10 @@ class TestParsing:
             parse_problem_spec(
                 {"hamiltonian": {"family": "ising9", "couplings": {}}, "state": {"named": "0"}}
             )
+        with pytest.raises(SpecError, match="unknown family"):  # unhashable, not only unknown
+            parse_problem_spec(
+                {"hamiltonian": {"family": ["single_qubit"], "couplings": {}}, "state": {"named": "0"}}
+            )
         with pytest.raises(SpecError, match="unknown couplings"):
             parse_problem_spec(
                 {
@@ -154,6 +150,48 @@ class TestParsing:
             with pytest.raises(SpecError, match="state.named"):
                 parse_problem_spec(doc)
 
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [
+            ("hamiltonian", {"pauli_terms": [{"coeff": True, "word": "XZ"}]}, "hamiltonian.pauli_terms[0].coeff"),
+            ("hamiltonian", {"family": "single_qubit", "couplings": {"mz": True}}, "hamiltonian.couplings.mz"),
+            ("hamiltonian", {"dense": [[[1, 0], [0, 0]], [[0, 0], [1, False]]]}, "hamiltonian.dense[1][1]"),
+            ("state", {"amplitudes": [[True, False], [0, 0], [0, 0], [0, 0]]}, "state.amplitudes[0]"),
+            ("options", {"dt_grid": [True, 2]}, "options.dt_grid"),
+            ("options", {"efficiency_t": True}, "options.efficiency_t"),
+        ],
+    )
+    def test_boolean_is_not_a_number(self, section, value, field):
+        doc = {**minimal_doc(), section: value}
+        with pytest.raises(SpecError) as info:
+            parse_problem_spec(doc)
+        assert info.value.pointer == field
+
+    def test_huge_integer_is_not_a_number(self):
+        doc = minimal_doc()
+        doc["hamiltonian"]["pauli_terms"][0]["coeff"] = 10**400
+        with pytest.raises(SpecError, match=r"pauli_terms\[0\]\.coeff"):
+            parse_problem_spec(doc)
+
+    def test_dense_dimension_ceiling(self):
+        # one row over the limit; rows are not read, so they may be empty
+        doc = {"hamiltonian": {"dense": [[]] * (MAX_DENSE_DIM + 1)}, "state": {"named": "0"}}
+        with pytest.raises(SpecError, match=rf"^hamiltonian\.dense: has {MAX_DENSE_DIM + 1} rows, more than {MAX_DENSE_DIM}$"):
+            parse_problem_spec(doc)
+
+    def test_amplitudes_length_ceiling(self):
+        limit = 2**MAX_QUBITS
+        doc = minimal_doc()
+        doc["state"] = {"amplitudes": [None] * (limit + 1)}
+        with pytest.raises(SpecError, match=rf"^state\.amplitudes: has {limit + 1} entries, more than {limit}$"):
+            parse_problem_spec(doc)
+
+    def test_signed_zeros_kept(self):
+        doc = {"hamiltonian": {"dense": [[[1.0, -0.0], [0, 0]], [[0, -0.0], [-0.0, 0.0]]]}, "state": {"named": "0"}}
+        ham, _ = parse_problem_spec(doc).build()
+        assert np.signbit(ham.matrix.imag).tolist() == [[True, False], [True, False]]
+        assert np.signbit(ham.matrix.real).tolist() == [[False, False], [False, True]]
+
     def test_dimension_mismatch(self):
         doc = minimal_doc()
         doc["state"] = {"named": "0"}  # single qubit basis string vs 2-qubit H
@@ -162,8 +200,10 @@ class TestParsing:
 
     def test_option_validation(self):
         cases = [
-            ({"gamma": -1.0}, "gamma"),
-            ({"s_samples": 1}, "s_samples"),
+            # the metric prefactor cancels from every reported number, and
+            # the arc-length sample count is fixed
+            ({"gamma": 2.0}, r"options: unknown keys \['gamma'\]"),
+            ({"s_samples": 10}, r"options: unknown keys \['s_samples'\]"),
             ({"efficiency_t": 0}, "efficiency_t"),
             ({"dt_grid": [1e-3]}, "dt_grid"),
             ({"dt_grid": [1e-3, -1e-3]}, "dt_grid"),
@@ -174,6 +214,117 @@ class TestParsing:
             doc["options"] = opts
             with pytest.raises(SpecError, match=needle):
                 parse_problem_spec(doc)
+
+
+NAN = float("nan")
+PAULI = {"pauli_terms": [{"coeff": 1.0, "word": "XZ"}, {"coeff": 1.0, "word": "ZX"}]}
+
+
+def probe(hamiltonian=PAULI, state=None, **extra):
+    return {"hamiltonian": hamiltonian, "state": state or {"named": "00"}, **extra}
+
+
+def dense(*rows):
+    return probe({"dense": list(rows)}, {"named": "0"})
+
+
+# Each malformed document and the exact message it raises, from parse or build.
+MALFORMED = [
+    ([1, 2], "(root): document must be a JSON object"),
+    ({**probe(), "extra": 1}, "(root): unknown keys ['extra']"),
+    ({"state": {"named": "00"}}, "hamiltonian: required object with one of pauli_terms|dense|family"),
+    (
+        probe({**PAULI, "dense": [[[0, 0]]]}),
+        "hamiltonian: exactly one of pauli_terms|dense|family required, got ['pauli_terms', 'dense']",
+    ),
+    (probe({**PAULI, "couplings": {}}), "hamiltonian: unknown keys ['couplings']"),
+    (probe({"pauli_terms": []}), "hamiltonian.pauli_terms: must be a nonempty list"),
+    (probe({"pauli_terms": [["XZ", 1.0]]}), "hamiltonian.pauli_terms[0]: must be an object with coeff and word"),
+    (probe({"pauli_terms": [{"coeff": "one", "word": "XZ"}]}), "hamiltonian.pauli_terms[0].coeff: must be a finite number"),
+    (
+        probe({"pauli_terms": [{"coeff": 1.0, "word": "XQ"}]}),
+        "hamiltonian.pauli_terms[0].word: must be a string over I,X,Y,Z, got 'XQ'",
+    ),
+    (
+        probe({"pauli_terms": [{"coeff": 1.0, "word": "X" * (MAX_QUBITS + 1)}]}),
+        f"hamiltonian.pauli_terms[0].word: has {MAX_QUBITS + 1} letters, more than {MAX_QUBITS}",
+    ),
+    (
+        probe({"pauli_terms": [{"coeff": 1.0, "word": "XZ"}, {"coeff": 1.0, "word": "X"}]}),
+        "hamiltonian.pauli_terms[1].word: all words must have equal length",
+    ),
+    (dense(), "hamiltonian.dense: must be a nonempty list of rows"),
+    (dense([[1, 0]], [[0, 0], [1, 0]]), "hamiltonian.dense[0]: must be a row of 2 entries"),
+    (dense([[1, 0], "x"], [[0, 0], [1, 0]]), "hamiltonian.dense[0][1]: must be an [re, im] pair of finite numbers"),
+    (dense([[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]), "hamiltonian.dense[0][1]: must be an [re, im] pair of finite numbers"),
+    (dense([[1, 0], [0, 0]], [[NAN, 0], [1, 0]]), "hamiltonian.dense[1][0]: must be an [re, im] pair of finite numbers"),
+    (dense([[1, 0], [0, 0]], [[0, 0]]), "hamiltonian.dense[1]: must be a row of 2 entries"),
+    (
+        dense([[1, 0], [2, 0]], [[3, 0], [1, 0]]),
+        "hamiltonian.dense: matrix is not Hermitian: max |M - M^dagger| = 1.000e+00 > 1e-12",
+    ),
+    (
+        probe({"family": "ising9", "couplings": {}}),
+        "hamiltonian.family: unknown family 'ising9'; expected one of "
+        "['heisenberg3', 'single_qubit', 'two_qubit_local', 'two_qubit_nonlocal']",
+    ),
+    (probe({"family": "single_qubit"}, {"named": "0"}), "hamiltonian.couplings: required object of named couplings"),
+    (
+        probe({"family": "heisenberg3", "couplings": {"Jq": 1.0}}, {"named": "ghz"}),
+        "hamiltonian.couplings: unknown couplings ['Jq'] for family 'heisenberg3'",
+    ),
+    (
+        probe({"family": "heisenberg3", "couplings": {"Jx": "1"}}, {"named": "ghz"}),
+        "hamiltonian.couplings.Jx: must be a finite number",
+    ),
+    ({"hamiltonian": PAULI}, "state: required object with one of amplitudes|named"),
+    (
+        probe(state={"named": "00", "amplitudes": [[1, 0], [0, 0]]}),
+        "state: exactly one of amplitudes|named required, got ['amplitudes', 'named']",
+    ),
+    (probe(state={"named": "00", "phase": 1}), "state: unknown keys ['phase']"),
+    (probe(state={"amplitudes": [[1, 0]]}), "state.amplitudes: must be a list of >= 2 [re, im] pairs"),
+    (
+        probe(state={"amplitudes": [[1, 0], [0, 0], [0], [0, 0]]}),
+        "state.amplitudes[2]: must be an [re, im] pair of finite numbers",
+    ),
+    (
+        probe(state={"amplitudes": [[1, 0], [0, 0], [0, 0], [NAN, 0]]}),
+        "state.amplitudes[3]: must be an [re, im] pair of finite numbers",
+    ),
+    (
+        probe(state={"amplitudes": [[1, 0], [1, 0], [0, 0], [0, 0]]}),
+        "state.amplitudes: state norm np.float64(1.4142135623730951) deviates from 1 by more than 1e-12",
+    ),
+    (probe(state={"amplitudes": [[1, 0], [0, 0]]}), "state: state dimension 2 does not match hamiltonian dimension 4"),
+    (probe(state={"named": ""}), "state.named: must be a nonempty string"),
+    (probe(state={"named": 3}), "state.named: must be a nonempty string"),
+    (probe(state={"named": "frobnicate"}), "state.named: unrecognized named state 'frobnicate'"),
+    (probe(state={"named": "ghz:1"}), "state.named: unrecognized named state 'ghz:1'"),
+    (probe(state={"named": "bell:omega"}), "state.named: unknown Bell state 'omega'; expected phi+/phi-/psi+/psi-"),
+    (probe(state={"named": "bloch:0.5"}), "state.named: bloch takes two comma-separated numbers, got '0.5'"),
+    (probe(state={"named": "bloch:a,b"}), "state.named: non-numeric argument in 'bloch:a,b'"),
+    (probe(state={"named": "bloch:nan,0"}), "state.named: non-finite argument in 'bloch:nan,0'"),
+    (probe(state={"named": "xi:1.5,0"}), "state.named: xi must lie in [0, 1], got 1.5"),
+    (probe(state={"named": "0"}), "state.named: basis string '0' implies dimension 2, hamiltonian has 4"),
+    (
+        probe({"family": "single_qubit", "couplings": {"mz": 1.0}}),
+        "state.named: basis string '00' implies dimension 4, hamiltonian has 2",
+    ),
+    (probe(options=[]), "options: must be an object"),
+    (probe(options={"mystery": 1}), "options: unknown keys ['mystery']"),
+    (probe(options={"efficiency_t": 0}), "options.efficiency_t: must be a positive number, got 0"),
+    (probe(options={"dt_grid": [1e-3]}), "options.dt_grid: must be a list of >= 2 positive numbers"),
+    (probe(options={"dt_grid": [1e-3, -1e-3]}), "options.dt_grid: must be a list of >= 2 positive numbers"),
+    (probe(options={"dt_grid": 0.1}), "options.dt_grid: must be a list of >= 2 positive numbers"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED)
+def test_malformed_document_message(doc, message):
+    with pytest.raises(SpecError) as info:
+        parse_problem_spec(doc).build()
+    assert str(info.value) == message
 
 
 class TestLoadFromFile:
@@ -228,6 +379,14 @@ class TestWithParameter:
         bound = parse_problem_spec(doc).with_parameter("theta", np.pi / 2)
         _, state = bound.build()
         np.testing.assert_allclose(np.abs(state.amplitudes), [np.cos(np.pi / 4)] * 2, atol=1e-12)
+
+    def test_rebound_xi_is_checked(self):
+        doc = {
+            "hamiltonian": {"family": "single_qubit", "couplings": {"mz": 1.0}},
+            "state": {"named": "xi:0.3,0.0"},
+        }
+        with pytest.raises(SpecError, match=r"^state\.named: xi must lie in \[0, 1\], got 1\.5$"):
+            parse_problem_spec(doc).with_parameter("xi", 1.5)
 
     def test_unknown_parameter(self):
         spec = parse_problem_spec(minimal_doc())

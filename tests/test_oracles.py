@@ -73,12 +73,12 @@ def _on_segment(a, b, xi):
     return blend / np.linalg.norm(blend)
 
 
-def _brute_min_deviation(a, p, b, gamma=2.0):
-    """Minimal distance from p to the segment a -> b by repeated grid zooms."""
+def _brute_min_deviation(a, p, b):
+    """Minimal distance (unit prefactor) from p to the segment a -> b by repeated grid zooms."""
     lo, hi = 0.0, 1.0
     for _ in range(9):
         grid = np.linspace(lo, hi, 65)
-        vals = [fubini_study_sq(_on_segment(a, b, xi), p, gamma) for xi in grid]
+        vals = [fubini_study_sq(_on_segment(a, b, xi), p, 1.0) for xi in grid]
         i = int(np.argmin(vals))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, 64)]
     return min(vals)
@@ -91,21 +91,21 @@ def _bloch_ray(polar, azimuth):
 class TestGeodesicDeviation:
     def test_endpoints(self):
         a, b = ZERO.amplitudes, PLUS.amplitudes
-        assert _min_geodesic_deviation(a, a, b, 2.0) < 1e-28
-        assert _min_geodesic_deviation(a, np.exp(0.7j) * b, b, 2.0) < 1e-28
+        assert _min_geodesic_deviation(a, a, b) < 1e-28
+        assert _min_geodesic_deviation(a, np.exp(0.7j) * b, b) < 1e-28
         # a segment of one point
-        assert _min_geodesic_deviation(a, b, -1j * a, 2.0) == fubini_study_sq(a, b)
+        assert _min_geodesic_deviation(a, b, -1j * a) == fubini_study_sq(a, b, 1.0)
 
     def test_bloch_great_circle(self):
         # |0> -> |+> is the quarter of the x-z great circle from the pole to
         # the x axis.  Its midpoint lies on it; the Bloch point at polar angle
         # pi/4 and azimuth phi lies at cos(alpha) = sqrt((1 + cos^2 phi) / 2)
-        # from its nearest point, a squared distance 2 (1 - cos alpha).
+        # from its nearest point, a squared distance (1 - cos alpha) / 2.
         a, b = ZERO.amplitudes, PLUS.amplitudes
-        assert _min_geodesic_deviation(a, _bloch_ray(np.pi / 4, 0.0), b, 2.0) < 1e-28
+        assert _min_geodesic_deviation(a, _bloch_ray(np.pi / 4, 0.0), b) < 1e-28
         phi = 0.3
-        want = 2.0 * (1.0 - np.sqrt((1.0 + np.cos(phi) ** 2) / 2.0))
-        got = _min_geodesic_deviation(a, _bloch_ray(np.pi / 4, phi), b, 2.0)
+        want = 0.5 * (1.0 - np.sqrt((1.0 + np.cos(phi) ** 2) / 2.0))
+        got = _min_geodesic_deviation(a, _bloch_ray(np.pi / 4, phi), b)
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_interior_points_lie_on_minimizing_arc(self):
@@ -129,23 +129,23 @@ class TestGeodesicDeviation:
                 assert from_a + to_b == pytest.approx(np.arccos(z), rel=1e-9, abs=1e-10)
                 assert from_a > previous
                 previous = from_a
-                assert _min_geodesic_deviation(a, p, b, 2.0) < 1e-28
+                assert _min_geodesic_deviation(a, p, b) < 1e-28
 
     def test_optimum_outside_segment_clamps_to_endpoint(self):
         # the segment runs from polar angle 0 to 0.2 at azimuth 0; a point
         # beyond either end of it is nearest to that end
         a, b = ZERO.amplitudes, _bloch_ray(0.2, 0.0)
         beyond_b = _bloch_ray(1.0, 0.1)
-        got = _min_geodesic_deviation(a, beyond_b, b, 2.0)
-        assert got == pytest.approx(fubini_study_sq(b, beyond_b), rel=1e-14)
+        got = _min_geodesic_deviation(a, beyond_b, b)
+        assert got == pytest.approx(fubini_study_sq(b, beyond_b, 1.0), rel=1e-14)
         assert got == pytest.approx(_brute_min_deviation(a, beyond_b, b), rel=1e-12)
         before_a = _bloch_ray(0.5, np.pi)
-        got = _min_geodesic_deviation(a, before_a, b, 2.0)
-        assert got == pytest.approx(fubini_study_sq(a, before_a), rel=1e-14)
+        got = _min_geodesic_deviation(a, before_a, b)
+        assert got == pytest.approx(fubini_study_sq(a, before_a, 1.0), rel=1e-14)
 
     def test_orthogonal_endpoints_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
-            _min_geodesic_deviation(ZERO.amplitudes, PLUS.amplitudes, np.array([0.0, 1.0j]), 2.0)
+            _min_geodesic_deviation(ZERO.amplitudes, PLUS.amplitudes, np.array([0.0, 1.0j]))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=25)
     @given(
@@ -160,7 +160,7 @@ class TestGeodesicDeviation:
         p = evolve(prob, dt).amplitudes
         b = evolve(prob, 2.0 * dt).amplitudes
         want = _brute_min_deviation(a, p, b)
-        assert _min_geodesic_deviation(a, p, b, 2.0) == pytest.approx(want, rel=1e-6)
+        assert _min_geodesic_deviation(a, p, b) == pytest.approx(want, rel=1e-6)
 
 
 class TestCurvatureFit:
@@ -174,11 +174,6 @@ class TestCurvatureFit:
         assert fit.dt_grid == self.DT_GRID
         m = central_moments(crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state)
         assert fit.coefficient / m.mu2**2 == pytest.approx(1.0, rel=1e-4)
-
-    def test_gamma_drops_out(self, crossed_fields_problem):
-        f1 = fit_curvature_coefficient(crossed_fields_problem, self.DT_GRID, gamma=1.0)
-        f2 = fit_curvature_coefficient(crossed_fields_problem, self.DT_GRID, gamma=2.0)
-        assert f1.coefficient == pytest.approx(f2.coefficient, rel=1e-8)
 
     def test_random_problems_within_two_percent(self):
         rng = np.random.default_rng(199)

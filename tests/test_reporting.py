@@ -18,7 +18,6 @@ from qucurve import (
 from qucurve.config import parse_problem_spec
 from qucurve.hilbert import PAULI, HermitianOperator
 from qucurve.models import single_qubit
-from qucurve.reporting import _trajectory_table
 
 from conftest import random_hermitian, random_state
 
@@ -153,6 +152,7 @@ class TestBuildReport:
 class TestTrajectoryRows:
     def test_equatorial_rotation(self):
         header, rows = trajectory_rows(SIGMA_Z, PLUS, t_max=1.0, steps=5)
+        rows = list(rows)
         assert header == [
             "t",
             "s",
@@ -191,7 +191,7 @@ class TestTrajectoryRows:
         )
         assert "ax" not in header
         assert header[3:11] == [f"{p}_a{k}" for k in range(4) for p in ("re", "im")]
-        vals = dict(zip(header, (float(x) for x in rows[2])))
+        vals = dict(zip(header, (float(x) for x in list(rows)[2])))
         assert vals["t"] == pytest.approx(2.0)
         assert vals["re_a0"] == pytest.approx(np.cos(2.0) ** 2, abs=1e-12)
         assert vals["kappa_sq"] == pytest.approx(1.0, rel=1e-12)
@@ -205,9 +205,8 @@ class TestTrajectoryRows:
             trajectory_rows(SIGMA_Z, StateVector([1, 0]), t_max=1.0, steps=5)
 
     def test_rows_are_deterministic(self):
-        a = trajectory_rows(SIGMA_Z, PLUS, t_max=3.0, steps=7)
-        b = trajectory_rows(SIGMA_Z, PLUS, t_max=3.0, steps=7)
-        assert a == b
+        (header_a, a), (header_b, b) = (trajectory_rows(SIGMA_Z, PLUS, t_max=3.0, steps=7) for _ in range(2))
+        assert header_a == header_b and list(a) == list(b)
 
 
 class TestSweepRow:
@@ -300,7 +299,7 @@ class TestPauliPathIsMatrixFree:
 
     def test_trajectory_rows(self, chain):
         ham, state, ref = chain
-        header, rows = _trajectory_table(ham, state, t_max=ref["t"], steps=2)
+        header, rows = trajectory_rows(ham, state, t_max=ref["t"], steps=2)
         first, last = list(rows)
         assert len(first) == len(header) == 3 + 2 * 2**self.N + 2
         assert float(first[2]) == pytest.approx(1.0, abs=1e-12)
