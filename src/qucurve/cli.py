@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -82,10 +83,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """Comma-joined lines; column names and float reprs never need csv quoting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+    """Comma-joined lines (no csv quoting is needed); a failing row removes the file."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
+    except ValueError:
+        os.remove(path)
+        raise
 
 
 def _cmd_report(args) -> int:

@@ -13,7 +13,7 @@ curve has unit-norm tangent
     T(s) = -i (dh) Psi(s),      dh = (H - E) / v,
 
 and second derivative T'(s) = -(dh)^2 Psi(s), whose squared norm <(dh)^4> is
-constant in s.
+constant in s.  ``frame`` builds both from one state evaluation.
 
 States are evolved in the Krylov space of (H - E, psi_0) (Hochbruck and
 Lubich, SIAM J. Numer. Anal. 34, 1997): a Lanczos basis V_m with tridiagonal
@@ -37,8 +37,6 @@ __all__ = [
     "evolve",
     "parallel_transported_state",
     "state_at_arclength",
-    "tangent",
-    "tangent_derivative",
 ]
 
 # An initial state is treated as an eigenstate (zero-speed curve) when the
@@ -198,6 +196,8 @@ class EvolutionProblem:
             self._grow(min(size, self.dim))
             m = min(size, len(self._alpha))
             theta, u0, rows, g = self._rotation(m)
+            if not np.isfinite(abs(float(t)) * (abs(self.energy) + float(np.abs(theta).max()))):
+                raise NumericalError(f"t = {float(t)!r}: the evolution phases (E + theta) t are not finite")
             phases = np.exp(-1j * theta * t)
             if self._complete(m) or abs(t) * abs(np.dot(g, phases)) <= _KRYLOV_TOL:
                 return np.exp(-1j * self.energy * t) * ((u0 * phases) @ rows)
@@ -241,19 +241,3 @@ def state_at_arclength(problem: EvolutionProblem, s: float) -> StateVector:
     """Parallel-transported state at arc length s, i.e. at time t = s/v."""
     problem._require_moving()
     return parallel_transported_state(problem, s / problem.speed)
-
-
-def tangent(problem: EvolutionProblem, s: float) -> StateVector:
-    """Unit tangent T(s) = -i (dh) Psi(s) of the arc-length parametrized curve."""
-    psi = state_at_arclength(problem, s)
-    return StateVector(-1j * problem._apply_delta_h(psi.amplitudes))
-
-
-def tangent_derivative(problem: EvolutionProblem, s: float) -> np.ndarray:
-    """Curve acceleration T'(s) = -(dh)^2 Psi(s).
-
-    Not normalized: its squared norm equals the fourth moment <(dh)^4>,
-    constant along the curve.
-    """
-    psi = state_at_arclength(problem, s)
-    return -problem._apply_delta_h(problem._apply_delta_h(psi.amplitudes))

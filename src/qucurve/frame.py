@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import EvolutionProblem, state_at_arclength
-from .hilbert import StateVector
+from .hilbert import StateVector, _project_off
 
 __all__ = [
     "QuantumFrame",
@@ -72,14 +72,6 @@ class QuantumFrame:
             out.append(self.binormal)
         out.extend(self.extra)
         return out
-
-
-def _project_off(vec: np.ndarray, *units: np.ndarray) -> np.ndarray:
-    """Residual of vec after removing components along given unit vectors."""
-    r = vec.copy()
-    for u in units:
-        r -= u * np.vdot(u, r)
-    return r
 
 
 def _binormal_present(tau_sq: float) -> bool:

@@ -4,7 +4,8 @@ States are unit vectors in C^d and observables are Hermitian operators.  An
 operator is backed either by a dense matrix or, when assembled from Pauli
 words, by the words' signed permutations grouped by their bit-flip masks; the
 second backing applies H to a vector in O(d) per group and never stores a
-d x d matrix, so Pauli sums reach MAX_QUBITS qubits.
+d x d matrix, so Pauli sums reach MAX_QUBITS qubits.  The frame and the
+oracle fits share one projection off unit vectors, ``_project_off``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,7 @@ __all__ = [
     "StateVector",
     "HermitianOperator",
     "PauliTerm",
-    "LinearDependenceError",
     "build_operator",
-    "expectation",
-    "projector_orthogonal",
-    "gram_schmidt",
 ]
 
 # Convention: sigma_x = [[0,1],[1,0]], sigma_y = [[0,-i],[i,0]],
@@ -44,22 +41,6 @@ MAX_QUBITS = 20
 
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
-_DEPENDENCE_TOL = 1e-10
-
-
-class LinearDependenceError(ValueError):
-    """Raised when an input family is numerically linearly dependent.
-
-    ``index`` is the position of the offending vector in the input list.
-    """
-
-    def __init__(self, index: int, residual: float):
-        self.index = index
-        self.residual = residual
-        super().__init__(
-            f"vector {index} is linearly dependent on its predecessors "
-            f"(orthogonal residual {residual:.3e} < {_DEPENDENCE_TOL:.0e})"
-        )
 
 
 class StateVector:
@@ -214,6 +195,15 @@ def _as_vector(v) -> np.ndarray:
     return np.asarray(v, dtype=complex)
 
 
+def _project_off(vec: np.ndarray, *units: np.ndarray) -> np.ndarray:
+    """vec minus its component along each unit vector in turn (modified
+    Gram-Schmidt); naming a unit twice adds a second, reorthogonalizing pass."""
+    r = vec.copy()
+    for u in units:
+        r -= u * np.vdot(u, r)
+    return r
+
+
 def _pauli_masks(word: str) -> tuple[int, int, complex]:
     """Binary symplectic form of a Pauli word: (x, z, i^#Y).
 
@@ -276,65 +266,3 @@ def build_operator(terms, n_qubits: int) -> HermitianOperator:
     perms = rows ^ np.array(list(groups), dtype=np.int64).reshape(-1, 1)
     diags = np.array(list(groups.values())).reshape(len(groups), dim)
     return HermitianOperator._from_pauli_groups(perms, diags)
-
-
-def expectation(op: HermitianOperator, state: StateVector) -> float:
-    """Real expectation value <psi|M|psi>.
-
-    The imaginary residual of the quadratic form is pure rounding noise for
-    Hermitian M and is asserted to stay below 1e-12.
-    """
-    if op.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {op.dim}, state {state.dim}")
-    val = complex(np.vdot(state.amplitudes, op.apply(state)))
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"expectation has imaginary residual {val.imag:.3e} > 1e-12")
-    return val.real
-
-
-def projector_orthogonal(state: StateVector) -> HermitianOperator:
-    """Projector I - |psi><psi| onto the orthogonal complement of a state."""
-    a = state.amplitudes
-    return HermitianOperator(np.eye(state.dim) - np.outer(a, a.conj()))
-
-
-def gram_schmidt(vectors) -> list[np.ndarray]:
-    """Orthonormalize an ordered family of complex vectors.
-
-    Modified Gram-Schmidt with a second orthogonalization pass, so the output
-    is orthonormal to machine precision.  The k-th output spans the same flag
-    as the first k inputs.
-
-    Parameters
-    ----------
-    vectors : sequence of array_like or StateVector
-        Vectors of a common dimension, assumed linearly independent.
-
-    Returns
-    -------
-    list of ndarray
-        Orthonormal vectors, one per input, in order.
-
-    Raises
-    ------
-    LinearDependenceError
-        If some vector's orthogonal residual against its predecessors falls
-        below 1e-10; the error reports which vector failed.
-    """
-    vecs = [_as_vector(v) for v in vectors]
-    if not vecs:
-        return []
-    dim = vecs[0].shape[0]
-    basis: list[np.ndarray] = []
-    for k, v in enumerate(vecs):
-        if v.shape != (dim,):
-            raise ValueError(f"vector {k} has shape {v.shape}, expected ({dim},)")
-        u = v.copy()
-        for _ in range(2):  # a single MGS sweep can leave O(eps/angle) cross terms
-            for q in basis:
-                u -= q * np.vdot(q, u)
-        residual = np.linalg.norm(u)
-        if residual < _DEPENDENCE_TOL:
-            raise LinearDependenceError(k, float(residual))
-        basis.append(u / residual)
-    return basis

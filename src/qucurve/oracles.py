@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import EvolutionProblem, NumericalError, evolve
-from .hilbert import _as_vector, gram_schmidt
+from .hilbert import _as_vector, _project_off
 
 __all__ = [
     "FitResult",
@@ -49,6 +49,10 @@ _OVERLAP_TOL = 1e-10
 # an exact zero reads at most 2.4 eps^2 at d <= 256, while kappa^2 or tau^2 >= 1e-3
 # on the default grid dt v = 1e-3 gives values above 1e-16.
 _ROUNDING_FLOOR = (64 * np.finfo(float).eps) ** 2
+
+# Smallest accepted step dt v: there kappa^2 = 1e-3 gives deviations of kappa^2 (dt v)^4 / 4
+# = 2.5e-24 (tau^2 (dt v)^4 = 1e-23 for tau^2), about 1e4 times _ROUNDING_FLOOR.
+_MIN_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -93,9 +97,7 @@ def fubini_study_sq(psi1, psi2, gamma: float = 2.0) -> float:
     precision when the states nearly coincide -- near-zero distances come out
     at the 1e-30 level instead of drowning in 1e-16 cancellation noise.
     """
-    a = _as_vector(psi1)
-    b = _as_vector(psi2)
-    r = b - a * np.vdot(a, b)
+    r = _project_off(_as_vector(psi2), _as_vector(psi1))
     return float(gamma**2 * np.vdot(r, r).real)
 
 
@@ -118,8 +120,8 @@ def _min_geodesic_deviation(a: np.ndarray, p: np.ndarray, b: np.ndarray) -> floa
     z = complex(np.vdot(a, b))
     if abs(z) <= _OVERLAP_TOL:
         raise NumericalError("geodesic undefined: endpoint states psi(0) and psi(2 dt) are orthogonal")
-    e = (b - z * a) * (z.conjugate() / abs(z))
-    e -= a * np.vdot(a, e)  # second Gram-Schmidt pass: <a|e> ~ eps, not eps / sin θ_b
+    # second Gram-Schmidt pass: <a|e> ~ eps, not eps / sin θ_b
+    e = _project_off((b - z * a) * (z.conjugate() / abs(z)), a)
     sin_b = float(np.linalg.norm(e))
     if sin_b == 0.0:
         return fubini_study_sq(a, p, 1.0)
@@ -139,21 +141,27 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
     """Least-squares C for y = C dt^4 through the origin, plus relative misfit.
 
     A column whose values all lie within ``_ROUNDING_FLOOR`` of zero holds
-    no signal, so its misfit is reported as exactly 0.0.
+    no signal, so its misfit is reported as exactly 0.0.  A coefficient or
+    misfit that is not finite (dt^4 overflows) raises ``NumericalError``.
     """
     x = np.asarray(dt_grid, dtype=float) ** 4
     y = np.asarray(values, dtype=float)
     coeff = float(np.dot(x, y) / np.dot(x, x))
-    if np.all(np.abs(y) <= _ROUNDING_FLOOR):
-        return coeff, 0.0
-    residual = float(np.linalg.norm(y - coeff * x) / np.linalg.norm(y))
+    noise = np.all(np.abs(y) <= _ROUNDING_FLOOR)
+    residual = 0.0 if noise else float(np.linalg.norm(y - coeff * x) / np.linalg.norm(y))
+    if not (np.isfinite(coeff) and np.isfinite(residual)):
+        raise NumericalError(f"dt_grid: quartic fit gives coefficient {coeff!r}, residual {residual!r}")
     return coeff, residual
 
 
 def _check_grid(problem: EvolutionProblem, dt_grid):
+    problem._require_moving()  # before the step floor, which reads the speed
     dts = tuple(float(dt) for dt in dt_grid)
     if len(dts) < 2 or any(dt <= 0 for dt in dts):
         raise ValueError("dt_grid must contain at least two positive steps")
+    least = min(dts) * problem.speed
+    if least < _MIN_STEP:
+        raise NumericalError(f"dt_grid: smallest dt*v = {least:.3g} is below {_MIN_STEP:.0e}, where fits see rounding")
     worst = max(dts) * problem.speed
     if worst > 0.1:
         warnings.warn(
@@ -161,6 +169,13 @@ def _check_grid(problem: EvolutionProblem, dt_grid):
             stacklevel=3,
         )
     return dts
+
+
+def _snapshots(problem: EvolutionProblem, dts) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(psi(dt), psi(2 dt)) for each step, evolving each distinct time once."""
+    times = dict.fromkeys(t for dt in dts for t in (dt, 2.0 * dt))
+    states = {t: evolve(problem, t).amplitudes for t in times}
+    return [(states[dt], states[2.0 * dt]) for dt in dts]
 
 
 def fit_curvature_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
@@ -175,18 +190,14 @@ def fit_curvature_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
     Raises
     ------
     NumericalError
-        If the quartic model misfits by more than 5%, or a step makes the
-        endpoints psi(0) and psi(2 dt) orthogonal.
+        If the fit misfits by more than 5% or is not finite, the smallest
+        dt v is below 1e-5, or psi(0) and psi(2 dt) are orthogonal.
     StationaryStateError
         For an eigenstate input.
     """
-    problem._require_moving()
     dts = _check_grid(problem, dt_grid)
     psi0 = problem.initial_state.amplitudes
-    values = []
-    for dt in dts:
-        mid, end = evolve(problem, dt).amplitudes, evolve(problem, 2.0 * dt).amplitudes
-        values.append(_min_geodesic_deviation(psi0, mid, end))
+    values = [_min_geodesic_deviation(psi0, mid, end) for mid, end in _snapshots(problem, dts)]
     coeff, residual = _fit_quartic(dts, values)
     if residual > 0.05:
         raise NumericalError(f"fit_residual_kappa: quartic fit residual {residual:.3g} exceeds 5%")
@@ -200,19 +211,16 @@ def fit_torsion_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
     psi(2 dt) outside it, computed as an explicit residual norm, is fitted to
     C dt^4.  The coefficient C itself is returned; dividing by mu2^2 gives
     tau^2.  For any single-qubit problem the plane is the whole space and the
-    coefficient vanishes identically.
+    coefficient vanishes identically.  The grid and fit checks of
+    ``fit_curvature_coefficient`` apply, except the 5% misfit gate.
     """
-    problem._require_moving()
     dts = _check_grid(problem, dt_grid)
+    psi0 = problem.initial_state.amplitudes
+    q0 = psi0 / np.linalg.norm(psi0)
     values = []
-    for dt in dts:
-        psi0 = problem.initial_state.amplitudes
-        mid = evolve(problem, dt).amplitudes
-        end = evolve(problem, 2.0 * dt).amplitudes
-        plane = gram_schmidt([psi0, mid])
-        r = end.copy()
-        for q in plane:
-            r -= q * np.vdot(q, r)
+    for mid, end in _snapshots(problem, dts):
+        u = _project_off(mid, q0, q0)  # the second pass keeps u orthogonal to q0
+        r = _project_off(end, q0, u / np.linalg.norm(u))
         values.append(float(np.vdot(r, r).real))
     coeff, residual = _fit_quartic(dts, values)
     return FitResult(coefficient=coeff, residual=residual, dt_grid=dts)

@@ -170,7 +170,7 @@ def trajectory_rows(
     problem._require_moving()
     mom = central_moments(hamiltonian, state)
     kappa = curvature_from_moments(mom)
-    tau = max(torsion_from_moments(mom), 0.0)
+    tau = _clamp_tau(torsion_from_moments(mom), "tau_sq", [])
 
     d = problem.dim
     header = ["t", "s", "fidelity_to_initial"]
@@ -201,7 +201,7 @@ def sweep_row(
     problem = EvolutionProblem(hamiltonian, state)
     mom = central_moments(hamiltonian, state)
     kappa = curvature_from_moments(mom)
-    tau = max(torsion_from_moments(mom), 0.0)
+    tau = _clamp_tau(torsion_from_moments(mom), "tau_sq", [])
     eta = geodesic_efficiency(problem, efficiency_t)
     return [
         format_float(param_value),

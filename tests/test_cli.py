@@ -110,6 +110,33 @@ class TestReportCommand:
                 },
                 "psi(2 dt)",
             ),
+            # dt v = 2.3e-20: every deviation is rounding noise, with no signal to fit
+            (
+                {
+                    "hamiltonian": {"family": "heisenberg3", "couplings": {"Jx": 1.0, "h": 0.5}},
+                    "state": {"named": "ghz"},
+                    "options": {"dt_grid": [1e-20, 2e-20]},
+                },
+                "dt_grid",
+            ),
+            # dt v = 1.4e-9 on crossed fields (kappa^2 = 1), also below the step floor
+            (
+                {
+                    "hamiltonian": {"pauli_terms": [{"coeff": 1.0, "word": "XZ"}, {"coeff": 1.0, "word": "ZX"}]},
+                    "state": {"named": "00"},
+                    "options": {"dt_grid": [1e-9, 2e-9]},
+                },
+                "dt_grid",
+            ),
+            # dt^4 overflows to a NaN coefficient
+            (
+                {
+                    "hamiltonian": {"pauli_terms": [{"coeff": 1.0, "word": "XZ"}, {"coeff": 1.0, "word": "ZX"}]},
+                    "state": {"named": "00"},
+                    "options": {"dt_grid": [1e300, 2e300]},
+                },
+                "dt_grid",
+            ),
         ],
     )
     def test_numerical_failure_exit_code(self, doc, quantity, tmp_path):
@@ -125,6 +152,7 @@ class TestReportCommand:
         assert proc.stdout == ""
         assert quantity in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1  # the error line alone, no warning
 
     def test_coarse_grid_warning_in_report(self, tmp_path):
         # dt v = 0.17 on the largest step; both fits see it, the report names it once
@@ -238,19 +266,47 @@ class TestNumericalFailures:
             (_skew_curvature, "report", "kappa_sq_geometric"),
             (_negative_torsion, "report", "tau_sq_moments"),
             (_overshooting_evolution, "sweep", "eta"),
+            (_negative_torsion, "sweep", "tau_sq"),
+            (_negative_torsion, "trajectory", "tau_sq"),
         ],
     )
     def test_exit_code(self, corrupt, command, quantity, xi_family_file, tmp_path, monkeypatch, capsys):
         corrupt(monkeypatch)
         argv = [command, "--input", xi_family_file]
+        out = tmp_path / "out.csv"
         if command == "sweep":
-            out = tmp_path / "sweep.csv"
-            argv += ["--param", "xi", "--from", "0.2", "--to", "0.8", "--points", "2"]
-            argv += ["--output", str(out)]
+            argv += ["--param", "xi", "--from", "0.2", "--to", "0.8", "--points", "2", "--output", str(out)]
+        if command == "trajectory":
+            argv += ["--t-max", "1.0", "--steps", "3", "--output", str(out)]
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert quantity in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, options, t",
+        [
+            # t-max 1e308 on steps of 5e307: the phase (E + theta) t of the third row overflows
+            (["trajectory", "--t-max", "1e308", "--steps", "5"], {}, "5e+307"),
+            (["sweep", "--param", "mz", "--from", "0.5", "--to", "1.0", "--points", "3"], {"efficiency_t": 1e308}, "1e+308"),
+        ],
+        ids=["trajectory-t-max", "sweep-efficiency_t"],
+    )
+    def test_overflowing_time(self, command, options, t, tmp_path, capsys):
+        doc = {
+            "hamiltonian": {"family": "single_qubit", "couplings": {"mx": 3.0, "mz": 1.0}},
+            "state": {"named": "0"},
+            "options": options,
+        }
+        path = tmp_path / "qubit.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out.csv"
+        assert main(command + ["--input", str(path), "--output", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: t = {t}: ")
+        assert not out.exists()  # rows already written are removed with the file
 
 
 class TestUsageErrors:

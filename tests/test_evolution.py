@@ -4,18 +4,19 @@ import pytest
 from qucurve import (
     EvolutionProblem,
     HermitianOperator,
+    NumericalError,
     StateVector,
     StationaryStateError,
+    build_frame,
     evolve,
-    expectation,
     ghz_state,
     heisenberg3,
     parallel_transported_state,
     propagator,
+    single_qubit,
     state_at_arclength,
-    tangent,
-    tangent_derivative,
 )
+from qucurve.frame import _frame_vectors
 from qucurve.hilbert import PAULI
 
 from conftest import crossed_fields_state, random_hermitian, random_problem, random_state
@@ -59,18 +60,23 @@ class TestEvolutionProblem:
     def test_energy_matches_expectation(self):
         rng = np.random.default_rng(31)
         prob = random_problem(rng, 5)
-        assert prob.energy == pytest.approx(
-            expectation(prob.hamiltonian, prob.initial_state), abs=1e-12
-        )
+        psi = prob.initial_state.amplitudes
+        assert prob.energy == pytest.approx(np.vdot(psi, prob.hamiltonian.matrix @ psi).real, abs=1e-12)
 
     def test_speed_squared_is_variance(self):
         rng = np.random.default_rng(37)
         prob = random_problem(rng, 4)
-        h2 = expectation(
-            HermitianOperator(prob.hamiltonian.matrix @ prob.hamiltonian.matrix),
-            prob.initial_state,
-        )
+        psi = prob.initial_state.amplitudes
+        h2 = np.vdot(psi, prob.hamiltonian.matrix @ (prob.hamiltonian.matrix @ psi)).real
         assert prob.speed**2 == pytest.approx(h2 - prob.energy**2, rel=1e-12)
+
+    def test_overflowing_phase_names_the_time(self):
+        # |E| + max |theta| = 1 + 4.16 (E = 1, theta = +-sqrt(10) - 1): the phases
+        # overflow at t = 1e308, which must name t rather than build a NaN state
+        prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), StateVector([1, 0]))
+        evolve(prob, 1e307)  # finite phases still evolve
+        with pytest.raises(NumericalError, match=r"t = 1e\+308"):
+            evolve(prob, 1e308)
 
     def test_eigenstate_is_stationary(self):
         prob = EvolutionProblem(SIGMA_Z, StateVector([1, 0]))
@@ -166,20 +172,33 @@ class TestArcLength:
             )
 
 
+def _tangent(prob, s):
+    return build_frame(prob, s).tangent.amplitudes
+
+
+def _acceleration(prob, s):
+    """T'(s) = -(dh)^2 Psi(s), read off the frame's P_Psi T' = T' + Psi."""
+    psi, _, perp, _ = _frame_vectors(prob, s)
+    return perp - psi
+
+
 class TestTangent:
+    """The frame's T = -i dh Psi against the evolved states."""
+
     def test_sigma_z_plus_at_origin(self):
         prob = EvolutionProblem(SIGMA_Z, PLUS)
         expected = np.array([-1j, 1j]) / np.sqrt(2)
-        np.testing.assert_allclose(tangent(prob, 0.0).amplitudes, expected, atol=1e-14)
+        np.testing.assert_allclose(_tangent(prob, 0.0), expected, atol=1e-14)
 
     def test_unit_norm_and_orthogonal_to_state(self):
         rng = np.random.default_rng(59)
         for dim in (2, 4, 8):
             prob = random_problem(rng, dim)
             s = float(rng.uniform(0, 3))
-            tan = tangent(prob, s)
+            tan = _tangent(prob, s)
             psi = state_at_arclength(prob, s)
-            assert abs(np.vdot(psi.amplitudes, tan.amplitudes)) < 1e-12
+            assert np.linalg.norm(tan) == pytest.approx(1.0, rel=1e-12)
+            assert abs(np.vdot(psi.amplitudes, tan)) < 1e-12
 
     def test_matches_finite_difference_of_state(self):
         rng = np.random.default_rng(61)
@@ -189,10 +208,12 @@ class TestTangent:
             state_at_arclength(prob, s + ds).amplitudes
             - state_at_arclength(prob, s - ds).amplitudes
         ) / (2 * ds)
-        np.testing.assert_allclose(tangent(prob, s).amplitudes, fd, atol=1e-7)
+        np.testing.assert_allclose(_tangent(prob, s), fd, atol=1e-7)
 
 
 class TestTangentDerivative:
+    """T' recovered from the frame's P_Psi T' against closed forms and T."""
+
     def test_crossed_fields_closed_form(self, crossed_fields_problem):
         for s in (0.0, 0.7):
             arg = np.sqrt(2) * s
@@ -200,7 +221,7 @@ class TestTangentDerivative:
                 [-np.cos(arg), 1j * np.sin(arg), 1j * np.sin(arg), np.cos(arg)]
             )
             np.testing.assert_allclose(
-                tangent_derivative(crossed_fields_problem, s), expected, atol=1e-12
+                _acceleration(crossed_fields_problem, s), expected, atol=1e-12
             )
 
     def test_matches_finite_difference_of_tangent(self):
@@ -208,10 +229,10 @@ class TestTangentDerivative:
         for dim in (2, 3, 8):
             prob = random_problem(rng, dim)
             s, ds = float(rng.uniform(0, 2)), 1e-4
-            fd = (tangent(prob, s + ds).amplitudes - tangent(prob, s - ds).amplitudes) / (2 * ds)
+            fd = (_tangent(prob, s + ds) - _tangent(prob, s - ds)) / (2 * ds)
             scale = np.linalg.norm(prob.delta_h, 2) ** 3
             np.testing.assert_allclose(
-                tangent_derivative(prob, s), fd, atol=10 * ds**2 * max(1.0, scale)
+                _acceleration(prob, s), fd, atol=10 * ds**2 * max(1.0, scale)
             )
 
     def test_norm_is_fourth_moment_and_constant(self):
@@ -222,7 +243,7 @@ class TestTangentDerivative:
         w = dh @ (dh @ psi)
         mu4_standardized = np.vdot(w, w).real
         for s in (0.0, 0.9, 2.4):
-            tp = tangent_derivative(prob, s)
+            tp = _acceleration(prob, s)
             assert np.vdot(tp, tp).real == pytest.approx(mu4_standardized, rel=1e-11)
 
 
@@ -312,7 +333,7 @@ class TestKrylovEvolution:
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_fails_closed(self, t):
         prob = random_problem(np.random.default_rng(107), 40)
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="norm"):
+        with pytest.raises(NumericalError, match=f"t = {t!r}"):
             evolve(prob, t)
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6])

@@ -14,7 +14,6 @@ from qucurve import (
     curvature_from_moments,
     curvature_geometric,
     state_at_arclength,
-    tangent,
     torsion_from_moments,
     torsion_geometric,
 )
@@ -86,9 +85,10 @@ class TestGeometricPath:
         for dim in (3, 4, 8):
             prob = random_problem(rng, dim)
             s = float(rng.uniform(0, 2))
-            nbar = build_frame(prob, s).binormal_raw
+            frame = build_frame(prob, s)
+            nbar = frame.binormal_raw
             psi = state_at_arclength(prob, s).amplitudes
-            tan = tangent(prob, s).amplitudes
+            tan = frame.tangent.amplitudes
             assert abs(np.vdot(psi, nbar)) < 1e-12
             assert abs(np.vdot(tan, nbar)) < 1e-12
 

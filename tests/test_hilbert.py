@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 from qucurve import (
     MAX_QUBITS,
     HermitianOperator,
-    LinearDependenceError,
     PauliTerm,
     StateVector,
     build_operator,
-    expectation,
-    gram_schmidt,
-    projector_orthogonal,
 )
-from qucurve.hilbert import PAULI
+from qucurve.hilbert import PAULI, _project_off
 
 from conftest import random_hermitian, random_state
 
@@ -224,85 +220,26 @@ def test_pauli_backing_matches_its_matrix(case):
     assert abs(op.frobenius_sq - expected) <= 1e-13 * expected
 
 
-class TestExpectation:
-    def test_sigma_z_on_basis_state(self):
-        op = HermitianOperator(PAULI["Z"])
-        assert expectation(op, StateVector([1, 0])) == 1.0
 
-    def test_tilted_field_on_tilted_state(self):
-        # Bloch vector (1/sqrt2, 0, 1/sqrt2) against the field (0, 0, 1):
-        # the mean energy is the projection a.m = 1/sqrt2
-        theta = np.pi / 4
-        state = StateVector([np.cos(theta / 2), np.sin(theta / 2)])
-        op = HermitianOperator(PAULI["Z"])
-        assert expectation(op, state) == pytest.approx(1 / np.sqrt(2), abs=1e-15)
-
-    def test_real_for_random_hermitian(self):
+class TestProjectOff:
+    def test_residual_orthogonal_and_input_untouched(self):
         rng = np.random.default_rng(5)
-        for dim in (2, 3, 5, 8):
-            op = random_hermitian(rng, dim)
-            state = random_state(rng, dim)
-            val = expectation(op, state)
-            spectral = np.linalg.eigvalsh(op.matrix)
-            assert spectral[0] - 1e-12 <= val <= spectral[-1] + 1e-12
+        units = np.linalg.qr(rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2)))[0].T
+        vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+        before = vec.copy()
+        r = _project_off(vec, *units)
+        assert max(abs(np.vdot(u, r)) for u in units) < 1e-14
+        # vec = its components along the units plus the residual
+        np.testing.assert_allclose(r + units.T @ (units.conj() @ vec), vec, atol=1e-14)
+        np.testing.assert_array_equal(vec, before)
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            expectation(HermitianOperator(PAULI["Z"]), StateVector([1, 0, 0]))
-
-
-class TestProjectorOrthogonal:
-    def test_annihilates_its_state(self):
+    def test_second_pass_on_nearly_parallel_vector(self):
+        # one pass leaves an overlap of rounding size eps against a residual
+        # of size 1e-8; naming the unit twice brings it to eps relative
         rng = np.random.default_rng(7)
-        state = random_state(rng, 6)
-        proj = projector_orthogonal(state)
-        assert np.linalg.norm(proj.apply(state)) < 1e-14
-
-    def test_matrix_for_basis_state(self):
-        proj = projector_orthogonal(StateVector([1, 0]))
-        np.testing.assert_allclose(proj.matrix, [[0, 0], [0, 1]], atol=0)
-
-    def test_idempotent(self):
-        rng = np.random.default_rng(9)
-        state = random_state(rng, 5)
-        p = projector_orthogonal(state).matrix
-        np.testing.assert_allclose(p @ p, p, atol=1e-14)
-
-    def test_trace_is_dim_minus_one(self):
-        rng = np.random.default_rng(13)
-        state = random_state(rng, 5)
-        assert np.trace(projector_orthogonal(state).matrix).real == pytest.approx(4.0, abs=1e-12)
-
-
-class TestGramSchmidt:
-    def test_zero_plus_basis(self):
-        zero = np.array([1, 0], dtype=complex)
-        plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-        out = gram_schmidt([zero, plus])
-        np.testing.assert_allclose(out[0], [1, 0], atol=1e-15)
-        np.testing.assert_allclose(out[1], [0, 1], atol=1e-15)
-
-    def test_orthonormal_and_flag_preserving(self):
-        rng = np.random.default_rng(17)
-        vecs = [rng.normal(size=6) + 1j * rng.normal(size=6) for _ in range(4)]
-        out = gram_schmidt(vecs)
-        gram = np.array([[np.vdot(a, b) for b in out] for a in out])
-        np.testing.assert_allclose(gram, np.eye(4), atol=1e-10)
-        # k-th output stays inside the span of the first k inputs
-        for k in range(1, 5):
-            basis = np.linalg.qr(np.stack(vecs[:k], axis=1))[0]
-            residual = out[k - 1] - basis @ (basis.conj().T @ out[k - 1])
-            assert np.linalg.norm(residual) < 1e-10
-
-    def test_nearly_dependent_input_reports_index(self):
-        v0 = np.array([1, 0, 0], dtype=complex)
-        v1 = np.array([0, 1, 0], dtype=complex)
-        v2 = v0 + 1e-12 * np.array([0, 0, 1])
-        with pytest.raises(LinearDependenceError) as err:
-            gram_schmidt([v0, v1, v2])
-        assert err.value.index == 2
-
-    def test_accepts_state_vectors(self):
-        out = gram_schmidt([StateVector([1, 0]), StateVector(np.array([1, 1j]) / np.sqrt(2))])
-        gram = np.array([[np.vdot(a, b) for b in out] for a in out])
-        np.testing.assert_allclose(gram, np.eye(2), atol=1e-12)
+        a = random_state(rng, 8).amplitudes
+        w = _project_off(rng.normal(size=8) + 1j * rng.normal(size=8), a, a)
+        vec = a + 1e-8 * w / np.linalg.norm(w)
+        r = _project_off(vec, a, a)
+        assert abs(np.vdot(a, r)) <= 1e-14 * np.linalg.norm(r)
+        assert np.linalg.norm(r) == pytest.approx(1e-8, rel=1e-6)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qucurve.oracles
 from qucurve import (
     EvolutionProblem,
+    NumericalError,
     SpaceCurveSamples,
     StateVector,
     StationaryStateError,
@@ -18,6 +20,7 @@ from qucurve import (
     sphere_geodesic_curvature,
     torsion_from_moments,
 )
+from qucurve.reporting import build_report
 from qucurve.hilbert import PAULI, HermitianOperator
 from qucurve.models import single_qubit
 from qucurve.oracles import _min_geodesic_deviation
@@ -249,6 +252,59 @@ class TestTorsionFit:
         prob = EvolutionProblem(HermitianOperator(PAULI["Z"]), ZERO)
         with pytest.raises(StationaryStateError):
             fit_torsion_coefficient(prob, self.DT_GRID)
+
+
+class TestGridChecks:
+    @pytest.mark.parametrize("fit", [fit_curvature_coefficient, fit_torsion_coefficient])
+    def test_step_below_floor_rejected(self, fit, crossed_fields_problem):
+        # dt v = 1.4e-9: every deviation lies under the rounding floor, so a
+        # fit would report a residual of 0 on pure noise
+        with pytest.raises(NumericalError, match="dt_grid: smallest dt\\*v = 1.41e-09"):
+            fit(crossed_fields_problem, (1e-9, 2e-9))
+
+    @pytest.mark.parametrize("fit", [fit_curvature_coefficient, fit_torsion_coefficient])
+    def test_overflowing_grid_rejected(self, fit, crossed_fields_problem):
+        # dt^4 overflows, so the fitted coefficient would be NaN
+        with pytest.warns(UserWarning, match="quartic scaling"), np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="dt_grid: quartic fit gives coefficient nan"):
+                fit(crossed_fields_problem, (1e300, 2e300))
+
+    def test_small_curvature_resolved_just_above_floor(self):
+        # a qubit with kappa^2 = 1e-3, the smallest value the floor is sized
+        # for, on a grid of dt v = 2e-5, 4e-5, 8e-5
+        # sigma_z on a state of Bloch height z has kappa^2 = 4 z^2 / (1 - z^2)
+        theta = np.arccos(np.sqrt(1e-3 / (4 + 1e-3)))
+        prob = EvolutionProblem(single_qubit([0.0, 0.0, 1.0]), StateVector([np.cos(theta / 2), np.sin(theta / 2)]))
+        m = central_moments(prob.hamiltonian, prob.initial_state)
+        assert curvature_from_moments(m) == pytest.approx(1e-3, rel=1e-12)
+        fit = fit_curvature_coefficient(prob, tuple(k * 2e-5 / prob.speed for k in (1.0, 2.0, 4.0)))
+        assert fit.coefficient / m.mu2**2 == pytest.approx(1e-3, rel=1e-5)
+
+
+class TestSnapshots:
+    """Each fit evolves every distinct time of {dt, 2 dt} once."""
+
+    @pytest.fixture
+    def evolve_times(self, monkeypatch):
+        times = []
+
+        def counted(problem, t):
+            times.append(t)
+            return evolve(problem, t)
+
+        monkeypatch.setattr(qucurve.oracles, "evolve", counted)
+        return times
+
+    @pytest.mark.parametrize("fit", [fit_curvature_coefficient, fit_torsion_coefficient])
+    def test_four_distinct_times_per_fit(self, fit, crossed_fields_problem, evolve_times):
+        grid = tuple(k * 1e-3 / crossed_fields_problem.speed for k in (1.0, 2.0, 4.0))
+        fit(crossed_fields_problem, grid)
+        assert len(evolve_times) == len(set(evolve_times)) == 4
+        assert set(evolve_times) == {grid[0], grid[1], grid[2], 2.0 * grid[2]}
+
+    def test_oracle_report_evolves_eight_times(self, crossed_fields_problem, evolve_times):
+        build_report(crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state, with_oracle=True)
+        assert len(evolve_times) == 8
 
 
 class TestClassicalFrenetSerret:
