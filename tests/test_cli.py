@@ -560,6 +560,9 @@ DENSE_AMPLITUDES = {
     },
     "state": {"amplitudes": [[0.5, 0.0], [0.0, 0.5], [-0.5, -0.0], [0.3, 0.4]]},
 }
+# a six-qubit Ising chain (d = 64) with fields on a seeded random state: its
+# Krylov space is larger than the smallest Lanczos basis, unlike d <= 8
+ISING_N6 = json.loads((FIXTURES / "problem_ising_n6.json").read_text())
 
 
 class TestGoldenOutputs:
@@ -567,7 +570,8 @@ class TestGoldenOutputs:
 
     @pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["plain", "oracle"])
     @pytest.mark.parametrize(
-        "stem, doc", [("family_named", FAMILY_NAMED), ("dense_amplitudes", DENSE_AMPLITUDES)]
+        "stem, doc",
+        [("family_named", FAMILY_NAMED), ("dense_amplitudes", DENSE_AMPLITUDES), ("ising_n6", ISING_N6)],
     )
     def test_report_matches_fixture_bytes(self, stem, doc, flags, tmp_path, capsys):
         path = tmp_path / "problem.json"
