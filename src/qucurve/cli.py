@@ -82,6 +82,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output(path: str) -> None:
+    """Reject an --output path whose directory is missing, before any work."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise SpecError("--output", f"directory {folder!r} does not exist")
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Comma-joined lines (no csv quoting is needed); a failing row removes the file."""
     try:
@@ -106,6 +113,7 @@ def _cmd_trajectory(args) -> int:
         raise SpecError("--steps", f"must lie in [2, {MAX_GRID_POINTS}], got {args.steps}")
     if not (math.isfinite(args.t_max) and args.t_max > 0):
         raise SpecError("--t-max", f"must be a positive finite number, got {args.t_max}")
+    _check_output(args.output)
     spec = load_problem_spec(args.input)
     hamiltonian, state = spec.build()
     _write_csv(args.output, *trajectory_rows(hamiltonian, state, args.t_max, args.steps))
@@ -118,6 +126,7 @@ def _cmd_sweep(args) -> int:
     for flag, value in (("--from", args.start), ("--to", args.stop)):
         if not math.isfinite(value):
             raise SpecError(flag, f"must be a finite number, got {value}")
+    _check_output(args.output)
     spec = load_problem_spec(args.input)
     grid = np.linspace(args.start, args.stop, args.points)
     rows = []

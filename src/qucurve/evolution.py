@@ -19,11 +19,14 @@ States are evolved in the Krylov space of (H - E, psi_0) (Hochbruck and
 Lubich, SIAM J. Numer. Anal. 34, 1997): a Lanczos basis V_m with tridiagonal
 T_m = V_m^dagger (H - E) V_m gives exp(-iHt) psi_0 ~ exp(-iEt) V_m
 exp(-itT_m) e_1, at the cost of m products ``H.apply(v)``, so a Pauli-backed
-H is never formed as a matrix.  Nothing here diagonalizes H itself except
-``propagator``, the dense reference.
+H is never formed as a matrix.  The basis grows by quarters (16, 20, 25,
+31, ...), and many times share one walk up these sizes.  Nothing here
+diagonalizes H itself except ``propagator``, the dense reference.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,8 +54,10 @@ _STATIONARY_MU2_TOL = 1e-10
 # the estimate unchanged under H -> cH, t -> t/c.
 _KRYLOV_TOL = 1e-14
 
-# Krylov bases are evaluated only at sizes 16, 32, 64, ... (capped at the
-# final size), so the state at t does not depend on earlier requests.
+# Krylov bases are evaluated only at the sizes 16, 20, 25, 31, ..., each
+# size + size // 4 (capped at the final size), so the state at t does not
+# depend on earlier requests.  A quarter step, not a doubling, keeps the
+# basis within 25% of the smallest size that meets the estimate.
 _KRYLOV_MIN_DIM = 16
 
 # A Lanczos residual at most this times ||H||_F is rounding noise: the
@@ -85,7 +90,7 @@ class EvolutionProblem:
     eigendecompositions of its tridiagonal matrices are cached, so once the
     basis stops growing one evolution costs one exp and one product with a
     d x m matrix.  A state depends only on (H, psi_0, t), never on the times
-    requested before.  The public attributes are read-only.
+    requested before or beside it.  The public attributes are read-only.
 
     Parameters
     ----------
@@ -129,7 +134,8 @@ class EvolutionProblem:
         self._alpha = [alpha0]
         self._beta = [float(np.linalg.norm(residual))]
         self._residual = residual
-        self._rotations: dict[int, tuple] = {}
+        self._spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._rotations: dict[int, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -177,31 +183,60 @@ class EvolutionProblem:
             self._beta.append(float(np.linalg.norm(w)))
             self._residual = w
 
-    def _rotation(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Cached (theta, U[0, :], U^T V_m^T, beta_m U[m-1, :] U[0, :]) for
-        the eigendecomposition T_m = U diag(theta) U^T."""
-        rot = self._rotations.get(m)
-        if rot is None:
+    def _spectrum(self, m: int) -> tuple[np.ndarray, np.ndarray]:
+        """Cached eigendecomposition T_m = U diag(theta) U^T, as (theta, U)."""
+        eig = self._spectra.get(m)
+        if eig is None:
             tri = np.diag(self._alpha[:m])
             off = np.arange(m - 1)
             tri[off, off + 1] = tri[off + 1, off] = self._beta[: m - 1]
-            theta, u = np.linalg.eigh(tri)
-            rot = (theta, u[0], u.T @ self._basis[:m], self._beta[m - 1] * u[m - 1] * u[0])
-            self._rotations[m] = rot
-        return rot
+            eig = self._spectra[m] = np.linalg.eigh(tri)
+        return eig
 
-    def _evolve_vec(self, t: float) -> np.ndarray:
+    def _rotation(self, m: int) -> np.ndarray:
+        """Cached U^T V_m^T, the first m Lanczos vectors rotated onto the
+        eigenvectors of T_m.  U is real, so the product is taken on the
+        float64 view of the basis: half the work of a complex product."""
+        rows = self._rotations.get(m)
+        if rows is None:
+            u = self._spectrum(m)[1]
+            rows = self._rotations[m] = (u.T @ self._basis[:m].view(np.float64)).view(complex)
+        return rows
+
+    def _evolve_rows(self, ts) -> np.ndarray:
+        """exp(-iHt) psi_0 for each time in ``ts``, as the rows of an array.
+
+        One walk up the basis sizes serves every time.  A time is settled at
+        the first size whose error estimate it passes, the size it would
+        reach alone, and its row is formed by its own product with the
+        rotated basis, so each row depends only on (H, psi_0, t).
+        """
+        ts = np.asarray(ts, dtype=float)
+        out = np.empty((len(ts), self.dim), dtype=complex)
+        todo = np.arange(len(ts))
         size = _KRYLOV_MIN_DIM
-        while True:
+        while len(todo):
             self._grow(min(size, self.dim))
             m = min(size, len(self._alpha))
-            theta, u0, rows, g = self._rotation(m)
-            if not np.isfinite(abs(float(t)) * (abs(self.energy) + float(np.abs(theta).max()))):
-                raise NumericalError(f"t = {float(t)!r}: the evolution phases (E + theta) t are not finite")
-            phases = np.exp(-1j * theta * t)
-            if self._complete(m) or abs(t) * abs(np.dot(g, phases)) <= _KRYLOV_TOL:
-                return np.exp(-1j * self.energy * t) * ((u0 * phases) @ rows)
-            size *= 2
+            theta, u = self._spectrum(m)
+            t = ts[todo]
+            reach = abs(self.energy) + float(np.abs(theta).max())
+            if not math.isfinite(float(np.abs(t).max()) * reach):
+                bad = next(x for x in t.tolist() if not math.isfinite(abs(x) * reach))
+                raise NumericalError(f"t = {bad!r}: the evolution phases (E + theta) t are not finite")
+            phases = np.exp(-1j * theta * t[:, None])
+            if self._complete(m):
+                settle, todo = todo, todo[:0]
+            else:
+                g = self._beta[m - 1] * u[m - 1] * u[0]
+                ok = np.abs(t) * np.abs((phases * g).sum(1)) <= _KRYLOV_TOL
+                settle, phases, todo = todo[ok], phases[ok], todo[~ok]
+            if len(settle):
+                rows = self._rotation(m)
+                for i, p in zip(settle.tolist(), phases):
+                    out[i] = np.exp(-1j * self.energy * ts[i]) * ((u[0] * p) @ rows)
+            size += size // 4
+        return out
 
     def __repr__(self):
         return (
@@ -224,7 +259,7 @@ def propagator(hamiltonian: HermitianOperator, t: float) -> np.ndarray:
 
 def evolve(problem: EvolutionProblem, t: float) -> StateVector:
     """Schroedinger-evolved state exp(-iHt) psi_0."""
-    return StateVector(problem._evolve_vec(t))
+    return StateVector(problem._evolve_rows([t])[0])
 
 
 def parallel_transported_state(problem: EvolutionProblem, t: float) -> StateVector:
@@ -234,10 +269,19 @@ def parallel_transported_state(problem: EvolutionProblem, t: float) -> StateVect
     orthogonal to the curve and norms of derivatives acquire direct geometric
     meaning.
     """
-    return StateVector(np.exp(1j * problem.energy * t) * problem._evolve_vec(t))
+    return _transported_states(problem, [t])[0]
 
 
 def state_at_arclength(problem: EvolutionProblem, s: float) -> StateVector:
     """Parallel-transported state at arc length s, i.e. at time t = s/v."""
+    return _arclength_states(problem, [s])[0]
+
+
+def _transported_states(problem: EvolutionProblem, ts) -> list[StateVector]:
+    return [StateVector(np.exp(1j * problem.energy * t) * row) for t, row in zip(ts, problem._evolve_rows(ts))]
+
+
+def _arclength_states(problem: EvolutionProblem, s_points) -> list[StateVector]:
+    """``state_at_arclength`` at every arc length in ``s_points``, evaluated together."""
     problem._require_moving()
-    return parallel_transported_state(problem, s / problem.speed)
+    return _transported_states(problem, np.asarray(s_points, dtype=float) / problem.speed)

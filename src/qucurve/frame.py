@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .evolution import EvolutionProblem, state_at_arclength
+from .evolution import EvolutionProblem, _arclength_states, state_at_arclength
 from .hilbert import StateVector, _project_off
 
 __all__ = [
@@ -79,23 +79,31 @@ def _binormal_present(tau_sq: float) -> bool:
     return bool(np.sqrt(max(tau_sq, 0.0)) > _BINORMAL_NORM_TOL)
 
 
-def _frame_vectors(problem: EvolutionProblem, s: float) -> tuple[np.ndarray, ...]:
-    """(Psi, T, P_Psi T', Nbar) at arc length s from one state evaluation.
+def _vectors_from(problem: EvolutionProblem, psi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(Psi, T, P_Psi T', Nbar) from the state Psi alone.
 
     With T = -i dh Psi and T' = -i dh T, the projections are applied as
     vector operations in sequence, never as assembled projector matrices.
     """
-    psi = state_at_arclength(problem, s).amplitudes
     tan = -1j * problem._apply_delta_h(psi)
     perp = _project_off(-1j * problem._apply_delta_h(tan), psi)
     nbar = _project_off(perp, tan)
     return psi, tan, perp, nbar
 
 
-def _curvature_torsion(problem: EvolutionProblem, s: float) -> tuple[float, float]:
-    """(kappa^2, tau^2) = (||P_Psi T'||^2, ||P_T P_Psi T'||^2) at arc length s."""
-    _, _, perp, nbar = _frame_vectors(problem, s)
-    return float(np.vdot(perp, perp).real), float(np.vdot(nbar, nbar).real)
+def _frame_vectors(problem: EvolutionProblem, s: float) -> tuple[np.ndarray, ...]:
+    """(Psi, T, P_Psi T', Nbar) at arc length s from one state evaluation."""
+    return _vectors_from(problem, state_at_arclength(problem, s).amplitudes)
+
+
+def _curvature_torsion(problem: EvolutionProblem, s_points) -> list[tuple[float, float]]:
+    """(kappa^2, tau^2) = (||P_Psi T'||^2, ||P_T P_Psi T'||^2) at each arc
+    length in ``s_points``, the states evaluated together."""
+    out = []
+    for psi in _arclength_states(problem, s_points):
+        _, _, perp, nbar = _vectors_from(problem, psi.amplitudes)
+        out.append((float(np.vdot(perp, perp).real), float(np.vdot(nbar, nbar).real)))
+    return out
 
 
 def _frame_rows(
@@ -121,13 +129,13 @@ def _structure_matrix(problem: EvolutionProblem, rows: np.ndarray) -> np.ndarray
 def curvature_geometric(problem: EvolutionProblem, s: float) -> float:
     """Squared curvature as ||P_Psi T'(s)||^2, the acceleration component
     orthogonal to the curve point itself."""
-    return _curvature_torsion(problem, s)[0]
+    return _curvature_torsion(problem, [s])[0][0]
 
 
 def torsion_geometric(problem: EvolutionProblem, s: float) -> float:
     """Squared torsion as ||Nbar(s)||^2; exactly zero for planar curves up to
     rounding (~1e-30 in the squared norm)."""
-    return _curvature_torsion(problem, s)[1]
+    return _curvature_torsion(problem, [s])[0][1]
 
 
 def cartan_matrix(problem: EvolutionProblem, s: float) -> np.ndarray:

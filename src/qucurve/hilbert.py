@@ -258,8 +258,9 @@ def build_operator(terms, n_qubits: int) -> HermitianOperator:
         # Row j holds the entry of column j ^ x, whose sign is (-1)^popcount((j ^ x) & z).
         parity = np.zeros(dim, dtype=np.int64)
         masked = (rows ^ x) & z
-        for bit in range(n_qubits):  # popcount mod 2, without NumPy 2's bitwise_count
-            parity ^= masked >> bit
+        for bit in range(z.bit_length()):  # popcount mod 2 over the set bits of z,
+            if z >> bit & 1:  # without NumPy 2's bitwise_count
+                parity ^= masked >> bit
         sign = 1 - 2 * (parity & 1)
         diag = groups.setdefault(x, np.zeros(dim, dtype=complex))
         diag += term.coefficient * (phase * sign)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import models
 from .evolution import EvolutionProblem, evolve, parallel_transported_state, propagator
-from .frame import build_frame, cartan_matrix, curvature_geometric, torsion_geometric
+from .frame import _curvature_torsion, build_frame, cartan_matrix
 from .hilbert import HermitianOperator, StateVector
 from .moments import central_moments, curvature_from_moments, torsion_from_moments
 from .oracles import (
@@ -183,7 +183,7 @@ def _case_cross_path_random() -> CaseResult:
             mom = central_moments(prob.hamiltonian, prob.initial_state)
             km, tm = curvature_from_moments(mom), torsion_from_moments(mom)
             s = float(rng.uniform(0.0, 2.0))
-            kg, tg = curvature_geometric(prob, s), torsion_geometric(prob, s)
+            kg, tg = _curvature_torsion(prob, [s])[0]
             worst = max(worst, abs(km - kg) / max(1.0, abs(km)))
             worst = max(worst, abs(tm - tg) / max(1.0, abs(tm)))
             worst = max(worst, abs(km - tm - mom.alpha3**2))

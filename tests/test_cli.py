@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qucurve.cli
 import qucurve.models
 import qucurve.reporting
 from qucurve import MAX_QUBITS, StateVector, xi_curvature
@@ -234,16 +235,19 @@ class TestNonFiniteInput:
 def _skew_curvature(monkeypatch):
     orig = qucurve.reporting._curvature_torsion
 
-    def skewed(prob, s):
-        kappa, tau = orig(prob, s)
-        return kappa + 1.0, tau
+    def skewed(prob, s_points):
+        return [(kappa + 1.0, tau) for kappa, tau in orig(prob, s_points)]
 
     monkeypatch.setattr(qucurve.reporting, "_curvature_torsion", skewed)
 
 
 def _negative_torsion(monkeypatch):
     orig = qucurve.reporting._curvature_torsion
-    monkeypatch.setattr(qucurve.reporting, "_curvature_torsion", lambda prob, s: (orig(prob, s)[0], -1e-3))
+
+    def negative(prob, s_points):
+        return [(kappa, -1e-3) for kappa, _ in orig(prob, s_points)]
+
+    monkeypatch.setattr(qucurve.reporting, "_curvature_torsion", negative)
     monkeypatch.setattr(qucurve.reporting, "torsion_from_moments", lambda mom: -1e-3)
 
 
@@ -343,6 +347,25 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"{flag}: must lie in [2, {MAX_GRID_POINTS}], got {MAX_GRID_POINTS + 1}" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trajectory", "--t-max", "1", "--steps", "3"],
+            ["sweep", "--param", "xi", "--from", "0.2", "--to", "0.8", "--points", "3"],
+        ],
+        ids=["trajectory", "sweep"],
+    )
+    def test_output_in_missing_directory(self, argv, xi_family_file, tmp_path, monkeypatch, capsys):
+        def no_work(path):
+            raise AssertionError("the problem file was read before --output was checked")
+
+        monkeypatch.setattr(qucurve.cli, "load_problem_spec", no_work)
+        out = tmp_path / "missing" / "out.csv"
+        assert main(argv + ["--input", xi_family_file, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --output: directory {str(out.parent)!r} does not exist\n"
+        assert not out.parent.exists()
 
 
 class TestTrajectoryCommand:

@@ -330,6 +330,26 @@ class TestKrylovEvolution:
         evolve(late, 50.0)
         np.testing.assert_array_equal(evolve(late, 0.05).amplitudes, first)
 
+    def test_batched_rows_equal_single_evaluations(self):
+        # each row is settled at the basis size its own time needs, whatever
+        # else is in the batch and whatever was evolved before
+        rng = np.random.default_rng(109)
+        ham, psi = random_hermitian(rng, 128), random_state(rng, 128)
+        ts = [3.0, 0.05, 40.0, 0.05, -2.5, 0.0, 3.0]
+        alone = [evolve(EvolutionProblem(ham, psi), t).amplitudes for t in ts]
+        prob = EvolutionProblem(ham, psi)
+        np.testing.assert_array_equal(prob._evolve_rows(ts), alone)
+        np.testing.assert_array_equal(prob._evolve_rows(ts[::-1]), alone[::-1])
+        np.testing.assert_array_equal([evolve(prob, t).amplitudes for t in ts], alone)
+        late = EvolutionProblem(ham, psi)
+        evolve(late, 40.0)
+        np.testing.assert_array_equal(late._evolve_rows(ts[:2]), alone[:2])
+
+    def test_first_overflowing_time_is_named(self):
+        prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), StateVector([1, 0]))
+        with pytest.raises(NumericalError, match=r"t = 5e\+307"):
+            prob._evolve_rows([1e307, 5e307, np.inf, 1e308])
+
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_fails_closed(self, t):
         prob = random_problem(np.random.default_rng(107), 40)

@@ -3,12 +3,16 @@ import json
 import numpy as np
 import pytest
 
+import qucurve.reporting
 from qucurve import (
     EvolutionProblem,
+    PauliTerm,
     StateVector,
     build_frame,
     StationaryStateError,
+    build_operator,
     build_report,
+    evolve,
     format_float,
     sweep_row,
     trajectory_rows,
@@ -148,8 +152,39 @@ class TestBuildReport:
         ):
             assert getattr(rep, key) == pytest.approx(getattr(base, key), rel=1e-12), key
 
+    def test_ising_chain_report_grows_at_most_twenty_lanczos_vectors(self, monkeypatch):
+        # s = 1 needs 20 vectors on these chains; the sizes 16, 20, 25, ...
+        # stop there, where a doubling would grow 32
+        problems = []
+
+        class Recorded(EvolutionProblem):
+            def __init__(self, *args):
+                super().__init__(*args)
+                problems.append(self)
+
+        monkeypatch.setattr(qucurve.reporting, "EvolutionProblem", Recorded)
+        rng = np.random.default_rng(10)
+        n = 10
+        zz = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        terms = [PauliTerm(float(c), "I" * i + "ZZ" + "I" * (n - i - 2)) for i, c in enumerate(zz)]
+        terms += [PauliTerm(float(h), "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
+        rep = build_report(build_operator(terms, n), random_state(rng, 2**n))
+        assert rep.warnings == []
+        assert len(problems) == 1
+        assert 16 < len(problems[0]._alpha) <= 20
+
 
 class TestTrajectoryRows:
+    def test_chunked_rows_are_the_evolved_states(self, monkeypatch):
+        # chunks of 3 rows: every row is the state evolve gives at its time
+        rng = np.random.default_rng(113)
+        ham, psi = random_hermitian(rng, 64), random_state(rng, 64)
+        monkeypatch.setattr(qucurve.reporting, "_CHUNK_AMPLITUDES", 3 * 64)
+        _, rows = trajectory_rows(ham, psi, t_max=20.0, steps=8)
+        prob = EvolutionProblem(ham, psi)
+        for t, row in zip(np.linspace(0.0, 20.0, 8), rows):
+            assert row[3:-2] == [repr(x) for x in evolve(prob, t).amplitudes.view(np.float64).tolist()]
+
     def test_equatorial_rotation(self):
         header, rows = trajectory_rows(SIGMA_Z, PLUS, t_max=1.0, steps=5)
         rows = list(rows)
