@@ -586,6 +586,15 @@ DENSE_AMPLITUDES = {
 # a six-qubit Ising chain (d = 64) with fields on a seeded random state: its
 # Krylov space is larger than the smallest Lanczos basis, unlike d <= 8
 ISING_N6 = json.loads((FIXTURES / "problem_ising_n6.json").read_text())
+TWO_QUBIT_COUPLINGS = {"m1": 0.7, "m2": 0.4, "m3": -0.3, "m4": 0.9}
+TWO_QUBIT_NONLOCAL = {
+    "hamiltonian": {"family": "two_qubit_nonlocal", "couplings": TWO_QUBIT_COUPLINGS},
+    "state": {"named": "00"},
+}
+TWO_QUBIT_LOCAL = {
+    "hamiltonian": {"family": "two_qubit_local", "couplings": TWO_QUBIT_COUPLINGS},
+    "state": {"named": "bell:phi+"},
+}
 
 
 class TestGoldenOutputs:
@@ -594,7 +603,13 @@ class TestGoldenOutputs:
     @pytest.mark.parametrize("flags", [[], ["--oracle"]], ids=["plain", "oracle"])
     @pytest.mark.parametrize(
         "stem, doc",
-        [("family_named", FAMILY_NAMED), ("dense_amplitudes", DENSE_AMPLITUDES), ("ising_n6", ISING_N6)],
+        [
+            ("family_named", FAMILY_NAMED),
+            ("dense_amplitudes", DENSE_AMPLITUDES),
+            ("ising_n6", ISING_N6),
+            ("two_qubit_nonlocal", TWO_QUBIT_NONLOCAL),
+            ("two_qubit_local", TWO_QUBIT_LOCAL),
+        ],
     )
     def test_report_matches_fixture_bytes(self, stem, doc, flags, tmp_path, capsys):
         path = tmp_path / "problem.json"
