@@ -55,15 +55,6 @@ class SpecError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
-# Built-in families: coupling names, in the order the builder takes them.  The
-# builders are looked up at call time, so a replaced models function is used.
-_FAMILIES = {
-    "single_qubit": (("mx", "my", "mz", "m0"), lambda mx, my, mz, m0: models.single_qubit([mx, my, mz], m0)),
-    "two_qubit_nonlocal": (("m1", "m2", "m3", "m4"), lambda *m: models.two_qubit_nonlocal(*m)),
-    "two_qubit_local": (("m1", "m2", "m3", "m4"), lambda *m: models.two_qubit_local(*m)),
-    "heisenberg3": (("Jx", "Jy", "Jz", "h"), lambda *j: models.heisenberg3(*j)),
-}
-
 # Named states "kind:a,b" with two numeric arguments: the argument names, which
 # a sweep rebinds, and the builder.
 _NAMED_ARGS = {
@@ -100,8 +91,8 @@ class ProblemSpec:
             except ValueError as exc:
                 raise SpecError("hamiltonian.dense", str(exc)) from exc
         else:
-            names, builder = _FAMILIES[data["family"]]
-            op = builder(*(data["couplings"][k] for k in names))
+            fam = data["family"]
+            op = models._family_operator(fam, [data["couplings"][k] for k in models._FAMILY_WORDS[fam]])
         state = _build_state(self.state_form, self.state_data, op.dim)
         if state.dim != op.dim:
             raise SpecError(
@@ -134,7 +125,7 @@ def load_problem_spec(path: str) -> ProblemSpec:
             doc = json.load(fh)
     except OSError as exc:
         raise SpecError("(file)", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, a huge integer, deep nesting
         raise SpecError("(file)", f"invalid JSON in {path}: {exc}") from exc
     return parse_problem_spec(doc)
 
@@ -246,12 +237,12 @@ def _parse_hamiltonian(form: str, ham: dict):
             matrix[i] = _complex_pairs(row, f"hamiltonian.dense[{i}]")
         return matrix
     fam = ham["family"]
-    if not isinstance(fam, str) or fam not in _FAMILIES:
-        raise SpecError("hamiltonian.family", f"unknown family {fam!r}; expected one of {sorted(_FAMILIES)}")
+    if not isinstance(fam, str) or fam not in models._FAMILY_WORDS:
+        raise SpecError("hamiltonian.family", f"unknown family {fam!r}; expected one of {sorted(models._FAMILY_WORDS)}")
     couplings = ham.get("couplings")
     if not isinstance(couplings, dict):
         raise SpecError("hamiltonian.couplings", "required object of named couplings")
-    expected = _FAMILIES[fam][0]
+    expected = models._FAMILY_WORDS[fam]
     unknown = set(couplings) - set(expected)
     if unknown:
         raise SpecError("hamiltonian.couplings", f"unknown couplings {sorted(unknown)} for family {fam!r}")

@@ -21,7 +21,7 @@ T_m = V_m^dagger (H - E) V_m gives exp(-iHt) psi_0 ~ exp(-iEt) V_m
 exp(-itT_m) e_1, at the cost of m products ``H.apply(v)``, so a Pauli-backed
 H is never formed as a matrix.  The basis grows by quarters (16, 20, 25,
 31, ...), and many times share one walk up these sizes.  Nothing here
-diagonalizes H itself except ``propagator``, the dense reference.
+diagonalizes H itself: only the m x m tridiagonal T_m is diagonalized.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "StationaryStateError",
     "NumericalError",
     "EvolutionProblem",
-    "propagator",
     "evolve",
     "parallel_transported_state",
     "state_at_arclength",
@@ -145,12 +144,6 @@ class EvolutionProblem:
     def is_stationary(self) -> bool:
         return self._stationary
 
-    @property
-    def delta_h(self) -> np.ndarray:
-        """Dimensionless centered Hamiltonian (H - E)/v as a dense matrix; <(dh)^2> = 1."""
-        self._require_moving()
-        return (self.hamiltonian.matrix - self.energy * np.eye(self.dim)) / self.speed
-
     def _require_moving(self):
         if self._stationary:
             raise StationaryStateError("stationary state: arc length undefined")
@@ -243,18 +236,6 @@ class EvolutionProblem:
             f"EvolutionProblem(dim={self.dim}, energy={self.energy:.6g}, "
             f"speed={self.speed:.6g})"
         )
-
-
-def propagator(hamiltonian: HermitianOperator, t: float) -> np.ndarray:
-    """Unitary exp(-iHt) via the Hermitian eigendecomposition.
-
-    Diagonalizing and re-exponentiating is exactly unitary up to rounding,
-    unlike a truncated series, so U^dagger U = I holds to ~1e-15 for any t.
-    This dense O(d^3) route is the reference the Krylov evolution is checked
-    against.
-    """
-    w, basis = np.linalg.eigh(hamiltonian.matrix)
-    return (basis * np.exp(-1j * w * t)) @ basis.conj().T
 
 
 def evolve(problem: EvolutionProblem, t: float) -> StateVector:

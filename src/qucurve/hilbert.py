@@ -154,9 +154,6 @@ class HermitianOperator:
             return np.stack([self.apply(col) for col in v.T], axis=1)
         return (self._diags * v[self._perms]).sum(0)
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.matrix, dtype=dtype or complex)
-
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evolution import EvolutionProblem, NumericalError, StationaryStateError, evolve
-from .hilbert import PauliTerm, StateVector, build_operator
+from .hilbert import HermitianOperator, PauliTerm, StateVector, build_operator
 
 __all__ = [
     "bloch_to_state",
@@ -160,40 +160,44 @@ def xi_state(xi: float, phi: float = 0.0) -> StateVector:
 # ---------------------------------------------------------------------------
 
 
+# Each family's couplings, in the order its builder takes them, and the Pauli
+# words each one weights: H = sum over couplings c of c * (sum of its words).
+_FAMILY_WORDS = {
+    "single_qubit": {"mx": ("X",), "my": ("Y",), "mz": ("Z",), "m0": ("I",)},
+    "two_qubit_nonlocal": {"m1": ("XX",), "m2": ("ZZ",), "m3": ("XZ",), "m4": ("ZX",)},
+    "two_qubit_local": {"m1": ("IX",), "m2": ("XI",), "m3": ("IZ",), "m4": ("ZI",)},
+    "heisenberg3": {
+        "Jx": ("XXI", "XIX", "IXX"),
+        "Jy": ("YYI", "YIY", "IYY"),
+        "Jz": ("ZZI", "ZIZ", "IZZ"),
+        "h": ("ZII", "IZI", "IIZ"),
+    },
+}
+
+
+def _family_operator(family: str, couplings) -> HermitianOperator:
+    """The Pauli sum of ``family`` with ``couplings`` in the table's order."""
+    words = _FAMILY_WORDS[family].values()
+    terms = [PauliTerm(c, word) for c, group in zip(couplings, words) for word in group]
+    return build_operator(terms, len(terms[0].word))
+
+
 def single_qubit(m, m0: float = 0.0):
     """H = m . sigma + m0 I on one qubit."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3,):
         raise ValueError(f"field must have shape (3,), got {m.shape}")
-    terms = [
-        PauliTerm(float(m[0]), "X"),
-        PauliTerm(float(m[1]), "Y"),
-        PauliTerm(float(m[2]), "Z"),
-        PauliTerm(float(m0), "I"),
-    ]
-    return build_operator(terms, 1)
+    return _family_operator("single_qubit", [*m.tolist(), float(m0)])
 
 
 def two_qubit_nonlocal(m1: float, m2: float, m3: float, m4: float):
     """Purely two-body couplings: m1 XX + m2 ZZ + m3 XZ + m4 ZX."""
-    terms = [
-        PauliTerm(m1, "XX"),
-        PauliTerm(m2, "ZZ"),
-        PauliTerm(m3, "XZ"),
-        PauliTerm(m4, "ZX"),
-    ]
-    return build_operator(terms, 2)
+    return _family_operator("two_qubit_nonlocal", (m1, m2, m3, m4))
 
 
 def two_qubit_local(m1: float, m2: float, m3: float, m4: float):
     """Independent local fields: m1 IX + m2 XI + m3 IZ + m4 ZI."""
-    terms = [
-        PauliTerm(m1, "IX"),
-        PauliTerm(m2, "XI"),
-        PauliTerm(m3, "IZ"),
-        PauliTerm(m4, "ZI"),
-    ]
-    return build_operator(terms, 2)
+    return _family_operator("two_qubit_local", (m1, m2, m3, m4))
 
 
 def heisenberg3(j_x: float, j_y: float, j_z: float, h: float):
@@ -202,12 +206,7 @@ def heisenberg3(j_x: float, j_y: float, j_z: float, h: float):
     H = sum over pairs (i<j) of [ j_x X_i X_j + j_y Y_i Y_j + j_z Z_i Z_j ]
         + h (Z_1 + Z_2 + Z_3).
     """
-    pair_words = {"X": ["XXI", "XIX", "IXX"], "Y": ["YYI", "YIY", "IYY"], "Z": ["ZZI", "ZIZ", "IZZ"]}
-    terms = [PauliTerm(j_x, w) for w in pair_words["X"]]
-    terms += [PauliTerm(j_y, w) for w in pair_words["Y"]]
-    terms += [PauliTerm(j_z, w) for w in pair_words["Z"]]
-    terms += [PauliTerm(h, w) for w in ("ZII", "IZI", "IIZ")]
-    return build_operator(terms, 3)
+    return _family_operator("heisenberg3", (j_x, j_y, j_z, h))
 
 
 # ---------------------------------------------------------------------------

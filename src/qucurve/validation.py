@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .evolution import EvolutionProblem, evolve, parallel_transported_state, propagator
+from .evolution import EvolutionProblem, evolve, parallel_transported_state
 from .frame import _curvature_torsion, build_frame, cartan_matrix
 from .hilbert import HermitianOperator, StateVector
 from .moments import central_moments, curvature_from_moments, torsion_from_moments
@@ -50,31 +50,6 @@ def _two_qubit_cross_field() -> EvolutionProblem:
 def _closed_form_state(t: float) -> np.ndarray:
     c, s = np.cos(t), np.sin(t)
     return np.array([c * c, -0.5j * np.sin(2 * t), -0.5j * np.sin(2 * t), s * s])
-
-
-def _closed_form_propagator(t: float) -> np.ndarray:
-    a = np.cos(t) ** 2
-    b = 0.5j * np.sin(2 * t)
-    c = np.sin(t) ** 2
-    return np.array(
-        [
-            [a, -b, -b, c],
-            [-b, a, -c, b],
-            [-b, -c, a, b],
-            [c, b, b, a],
-        ]
-    )
-
-
-def _case_propagator_closed_form(perturb: bool = False) -> CaseResult:
-    prob = _two_qubit_cross_field()
-    t = 0.7
-    expected = _closed_form_propagator(t)
-    if perturb:
-        expected = expected.copy()
-        expected[0, 0] += 1e-3
-    got = propagator(prob.hamiltonian, t)
-    return CaseResult("propagator-closed-form", float(np.max(np.abs(got - expected))), 1e-10)
 
 
 def _case_evolved_state_closed_form(perturb: bool = False) -> CaseResult:
@@ -293,7 +268,6 @@ def _case_classical_circle() -> CaseResult:
 
 
 _CASES = [
-    _case_propagator_closed_form,
     _case_evolved_state_closed_form,
     _case_frame_closed_form,
     _case_xi_family_grid,
@@ -309,7 +283,6 @@ _CASES = [
 ]
 
 _PERTURBABLE = {
-    "propagator-closed-form": _case_propagator_closed_form,
     "evolved-state-closed-form": _case_evolved_state_closed_form,
     "frame-closed-form": _case_frame_closed_form,
 }

@@ -10,6 +10,15 @@ import qucurve
 from qucurve import EvolutionProblem, HermitianOperator, StateVector
 from qucurve.models import two_qubit_nonlocal
 
+# Unreadable problem files: invalid JSON, a byte that is not UTF-8, an integer
+# of 5,000 digits and arrays nested 100,000 deep.
+MALFORMED_FILES = {
+    "broken": b"{not json",
+    "latin1": b'{"state": {"named": "\xe9"}}',
+    "huge_int": b'{"hamiltonian": {"pauli_terms": [{"coeff": ' + b"9" * 5000 + b', "word": "Z"}]}}',
+    "deep": b"[" * 100_000,
+}
+
 
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -30,6 +39,22 @@ def crossed_fields_problem():
     """H = XZ + ZX on |00>: every frame quantity has a known closed form."""
     ham = two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0)
     return EvolutionProblem(ham, StateVector([1, 0, 0, 0]))
+
+
+def propagator(hamiltonian, t):
+    """Dense reference exp(-iHt) from the Hermitian eigendecomposition.
+
+    Diagonalizing and re-exponentiating is exactly unitary up to rounding,
+    unlike a truncated series, so U^dagger U = I holds to ~1e-15 for any t.
+    This O(d^3) route is what the Krylov evolution is checked against.
+    """
+    w, basis = np.linalg.eigh(hamiltonian.matrix)
+    return (basis * np.exp(-1j * w * t)) @ basis.conj().T
+
+
+def delta_h(problem):
+    """Dimensionless centered Hamiltonian (H - E)/v as a dense matrix; <(dh)^2> = 1."""
+    return (problem.hamiltonian.matrix - problem.energy * np.eye(problem.dim)) / problem.speed
 
 
 def crossed_fields_state(t):

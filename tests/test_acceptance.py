@@ -357,10 +357,10 @@ def test_cli_contract(tmp_path, capsys, qucurve_console_script):
     # validate exits 0 on the shipped build ...
     assert main(["validate"]) == 0
     out = capsys.readouterr().out
-    assert "13/13" in out
+    assert "12/12" in out
 
     # ... and nonzero when any closed-form fixture is corrupted
-    for case in ("propagator-closed-form", "evolved-state-closed-form", "frame-closed-form"):
+    for case in ("evolved-state-closed-form", "frame-closed-form"):
         assert main(["validate", "--perturb", case]) != 0
         assert f"FAIL  {case}" in capsys.readouterr().out
 

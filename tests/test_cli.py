@@ -12,6 +12,8 @@ import qucurve.reporting
 from qucurve import MAX_QUBITS, StateVector, xi_curvature
 from qucurve.cli import MAX_GRID_POINTS, main
 
+from conftest import MALFORMED_FILES
+
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
@@ -179,6 +181,22 @@ class TestReportCommand:
     def test_missing_file_exit_code(self, capsys):
         assert main(["report", "--input", "/no/such/file.json"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+    def test_unreadable_file_exit_code(self, name, tmp_path):
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(MALFORMED_FILES[name])
+        proc = subprocess.run(
+            [sys.executable, "-m", "qucurve.cli", "report", "--input", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: (file): invalid JSON")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 NAN, INF = float("nan"), float("inf")
@@ -638,19 +656,21 @@ class TestValidateCommand:
     def test_all_cases_pass(self, capsys):
         assert main(["validate"]) == 0
         out = capsys.readouterr().out
-        assert "13/13 validation cases passed" in out
-        assert out.count("PASS") == 13
+        assert "12/12 validation cases passed" in out
+        assert out.count("PASS") == 12
         assert "FAIL" not in out
 
     def test_perturbed_case_fails(self, capsys):
         assert main(["validate", "--perturb", "frame-closed-form"]) == 1
         out = capsys.readouterr().out
         assert "FAIL  frame-closed-form" in out
-        assert "12/13 validation cases passed" in out
+        assert "11/12 validation cases passed" in out
 
     def test_unknown_perturb_case(self, capsys):
-        assert main(["validate", "--perturb", "no-such-case"]) == 2
-        capsys.readouterr()
+        # a removed case is refused like one that never existed
+        for case in ("no-such-case", "propagator-closed-form"):
+            assert main(["validate", "--perturb", case]) == 2
+            assert "--perturb" in capsys.readouterr().err
 
 
 class TestInstalledEntryPoint:

@@ -3,6 +3,8 @@ import pytest
 
 from qucurve import MAX_DENSE_DIM, MAX_QUBITS, ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
 
+from conftest import MALFORMED_FILES
+
 
 def minimal_doc():
     return {
@@ -342,10 +344,11 @@ class TestLoadFromFile:
             load_problem_spec("/nonexistent/problem.json")
 
     def test_invalid_json(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(SpecError, match="invalid JSON"):
-            load_problem_spec(str(path))
+        for name, content in MALFORMED_FILES.items():
+            path = tmp_path / f"{name}.json"
+            path.write_bytes(content)
+            with pytest.raises(SpecError, match="invalid JSON"):
+                load_problem_spec(str(path))
 
 
 class TestWithParameter:

@@ -4,3 +4,73 @@ import qucurve
 def test_every_public_name_resolves():
     assert [name for name in qucurve.__all__ if not hasattr(qucurve, name)] == []
     assert len(set(qucurve.__all__)) == len(qucurve.__all__)
+
+
+# Every public name, sorted: adding or removing one shows up here as a diff.
+PUBLIC_NAMES = [
+    "EvolutionProblem",
+    "FitResult",
+    "GeometryReport",
+    "HermitianOperator",
+    "MAX_DENSE_DIM",
+    "MAX_QUBITS",
+    "MomentSet",
+    "NumericalError",
+    "PAULI",
+    "PauliTerm",
+    "ProblemSpec",
+    "QuantumFrame",
+    "SpaceCurveSamples",
+    "SpecError",
+    "StateVector",
+    "StationaryStateError",
+    "__version__",
+    "bell_state",
+    "bloch_to_state",
+    "build_frame",
+    "build_operator",
+    "build_report",
+    "cartan_matrix",
+    "central_moments",
+    "classical_frenet_serret",
+    "curvature_bloch",
+    "curvature_from_moments",
+    "curvature_geometric",
+    "evolve",
+    "fit_curvature_coefficient",
+    "fit_torsion_coefficient",
+    "format_float",
+    "fubini_study_sq",
+    "geodesic_efficiency",
+    "ghz_state",
+    "heisenberg3",
+    "heisenberg_ghz_coefficients",
+    "heisenberg_w_coefficients",
+    "load_problem_spec",
+    "local_bell_coefficients",
+    "local_product_coefficients",
+    "nonlocal_bell_coefficients",
+    "nonlocal_product_coefficients",
+    "parallel_transported_state",
+    "parse_problem_spec",
+    "single_qubit",
+    "sphere_geodesic_curvature",
+    "state_at_arclength",
+    "state_to_bloch",
+    "sweep_row",
+    "torsion_bloch",
+    "torsion_from_moments",
+    "torsion_geometric",
+    "trajectory_rows",
+    "two_qubit_local",
+    "two_qubit_nonlocal",
+    "w_state",
+    "xi_curvature",
+    "xi_efficiency",
+    "xi_kurtosis",
+    "xi_state",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(qucurve.__all__) == PUBLIC_NAMES
