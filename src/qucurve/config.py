@@ -221,7 +221,7 @@ def _parse_hamiltonian(form: str, ham: dict):
                 raise SpecError(f"{at}.word", f"has {len(word)} letters, more than {MAX_QUBITS}")
             if parsed and len(word) != len(parsed[0].word):
                 raise SpecError(f"{at}.word", "all words must have equal length")
-            parsed.append(PauliTerm(float(coeff), word))
+            parsed.append(PauliTerm._prechecked(float(coeff), word))
         return parsed
     if form == "dense":
         rows = ham["dense"]

@@ -31,6 +31,7 @@ import math
 import numpy as np
 
 from .hilbert import HermitianOperator, StateVector
+from .moments import StationaryStateError, _moment_pass, _require_moving
 
 __all__ = [
     "StationaryStateError",
@@ -40,11 +41,6 @@ __all__ = [
     "parallel_transported_state",
     "state_at_arclength",
 ]
-
-# An initial state is treated as an eigenstate (zero-speed curve) when the
-# energy variance is negligible relative to the mean squared eigenvalue
-# ||H||_F^2 / d, a scale that moves with H -> cH and not with d.
-_STATIONARY_MU2_TOL = 1e-10
 
 # A Krylov state is accepted once the a-posteriori estimate
 # |t| beta_m |e_m^T exp(-itT_m) e_1| of its error is at most this.  The error
@@ -64,31 +60,21 @@ _KRYLOV_MIN_DIM = 16
 _BREAKDOWN_TOL = 1e-14
 
 
-class StationaryStateError(ValueError):
-    """The initial state is an eigenstate: the curve degenerates to a point."""
-
-
 class NumericalError(ValueError):
     """A computed quantity failed its own accuracy check; the message names it."""
-
-
-def _is_stationary(mu2: float, frobenius_sq: float, dim: int) -> bool:
-    """Whether an energy variance mu2 is negligible for a d x d Hamiltonian
-    with squared Frobenius norm ``frobenius_sq``."""
-    return mu2 <= _STATIONARY_MU2_TOL * frobenius_sq / dim
 
 
 class EvolutionProblem:
     """A stationary Hamiltonian together with an initial pure state.
 
-    Computes the mean energy E and the speed v = sqrt(<(H-E)^2>) at
-    construction with one product ``H.apply(psi_0)``.  States are evolved in a
-    Lanczos basis of (H - E, psi_0) that grows on demand, with full
-    reorthogonalization, until the error estimate at the requested time is
-    below 1e-14 or the Krylov space is invariant.  The basis and the
-    eigendecompositions of its tridiagonal matrices are cached, so once the
-    basis stops growing one evolution costs one exp and one product with a
-    d x m matrix.  A state depends only on (H, psi_0, t), never on the times
+    One ``central_moments`` pass (two products ``H.apply``) at construction
+    gives ``moments``, the mean energy E, the speed v = sqrt(<(H-E)^2>) and
+    the stationary decision.  States are evolved in a Lanczos basis of
+    (H - E, psi_0) that grows on demand, with full reorthogonalization, until
+    the error estimate at the requested time is below 1e-14 or the Krylov
+    space is invariant.  The basis and the eigendecompositions of its
+    tridiagonal matrices are cached, so once the basis stops growing one
+    evolution costs one exp and one product with a d x m matrix.  A state depends only on (H, psi_0, t), never on the times
     requested before or beside it.  The public attributes are read-only.
 
     Parameters
@@ -112,19 +98,14 @@ class EvolutionProblem:
         self.initial_state = initial_state
 
         psi = initial_state.amplitudes
-        hpsi = hamiltonian.apply(psi)
-        self.energy = float(np.vdot(psi, hpsi).real)
-        centered = hpsi - self.energy * psi
-        self._mu2 = float(np.vdot(centered, centered).real)
-        self.speed = float(np.sqrt(max(self._mu2, 0.0)))
-
-        frobenius_sq = hamiltonian.frobenius_sq
-        self._stationary = _is_stationary(self._mu2, frobenius_sq, self.dim)
+        self.moments, centered = _moment_pass(hamiltonian, psi)
+        self.energy = self.moments.mean
+        self.speed = float(np.sqrt(max(self.moments.mu2, 0.0)))
 
         # Lanczos state: basis rows v_0..v_{m-1}, diagonal alpha_0..alpha_{m-1},
         # off-diagonal beta_0..beta_{m-1} (beta_{m-1} is the norm of the
         # pending residual, which becomes v_m).
-        self._breakdown = _BREAKDOWN_TOL * np.sqrt(frobenius_sq)
+        self._breakdown = _BREAKDOWN_TOL * np.sqrt(hamiltonian.frobenius_sq)
         self._basis = np.empty((min(self.dim, _KRYLOV_MIN_DIM), self.dim), dtype=complex)
         self._basis[0] = psi
         alpha0 = float(np.vdot(psi, centered).real)
@@ -142,11 +123,10 @@ class EvolutionProblem:
 
     @property
     def is_stationary(self) -> bool:
-        return self._stationary
+        return self.moments.is_stationary
 
     def _require_moving(self):
-        if self._stationary:
-            raise StationaryStateError("stationary state: arc length undefined")
+        _require_moving(self.moments)
 
     def _apply_delta_h(self, vec: np.ndarray) -> np.ndarray:
         """(H - E) vec / v, without forming the centered matrix."""

@@ -166,16 +166,28 @@ class PauliTerm:
     word: str
 
     def __post_init__(self):
-        if not isinstance(self.coefficient, numbers.Real):  # a complex weight breaks Hermiticity
-            raise ValueError(f"coefficient must be a real number, got {self.coefficient!r}")
-        if not np.isfinite(self.coefficient):
-            raise ValueError(f"coefficient must be finite, got {self.coefficient!r}")
+        _check_coefficient(self.coefficient)
         if not self.word or any(c not in PAULI for c in self.word):
             raise ValueError(f"word must be a nonempty string over I,X,Y,Z, got {self.word!r}")
+
+    @classmethod
+    def _prechecked(cls, coefficient: float, word: str) -> "PauliTerm":
+        """A term whose coefficient and word the caller has already validated."""
+        term = object.__new__(cls)
+        term.__dict__.update(coefficient=coefficient, word=word)
+        return term
 
     @property
     def n_qubits(self) -> int:
         return len(self.word)
+
+
+def _check_coefficient(c) -> None:
+    """Reject a Pauli weight that is not a finite real number."""
+    if not isinstance(c, numbers.Real):  # a complex weight breaks Hermiticity
+        raise ValueError(f"coefficient must be a real number, got {c!r}")
+    if not np.isfinite(c):
+        raise ValueError(f"coefficient must be finite, got {c!r}")
 
 
 def _hermitian_deviation(m: np.ndarray) -> float:
@@ -201,19 +213,36 @@ def _project_off(vec: np.ndarray, *units: np.ndarray) -> np.ndarray:
     return r
 
 
-def _pauli_masks(word: str) -> tuple[int, int, complex]:
-    """Binary symplectic form of a Pauli word: (x, z, i^#Y).
+def _encode_word(word: str) -> tuple[int, np.ndarray]:
+    """A Pauli word as its bit-flip mask x and its signed row entries.
 
     The word maps each basis state to a signed basis state,
     P|j> = i^#Y (-1)^popcount(j & z) |j ^ x>, where x marks the X and Y
     letters and z the Z and Y letters (Aaronson and Gottesman, PRA 70,
-    052328, 2004).  The leftmost letter owns the most significant bit.
+    052328, 2004).  The leftmost letter owns the most significant bit.  Row j
+    of P holds one entry, in column j ^ x; the vector lists them by j.
     """
     x = z = 0
     for c in word:
         x = (x << 1) | (c in "XY")
         z = (z << 1) | (c in "ZY")
-    return x, z, (1, 1j, -1, -1j)[word.count("Y") % 4]
+    masked = (np.arange(2 ** len(word)) ^ x) & z  # the sign of row j is (-1)^popcount(masked[j])
+    parity = np.zeros_like(masked)
+    for bit in range(z.bit_length()):  # popcount mod 2 over the set bits of z,
+        if z >> bit & 1:  # without NumPy 2's bitwise_count
+            parity ^= masked >> bit
+    return x, (1, 1j, -1, -1j)[word.count("Y") % 4] * (1 - 2 * (parity & 1))
+
+
+def _pauli_sum(weighted, dim: int) -> HermitianOperator:
+    """sum_k c_k P_k over pairs (c_k, ``_encode_word(P_k)``) of d x d words."""
+    groups: dict[int, np.ndarray] = {}  # x-mask -> summed diagonal, in order of first use
+    for c, (x, row) in weighted:
+        diag = groups.setdefault(x, np.zeros(dim, dtype=complex))
+        diag += c * row
+    perms = np.arange(dim) ^ np.array(list(groups), dtype=np.int64).reshape(-1, 1)
+    diags = np.array(list(groups.values())).reshape(len(groups), dim)
+    return HermitianOperator._from_pauli_groups(perms, diags)
 
 
 def build_operator(terms, n_qubits: int) -> HermitianOperator:
@@ -243,24 +272,8 @@ def build_operator(terms, n_qubits: int) -> HermitianOperator:
     """
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n_qubits}")
-    dim = 2**n_qubits
-    rows = np.arange(dim)
-    groups: dict[int, np.ndarray] = {}  # x-mask -> summed diagonal, in order of first use
+    terms = list(terms)
     for k, term in enumerate(terms):
         if term.n_qubits != n_qubits:
-            raise ValueError(
-                f"term {k} word {term.word!r} has {term.n_qubits} qubits, expected {n_qubits}"
-            )
-        x, z, phase = _pauli_masks(term.word)
-        # Row j holds the entry of column j ^ x, whose sign is (-1)^popcount((j ^ x) & z).
-        parity = np.zeros(dim, dtype=np.int64)
-        masked = (rows ^ x) & z
-        for bit in range(z.bit_length()):  # popcount mod 2 over the set bits of z,
-            if z >> bit & 1:  # without NumPy 2's bitwise_count
-                parity ^= masked >> bit
-        sign = 1 - 2 * (parity & 1)
-        diag = groups.setdefault(x, np.zeros(dim, dtype=complex))
-        diag += term.coefficient * (phase * sign)
-    perms = rows ^ np.array(list(groups), dtype=np.int64).reshape(-1, 1)
-    diags = np.array(list(groups.values())).reshape(len(groups), dim)
-    return HermitianOperator._from_pauli_groups(perms, diags)
+            raise ValueError(f"term {k} word {term.word!r} has {term.n_qubits} qubits, expected {n_qubits}")
+    return _pauli_sum(((term.coefficient, _encode_word(term.word)) for term in terms), 2**n_qubits)

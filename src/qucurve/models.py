@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evolution import EvolutionProblem, NumericalError, StationaryStateError, evolve
-from .hilbert import HermitianOperator, PauliTerm, StateVector, build_operator
+from .hilbert import HermitianOperator, StateVector, _check_coefficient, _encode_word, _pauli_sum
 
 __all__ = [
     "bloch_to_state",
@@ -175,29 +175,44 @@ _FAMILY_WORDS = {
 }
 
 
+# Each family's words encoded once per process, with the index of the
+# coupling that weights each: a build only sums couplings times rows.
+_FAMILY_ROWS = {
+    family: [(k, _encode_word(word)) for k, group in enumerate(words.values()) for word in group]
+    for family, words in _FAMILY_WORDS.items()
+}
+
+
 def _family_operator(family: str, couplings) -> HermitianOperator:
-    """The Pauli sum of ``family`` with ``couplings`` in the table's order."""
-    words = _FAMILY_WORDS[family].values()
-    terms = [PauliTerm(c, word) for c, group in zip(couplings, words) for word in group]
-    return build_operator(terms, len(terms[0].word))
+    """The Pauli sum of ``family`` with checked ``couplings`` in the table's order."""
+    rows = _FAMILY_ROWS[family]
+    dim = len(rows[0][1][1])  # a word's row has one entry per basis state
+    return _pauli_sum([(couplings[k], encoded) for k, encoded in rows], dim)
+
+
+def _checked_family_operator(family: str, couplings) -> HermitianOperator:
+    """``_family_operator`` of couplings that must be finite real numbers."""
+    for c in couplings:
+        _check_coefficient(c)
+    return _family_operator(family, [float(c) for c in couplings])
 
 
 def single_qubit(m, m0: float = 0.0):
     """H = m . sigma + m0 I on one qubit."""
-    m = np.asarray(m, dtype=float)
+    m = np.asarray(m, dtype=object)
     if m.shape != (3,):
         raise ValueError(f"field must have shape (3,), got {m.shape}")
-    return _family_operator("single_qubit", [*m.tolist(), float(m0)])
+    return _checked_family_operator("single_qubit", [*m.tolist(), m0])
 
 
 def two_qubit_nonlocal(m1: float, m2: float, m3: float, m4: float):
     """Purely two-body couplings: m1 XX + m2 ZZ + m3 XZ + m4 ZX."""
-    return _family_operator("two_qubit_nonlocal", (m1, m2, m3, m4))
+    return _checked_family_operator("two_qubit_nonlocal", (m1, m2, m3, m4))
 
 
 def two_qubit_local(m1: float, m2: float, m3: float, m4: float):
     """Independent local fields: m1 IX + m2 XI + m3 IZ + m4 ZI."""
-    return _family_operator("two_qubit_local", (m1, m2, m3, m4))
+    return _checked_family_operator("two_qubit_local", (m1, m2, m3, m4))
 
 
 def heisenberg3(j_x: float, j_y: float, j_z: float, h: float):
@@ -206,7 +221,7 @@ def heisenberg3(j_x: float, j_y: float, j_z: float, h: float):
     H = sum over pairs (i<j) of [ j_x X_i X_j + j_y Y_i Y_j + j_z Z_i Z_j ]
         + h (Z_1 + Z_2 + Z_3).
     """
-    return _family_operator("heisenberg3", (j_x, j_y, j_z, h))
+    return _checked_family_operator("heisenberg3", (j_x, j_y, j_z, h))
 
 
 # ---------------------------------------------------------------------------

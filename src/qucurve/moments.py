@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import StationaryStateError, _is_stationary
 from .hilbert import HermitianOperator, StateVector
 
 __all__ = [
@@ -28,6 +27,15 @@ __all__ = [
     "curvature_from_moments",
     "torsion_from_moments",
 ]
+
+# A state is treated as an eigenstate (zero-speed curve) when the energy
+# variance is negligible relative to the mean squared eigenvalue
+# ||H||_F^2 / d, a scale that moves with H -> cH and not with d.
+_STATIONARY_MU2_TOL = 1e-10
+
+
+class StationaryStateError(ValueError):
+    """The initial state is an eigenstate: the curve degenerates to a point."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +72,11 @@ def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> Momen
     """
     if hamiltonian.dim != state.dim:
         raise ValueError(f"dimension mismatch: operator {hamiltonian.dim}, state {state.dim}")
-    psi = state.amplitudes
+    return _moment_pass(hamiltonian, state.amplitudes)[0]
+
+
+def _moment_pass(hamiltonian: HermitianOperator, psi: np.ndarray) -> tuple[MomentSet, np.ndarray]:
+    """``central_moments`` of amplitudes psi, and w1 = (H - <H>) psi."""
     h_psi = hamiltonian.apply(psi)
     mean = float(np.vdot(psi, h_psi).real)
     w1 = h_psi - mean * psi
@@ -73,12 +85,12 @@ def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> Momen
     mu3 = float(np.vdot(w1, w2).real)
     mu4 = float(np.vdot(w2, w2).real)
 
-    if _is_stationary(mu2, hamiltonian.frobenius_sq, hamiltonian.dim):
+    if mu2 <= _STATIONARY_MU2_TOL * hamiltonian.frobenius_sq / hamiltonian.dim:
         alpha3 = alpha4 = None
     else:
         alpha3 = mu3 / mu2**1.5
         alpha4 = mu4 / mu2**2
-    return MomentSet(mean=mean, mu2=mu2, mu3=mu3, mu4=mu4, alpha3=alpha3, alpha4=alpha4)
+    return MomentSet(mean=mean, mu2=mu2, mu3=mu3, mu4=mu4, alpha3=alpha3, alpha4=alpha4), w1
 
 
 def _require_moving(m: MomentSet):

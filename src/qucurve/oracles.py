@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import EvolutionProblem, NumericalError, evolve
-from .hilbert import _as_vector, _project_off
+from .evolution import EvolutionProblem, NumericalError
+from .hilbert import StateVector, _as_vector, _project_off
 
 __all__ = [
     "FitResult",
@@ -172,9 +172,9 @@ def _check_grid(problem: EvolutionProblem, dt_grid):
 
 
 def _snapshots(problem: EvolutionProblem, dts) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(psi(dt), psi(2 dt)) for each step, evolving each distinct time once."""
-    times = dict.fromkeys(t for dt in dts for t in (dt, 2.0 * dt))
-    states = {t: evolve(problem, t).amplitudes for t in times}
+    """(psi(dt), psi(2 dt)) for each step, with every distinct time evolved in one walk."""
+    times = list(dict.fromkeys(t for dt in dts for t in (dt, 2.0 * dt)))
+    states = {t: StateVector(row).amplitudes for t, row in zip(times, problem._evolve_rows(times))}
     return [(states[dt], states[2.0 * dt]) for dt in dts]
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from warnings import catch_warnings, simplefilter
 
 import numpy as np
@@ -18,7 +18,7 @@ from .evolution import EvolutionProblem, NumericalError
 from .frame import _binormal_present, _curvature_torsion
 from .hilbert import HermitianOperator, StateVector
 from .models import geodesic_efficiency, state_to_bloch
-from .moments import central_moments, curvature_from_moments, torsion_from_moments
+from .moments import curvature_from_moments, torsion_from_moments
 from .oracles import fit_curvature_coefficient, fit_torsion_coefficient
 
 __all__ = ["GeometryReport", "build_report", "format_float", "trajectory_rows", "sweep_row"]
@@ -58,7 +58,7 @@ class GeometryReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, allow_nan=False)
+        return json.dumps(vars(self), indent=2, allow_nan=False)
 
 
 def format_float(x: float) -> str:
@@ -101,7 +101,7 @@ def build_report(
     problem = EvolutionProblem(hamiltonian, state)
     warnings: list[str] = []
 
-    mom = central_moments(hamiltonian, state)
+    mom = problem.moments
     kappa_m = curvature_from_moments(mom)
     tau_m_raw = torsion_from_moments(mom)
 
@@ -174,9 +174,8 @@ def trajectory_rows(
         raise ValueError(f"t_max must be positive, got {t_max}")
     problem = EvolutionProblem(hamiltonian, state)
     problem._require_moving()
-    mom = central_moments(hamiltonian, state)
-    kappa = curvature_from_moments(mom)
-    tau = _clamp_tau(torsion_from_moments(mom), "tau_sq", [])
+    kappa = curvature_from_moments(problem.moments)
+    tau = _clamp_tau(torsion_from_moments(problem.moments), "tau_sq", [])
 
     d = problem.dim
     header = ["t", "s", "fidelity_to_initial"]
@@ -209,7 +208,7 @@ def sweep_row(
 ) -> list[str]:
     """One formatted sweep-CSV row: param, kappa_sq, tau_sq, eta, alpha4, alpha3_sq."""
     problem = EvolutionProblem(hamiltonian, state)
-    mom = central_moments(hamiltonian, state)
+    mom = problem.moments
     kappa = curvature_from_moments(mom)
     tau = _clamp_tau(torsion_from_moments(mom), "tau_sq", [])
     eta = geodesic_efficiency(problem, efficiency_t)

@@ -155,7 +155,7 @@ def _case_cross_path_random() -> CaseResult:
     for dim in (2, 3, 4, 8):
         for _ in range(15):
             prob = _random_problem(rng, dim)
-            mom = central_moments(prob.hamiltonian, prob.initial_state)
+            mom = prob.moments
             km, tm = curvature_from_moments(mom), torsion_from_moments(mom)
             s = float(rng.uniform(0.0, 2.0))
             kg, tg = _curvature_torsion(prob, [s])[0]
@@ -174,11 +174,12 @@ def _case_two_qubit_formulas() -> CaseResult:
     zero_zero = StateVector([1, 0, 0, 0])
     for _ in range(30):
         m = rng.uniform(-2.0, 2.0, size=4)
+        nonlocal_h, local_h = models.two_qubit_nonlocal(*m), models.two_qubit_local(*m)
         cases = [
-            (models.two_qubit_nonlocal(*m), zero_zero, models.nonlocal_product_coefficients(*m)),
-            (models.two_qubit_nonlocal(*m), phi_plus, models.nonlocal_bell_coefficients(*m)),
-            (models.two_qubit_local(*m), phi_plus, models.local_bell_coefficients(*m)),
-            (models.two_qubit_local(*m), zero_zero, models.local_product_coefficients(*m)),
+            (nonlocal_h, zero_zero, models.nonlocal_product_coefficients(*m)),
+            (nonlocal_h, phi_plus, models.nonlocal_bell_coefficients(*m)),
+            (local_h, phi_plus, models.local_bell_coefficients(*m)),
+            (local_h, zero_zero, models.local_product_coefficients(*m)),
         ]
         for ham, state, (k_ref, t_ref) in cases:
             mom = central_moments(ham, state)
@@ -220,7 +221,7 @@ def _case_planar_bell_states() -> CaseResult:
 def _case_quartic_fits() -> CaseResult:
     prob = _two_qubit_cross_field()
     grid = [k * 1e-3 / prob.speed for k in (1.0, 2.0, 4.0)]
-    mom = central_moments(prob.hamiltonian, prob.initial_state)
+    mom = prob.moments
     kfit = fit_curvature_coefficient(prob, grid)
     tfit = fit_torsion_coefficient(prob, grid)
     worst = max(

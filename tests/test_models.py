@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qucurve import models
 from qucurve import (
     EvolutionProblem,
     StateVector,
@@ -31,6 +32,7 @@ from qucurve import (
     xi_kurtosis,
     xi_state,
 )
+from qucurve.hilbert import PauliTerm, build_operator
 
 
 def random_bloch(rng):
@@ -183,6 +185,79 @@ class TestHamiltonianFactories:
         for i, j in ((1, 2), (1, 4), (2, 4), (3, 5), (3, 6), (5, 6)):
             expected[i, j] = expected[j, i] = jx + jy
         np.testing.assert_allclose(heisenberg3(jx, jy, jz, h).matrix, expected, atol=1e-13)
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+class TestFamilyEncoding:
+    """Family operators summed from the once-encoded word table equal
+    ``build_operator`` of the same terms, byte for byte."""
+
+    SPECIAL = (0.0, -0.0, 1, -3, 1e-300, -1e-300, 1e300, -1e300)
+
+    def _couplings(self, rng, count):
+        return [
+            self.SPECIAL[rng.integers(len(self.SPECIAL))] if rng.random() < 0.5 else float(rng.normal())
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("family", sorted(models._FAMILY_WORDS))
+    def test_table_sum_equals_build_operator(self, family):
+        rng = np.random.default_rng(sorted(models._FAMILY_WORDS).index(family))
+        groups = list(models._FAMILY_WORDS[family].values())
+        n_qubits = len(groups[0][0])
+        for _ in range(50):
+            couplings = self._couplings(rng, len(groups))
+            terms = [PauliTerm(c, word) for c, group in zip(couplings, groups) for word in group]
+            want = build_operator(terms, n_qubits)
+            got = models._family_operator(family, couplings)
+            assert got._perms.tobytes() == want._perms.tobytes()
+            assert got._diags.tobytes() == want._diags.tobytes()
+            assert _bits(got.frobenius_sq) == _bits(want.frobenius_sq)
+
+    def test_builders_equal_the_table_sum(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            c = self._couplings(rng, 4)
+            floats = [float(x) for x in c]
+            for got, family in (
+                (single_qubit(c[:3], c[3]), "single_qubit"),
+                (two_qubit_nonlocal(*c), "two_qubit_nonlocal"),
+                (two_qubit_local(*c), "two_qubit_local"),
+                (heisenberg3(*c), "heisenberg3"),
+            ):
+                want = models._family_operator(family, floats)
+                assert got._diags.tobytes() == want._diags.tobytes()
+
+
+class TestBuilderCouplingChecks:
+    """Each public family builder rejects a coupling that is not a finite real number."""
+
+    BUILDERS = {
+        "single_qubit_field": lambda c: single_qubit([0.5, c, 1.0]),
+        "single_qubit_m0": lambda c: single_qubit([0.5, 0.0, 1.0], m0=c),
+        "two_qubit_nonlocal": lambda c: two_qubit_nonlocal(1.0, 0.5, c, 0.25),
+        "two_qubit_local": lambda c: two_qubit_local(c, 1.0, 0.5, 0.25),
+        "heisenberg3": lambda c: heisenberg3(1.0, 0.5, 0.25, c),
+    }
+
+    @pytest.mark.parametrize("builder", sorted(BUILDERS))
+    @pytest.mark.parametrize(
+        "coupling, message",
+        [
+            (float("nan"), "coefficient must be finite, got nan"),
+            (float("inf"), "coefficient must be finite, got inf"),
+            (float("-inf"), "coefficient must be finite, got -inf"),
+            (1j, "coefficient must be a real number, got 1j"),
+            (1 + 0j, r"coefficient must be a real number, got \(1\+0j\)"),
+            ("0.5", "coefficient must be a real number, got '0.5'"),
+        ],
+    )
+    def test_rejects(self, builder, coupling, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.BUILDERS[builder](coupling)
 
 
 class TestCoefficientFormulas:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qucurve import (
+    EvolutionProblem,
     HermitianOperator,
     StateVector,
     StationaryStateError,
@@ -10,7 +11,7 @@ from qucurve import (
     torsion_from_moments,
     xi_state,
 )
-from qucurve.hilbert import PAULI
+from qucurve.hilbert import PAULI, PauliTerm, build_operator
 
 from conftest import random_hermitian, random_state
 
@@ -157,3 +158,39 @@ class TestInvariances:
         assert torsion_from_moments(moved) == pytest.approx(
             torsion_from_moments(base), rel=1e-9, abs=1e-11
         )
+
+
+class TestEvolutionProblemMoments:
+    """``EvolutionProblem`` keeps the one ``central_moments`` pass it starts from."""
+
+    @staticmethod
+    def _pauli_problem(rng, n):
+        words = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(2 * n + 1)]
+        ham = build_operator([PauliTerm(float(rng.normal()), w) for w in words], n)
+        return ham, random_state(rng, 2**n)
+
+    def _problems(self):
+        rng = np.random.default_rng(2024)
+        for dim in (2, 3, 4, 8, 16, 64):
+            yield random_hermitian(rng, dim), random_state(rng, dim)
+        for n in range(1, 7):
+            yield self._pauli_problem(rng, n)
+        yield SIGMA_Z, StateVector([0, 1])  # an eigenstate
+        yield build_operator([PauliTerm(0.5, "ZZI"), PauliTerm(-1.5, "IZZ")], 3), StateVector(np.eye(8)[5])
+
+    def test_bitwise_equal_to_central_moments(self):
+        stationary = 0
+        for ham, psi in self._problems():
+            got = EvolutionProblem(ham, psi).moments
+            want = central_moments(ham, psi)
+            for name in ("mean", "mu2", "mu3", "mu4", "alpha3", "alpha4"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None and b is None) or np.float64(a).tobytes() == np.float64(b).tobytes(), name
+            stationary += got.is_stationary
+        assert stationary == 2
+
+    def test_energy_and_speed_come_from_the_moments(self):
+        rng = np.random.default_rng(5)
+        problem = EvolutionProblem(random_hermitian(rng, 5), random_state(rng, 5))
+        assert problem.energy == problem.moments.mean
+        assert problem.speed == np.sqrt(problem.moments.mu2)

@@ -282,29 +282,38 @@ class TestGridChecks:
 
 
 class TestSnapshots:
-    """Each fit evolves every distinct time of {dt, 2 dt} once."""
+    """Each fit evolves every distinct time of {dt, 2 dt} once, in one walk."""
 
     @pytest.fixture
-    def evolve_times(self, monkeypatch):
-        times = []
+    def walks(self, monkeypatch):
+        walks = []
+        evolve_rows = EvolutionProblem._evolve_rows
 
-        def counted(problem, t):
-            times.append(t)
-            return evolve(problem, t)
+        def counted(problem, ts):
+            walks.append(list(ts))
+            return evolve_rows(problem, ts)
 
-        monkeypatch.setattr(qucurve.oracles, "evolve", counted)
-        return times
+        monkeypatch.setattr(EvolutionProblem, "_evolve_rows", counted)
+        return walks
 
     @pytest.mark.parametrize("fit", [fit_curvature_coefficient, fit_torsion_coefficient])
-    def test_four_distinct_times_per_fit(self, fit, crossed_fields_problem, evolve_times):
+    def test_four_distinct_times_per_fit(self, fit, crossed_fields_problem, walks):
         grid = tuple(k * 1e-3 / crossed_fields_problem.speed for k in (1.0, 2.0, 4.0))
         fit(crossed_fields_problem, grid)
-        assert len(evolve_times) == len(set(evolve_times)) == 4
-        assert set(evolve_times) == {grid[0], grid[1], grid[2], 2.0 * grid[2]}
+        assert len(walks) == 1
+        times = walks[0]
+        assert len(times) == len(set(times)) == 4
+        assert set(times) == {grid[0], grid[1], grid[2], 2.0 * grid[2]}
 
-    def test_oracle_report_evolves_eight_times(self, crossed_fields_problem, evolve_times):
-        build_report(crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state, with_oracle=True)
-        assert len(evolve_times) == 8
+    def test_oracle_report_evolves_eight_times(self, crossed_fields_problem, walks):
+        """The oracle's 8 rows take 2 walks beside the report's arc-length walk."""
+        args = crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state
+        build_report(*args)
+        arc_walks = list(walks)
+        walks.clear()
+        build_report(*args, with_oracle=True)
+        assert walks[: len(arc_walks)] == arc_walks
+        assert [len(times) for times in walks[len(arc_walks) :]] == [4, 4]
 
 
 class TestClassicalFrenetSerret:

@@ -174,6 +174,42 @@ class TestBuildReport:
         assert 16 < len(problems[0]._alpha) <= 20
 
 
+class TestOneMomentPass:
+    """A report, a trajectory and a sweep row read the problem's moments instead
+    of a second ``central_moments`` pass: they apply H only as often as the
+    problem's construction and the projector route do."""
+
+    @pytest.fixture
+    def applies(self, monkeypatch):
+        count = [0]
+        apply = HermitianOperator.apply
+
+        def counted(op, vec):
+            count[0] += 1
+            return apply(op, vec)
+
+        monkeypatch.setattr(HermitianOperator, "apply", counted)
+        return count
+
+    def test_report(self, crossed_fields_problem, applies):
+        ham, psi = crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state
+        build_report(ham, psi)
+        report = applies[0]
+        applies[0] = 0
+        problem = EvolutionProblem(ham, psi)
+        assert applies[0] == 2  # H psi and H (H - E) psi
+        qucurve.reporting._curvature_torsion(problem, np.linspace(0.0, 1.0, qucurve.reporting._ARC_SAMPLES))
+        assert report == applies[0]
+
+    def test_sweep_row(self, applies):
+        ham = single_qubit([0.3, 0.0, 1.0])
+        sweep_row(ham, xi_state(0.4), 0.4, efficiency_t=1.0)
+        row = applies[0]
+        applies[0] = 0
+        evolve(EvolutionProblem(ham, xi_state(0.4)), 1.0)
+        assert row == applies[0]
+
+
 class TestTrajectoryRows:
     def test_chunked_rows_are_the_evolved_states(self, monkeypatch):
         # chunks of 3 rows: every row is the state evolve gives at its time
