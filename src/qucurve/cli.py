@@ -14,6 +14,7 @@ deterministic: identical inputs give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -42,7 +43,9 @@ EXIT_CODES = (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument tree, built by the first ``main`` call and reused by later ones."""
     parser = argparse.ArgumentParser(
         prog="qucurve",
         description="Curvature and torsion of quantum state evolution.",

@@ -171,11 +171,31 @@ def _check_grid(problem: EvolutionProblem, dt_grid):
     return dts
 
 
-def _snapshots(problem: EvolutionProblem, dts) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(psi(dt), psi(2 dt)) for each step, with every distinct time evolved in one walk."""
+def _snapshots(problem: EvolutionProblem, dts) -> dict[float, np.ndarray]:
+    """psi(t) for every distinct t in {dt, 2 dt} over the grid, evolved in one walk."""
     times = list(dict.fromkeys(t for dt in dts for t in (dt, 2.0 * dt)))
-    states = {t: StateVector(row).amplitudes for t, row in zip(times, problem._evolve_rows(times))}
-    return [(states[dt], states[2.0 * dt]) for dt in dts]
+    return {t: StateVector(row).amplitudes for t, row in zip(times, problem._evolve_rows(times))}
+
+
+def _curvature_fit(problem: EvolutionProblem, dts, states) -> FitResult:
+    psi0 = problem.initial_state.amplitudes
+    values = [_min_geodesic_deviation(psi0, states[dt], states[2.0 * dt]) for dt in dts]
+    coeff, residual = _fit_quartic(dts, values)
+    if residual > 0.05:
+        raise NumericalError(f"fit_residual_kappa: quartic fit residual {residual:.3g} exceeds 5%")
+    return FitResult(coefficient=4.0 * coeff, residual=residual, dt_grid=dts)
+
+
+def _torsion_fit(problem: EvolutionProblem, dts, states) -> FitResult:
+    psi0 = problem.initial_state.amplitudes
+    q0 = psi0 / np.linalg.norm(psi0)
+    values = []
+    for dt in dts:
+        u = _project_off(states[dt], q0, q0)  # the second pass keeps u orthogonal to q0
+        r = _project_off(states[2.0 * dt], q0, u / np.linalg.norm(u))
+        values.append(float(np.vdot(r, r).real))
+    coeff, residual = _fit_quartic(dts, values)
+    return FitResult(coefficient=coeff, residual=residual, dt_grid=dts)
 
 
 def fit_curvature_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
@@ -196,12 +216,7 @@ def fit_curvature_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
         For an eigenstate input.
     """
     dts = _check_grid(problem, dt_grid)
-    psi0 = problem.initial_state.amplitudes
-    values = [_min_geodesic_deviation(psi0, mid, end) for mid, end in _snapshots(problem, dts)]
-    coeff, residual = _fit_quartic(dts, values)
-    if residual > 0.05:
-        raise NumericalError(f"fit_residual_kappa: quartic fit residual {residual:.3g} exceeds 5%")
-    return FitResult(coefficient=4.0 * coeff, residual=residual, dt_grid=dts)
+    return _curvature_fit(problem, dts, _snapshots(problem, dts))
 
 
 def fit_torsion_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
@@ -215,15 +230,14 @@ def fit_torsion_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
     ``fit_curvature_coefficient`` apply, except the 5% misfit gate.
     """
     dts = _check_grid(problem, dt_grid)
-    psi0 = problem.initial_state.amplitudes
-    q0 = psi0 / np.linalg.norm(psi0)
-    values = []
-    for mid, end in _snapshots(problem, dts):
-        u = _project_off(mid, q0, q0)  # the second pass keeps u orthogonal to q0
-        r = _project_off(end, q0, u / np.linalg.norm(u))
-        values.append(float(np.vdot(r, r).real))
-    coeff, residual = _fit_quartic(dts, values)
-    return FitResult(coefficient=coeff, residual=residual, dt_grid=dts)
+    return _torsion_fit(problem, dts, _snapshots(problem, dts))
+
+
+def _fit_both(problem: EvolutionProblem, dt_grid) -> tuple[FitResult, FitResult]:
+    """Both fits from one grid check and one walk: the curvature fit, then the torsion fit."""
+    dts = _check_grid(problem, dt_grid)
+    states = _snapshots(problem, dts)
+    return _curvature_fit(problem, dts, states), _torsion_fit(problem, dts, states)
 
 
 def classical_frenet_serret(samples: SpaceCurveSamples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

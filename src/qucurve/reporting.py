@@ -19,7 +19,7 @@ from .frame import _binormal_present, _curvature_torsion
 from .hilbert import HermitianOperator, StateVector
 from .models import geodesic_efficiency, state_to_bloch
 from .moments import curvature_from_moments, torsion_from_moments
-from .oracles import fit_curvature_coefficient, fit_torsion_coefficient
+from .oracles import _fit_both
 
 __all__ = ["GeometryReport", "build_report", "format_float", "trajectory_rows", "sweep_row"]
 
@@ -129,8 +129,7 @@ def build_report(
             dt_grid = [k * 1e-3 / problem.speed for k in (1.0, 2.0, 4.0)]
         with catch_warnings(record=True) as caught:
             simplefilter("always")
-            kfit = fit_curvature_coefficient(problem, dt_grid)
-            tfit = fit_torsion_coefficient(problem, dt_grid)
+            kfit, tfit = _fit_both(problem, dt_grid)
         warnings.extend(dict.fromkeys(str(w.message) for w in caught))
         oracle = {
             "kappa_sq": kfit.coefficient / mom.mu2**2,

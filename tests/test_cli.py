@@ -386,6 +386,54 @@ class TestUsageErrors:
         assert not out.parent.exists()
 
 
+# Counts the root parsers built, in a fresh interpreter: after the import, then
+# after each of three main calls (help, a usage error, a missing input file).
+_PARSER_COUNT_SCRIPT = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    init(self, *args, **kwargs)
+    built.append(self.prog)
+argparse.ArgumentParser.__init__ = counted
+import qucurve.cli
+counts = [built.count("qucurve")]
+for argv in (["--help"], ["report"], ["report", "--input", "/no/such/file.json"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        qucurve.cli.main(argv)
+    counts.append(built.count("qucurve"))
+print(json.dumps(counts))
+"""
+
+
+class TestOneParserPerProcess:
+    def test_built_by_the_first_call_only(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PARSER_COUNT_SCRIPT], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [0, 1, 1, 1]
+
+    def test_repeated_calls_match_fresh_processes(self, crossed_fields_file, monkeypatch, capsys):
+        """A usage error, a report, --help and the usage error again, in one process."""
+        monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap to the terminal width
+        usage_error = ["report", "--input", crossed_fields_file, "--bogus"]
+        sequence = [usage_error, ["report", "--input", crossed_fields_file], ["--help"], usage_error]
+        in_process = []
+        for argv in sequence:
+            code = main(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        fresh = []
+        for argv in sequence:
+            proc = subprocess.run(
+                [sys.executable, "-m", "qucurve.cli", *argv], capture_output=True, text=True, timeout=120
+            )
+            fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        assert in_process == fresh
+        assert [code for code, _, _ in fresh] == [2, 0, 0, 2]
+
+
 class TestTrajectoryCommand:
     def test_writes_csv(self, crossed_fields_file, tmp_path, capsys):
         out = tmp_path / "traj.csv"

@@ -282,7 +282,7 @@ class TestGridChecks:
 
 
 class TestSnapshots:
-    """Each fit evolves every distinct time of {dt, 2 dt} once, in one walk."""
+    """Every distinct time of {dt, 2 dt} is evolved once, in one walk, per fit or per report."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -305,15 +305,15 @@ class TestSnapshots:
         assert len(times) == len(set(times)) == 4
         assert set(times) == {grid[0], grid[1], grid[2], 2.0 * grid[2]}
 
-    def test_oracle_report_evolves_eight_times(self, crossed_fields_problem, walks):
-        """The oracle's 8 rows take 2 walks beside the report's arc-length walk."""
+    def test_oracle_report_evolves_four_times_in_one_walk(self, crossed_fields_problem, walks):
+        """Both fits share one walk of 4 rows beside the report's arc-length walk."""
         args = crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state
         build_report(*args)
         arc_walks = list(walks)
         walks.clear()
         build_report(*args, with_oracle=True)
         assert walks[: len(arc_walks)] == arc_walks
-        assert [len(times) for times in walks[len(arc_walks) :]] == [4, 4]
+        assert [len(times) for times in walks[len(arc_walks) :]] == [4]
 
 
 class TestClassicalFrenetSerret:
