@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evolution import EvolutionProblem, NumericalError, StationaryStateError, evolve
-from .hilbert import HermitianOperator, StateVector, _check_coefficient, _encode_word, _pauli_sum
+from .hilbert import HermitianOperator, StateVector, _check_coefficient, _encode_word, _pauli_sum, _project_off
 
 __all__ = [
     "bloch_to_state",
@@ -96,16 +96,22 @@ def torsion_bloch(a, m) -> float:
 def geodesic_efficiency(problem: EvolutionProblem, t: float) -> float:
     """Ratio of geodesic distance covered to path length traversed by time t.
 
-    The Fubini-Study geodesic distance between endpoints is
-    arccos |<psi(0)|psi(t)>| (in the units where the metric prefactor and the
-    angle convention cancel against the path-length integral v t).  Equal to 1
-    exactly on geodesic curves, smaller otherwise.
+    The Fubini-Study geodesic distance between endpoints is the angle
+
+        theta = arctan2( ||psi(t) - <psi(0)|psi(t)> psi(0)||, |<psi(0)|psi(t)>| )
+
+    (in the units where the metric prefactor and the angle convention cancel
+    against the path-length integral v t).  This equals arccos |<psi(0)|psi(t)>|
+    but keeps every digit as v t -> 0, where the overlap rounds to 1.  Equal to
+    1 exactly on geodesic curves, smaller otherwise.
     """
     problem._require_moving()
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    overlap = abs(problem.initial_state.inner(evolve(problem, t)))
-    eta = float(np.arccos(np.clip(overlap, 0.0, 1.0)) / (problem.speed * t))
+    psi0 = problem.initial_state.amplitudes
+    psi_t = evolve(problem, t).amplitudes
+    angle = np.arctan2(np.linalg.norm(_project_off(psi_t, psi0)), abs(np.vdot(psi0, psi_t)))
+    eta = float(angle / (problem.speed * t))
     if eta > 1.0 + 1e-9:
         raise NumericalError(f"geodesic efficiency eta = {eta!r} exceeds 1 beyond tolerance")
     return eta
@@ -337,10 +343,12 @@ def xi_kurtosis(xi: float) -> float:
 def xi_efficiency(t: float, xi: float, m: float = 1.0) -> float:
     """Geodesic efficiency of the xi-state under H = m sigma_z at time t.
 
-        eta = arccos sqrt( cos^2(mt) + (2 xi^2 - 1)^2 sin^2(mt) )
+        eta = arctan2( 2 xi sqrt(1 - xi^2) |sin mt|, sqrt( cos^2(mt) + (2 xi^2 - 1)^2 sin^2(mt) ) )
               / [ 2 xi sqrt(1 - xi^2) m t ]
 
-    Equals 1 identically at xi = 1/sqrt(2) and dips below 1 elsewhere.
+    The angle is arccos of the overlap, written with its sine so that it keeps
+    every digit as mt -> 0.  Equals 1 identically at xi = 1/sqrt(2) and dips
+    below 1 elsewhere.
     """
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
@@ -349,4 +357,4 @@ def xi_efficiency(t: float, xi: float, m: float = 1.0) -> float:
     c = np.cos(m * t)
     s = np.sin(m * t)
     overlap = np.sqrt(c * c + (2.0 * xi * xi - 1.0) ** 2 * s * s)
-    return float(np.arccos(np.clip(overlap, 0.0, 1.0)) / (2.0 * weight * m * t))
+    return float(np.arctan2(2.0 * weight * abs(s), overlap) / (2.0 * weight * m * t))

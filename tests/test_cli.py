@@ -530,6 +530,24 @@ class TestTrajectoryCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("efficiency_t", [1e-5, 1e-8])
+    def test_xi_sweep_at_small_efficiency_time(self, efficiency_t, tmp_path, capsys):
+        doc = {
+            "hamiltonian": {"family": "single_qubit", "couplings": {"mz": 1.0}},
+            "state": {"named": "xi:0.5,0.0"},
+            "options": {"efficiency_t": efficiency_t},
+        }
+        path = tmp_path / "xi.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--input", str(path), "--param", "xi", "--from", "0.1", "--to", "0.9", "--points", "3"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        for line in out.read_text().splitlines()[1:]:
+            cells = line.split(",")
+            xi, eta = float(cells[0]), float(cells[3])
+            assert eta == pytest.approx(qucurve.models.xi_efficiency(efficiency_t, xi), rel=1e-15, abs=0.0)
+
     def test_xi_sweep(self, xi_family_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = main(

@@ -397,6 +397,16 @@ class TestEfficiency:
         for xi in np.linspace(0.1, 0.9, 9):
             assert xi_efficiency(0.7, xi) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("t", [1e-5, 1e-8])
+    def test_small_time_keeps_digits(self, t):
+        """eta = 1 - kappa^2 (v t)^2 / 24 + O((v t)^4): the overlap rounds to 1 here."""
+        for xi in np.linspace(0.1, 0.9, 9):
+            v = 2.0 * xi * np.sqrt(1.0 - xi * xi)
+            series = 1.0 - xi_curvature(xi) * (v * t) ** 2 / 24.0
+            assert xi_efficiency(t, xi) == pytest.approx(series, rel=4e-16, abs=0.0)
+            prob = EvolutionProblem(single_qubit([0, 0, 1.0]), xi_state(xi))
+            assert geodesic_efficiency(prob, t) == pytest.approx(series, rel=1e-15, abs=0.0)
+
     def test_invalid_time(self):
         prob = EvolutionProblem(single_qubit([0, 0, 1.0]), xi_state(0.5))
         with pytest.raises(ValueError, match="positive"):
