@@ -154,7 +154,8 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
     return coeff, residual
 
 
-def _check_grid(problem: EvolutionProblem, dt_grid):
+def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], dict[float, np.ndarray]]:
+    """The checked steps, and psi(t) for every distinct t in {dt, 2 dt}, evolved in one walk."""
     problem._require_moving()  # before the step floor, which reads the speed
     dts = tuple(float(dt) for dt in dt_grid)
     if len(dts) < 2 or any(dt <= 0 for dt in dts):
@@ -168,13 +169,8 @@ def _check_grid(problem: EvolutionProblem, dt_grid):
             f"largest step has dt*v = {worst:.3g} > 0.1; quartic scaling may not dominate",
             stacklevel=3,
         )
-    return dts
-
-
-def _snapshots(problem: EvolutionProblem, dts) -> dict[float, np.ndarray]:
-    """psi(t) for every distinct t in {dt, 2 dt} over the grid, evolved in one walk."""
     times = list(dict.fromkeys(t for dt in dts for t in (dt, 2.0 * dt)))
-    return {t: StateVector(row).amplitudes for t, row in zip(times, problem._evolve_rows(times))}
+    return dts, {t: StateVector(row).amplitudes for t, row in zip(times, problem._evolve_rows(times))}
 
 
 def _curvature_fit(problem: EvolutionProblem, dts, states) -> FitResult:
@@ -215,8 +211,7 @@ def fit_curvature_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
     StationaryStateError
         For an eigenstate input.
     """
-    dts = _check_grid(problem, dt_grid)
-    return _curvature_fit(problem, dts, _snapshots(problem, dts))
+    return _curvature_fit(problem, *_snapshots(problem, dt_grid))
 
 
 def fit_torsion_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
@@ -229,15 +224,13 @@ def fit_torsion_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
     coefficient vanishes identically.  The grid and fit checks of
     ``fit_curvature_coefficient`` apply, except the 5% misfit gate.
     """
-    dts = _check_grid(problem, dt_grid)
-    return _torsion_fit(problem, dts, _snapshots(problem, dts))
+    return _torsion_fit(problem, *_snapshots(problem, dt_grid))
 
 
 def _fit_both(problem: EvolutionProblem, dt_grid) -> tuple[FitResult, FitResult]:
     """Both fits from one grid check and one walk: the curvature fit, then the torsion fit."""
-    dts = _check_grid(problem, dt_grid)
-    states = _snapshots(problem, dts)
-    return _curvature_fit(problem, dts, states), _torsion_fit(problem, dts, states)
+    snapshots = _snapshots(problem, dt_grid)
+    return _curvature_fit(problem, *snapshots), _torsion_fit(problem, *snapshots)
 
 
 def classical_frenet_serret(samples: SpaceCurveSamples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
