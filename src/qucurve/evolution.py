@@ -74,8 +74,9 @@ class EvolutionProblem:
     the error estimate at the requested time is below 1e-14 or the Krylov
     space is invariant.  The basis and the eigendecompositions of its
     tridiagonal matrices are cached, so once the basis stops growing one
-    evolution costs one exp and one product with a d x m matrix.  A state depends only on (H, psi_0, t), never on the times
-    requested before or beside it.  The public attributes are read-only.
+    evolution costs one exp and one product with a d x m matrix.  A state
+    depends only on (H, psi_0, t), never on the times requested before or
+    beside it.  The public attributes are read-only.
 
     Parameters
     ----------
