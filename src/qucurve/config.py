@@ -39,7 +39,7 @@ from itertools import chain
 import numpy as np
 
 from . import models
-from .hilbert import MAX_QUBITS, HermitianOperator, PauliTerm, StateVector, build_operator
+from .hilbert import MAX_QUBITS, HermitianOperator, StateVector, _encode_word, _pauli_sum
 
 __all__ = ["MAX_DENSE_DIM", "SpecError", "ProblemSpec", "load_problem_spec", "parse_problem_spec"]
 
@@ -76,7 +76,7 @@ class ProblemSpec:
     """Parsed problem description; ``build()`` constructs the pieces."""
 
     hamiltonian_form: str  # "pauli_terms" | "dense" | "family"
-    hamiltonian_data: object  # [PauliTerm] | complex (d, d) array | {"family": name, "couplings": {...}}
+    hamiltonian_data: object  # [(coeff, word)] | complex (d, d) array | {"family": name, "couplings": {...}}
     state_form: str  # "amplitudes" | "named"
     state_data: object  # complex (d,) array | (kind, args)
     options: dict = field(default_factory=dict)
@@ -84,7 +84,7 @@ class ProblemSpec:
     def build(self) -> tuple[HermitianOperator, StateVector]:
         data = self.hamiltonian_data
         if self.hamiltonian_form == "pauli_terms":
-            op = build_operator(data, len(data[0].word))
+            op = _pauli_sum(((c, _encode_word(word)) for c, word in data), 2 ** len(data[0][1]))
         elif self.hamiltonian_form == "dense":
             try:
                 op = HermitianOperator(data)
@@ -219,9 +219,9 @@ def _parse_hamiltonian(form: str, ham: dict):
                 raise SpecError(f"{at}.word", f"must be a string over I,X,Y,Z, got {word!r}")
             if len(word) > MAX_QUBITS:
                 raise SpecError(f"{at}.word", f"has {len(word)} letters, more than {MAX_QUBITS}")
-            if parsed and len(word) != len(parsed[0].word):
+            if parsed and len(word) != len(parsed[0][1]):
                 raise SpecError(f"{at}.word", "all words must have equal length")
-            parsed.append(PauliTerm._prechecked(float(coeff), word))
+            parsed.append((float(coeff), word))
         return parsed
     if form == "dense":
         rows = ham["dense"]

@@ -72,9 +72,12 @@ class EvolutionProblem:
     the stationary decision.  States are evolved in a Lanczos basis of
     (H - E, psi_0) that grows on demand, with full reorthogonalization, until
     the error estimate at the requested time is below 1e-14 or the Krylov
-    space is invariant.  The basis and the eigendecompositions of its
-    tridiagonal matrices are cached, so once the basis stops growing one
-    evolution costs one exp and one product with a d x m matrix.  A state
+    space is invariant.  Only the basis and the eigendecompositions of its
+    tridiagonal matrices are kept between calls.  Once the basis stops
+    growing, a call rotates the m x d basis onto the eigenvectors of T_m
+    (an m x m by m x 2d real product) at each size where one of its times
+    settles, then costs one exp and one product with the rotated basis per
+    time; the rotation is dropped when the call returns.  A state
     depends only on (H, psi_0, t), never on the times requested before or
     beside it.  The public attributes are read-only.
 
@@ -116,7 +119,6 @@ class EvolutionProblem:
         self._beta = [float(np.linalg.norm(residual))]
         self._residual = residual
         self._spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._rotations: dict[int, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -167,16 +169,6 @@ class EvolutionProblem:
             eig = self._spectra[m] = np.linalg.eigh(tri)
         return eig
 
-    def _rotation(self, m: int) -> np.ndarray:
-        """Cached U^T V_m^T, the first m Lanczos vectors rotated onto the
-        eigenvectors of T_m.  U is real, so the product is taken on the
-        float64 view of the basis: half the work of a complex product."""
-        rows = self._rotations.get(m)
-        if rows is None:
-            u = self._spectrum(m)[1]
-            rows = self._rotations[m] = (u.T @ self._basis[:m].view(np.float64)).view(complex)
-        return rows
-
     def _evolve_rows(self, ts) -> np.ndarray:
         """exp(-iHt) psi_0 for each time in ``ts``, as the rows of an array.
 
@@ -206,7 +198,8 @@ class EvolutionProblem:
                 ok = np.abs(t) * np.abs((phases * g).sum(1)) <= _KRYLOV_TOL
                 settle, phases, todo = todo[ok], phases[ok], todo[~ok]
             if len(settle):
-                rows = self._rotation(m)
+                # U^T V_m^T, taken on the float64 view since U is real: half the work
+                rows = (u.T @ self._basis[:m].view(np.float64)).view(complex)
                 for i, p in zip(settle.tolist(), phases):
                     out[i] = np.exp(-1j * self.energy * ts[i]) * ((u[0] * p) @ rows)
             size += size // 4

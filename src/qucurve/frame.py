@@ -91,11 +91,6 @@ def _vectors_from(problem: EvolutionProblem, psi: np.ndarray) -> tuple[np.ndarra
     return psi, tan, perp, nbar
 
 
-def _frame_vectors(problem: EvolutionProblem, s: float) -> tuple[np.ndarray, ...]:
-    """(Psi, T, P_Psi T', Nbar) at arc length s from one state evaluation."""
-    return _vectors_from(problem, state_at_arclength(problem, s).amplitudes)
-
-
 def _curvature_torsion(problem: EvolutionProblem, s_points) -> list[tuple[float, float]]:
     """(kappa^2, tau^2) = (||P_Psi T'||^2, ||P_T P_Psi T'||^2) at each arc
     length in ``s_points``, the states evaluated together."""
@@ -110,7 +105,7 @@ def _frame_rows(
     problem: EvolutionProblem, s: float
 ) -> tuple[np.ndarray, float, float, np.ndarray]:
     """Frame rows F = (Psi, T[, N]), kappa^2, tau^2 and Nbar at arc length s."""
-    psi, tan, perp, nbar = _frame_vectors(problem, s)
+    psi, tan, perp, nbar = _vectors_from(problem, state_at_arclength(problem, s).amplitudes)
     tau_sq = float(np.vdot(nbar, nbar).real)
     rows = [psi, tan]
     if _binormal_present(tau_sq):

@@ -170,13 +170,6 @@ class PauliTerm:
         if not self.word or any(c not in PAULI for c in self.word):
             raise ValueError(f"word must be a nonempty string over I,X,Y,Z, got {self.word!r}")
 
-    @classmethod
-    def _prechecked(cls, coefficient: float, word: str) -> "PauliTerm":
-        """A term whose coefficient and word the caller has already validated."""
-        term = object.__new__(cls)
-        term.__dict__.update(coefficient=coefficient, word=word)
-        return term
-
     @property
     def n_qubits(self) -> int:
         return len(self.word)

@@ -172,7 +172,6 @@ def trajectory_rows(
     if t_max <= 0.0:
         raise ValueError(f"t_max must be positive, got {t_max}")
     problem = EvolutionProblem(hamiltonian, state)
-    problem._require_moving()
     kappa = curvature_from_moments(problem.moments)
     tau = _clamp_tau(torsion_from_moments(problem.moments), "tau_sq", [])
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qucurve import MAX_DENSE_DIM, MAX_QUBITS, ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
+from qucurve.hilbert import PauliTerm, build_operator
 
 from conftest import MALFORMED_FILES
 
@@ -64,6 +65,26 @@ class TestParsing:
         doc["hamiltonian"]["pauli_terms"][0]["coeff"] = "one"
         with pytest.raises(SpecError, match="coeff"):
             parse_problem_spec(doc)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [(0.0, "XZ"), (-0.0, "ZX")],
+            [(-0.0, "YY"), (0.0, "YY"), (1.5, "IZ")],
+            [(1.0, "XY"), (-2.0, "XY"), (0.5, "XY"), (3, "II")],
+            [(0.25, "IYZ"), (-1.0, "YIX"), (0.25, "IYZ"), (-0.0, "III"), (2.0, "ZZY")],
+        ],
+    )
+    def test_pauli_terms_build_as_build_operator(self, terms):
+        doc = minimal_doc()
+        doc["hamiltonian"]["pauli_terms"] = [{"coeff": c, "word": w} for c, w in terms]
+        doc["state"] = {"named": "0" * len(terms[0][1])}
+        built, _ = parse_problem_spec(doc).build()
+        ref = build_operator([PauliTerm(float(c), w) for c, w in terms], len(terms[0][1]))
+        for name in ("_perms", "_diags"):
+            got, want = getattr(built, name), getattr(ref, name)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert np.float64(built.frobenius_sq).tobytes() == np.float64(ref.frobenius_sq).tobytes()
 
     def test_pauli_word_qubit_ceiling(self):
         doc = minimal_doc()

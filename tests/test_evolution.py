@@ -15,8 +15,8 @@ from qucurve import (
     single_qubit,
     state_at_arclength,
 )
-from qucurve.frame import _frame_vectors
-from qucurve.hilbert import PAULI
+from qucurve.frame import _vectors_from
+from qucurve.hilbert import PAULI, PauliTerm, build_operator
 
 from conftest import crossed_fields_state, delta_h, propagator, random_hermitian, random_problem, random_state
 
@@ -179,7 +179,7 @@ def _tangent(prob, s):
 
 def _acceleration(prob, s):
     """T'(s) = -(dh)^2 Psi(s), read off the frame's P_Psi T' = T' + Psi."""
-    psi, _, perp, _ = _frame_vectors(prob, s)
+    psi, _, perp, _ = _vectors_from(prob, state_at_arclength(prob, s).amplitudes)
     return perp - psi
 
 
@@ -345,6 +345,28 @@ class TestKrylovEvolution:
         late = EvolutionProblem(ham, psi)
         evolve(late, 40.0)
         np.testing.assert_array_equal(late._evolve_rows(ts[:2]), alone[:2])
+
+    def test_keeps_no_state_of_dimension_d_beyond_the_basis(self):
+        # between calls a problem keeps the Lanczos basis and residual, which
+        # later calls grow, and the m x m spectra; nothing else scales with d
+        n = 12
+        terms = [PauliTerm(1.0, "I" * k + "ZZ" + "I" * (n - k - 2)) for k in range(n - 1)]
+        terms += [PauliTerm(0.7, "I" * k + "X" + "I" * (n - k - 1)) for k in range(n)]
+        prob = EvolutionProblem(build_operator(terms, n), StateVector(np.eye(1, 2**n)[0]))
+        evolve(prob, 0.05)
+        assert len(prob._alpha) == 16
+        evolve(prob, 0.2)
+        assert len(prob._alpha) == 20
+
+        def array_bytes(obj):
+            if isinstance(obj, np.ndarray):
+                return obj.nbytes
+            if isinstance(obj, dict):
+                obj = list(obj.values())
+            return sum(map(array_bytes, obj)) if isinstance(obj, (list, tuple)) else 0
+
+        kept = {k: v for k, v in vars(prob).items() if k not in ("_basis", "_residual")}
+        assert array_bytes(kept) < 64 * 1024
 
     def test_first_overflowing_time_is_named(self):
         prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), StateVector([1, 0]))
