@@ -73,7 +73,7 @@ _DEFAULT_OPTIONS = {
 
 @dataclass
 class ProblemSpec:
-    """Parsed problem description; ``build()`` constructs the pieces."""
+    """Problem description as ``load_problem_spec`` checked it; ``build()`` trusts its Pauli pairs."""
 
     hamiltonian_form: str  # "pauli_terms" | "dense" | "family"
     hamiltonian_data: object  # [(coeff, word)] | complex (d, d) array | {"family": name, "couplings": {...}}

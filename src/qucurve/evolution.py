@@ -72,12 +72,13 @@ class EvolutionProblem:
     the stationary decision.  States are evolved in a Lanczos basis of
     (H - E, psi_0) that grows on demand, with full reorthogonalization, until
     the error estimate at the requested time is below 1e-14 or the Krylov
-    space is invariant.  Only the basis and the eigendecompositions of its
-    tridiagonal matrices are kept between calls.  Once the basis stops
-    growing, a call rotates the m x d basis onto the eigenvectors of T_m
-    (an m x m by m x 2d real product) at each size where one of its times
-    settles, then costs one exp and one product with the rotated basis per
-    time; the rotation is dropped when the call returns.  A state
+    space is invariant.  Between calls a problem keeps the basis, the
+    eigendecompositions of its tridiagonal matrices and one rotation: the
+    first m basis vectors rotated onto the eigenvectors of T_m (an m x m by
+    m x 2d real product), for the last size m at which a time settled.  It
+    is dropped before the basis grows or H is applied, so it never adds to
+    the peak memory of that work.  Once the basis stops growing, a call
+    costs one exp and one product with the rotated basis per time.  A state
     depends only on (H, psi_0, t), never on the times requested before or
     beside it.  The public attributes are read-only.
 
@@ -119,6 +120,7 @@ class EvolutionProblem:
         self._beta = [float(np.linalg.norm(residual))]
         self._residual = residual
         self._spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._rotated: np.ndarray | None = None  # U^T V_m^T of the last settle size m
 
     @property
     def dim(self) -> int:
@@ -133,6 +135,7 @@ class EvolutionProblem:
 
     def _apply_delta_h(self, vec: np.ndarray) -> np.ndarray:
         """(H - E) vec / v, without forming the centered matrix."""
+        self._rotated = None
         return (self.hamiltonian.apply(vec) - self.energy * vec) / self.speed
 
     def _complete(self, m: int) -> bool:
@@ -142,6 +145,7 @@ class EvolutionProblem:
     def _grow(self, target: int) -> None:
         """Extend the Lanczos basis to ``target`` vectors or until it is complete."""
         if target > self._basis.shape[0]:
+            self._rotated = None
             grown = np.empty((target, self.dim), dtype=complex)
             grown[: len(self._alpha)] = self._basis[: len(self._alpha)]
             self._basis = grown
@@ -198,10 +202,12 @@ class EvolutionProblem:
                 ok = np.abs(t) * np.abs((phases * g).sum(1)) <= _KRYLOV_TOL
                 settle, phases, todo = todo[ok], phases[ok], todo[~ok]
             if len(settle):
-                # U^T V_m^T, taken on the float64 view since U is real: half the work
-                rows = (u.T @ self._basis[:m].view(np.float64)).view(complex)
+                if self._rotated is None or len(self._rotated) != m:
+                    # U^T V_m^T, on the float64 view since U is real: half the work
+                    self._rotated = None  # free the old one first
+                    self._rotated = (u.T @ self._basis[:m].view(np.float64)).view(complex)
                 for i, p in zip(settle.tolist(), phases):
-                    out[i] = np.exp(-1j * self.energy * ts[i]) * ((u[0] * p) @ rows)
+                    out[i] = np.exp(-1j * self.energy * ts[i]) * ((u[0] * p) @ self._rotated)
             size += size // 4
         return out
 

@@ -346,27 +346,45 @@ class TestKrylovEvolution:
         evolve(late, 40.0)
         np.testing.assert_array_equal(late._evolve_rows(ts[:2]), alone[:2])
 
-    def test_keeps_no_state_of_dimension_d_beyond_the_basis(self):
+    def test_keeps_one_rotation_of_dimension_d_beyond_the_basis(self):
         # between calls a problem keeps the Lanczos basis and residual, which
-        # later calls grow, and the m x m spectra; nothing else scales with d
+        # later calls grow, the m x m spectra, and the rotation of the basis
+        # at the last settle size, until H is next applied
         n = 12
         terms = [PauliTerm(1.0, "I" * k + "ZZ" + "I" * (n - k - 2)) for k in range(n - 1)]
         terms += [PauliTerm(0.7, "I" * k + "X" + "I" * (n - k - 1)) for k in range(n)]
         prob = EvolutionProblem(build_operator(terms, n), StateVector(np.eye(1, 2**n)[0]))
+
+        def kept_bytes():
+            def array_bytes(obj):
+                if isinstance(obj, np.ndarray):
+                    return obj.nbytes
+                if isinstance(obj, dict):
+                    obj = list(obj.values())
+                return sum(map(array_bytes, obj)) if isinstance(obj, (list, tuple)) else 0
+
+            return array_bytes({k: v for k, v in vars(prob).items() if k not in ("_basis", "_residual")})
+
         evolve(prob, 0.05)
         assert len(prob._alpha) == 16
         evolve(prob, 0.2)
         assert len(prob._alpha) == 20
+        assert kept_bytes() < 20 * prob.dim * 16 + 64 * 1024
+        prob._grow(25)  # a growing basis drops the rotation before it reallocates
+        assert kept_bytes() < 64 * 1024
+        evolve(prob, 0.2)
+        assert kept_bytes() > 64 * 1024
+        prob._apply_delta_h(prob.initial_state.amplitudes)
+        assert kept_bytes() < 64 * 1024
 
-        def array_bytes(obj):
-            if isinstance(obj, np.ndarray):
-                return obj.nbytes
-            if isinstance(obj, dict):
-                obj = list(obj.values())
-            return sum(map(array_bytes, obj)) if isinstance(obj, (list, tuple)) else 0
-
-        kept = {k: v for k, v in vars(prob).items() if k not in ("_basis", "_residual")}
-        assert array_bytes(kept) < 64 * 1024
+    def test_rotation_is_reused_by_later_calls_at_its_size(self):
+        prob = random_problem(np.random.default_rng(109), 300)
+        first = evolve(prob, 0.3).amplitudes
+        rotated = prob._rotated
+        assert rotated is not None
+        again = prob._evolve_rows([0.3, 0.3])
+        assert prob._rotated is rotated
+        assert np.array_equal(again[0], first) and np.array_equal(again[1], first)
 
     def test_first_overflowing_time_is_named(self):
         prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), StateVector([1, 0]))
