@@ -21,9 +21,8 @@ from qucurve import (
     build_frame,
     central_moments,
     curvature_from_moments,
-    curvature_geometric,
+    curvature_torsion_geometric,
     torsion_from_moments,
-    torsion_geometric,
     two_qubit_nonlocal,
 )
 
@@ -43,13 +42,15 @@ print(f"  tau^2   = {torsion_from_moments(mom)!r}")
 # %%
 # Path two: projector geometry.  Differentiate the transported state twice,
 # project the acceleration off the curve for kappa, then off the tangent as
-# well for tau.  Both should reproduce the moment numbers at every station.
+# well for tau.  One call evolves all stations together and returns a
+# (kappa^2, tau^2) pair per station; both should reproduce the moment
+# numbers at every station.
 
+stations = (0.0, 0.7, 1.4)
 print("\nprojector path along the curve")
 print(f"{'s':>6s} {'kappa^2':>22s} {'tau^2':>22s}")
-for s in (0.0, 0.7, 1.4):
-    print(f"{s:6.2f} {curvature_geometric(problem, s):22.15f} "
-          f"{torsion_geometric(problem, s):22.15f}")
+for s, (kappa_sq, tau_sq) in zip(stations, curvature_torsion_geometric(problem, stations)):
+    print(f"{s:6.2f} {kappa_sq:22.15f} {tau_sq:22.15f}")
 
 # %%
 # The frame itself.  At s = 0 the tangent mixes |01> and |10> and the

@@ -12,7 +12,8 @@ symmetric matrix built from the midpoint's overlaps with the plane.  The
 distance of psi(2 dt) from the plane spanned by psi(0) and psi(dt) shrinks
 like dt^4 as well, with prefactor tau^2 mu2^2.  Fitting those quartics gives
 an independent, derivative-free measurement of the same numbers the moment
-formulas produce.
+formulas produce.  Both fits read the same snapshots psi(dt) and psi(2 dt),
+so one call, ``fit_coefficients``, returns the pair.
 
 This demo shows the raw fits, their scaling diagnostics, and the planar
 counterexample where the torsion fit correctly returns zero.
@@ -25,8 +26,7 @@ from qucurve import (
     StateVector,
     central_moments,
     curvature_from_moments,
-    fit_curvature_coefficient,
-    fit_torsion_coefficient,
+    fit_coefficients,
     single_qubit,
     torsion_from_moments,
     two_qubit_nonlocal,
@@ -44,7 +44,7 @@ mu2_sq = mom.mu2**2
 # per-dt coefficient estimates -- a direct check that the dt^4 law holds.
 
 grid = tuple(k * 1e-3 / speed for k in (1.0, 2.0, 4.0))
-fit = fit_curvature_coefficient(problem, grid)
+fit, tfit = fit_coefficients(problem, grid)
 print("geodesic-deviation fit (crossed fields)")
 print(f"  dt grid          = {fit.dt_grid}")
 print(f"  raw coefficient  = {fit.coefficient!r}   (moments say {mom.mu4 - mom.mu2**2!r})")
@@ -53,9 +53,9 @@ print(f"  normalized       = {fit.coefficient / mu2_sq!r}   "
 print(f"  fit residual     = {fit.residual:.2e}")
 
 # %%
-# Plane-deviation fit for the torsion on the same problem.
+# Plane-deviation fit for the torsion on the same problem and snapshots,
+# returned by the same call.
 
-tfit = fit_torsion_coefficient(problem, grid)
 print("\nplane-deviation fit (crossed fields)")
 print(f"  raw coefficient  = {tfit.coefficient!r}")
 print(f"  normalized       = {tfit.coefficient / mu2_sq!r}   "
@@ -73,7 +73,7 @@ print("\nstep-size scan (normalized curvature coefficient)")
 print(f"{'base dt':>10s} {'normalized':>18s} {'residual':>12s}")
 for base in (4e-2, 2e-2, 1e-2, 5e-3):
     g = tuple(k * base / speed for k in (1.0, 2.0, 4.0))
-    f = fit_curvature_coefficient(problem, g)
+    f = fit_coefficients(problem, g)[0]
     print(f"{base:10.0e} {f.coefficient / mu2_sq:18.12f} {f.residual:12.2e}")
 
 # %%
@@ -85,8 +85,7 @@ qubit = EvolutionProblem(single_qubit([0.6, 0.0, 0.8]), StateVector([1, 0]))
 qmom = central_moments(qubit.hamiltonian, qubit.initial_state)
 qspeed = float(np.sqrt(qmom.mu2))
 qgrid = tuple(k * 1e-3 / qspeed for k in (1.0, 2.0, 4.0))
-qfit = fit_curvature_coefficient(qubit, qgrid)
-qtfit = fit_torsion_coefficient(qubit, qgrid)
+qfit, qtfit = fit_coefficients(qubit, qgrid)
 print("\nsingle qubit (planar)")
 print(f"  normalized curvature fit = {qfit.coefficient / qmom.mu2**2!r}")
 print(f"  kappa^2 from moments     = {curvature_from_moments(qmom)!r}")

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .hilbert import HermitianOperator, StateVector
-from .moments import StationaryStateError, _moment_pass, _require_moving
+from .moments import NumericalError, StationaryStateError, _moment_pass, _require_moving
 
 __all__ = [
     "StationaryStateError",
@@ -58,10 +58,6 @@ _KRYLOV_MIN_DIM = 16
 # A Lanczos residual at most this times ||H||_F is rounding noise: the
 # Krylov space is invariant under H and the basis is complete.
 _BREAKDOWN_TOL = 1e-14
-
-
-class NumericalError(ValueError):
-    """A computed quantity failed its own accuracy check; the message names it."""
 
 
 class EvolutionProblem:

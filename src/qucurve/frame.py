@@ -33,8 +33,7 @@ from .hilbert import StateVector, _project_off
 
 __all__ = [
     "QuantumFrame",
-    "curvature_geometric",
-    "torsion_geometric",
+    "curvature_torsion_geometric",
     "build_frame",
     "cartan_matrix",
 ]
@@ -91,9 +90,11 @@ def _vectors_from(problem: EvolutionProblem, psi: np.ndarray) -> tuple[np.ndarra
     return psi, tan, perp, nbar
 
 
-def _curvature_torsion(problem: EvolutionProblem, s_points) -> list[tuple[float, float]]:
+def curvature_torsion_geometric(problem: EvolutionProblem, s_points) -> list[tuple[float, float]]:
     """(kappa^2, tau^2) = (||P_Psi T'||^2, ||P_T P_Psi T'||^2) at each arc
-    length in ``s_points``, the states evaluated together."""
+    length in ``s_points``, evolved together in one walk; each pair depends
+    only on its own arc length, bit for bit.  A planar curve's tau^2 is
+    rounding, about 1e-30."""
     out = []
     for psi in _arclength_states(problem, s_points):
         _, _, perp, nbar = _vectors_from(problem, psi.amplitudes)
@@ -119,18 +120,6 @@ def _structure_matrix(problem: EvolutionProblem, rows: np.ndarray) -> np.ndarray
     cart = np.zeros((3, 3), dtype=complex)
     cart[:k, :k] = (-1j * problem._apply_delta_h(rows.T)).T @ rows.conj().T
     return cart
-
-
-def curvature_geometric(problem: EvolutionProblem, s: float) -> float:
-    """Squared curvature as ||P_Psi T'(s)||^2, the acceleration component
-    orthogonal to the curve point itself."""
-    return _curvature_torsion(problem, [s])[0][0]
-
-
-def torsion_geometric(problem: EvolutionProblem, s: float) -> float:
-    """Squared torsion as ||Nbar(s)||^2; exactly zero for planar curves up to
-    rounding (~1e-30 in the squared norm)."""
-    return _curvature_torsion(problem, [s])[0][1]
 
 
 def cartan_matrix(problem: EvolutionProblem, s: float) -> np.ndarray:

@@ -15,6 +15,7 @@ the torsion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,10 @@ _STATIONARY_MU2_TOL = 1e-10
 
 class StationaryStateError(ValueError):
     """The initial state is an eigenstate: the curve degenerates to a point."""
+
+
+class NumericalError(ValueError):
+    """A computed quantity failed its own accuracy check; the message names it."""
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,8 @@ def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> Momen
 
     so mu2 and mu4 are nonnegative by construction and mu3 is real up to
     rounding.  This never forms matrix powers, nor a matrix for a
-    Pauli-backed H.
+    Pauli-backed H.  An H out of floating-point range, where alpha4 has no
+    finite value, raises ``NumericalError``.
     """
     if hamiltonian.dim != state.dim:
         raise ValueError(f"dimension mismatch: operator {hamiltonian.dim}, state {state.dim}")
@@ -88,8 +94,12 @@ def _moment_pass(hamiltonian: HermitianOperator, psi: np.ndarray) -> tuple[Momen
     if mu2 <= _STATIONARY_MU2_TOL * hamiltonian.frobenius_sq / hamiltonian.dim:
         alpha3 = alpha4 = None
     else:
-        alpha3 = mu3 / mu2**1.5
-        alpha4 = mu4 / mu2**2
+        try:
+            alpha3, alpha4 = mu3 / mu2**1.5, mu4 / mu2**2
+        except (OverflowError, ZeroDivisionError):  # mu2 powers out of floating-point range
+            alpha3 = alpha4 = math.inf
+        if not (math.isfinite(alpha3) and math.isfinite(alpha4)):
+            raise NumericalError(f"alpha4 = mu4 / mu2^2 is out of floating-point range: mu2 = {mu2!r}, mu4 = {mu4!r}")
     return MomentSet(mean=mean, mu2=mu2, mu3=mu3, mu4=mu4, alpha3=alpha3, alpha4=alpha4), w1
 
 

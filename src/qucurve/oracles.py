@@ -37,8 +37,7 @@ __all__ = [
     "FitResult",
     "SpaceCurveSamples",
     "fubini_study_sq",
-    "fit_curvature_coefficient",
-    "fit_torsion_coefficient",
+    "fit_coefficients",
     "classical_frenet_serret",
     "sphere_geodesic_curvature",
 ]
@@ -89,8 +88,8 @@ class SpaceCurveSamples:
         object.__setattr__(self, "points", p)
 
 
-def fubini_study_sq(psi1, psi2, gamma: float = 2.0) -> float:
-    """Squared chordal Fubini-Study distance gamma^2 (1 - |<psi1|psi2>|^2).
+def fubini_study_sq(psi1, psi2) -> float:
+    """Squared chordal Fubini-Study distance 1 - |<psi1|psi2>|^2, at unit metric prefactor.
 
     Computed as the squared norm of psi2 minus its projection onto psi1,
     which is algebraically identical for unit vectors but does not lose
@@ -98,7 +97,7 @@ def fubini_study_sq(psi1, psi2, gamma: float = 2.0) -> float:
     at the 1e-30 level instead of drowning in 1e-16 cancellation noise.
     """
     r = _project_off(_as_vector(psi2), _as_vector(psi1))
-    return float(gamma**2 * np.vdot(r, r).real)
+    return float(np.vdot(r, r).real)
 
 
 def _min_geodesic_deviation(a: np.ndarray, p: np.ndarray, b: np.ndarray) -> float:
@@ -124,7 +123,7 @@ def _min_geodesic_deviation(a: np.ndarray, p: np.ndarray, b: np.ndarray) -> floa
     e = _project_off((b - z * a) * (z.conjugate() / abs(z)), a)
     sin_b = float(np.linalg.norm(e))
     if sin_b == 0.0:
-        return fubini_study_sq(a, p, 1.0)
+        return fubini_study_sq(a, p)
     e /= sin_b
     x = complex(np.vdot(a, p))
     y = complex(np.vdot(e, p))
@@ -132,7 +131,7 @@ def _min_geodesic_deviation(a: np.ndarray, p: np.ndarray, b: np.ndarray) -> floa
     xx, yy, xy = abs(x) ** 2, abs(y) ** 2, x.conjugate() * y
     theta = 0.5 * np.arctan2(2.0 * xy.real, xx - yy)
     if not 0.0 <= theta <= np.arctan2(sin_b, abs(z)):
-        return min(fubini_study_sq(a, p, 1.0), fubini_study_sq(b, p, 1.0))
+        return min(fubini_study_sq(a, p), fubini_study_sq(b, p))
     lam_max = 0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy.real))
     return float(np.vdot(r, r).real + xy.imag**2 / lam_max)
 
@@ -173,64 +172,47 @@ def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], d
     return dts, {t: StateVector(row).amplitudes for t, row in zip(times, problem._evolve_rows(times))}
 
 
-def _curvature_fit(problem: EvolutionProblem, dts, states) -> FitResult:
+def fit_coefficients(problem: EvolutionProblem, dt_grid) -> tuple[FitResult, FitResult]:
+    """Curvature constant mu4 - mu2^2 and torsion constant tau^2 mu2^2, from
+    one grid check and one walk for the snapshots psi(dt) and psi(2 dt).
+
+    Curvature: for each step dt the evolved midpoint psi(dt) is compared
+    against the geodesic segment from psi(0) to psi(2 dt); the minimal
+    squared distance at unit metric prefactor is fitted to C dt^4, and the
+    first result's coefficient is 4 C, which approaches mu4 - mu2^2 as
+    dt -> 0.  Dividing by mu2^2 gives kappa^2.
+
+    Torsion: the plane is spanned by the snapshots psi(0) and psi(dt); the
+    weight of psi(2 dt) outside it, computed as an explicit residual norm,
+    is fitted to C dt^4, and the second result's coefficient is C itself,
+    which approaches tau^2 mu2^2.  For any single-qubit problem the plane is
+    the whole space and the coefficient vanishes identically.
+
+    Raises
+    ------
+    NumericalError
+        If the curvature fit misfits by more than 5%, either fit is not
+        finite, the smallest dt v is below 1e-5, or psi(0) and psi(2 dt)
+        are orthogonal.
+    StationaryStateError
+        For an eigenstate input.
+    """
+    dts, states = _snapshots(problem, dt_grid)
     psi0 = problem.initial_state.amplitudes
     values = [_min_geodesic_deviation(psi0, states[dt], states[2.0 * dt]) for dt in dts]
     coeff, residual = _fit_quartic(dts, values)
     if residual > 0.05:
         raise NumericalError(f"fit_residual_kappa: quartic fit residual {residual:.3g} exceeds 5%")
-    return FitResult(coefficient=4.0 * coeff, residual=residual, dt_grid=dts)
+    kappa_fit = FitResult(coefficient=4.0 * coeff, residual=residual, dt_grid=dts)
 
-
-def _torsion_fit(problem: EvolutionProblem, dts, states) -> FitResult:
-    psi0 = problem.initial_state.amplitudes
     q0 = psi0 / np.linalg.norm(psi0)
     values = []
     for dt in dts:
         u = _project_off(states[dt], q0, q0)  # the second pass keeps u orthogonal to q0
         r = _project_off(states[2.0 * dt], q0, u / np.linalg.norm(u))
         values.append(float(np.vdot(r, r).real))
-    coeff, residual = _fit_quartic(dts, values)
-    return FitResult(coefficient=coeff, residual=residual, dt_grid=dts)
-
-
-def fit_curvature_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
-    """Curvature constant mu4 - mu2^2 from geodesic-deviation scaling.
-
-    For each step dt, the evolved midpoint psi(dt) is compared against the
-    geodesic segment from psi(0) to psi(2 dt); the minimal squared distance
-    at unit metric prefactor is fitted to C dt^4 and the returned coefficient is
-    4 C, which approaches mu4 - mu2^2 as dt -> 0.  Dividing by mu2^2 gives
-    kappa^2.
-
-    Raises
-    ------
-    NumericalError
-        If the fit misfits by more than 5% or is not finite, the smallest
-        dt v is below 1e-5, or psi(0) and psi(2 dt) are orthogonal.
-    StationaryStateError
-        For an eigenstate input.
-    """
-    return _curvature_fit(problem, *_snapshots(problem, dt_grid))
-
-
-def fit_torsion_coefficient(problem: EvolutionProblem, dt_grid) -> FitResult:
-    """Torsion constant tau^2 mu2^2 from plane-deviation scaling.
-
-    The plane is spanned by the snapshots psi(0) and psi(dt); the weight of
-    psi(2 dt) outside it, computed as an explicit residual norm, is fitted to
-    C dt^4.  The coefficient C itself is returned; dividing by mu2^2 gives
-    tau^2.  For any single-qubit problem the plane is the whole space and the
-    coefficient vanishes identically.  The grid and fit checks of
-    ``fit_curvature_coefficient`` apply, except the 5% misfit gate.
-    """
-    return _torsion_fit(problem, *_snapshots(problem, dt_grid))
-
-
-def _fit_both(problem: EvolutionProblem, dt_grid) -> tuple[FitResult, FitResult]:
-    """Both fits from one grid check and one walk: the curvature fit, then the torsion fit."""
-    snapshots = _snapshots(problem, dt_grid)
-    return _curvature_fit(problem, *snapshots), _torsion_fit(problem, *snapshots)
+    tau_fit = FitResult(*_fit_quartic(dts, values), dt_grid=dts)
+    return kappa_fit, tau_fit
 
 
 def classical_frenet_serret(samples: SpaceCurveSamples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -15,11 +15,11 @@ from warnings import catch_warnings, simplefilter
 import numpy as np
 
 from .evolution import EvolutionProblem, NumericalError
-from .frame import _binormal_present, _curvature_torsion
+from .frame import _binormal_present, curvature_torsion_geometric
 from .hilbert import HermitianOperator, StateVector
 from .models import geodesic_efficiency, state_to_bloch
 from .moments import curvature_from_moments, torsion_from_moments
-from .oracles import _fit_both
+from .oracles import fit_coefficients
 
 __all__ = ["GeometryReport", "build_report", "format_float", "trajectory_rows", "sweep_row"]
 
@@ -106,7 +106,7 @@ def build_report(
     tau_m_raw = torsion_from_moments(mom)
 
     s_points = np.linspace(0.0, 1.0, _ARC_SAMPLES)
-    kappa_gs, tau_gs = zip(*_curvature_torsion(problem, s_points))
+    kappa_gs, tau_gs = zip(*curvature_torsion_geometric(problem, s_points))
     for name, vals in (("kappa_sq_geometric", kappa_gs), ("tau_sq_geometric", tau_gs)):
         spread = max(vals) - min(vals)
         if spread > 1e-9:
@@ -129,7 +129,7 @@ def build_report(
             dt_grid = [k * 1e-3 / problem.speed for k in (1.0, 2.0, 4.0)]
         with catch_warnings(record=True) as caught:
             simplefilter("always")
-            kfit, tfit = _fit_both(problem, dt_grid)
+            kfit, tfit = fit_coefficients(problem, dt_grid)
         warnings.extend(dict.fromkeys(str(w.message) for w in caught))
         oracle = {
             "kappa_sq": kfit.coefficient / mom.mu2**2,

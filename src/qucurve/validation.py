@@ -14,14 +14,13 @@ import numpy as np
 
 from . import models
 from .evolution import EvolutionProblem, evolve, parallel_transported_state
-from .frame import _curvature_torsion, build_frame, cartan_matrix
+from .frame import build_frame, curvature_torsion_geometric
 from .hilbert import HermitianOperator, StateVector
 from .moments import central_moments, curvature_from_moments, torsion_from_moments
 from .oracles import (
     SpaceCurveSamples,
     classical_frenet_serret,
-    fit_curvature_coefficient,
-    fit_torsion_coefficient,
+    fit_coefficients,
     sphere_geodesic_curvature,
 )
 
@@ -158,7 +157,7 @@ def _case_cross_path_random() -> CaseResult:
             mom = prob.moments
             km, tm = curvature_from_moments(mom), torsion_from_moments(mom)
             s = float(rng.uniform(0.0, 2.0))
-            kg, tg = _curvature_torsion(prob, [s])[0]
+            kg, tg = curvature_torsion_geometric(prob, [s])[0]
             worst = max(worst, abs(km - kg) / max(1.0, abs(km)))
             worst = max(worst, abs(tm - tg) / max(1.0, abs(tm)))
             worst = max(worst, abs(km - tm - mom.alpha3**2))
@@ -222,8 +221,7 @@ def _case_quartic_fits() -> CaseResult:
     prob = _two_qubit_cross_field()
     grid = [k * 1e-3 / prob.speed for k in (1.0, 2.0, 4.0)]
     mom = prob.moments
-    kfit = fit_curvature_coefficient(prob, grid)
-    tfit = fit_torsion_coefficient(prob, grid)
+    kfit, tfit = fit_coefficients(prob, grid)
     worst = max(
         abs(kfit.coefficient / mom.mu2**2 - 1.0),
         abs(tfit.coefficient / mom.mu2**2 - 1.0),

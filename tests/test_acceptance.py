@@ -23,9 +23,8 @@ from qucurve import (
     classical_frenet_serret,
     curvature_bloch,
     curvature_from_moments,
-    curvature_geometric,
-    fit_curvature_coefficient,
-    fit_torsion_coefficient,
+    curvature_torsion_geometric,
+    fit_coefficients,
     geodesic_efficiency,
     ghz_state,
     heisenberg3,
@@ -41,7 +40,6 @@ from qucurve import (
     SpaceCurveSamples,
     torsion_bloch,
     torsion_from_moments,
-    torsion_geometric,
     two_qubit_local,
     two_qubit_nonlocal,
     w_state,
@@ -82,7 +80,7 @@ def test_closed_form_value_table():
     for a in ([1, 0, 0], a_tilted):
         assert torsion_bloch(a, [0, 0, 1]) == 0.0
         prob = EvolutionProblem(SIGMA_Z, bloch_to_state(a))
-        assert abs(torsion_geometric(prob, 0.0)) <= 1e-9
+        assert abs(curvature_torsion_geometric(prob, [0.0])[0][1]) <= 1e-9
 
     # -- xi-family curvature and efficiency on a 99-point grid ----------
     t_eff = np.pi / 4
@@ -174,7 +172,7 @@ def test_closed_form_value_table():
             ham = build(*ms)
             mom = central_moments(ham, state)
             kappa = curvature_from_moments(mom)
-            tau = torsion_geometric(EvolutionProblem(ham, state), 0.0)
+            tau = curvature_torsion_geometric(EvolutionProblem(ham, state), [0.0])[0][1]
             ek, et = formula(*ms)
             assert kappa == pytest.approx(ek, rel=1e-9, abs=1e-10)
             assert tau == pytest.approx(et, rel=1e-9, abs=1e-10)
@@ -191,7 +189,7 @@ def test_closed_form_value_table():
         assert tau == pytest.approx(et, rel=1e-9, abs=1e-10)
         ham = heisenberg3(jx, jy, jz, h)
         kappa = curvature_from_moments(central_moments(ham, w_state()))
-        tau = torsion_geometric(EvolutionProblem(ham, w_state()), 0.0)
+        tau = curvature_torsion_geometric(EvolutionProblem(ham, w_state()), [0.0])[0][1]
         ek, et = heisenberg_w_coefficients(jx, jy, jz, h)
         assert kappa == pytest.approx(ek, rel=1e-9, abs=1e-10)
         assert tau == pytest.approx(et, rel=1e-9, abs=1e-10)
@@ -210,7 +208,7 @@ def test_closed_form_value_table():
             _, tau = pipeline_coefficients(two_qubit_nonlocal(*ms), state)
             assert abs(tau) <= 1e-10
             prob = EvolutionProblem(two_qubit_nonlocal(*ms), state)
-            assert torsion_geometric(prob, 0.0) <= 1e-10
+            assert curvature_torsion_geometric(prob, [0.0])[0][1] <= 1e-10
 
 
 def test_cross_path_equivalence():
@@ -222,8 +220,7 @@ def test_cross_path_equivalence():
             mom = central_moments(prob.hamiltonian, prob.initial_state)
             kappa_m = curvature_from_moments(mom)
             tau_m = torsion_from_moments(mom)
-            kappa_g = curvature_geometric(prob, 0.0)
-            tau_g = torsion_geometric(prob, 0.0)
+            [(kappa_g, tau_g)] = curvature_torsion_geometric(prob, [0.0])
             assert abs(kappa_m - kappa_g) <= max(1e-9 * abs(kappa_m), 1e-10)
             assert abs(tau_m - tau_g) <= max(1e-9 * abs(tau_m), 1e-10)
             # the osculating-plane decomposition: curvature splits into
@@ -242,10 +239,9 @@ def test_finite_difference_oracle():
         grid = tuple(j * 1e-3 / prob.speed for j in (1.0, 2.0, 4.0))
         kappa, tau = pipeline_coefficients(prob.hamiltonian, prob.initial_state)
         mu2_sq = central_moments(prob.hamiltonian, prob.initial_state).mu2 ** 2
-        kappa_fit = fit_curvature_coefficient(prob, grid).coefficient / mu2_sq
-        assert kappa_fit == pytest.approx(kappa, rel=0.02, abs=1e-8)
-        tau_fit = fit_torsion_coefficient(prob, grid).coefficient / mu2_sq
-        assert tau_fit == pytest.approx(tau, rel=0.02, abs=1e-8)
+        kfit, tfit = fit_coefficients(prob, grid)
+        assert kfit.coefficient / mu2_sq == pytest.approx(kappa, rel=0.02, abs=1e-8)
+        assert tfit.coefficient / mu2_sq == pytest.approx(tau, rel=0.02, abs=1e-8)
 
     # a single qubit's curve can never leave the plane of two snapshots:
     # the raw fitted constant must vanish to rounding precision
@@ -254,7 +250,7 @@ def test_finite_difference_oracle():
         if prob.is_stationary:
             continue
         grid = tuple(j * 1e-3 / prob.speed for j in (1.0, 2.0, 4.0))
-        assert abs(fit_torsion_coefficient(prob, grid).coefficient) <= 1e-10
+        assert abs(fit_coefficients(prob, grid)[1].coefficient) <= 1e-10
 
 
 def test_invariance_suite():

@@ -140,6 +140,20 @@ class TestReportCommand:
                 },
                 "dt_grid",
             ),
+            # c (XI + 0.7 ZZ + 0.3 IY) on |00>: mu2^2 underflows to 0, or mu4 and
+            # mu2^1.5 overflow, so the kurtosis alpha4 = mu4 / mu2^2 is not finite
+            *(
+                (
+                    {
+                        "hamiltonian": {
+                            "pauli_terms": [{"coeff": c * k, "word": w} for k, w in ((1.0, "XI"), (0.7, "ZZ"), (0.3, "IY"))]
+                        },
+                        "state": {"named": "00"},
+                    },
+                    "alpha4",
+                )
+                for c in (1e-160, 1e-100, 1e77, 1e100, 1e150)
+            ),
         ],
     )
     def test_numerical_failure_exit_code(self, doc, quantity, tmp_path):
@@ -251,21 +265,21 @@ class TestNonFiniteInput:
 
 
 def _skew_curvature(monkeypatch):
-    orig = qucurve.reporting._curvature_torsion
+    orig = qucurve.reporting.curvature_torsion_geometric
 
     def skewed(prob, s_points):
         return [(kappa + 1.0, tau) for kappa, tau in orig(prob, s_points)]
 
-    monkeypatch.setattr(qucurve.reporting, "_curvature_torsion", skewed)
+    monkeypatch.setattr(qucurve.reporting, "curvature_torsion_geometric", skewed)
 
 
 def _negative_torsion(monkeypatch):
-    orig = qucurve.reporting._curvature_torsion
+    orig = qucurve.reporting.curvature_torsion_geometric
 
     def negative(prob, s_points):
         return [(kappa, -1e-3) for kappa, _ in orig(prob, s_points)]
 
-    monkeypatch.setattr(qucurve.reporting, "_curvature_torsion", negative)
+    monkeypatch.setattr(qucurve.reporting, "curvature_torsion_geometric", negative)
     monkeypatch.setattr(qucurve.reporting, "torsion_from_moments", lambda mom: -1e-3)
 
 

@@ -12,15 +12,19 @@ from qucurve import (
     cartan_matrix,
     central_moments,
     curvature_from_moments,
-    curvature_geometric,
+    curvature_torsion_geometric,
     state_at_arclength,
     torsion_from_moments,
-    torsion_geometric,
 )
 from qucurve.hilbert import PAULI
 from qucurve.models import single_qubit
 
 from conftest import random_problem, random_state
+
+
+def geometric_at(problem, s):
+    """(kappa^2, tau^2) on the projector route at one arc length."""
+    return curvature_torsion_geometric(problem, [s])[0]
 
 
 def crossed_fields_tangent(s):
@@ -46,9 +50,8 @@ class TestWorkedExample:
     """H = XZ + ZX on |00>: every frame ingredient has a trig closed form."""
 
     def test_curvature_and_torsion(self, crossed_fields_problem):
-        for s in (0.0, 0.4, 1.1):
-            assert curvature_geometric(crossed_fields_problem, s) == pytest.approx(1.0, abs=1e-12)
-            assert torsion_geometric(crossed_fields_problem, s) == pytest.approx(1.0, abs=1e-12)
+        pairs = curvature_torsion_geometric(crossed_fields_problem, [0.0, 0.4, 1.1])
+        assert np.array(pairs) == pytest.approx(np.ones((3, 2)), abs=1e-12)
 
     def test_frame_vectors(self, crossed_fields_problem):
         for s in (0.0, 0.9):
@@ -95,11 +98,10 @@ class TestGeometricPath:
     def test_coefficients_constant_along_curve(self):
         rng = np.random.default_rng(139)
         prob = random_problem(rng, 5)
-        k0 = curvature_geometric(prob, 0.0)
-        t0 = torsion_geometric(prob, 0.0)
-        for s in (0.6, 1.7, 3.1):
-            assert curvature_geometric(prob, s) == pytest.approx(k0, rel=1e-10)
-            assert torsion_geometric(prob, s) == pytest.approx(t0, rel=1e-10, abs=1e-12)
+        (k0, t0), *rest = curvature_torsion_geometric(prob, [0.0, 0.6, 1.7, 3.1])
+        for k, t in rest:
+            assert k == pytest.approx(k0, rel=1e-10)
+            assert t == pytest.approx(t0, rel=1e-10, abs=1e-12)
 
     def test_agrees_with_moment_path(self):
         rng = np.random.default_rng(149)
@@ -107,12 +109,9 @@ class TestGeometricPath:
             for _ in range(10):
                 prob = random_problem(rng, dim)
                 m = central_moments(prob.hamiltonian, prob.initial_state)
-                assert curvature_geometric(prob, 0.0) == pytest.approx(
-                    curvature_from_moments(m), rel=1e-10, abs=1e-10
-                )
-                assert torsion_geometric(prob, 0.0) == pytest.approx(
-                    torsion_from_moments(m), rel=1e-8, abs=1e-10
-                )
+                kappa_sq, tau_sq = geometric_at(prob, 0.0)
+                assert kappa_sq == pytest.approx(curvature_from_moments(m), rel=1e-10, abs=1e-10)
+                assert tau_sq == pytest.approx(torsion_from_moments(m), rel=1e-8, abs=1e-10)
 
     def test_qubit_curves_are_planar(self):
         rng = np.random.default_rng(151)
@@ -125,7 +124,7 @@ class TestGeometricPath:
             prob = EvolutionProblem(single_qubit(m), state)
             if prob.is_stationary:
                 continue
-            assert torsion_geometric(prob, 0.3) < 1e-20
+            assert geometric_at(prob, 0.3)[1] < 1e-20
 
 
 class TestBuildFrame:
@@ -157,8 +156,9 @@ class TestBuildFrame:
         prob = random_problem(rng, 4)
         s = 0.8
         fr = build_frame(prob, s)
-        assert fr.kappa_sq == pytest.approx(curvature_geometric(prob, s), rel=1e-12)
-        assert fr.tau_sq == pytest.approx(torsion_geometric(prob, s), rel=1e-12)
+        kappa_sq, tau_sq = geometric_at(prob, s)
+        assert fr.kappa_sq == pytest.approx(kappa_sq, rel=1e-12)
+        assert fr.tau_sq == pytest.approx(tau_sq, rel=1e-12)
 
 
 class TestCartanMatrix:
@@ -220,8 +220,7 @@ class TestSigmaZPlane:
         prob = EvolutionProblem(
             single_qubit([0, 0, 1.0]), StateVector(np.array([1, 1]) / np.sqrt(2))
         )
-        assert curvature_geometric(prob, 0.0) == pytest.approx(0.0, abs=1e-12)
-        assert torsion_geometric(prob, 0.0) == pytest.approx(0.0, abs=1e-12)
+        assert geometric_at(prob, 0.0) == pytest.approx((0.0, 0.0), abs=1e-12)
         cart = cartan_matrix(prob, 0.0)
         np.testing.assert_allclose(cart[:2, :2], [[0, 1], [-1, 0]], atol=1e-12)
 
@@ -245,7 +244,26 @@ def test_pauli_backing_matches_dense_backing(n):
         mom = central_moments(op, state)
         prob = EvolutionProblem(op, state)
         out.append([curvature_from_moments(mom), torsion_from_moments(mom)])
-        out.append([curvature_geometric(prob, 0.7), torsion_geometric(prob, 0.7)])
+        out.append(geometric_at(prob, 0.7))
         out.append(cartan_matrix(prob, 0.7))
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [4, 64])
+@pytest.mark.parametrize("backing", ["pauli", "dense"])
+def test_batched_points_are_bitwise_independent(backing, dim):
+    # each pair depends on its own arc length only, bit for bit, so a batch
+    # of points gives exactly what one-point calls give
+    rng = np.random.default_rng(dim)
+    n = dim.bit_length() - 1
+    if backing == "pauli":
+        words = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(2 * n)]
+        op = build_operator([PauliTerm(float(c), w) for c, w in zip(rng.normal(size=2 * n), words)], n)
+        prob = EvolutionProblem(op, random_state(rng, dim))
+    else:
+        prob = random_problem(rng, dim)
+    pts = np.linspace(0.0, 3.0, 10)
+    batch = curvature_torsion_geometric(prob, pts)
+    for k, s in enumerate(pts):
+        assert batch[k] == curvature_torsion_geometric(prob, [s])[0]

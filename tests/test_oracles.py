@@ -14,8 +14,7 @@ from qucurve import (
     classical_frenet_serret,
     curvature_from_moments,
     evolve,
-    fit_curvature_coefficient,
-    fit_torsion_coefficient,
+    fit_coefficients,
     fubini_study_sq,
     sphere_geodesic_curvature,
     torsion_from_moments,
@@ -33,19 +32,15 @@ PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
 
 class TestFubiniStudy:
     def test_zero_versus_plus(self):
-        assert fubini_study_sq(ZERO, PLUS) == pytest.approx(2.0, rel=1e-14)
+        assert fubini_study_sq(ZERO, PLUS) == pytest.approx(0.5, rel=1e-14)
 
     def test_orthogonal_states_saturate(self):
-        assert fubini_study_sq(ZERO, StateVector([0, 1])) == pytest.approx(4.0, rel=1e-14)
+        assert fubini_study_sq(ZERO, StateVector([0, 1])) == pytest.approx(1.0, rel=1e-14)
 
     def test_identical_states_and_phase_invariance(self):
         assert fubini_study_sq(PLUS, PLUS) < 1e-28
         rotated = StateVector(np.exp(1j * 1.23) * PLUS.amplitudes)
         assert fubini_study_sq(PLUS, rotated) < 1e-28
-
-    def test_gamma_prefactor(self):
-        base = fubini_study_sq(ZERO, PLUS, gamma=1.0)
-        assert fubini_study_sq(ZERO, PLUS, gamma=3.0) == pytest.approx(9 * base, rel=1e-14)
 
     def test_symmetric(self):
         rng = np.random.default_rng(193)
@@ -62,7 +57,7 @@ class TestFubiniStudy:
         eps = 1e-8
         nearby = StateVector([np.cos(eps), np.sin(eps)])
         got = fubini_study_sq(ZERO, nearby)
-        assert got == pytest.approx(4.0 * np.sin(eps) ** 2, rel=1e-6)
+        assert got == pytest.approx(np.sin(eps) ** 2, rel=1e-6)
 
 
 def _on_segment(a, b, xi):
@@ -81,7 +76,7 @@ def _brute_min_deviation(a, p, b):
     lo, hi = 0.0, 1.0
     for _ in range(9):
         grid = np.linspace(lo, hi, 65)
-        vals = [fubini_study_sq(_on_segment(a, b, xi), p, 1.0) for xi in grid]
+        vals = [fubini_study_sq(_on_segment(a, b, xi), p) for xi in grid]
         i = int(np.argmin(vals))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, 64)]
     return min(vals)
@@ -97,7 +92,7 @@ class TestGeodesicDeviation:
         assert _min_geodesic_deviation(a, a, b) < 1e-28
         assert _min_geodesic_deviation(a, np.exp(0.7j) * b, b) < 1e-28
         # a segment of one point
-        assert _min_geodesic_deviation(a, b, -1j * a) == fubini_study_sq(a, b, 1.0)
+        assert _min_geodesic_deviation(a, b, -1j * a) == fubini_study_sq(a, b)
 
     def test_bloch_great_circle(self):
         # |0> -> |+> is the quarter of the x-z great circle from the pole to
@@ -140,11 +135,11 @@ class TestGeodesicDeviation:
         a, b = ZERO.amplitudes, _bloch_ray(0.2, 0.0)
         beyond_b = _bloch_ray(1.0, 0.1)
         got = _min_geodesic_deviation(a, beyond_b, b)
-        assert got == pytest.approx(fubini_study_sq(b, beyond_b, 1.0), rel=1e-14)
+        assert got == pytest.approx(fubini_study_sq(b, beyond_b), rel=1e-14)
         assert got == pytest.approx(_brute_min_deviation(a, beyond_b, b), rel=1e-12)
         before_a = _bloch_ray(0.5, np.pi)
         got = _min_geodesic_deviation(a, before_a, b)
-        assert got == pytest.approx(fubini_study_sq(a, before_a, 1.0), rel=1e-14)
+        assert got == pytest.approx(fubini_study_sq(a, before_a), rel=1e-14)
 
     def test_orthogonal_endpoints_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
@@ -171,7 +166,7 @@ class TestCurvatureFit:
 
     def test_crossed_fields_coefficient(self, crossed_fields_problem):
         # mu4 - mu2^2 = 8 - 4 = 4 for this problem
-        fit = fit_curvature_coefficient(crossed_fields_problem, self.DT_GRID)
+        fit = fit_coefficients(crossed_fields_problem, self.DT_GRID)[0]
         assert fit.coefficient == pytest.approx(4.0, rel=1e-4)
         assert fit.residual < 1e-4
         assert fit.dt_grid == self.DT_GRID
@@ -183,7 +178,7 @@ class TestCurvatureFit:
         for dim in (2, 3, 4):
             prob = random_problem(rng, dim)
             grid = tuple(dt / prob.speed for dt in self.DT_GRID)
-            fit = fit_curvature_coefficient(prob, grid)
+            fit = fit_coefficients(prob, grid)[0]
             m = central_moments(prob.hamiltonian, prob.initial_state)
             expected = curvature_from_moments(m)
             assert fit.coefficient / m.mu2**2 == pytest.approx(expected, rel=0.02, abs=1e-8)
@@ -193,24 +188,24 @@ class TestCurvatureFit:
         # deviation is rounding noise, which must neither fail the 5% gate
         # nor read as a misfit
         prob = EvolutionProblem(single_qubit([0.0, 0.0, 1.0]), PLUS)
-        fit = fit_curvature_coefficient(prob, self.DT_GRID)
+        fit = fit_coefficients(prob, self.DT_GRID)[0]
         assert fit.residual == 0.0
         assert abs(fit.coefficient) <= 1e-12
 
     def test_grid_validation(self, crossed_fields_problem):
         with pytest.raises(ValueError, match="two positive steps"):
-            fit_curvature_coefficient(crossed_fields_problem, (1e-3,))
+            fit_coefficients(crossed_fields_problem, (1e-3,))
         with pytest.raises(ValueError, match="two positive steps"):
-            fit_curvature_coefficient(crossed_fields_problem, (1e-3, -1e-3))
+            fit_coefficients(crossed_fields_problem, (1e-3, -1e-3))
 
     def test_coarse_grid_warns(self, crossed_fields_problem):
         with pytest.warns(UserWarning, match="quartic scaling"):
-            fit_curvature_coefficient(crossed_fields_problem, (0.05, 0.1, 0.2))
+            fit_coefficients(crossed_fields_problem, (0.05, 0.1, 0.2))
 
     def test_stationary_state_rejected(self):
         prob = EvolutionProblem(HermitianOperator(PAULI["Z"]), ZERO)
         with pytest.raises(StationaryStateError):
-            fit_curvature_coefficient(prob, self.DT_GRID)
+            fit_coefficients(prob, self.DT_GRID)
 
 
 class TestTorsionFit:
@@ -218,7 +213,7 @@ class TestTorsionFit:
 
     def test_crossed_fields_coefficient(self, crossed_fields_problem):
         # tau^2 mu2^2 = 1 * 4 for this problem
-        fit = fit_torsion_coefficient(crossed_fields_problem, self.DT_GRID)
+        fit = fit_coefficients(crossed_fields_problem, self.DT_GRID)[1]
         assert fit.coefficient == pytest.approx(4.0, rel=1e-4)
         m = central_moments(crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state)
         assert fit.coefficient / m.mu2**2 == pytest.approx(1.0, rel=1e-4)
@@ -232,7 +227,7 @@ class TestTorsionFit:
                 single_qubit(rng.normal(size=3)),
                 StateVector([0.6, 0.8j]),
             )
-            fit = fit_torsion_coefficient(prob, tuple(dt / prob.speed for dt in self.DT_GRID))
+            fit = fit_coefficients(prob, tuple(dt / prob.speed for dt in self.DT_GRID))[1]
             assert abs(fit.coefficient) <= 1e-10
             assert fit.residual == 0.0  # a column of rounding noise has no misfit
 
@@ -245,29 +240,22 @@ class TestTorsionFit:
             if expected < 1e-3:  # quartic signal would drown in noise
                 continue
             grid = tuple(dt / prob.speed for dt in self.DT_GRID)
-            fit = fit_torsion_coefficient(prob, grid)
+            fit = fit_coefficients(prob, grid)[1]
             assert fit.coefficient / m.mu2**2 == pytest.approx(expected, rel=0.02)
-
-    def test_stationary_state_rejected(self):
-        prob = EvolutionProblem(HermitianOperator(PAULI["Z"]), ZERO)
-        with pytest.raises(StationaryStateError):
-            fit_torsion_coefficient(prob, self.DT_GRID)
 
 
 class TestGridChecks:
-    @pytest.mark.parametrize("fit", [fit_curvature_coefficient, fit_torsion_coefficient])
-    def test_step_below_floor_rejected(self, fit, crossed_fields_problem):
+    def test_step_below_floor_rejected(self, crossed_fields_problem):
         # dt v = 1.4e-9: every deviation lies under the rounding floor, so a
         # fit would report a residual of 0 on pure noise
         with pytest.raises(NumericalError, match="dt_grid: smallest dt\\*v = 1.41e-09"):
-            fit(crossed_fields_problem, (1e-9, 2e-9))
+            fit_coefficients(crossed_fields_problem, (1e-9, 2e-9))
 
-    @pytest.mark.parametrize("fit", [fit_curvature_coefficient, fit_torsion_coefficient])
-    def test_overflowing_grid_rejected(self, fit, crossed_fields_problem):
+    def test_overflowing_grid_rejected(self, crossed_fields_problem):
         # dt^4 overflows, so the fitted coefficient would be NaN
         with pytest.warns(UserWarning, match="quartic scaling"), np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="dt_grid: quartic fit gives coefficient nan"):
-                fit(crossed_fields_problem, (1e300, 2e300))
+                fit_coefficients(crossed_fields_problem, (1e300, 2e300))
 
     def test_small_curvature_resolved_just_above_floor(self):
         # a qubit with kappa^2 = 1e-3, the smallest value the floor is sized
@@ -277,12 +265,12 @@ class TestGridChecks:
         prob = EvolutionProblem(single_qubit([0.0, 0.0, 1.0]), StateVector([np.cos(theta / 2), np.sin(theta / 2)]))
         m = central_moments(prob.hamiltonian, prob.initial_state)
         assert curvature_from_moments(m) == pytest.approx(1e-3, rel=1e-12)
-        fit = fit_curvature_coefficient(prob, tuple(k * 2e-5 / prob.speed for k in (1.0, 2.0, 4.0)))
+        fit = fit_coefficients(prob, tuple(k * 2e-5 / prob.speed for k in (1.0, 2.0, 4.0)))[0]
         assert fit.coefficient / m.mu2**2 == pytest.approx(1e-3, rel=1e-5)
 
 
 class TestSnapshots:
-    """Every distinct time of {dt, 2 dt} is evolved once, in one walk, per fit or per report."""
+    """Every distinct time of {dt, 2 dt} is evolved once, in one walk, per pair of fits or per report."""
 
     @pytest.fixture
     def walks(self, monkeypatch):
@@ -296,10 +284,9 @@ class TestSnapshots:
         monkeypatch.setattr(EvolutionProblem, "_evolve_rows", counted)
         return walks
 
-    @pytest.mark.parametrize("fit", [fit_curvature_coefficient, fit_torsion_coefficient])
-    def test_four_distinct_times_per_fit(self, fit, crossed_fields_problem, walks):
+    def test_four_distinct_times_per_fit(self, crossed_fields_problem, walks):
         grid = tuple(k * 1e-3 / crossed_fields_problem.speed for k in (1.0, 2.0, 4.0))
-        fit(crossed_fields_problem, grid)
+        fit_coefficients(crossed_fields_problem, grid)
         assert len(walks) == 1
         times = walks[0]
         assert len(times) == len(set(times)) == 4

@@ -35,10 +35,9 @@ PUBLIC_NAMES = [
     "classical_frenet_serret",
     "curvature_bloch",
     "curvature_from_moments",
-    "curvature_geometric",
+    "curvature_torsion_geometric",
     "evolve",
-    "fit_curvature_coefficient",
-    "fit_torsion_coefficient",
+    "fit_coefficients",
     "format_float",
     "fubini_study_sq",
     "geodesic_efficiency",
@@ -60,7 +59,6 @@ PUBLIC_NAMES = [
     "sweep_row",
     "torsion_bloch",
     "torsion_from_moments",
-    "torsion_geometric",
     "trajectory_rows",
     "two_qubit_local",
     "two_qubit_nonlocal",

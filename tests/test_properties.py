@@ -21,10 +21,9 @@ from qucurve import (
     cartan_matrix,
     central_moments,
     curvature_from_moments,
-    curvature_geometric,
+    curvature_torsion_geometric,
     evolve,
     torsion_from_moments,
-    torsion_geometric,
 )
 
 from conftest import random_hermitian, random_state
@@ -44,7 +43,7 @@ def _geometry(ham: HermitianOperator, state: StateVector, s: float):
     prob = EvolutionProblem(ham, state)
     return (
         np.array([curvature_from_moments(mom), torsion_from_moments(mom)]),
-        np.array([curvature_geometric(prob, s), torsion_geometric(prob, s)]),
+        np.array(curvature_torsion_geometric(prob, [s])[0]),
         np.abs(cartan_matrix(prob, s)),
     )
 

@@ -12,6 +12,7 @@ from qucurve import (
     StationaryStateError,
     build_operator,
     build_report,
+    curvature_torsion_geometric,
     evolve,
     format_float,
     sweep_row,
@@ -198,7 +199,7 @@ class TestOneMomentPass:
         applies[0] = 0
         problem = EvolutionProblem(ham, psi)
         assert applies[0] == 2  # H psi and H (H - E) psi
-        qucurve.reporting._curvature_torsion(problem, np.linspace(0.0, 1.0, qucurve.reporting._ARC_SAMPLES))
+        curvature_torsion_geometric(problem, np.linspace(0.0, 1.0, qucurve.reporting._ARC_SAMPLES))
         assert report == applies[0]
 
     def test_sweep_row(self, applies):
