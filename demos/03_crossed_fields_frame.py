@@ -5,8 +5,8 @@ A genuinely twisting curve and its moving frame
 Two qubits coupled by crossed two-body terms, H = XZ + ZX, starting from
 |00>.  This is the smallest example whose curve actually leaves every
 plane: kappa^2 = tau^2 = 1, and the moving frame closes on a third vector
-(the binormal, here |11> at s = 0) with the singlet left over as the
-frame's completion to a full basis.
+(the binormal, here |11> at s = 0).  The singlet is the one direction of
+C^4 the curve never reaches: it is orthogonal to all three frame rows.
 
 The script computes the geometry three independent ways -- moment
 formulas, projector geometry, and the frame's structure matrix -- and
@@ -55,14 +55,14 @@ for s, (kappa_sq, tau_sq) in zip(stations, curvature_torsion_geometric(problem, 
 # %%
 # The frame itself.  At s = 0 the tangent mixes |01> and |10> and the
 # binormal sits on |11>; the singlet (|01> - |10>)/sqrt(2) never couples to
-# the dynamics and survives as the completion vector.  Transporting along
+# the dynamics, so no frame row has any overlap with it.  Transporting along
 # the curve rotates the frame but leaves the structure matrix constant, and
 # its only nonzero entries are the +/-1 couplings of neighbours in the
 # frame -- the signature of constant curvature and torsion with no
 # skewness term.
 
 frame = build_frame(problem, 0.0)
-labels = ("position", "tangent", "binormal", "extra")
+labels = ("position", "tangent", "binormal")
 print("\nframe at s = 0 (rows = frame vectors, basis |00>,|01>,|10>,|11>)")
 for label, vec in zip(labels, frame.vectors()):
     pretty = ", ".join(f"{z.real:+.3f}{z.imag:+.3f}j" for z in vec.amplitudes)
@@ -73,6 +73,8 @@ with np.printoptions(precision=3, suppress=True):
     print(np.round(frame.cartan.real, 12))
 
 singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
-overlap = float(abs(np.vdot(singlet, frame.extra[0].amplitudes)))
-print(f"\n|<singlet|completion>| = {overlap!r}")
-assert np.isclose(overlap, 1.0, atol=1e-12)
+print("\noverlap of the singlet with each frame row")
+for label, vec in zip(labels, frame.vectors()):
+    overlap = float(abs(np.vdot(vec.amplitudes, singlet)))
+    print(f"  |<{label}|singlet>| = {overlap!r}")
+    assert np.isclose(overlap, 0.0, atol=1e-12)

@@ -2,7 +2,7 @@
 
 A pure state evolving under a stationary Hamiltonian traces a curve through
 projective Hilbert space.  This package computes the intrinsic geometry of
-that curve -- its speed, squared curvature, squared torsion, and a full
+that curve -- its speed, squared curvature, squared torsion, and the
 orthonormal moving frame -- through three independent routes that check one
 another:
 

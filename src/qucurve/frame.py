@@ -24,7 +24,7 @@ skew-Hermitian, with |C[1][2]| = tau and |C[1][1]| = sqrt(kappa^2 - tau^2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "QuantumFrame",
     "curvature_torsion_geometric",
     "build_frame",
-    "cartan_matrix",
 ]
 
 # Below this norm the raw binormal is rounding noise on an exactly planar
@@ -45,11 +44,11 @@ _BINORMAL_NORM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class QuantumFrame:
-    """Orthonormal moving frame at a fixed arc length.
+    """Orthonormal moving frame {psi, tangent, binormal} at a fixed arc length.
 
     ``binormal`` is None for planar (zero-torsion) curves, where the raw
-    binormal vector is numerically zero and cannot be normalized.  ``extra``
-    completes {psi, tangent, binormal} to a full orthonormal basis of C^d.
+    binormal vector is numerically zero and cannot be normalized.  The frame
+    is these k <= 3 rows only; it is not completed to a basis of C^d.
     ``cartan`` is the 3x3 structure matrix of frame derivatives; when the
     binormal is absent only its leading 2x2 block is populated.
     """
@@ -59,17 +58,15 @@ class QuantumFrame:
     tangent: StateVector
     binormal_raw: np.ndarray
     binormal: StateVector | None
-    extra: list[StateVector] = field(default_factory=list)
-    kappa_sq: float = 0.0
-    tau_sq: float = 0.0
-    cartan: np.ndarray = None
+    kappa_sq: float
+    tau_sq: float
+    cartan: np.ndarray
 
     def vectors(self) -> list[StateVector]:
-        """All frame members in order: psi, tangent, binormal (if any), extra."""
+        """The frame rows in order: psi, tangent, binormal (if any)."""
         out = [self.psi, self.tangent]
         if self.binormal is not None:
             out.append(self.binormal)
-        out.extend(self.extra)
         return out
 
 
@@ -102,54 +99,32 @@ def curvature_torsion_geometric(problem: EvolutionProblem, s_points) -> list[tup
     return out
 
 
-def _frame_rows(
-    problem: EvolutionProblem, s: float
-) -> tuple[np.ndarray, float, float, np.ndarray]:
-    """Frame rows F = (Psi, T[, N]), kappa^2, tau^2 and Nbar at arc length s."""
+def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
+    """The moving frame at arc length s and its structure matrix.
+
+    The frame is the first k <= 3 Lanczos rows f = (Psi, T[, N]) of
+    (dh, Psi(s)), up to phases: N is present (k = 3) only when the curve
+    twists.  Its structure matrix is C[i][j] = <f_j | d/ds f_i> =
+    <f_j | -i dh f_i>, zero-padded to 3x3, so on a planar curve only the 2x2
+    principal block is meaningful.  One state evaluation and k + 2 dh
+    products: O(d) work.
+    """
     psi, tan, perp, nbar = _vectors_from(problem, state_at_arclength(problem, s).amplitudes)
     tau_sq = float(np.vdot(nbar, nbar).real)
     rows = [psi, tan]
     if _binormal_present(tau_sq):
         rows.append(nbar / np.linalg.norm(nbar))
-    return np.array(rows), float(np.vdot(perp, perp).real), tau_sq, nbar
-
-
-def _structure_matrix(problem: EvolutionProblem, rows: np.ndarray) -> np.ndarray:
-    """C[i][j] = <f_j | -i dh f_i> for the stacked frame rows, zero-padded to 3x3."""
+    rows = np.array(rows)
     k = rows.shape[0]
-    cart = np.zeros((3, 3), dtype=complex)
-    cart[:k, :k] = (-1j * problem._apply_delta_h(rows.T)).T @ rows.conj().T
-    return cart
-
-
-def cartan_matrix(problem: EvolutionProblem, s: float) -> np.ndarray:
-    """Structure matrix C[i][j] = <frame_j | d/ds frame_i> at arc length s.
-
-    Every frame vector f obeys d/ds f = -i dh f, so C[i][j] = <f_j | -i dh f_i>.
-    When the curve is planar the binormal row and column are zero and only
-    the 2x2 principal block is meaningful.
-    """
-    return _structure_matrix(problem, _frame_rows(problem, s)[0])
-
-
-def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
-    """Assemble the full orthonormal frame at arc length s.
-
-    {psi, tangent, binormal} is extended to a basis of C^d by the trailing
-    columns of a complete QR factorization of the frame.  The completion is
-    unique up to phases only when a single vector is missing.
-    """
-    rows, kappa_sq, tau_sq, nbar = _frame_rows(problem, s)
-    k = rows.shape[0]
-    q = np.linalg.qr(rows.T, mode="complete")[0]
+    cartan = np.zeros((3, 3), dtype=complex)
+    cartan[:k, :k] = (-1j * problem._apply_delta_h(rows.T)).T @ rows.conj().T
     return QuantumFrame(
         s=s,
         psi=StateVector(rows[0]),
         tangent=StateVector(rows[1]),
         binormal_raw=nbar,
         binormal=StateVector(rows[2]) if k == 3 else None,
-        extra=[StateVector(col) for col in q[:, k:].T],
-        kappa_sq=kappa_sq,
+        kappa_sq=float(np.vdot(perp, perp).real),
         tau_sq=tau_sq,
-        cartan=_structure_matrix(problem, rows),
+        cartan=cartan,
     )

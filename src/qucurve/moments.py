@@ -83,6 +83,9 @@ def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> Momen
 
 def _moment_pass(hamiltonian: HermitianOperator, psi: np.ndarray) -> tuple[MomentSet, np.ndarray]:
     """``central_moments`` of amplitudes psi, and w1 = (H - <H>) psi."""
+    fro_sq = hamiltonian.frobenius_sq
+    if not math.isfinite(fro_sq):  # else the stationary test below always holds
+        raise NumericalError(f"alpha4 is out of floating-point range: hamiltonian ||H||_F^2 = {fro_sq!r}")
     h_psi = hamiltonian.apply(psi)
     mean = float(np.vdot(psi, h_psi).real)
     w1 = h_psi - mean * psi
@@ -91,7 +94,7 @@ def _moment_pass(hamiltonian: HermitianOperator, psi: np.ndarray) -> tuple[Momen
     mu3 = float(np.vdot(w1, w2).real)
     mu4 = float(np.vdot(w2, w2).real)
 
-    if mu2 <= _STATIONARY_MU2_TOL * hamiltonian.frobenius_sq / hamiltonian.dim:
+    if mu2 <= _STATIONARY_MU2_TOL * fro_sq / hamiltonian.dim:
         alpha3 = alpha4 = None
     else:
         try:

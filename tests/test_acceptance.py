@@ -18,7 +18,6 @@ from qucurve import (
     StateVector,
     bell_state,
     build_frame,
-    cartan_matrix,
     central_moments,
     classical_frenet_serret,
     curvature_bloch,
@@ -122,10 +121,11 @@ def test_closed_form_value_table():
         )
         assert abs(np.vdot(tan_expected, fr.tangent.amplitudes)) == pytest.approx(1.0, abs=1e-9)
         assert abs(np.vdot(bin_expected, fr.binormal.amplitudes)) == pytest.approx(1.0, abs=1e-9)
-        assert len(fr.extra) == 1
-        assert abs(np.vdot(singlet, fr.extra[0].amplitudes)) == pytest.approx(1.0, abs=1e-9)
+        assert len(fr.vectors()) == 3
+        overlap = max(abs(np.vdot(f.amplitudes, singlet)) for f in fr.vectors())
+        assert overlap == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(
-        cartan_matrix(prob, 0.0),
+        build_frame(prob, 0.0).cartan,
         np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex),
         atol=1e-8,
     )

@@ -141,7 +141,8 @@ class TestReportCommand:
                 "dt_grid",
             ),
             # c (XI + 0.7 ZZ + 0.3 IY) on |00>: mu2^2 underflows to 0, or mu4 and
-            # mu2^1.5 overflow, so the kurtosis alpha4 = mu4 / mu2^2 is not finite
+            # mu2^1.5 overflow, so the kurtosis alpha4 = mu4 / mu2^2 is not finite;
+            # from c = 1e200 on, ||H||_F^2 itself overflows
             *(
                 (
                     {
@@ -152,7 +153,7 @@ class TestReportCommand:
                     },
                     "alpha4",
                 )
-                for c in (1e-160, 1e-100, 1e77, 1e100, 1e150)
+                for c in (1e-160, 1e-100, 1e77, 1e100, 1e150, 1e200, 1e250, 1e300)
             ),
         ],
     )

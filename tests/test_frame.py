@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from qucurve import (
     StateVector,
     build_frame,
     build_operator,
-    cartan_matrix,
     central_moments,
     curvature_from_moments,
     curvature_torsion_geometric,
@@ -64,21 +65,21 @@ class TestWorkedExample:
                 fr.binormal.amplitudes, crossed_fields_binormal(s), atol=1e-12
             )
 
-    def test_completion_is_singlet(self, crossed_fields_problem):
-        # {psi, T, N} all live in the triplet sector, so the lone extra
-        # vector must be the singlet (|01> - |10>)/sqrt(2) at every s
+    def test_singlet_is_off_the_frame(self, crossed_fields_problem):
+        # {psi, T, N} all live in the triplet sector, so the singlet
+        # (|01> - |10>)/sqrt(2) is orthogonal to every frame row at every s
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
         for s in (0.0, 0.7):
             fr = build_frame(crossed_fields_problem, s)
-            assert len(fr.extra) == 1
-            overlap = abs(np.vdot(singlet, fr.extra[0].amplitudes))
-            assert overlap == pytest.approx(1.0, abs=1e-12)
+            assert len(fr.vectors()) == 3
+            overlap = max(abs(np.vdot(f.amplitudes, singlet)) for f in fr.vectors())
+            assert overlap == pytest.approx(0.0, abs=1e-12)
 
     def test_cartan_matrix(self, crossed_fields_problem):
         expected = np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex)
         for s in (0.0, 1.3):
             np.testing.assert_allclose(
-                cartan_matrix(crossed_fields_problem, s), expected, atol=1e-12
+                build_frame(crossed_fields_problem, s).cartan, expected, atol=1e-12
             )
 
 
@@ -128,17 +129,38 @@ class TestGeometricPath:
 
 
 class TestBuildFrame:
-    def test_frame_is_orthonormal_and_complete(self):
-        # at d = 64 the completion is one of many orthonormal bases
+    def test_frame_rows_are_orthonormal(self):
         rng = np.random.default_rng(157)
-        for dim in (2, 3, 4, 8, 64):
+        for dim in (2, 3, 4, 8, 64, 1024):
             prob = random_problem(rng, dim)
             fr = build_frame(prob, float(rng.uniform(0, 2)))
             vecs = np.array([v.amplitudes for v in fr.vectors()])
-            assert vecs.shape == (dim, dim)
+            k = 2 if fr.binormal is None else 3
+            assert vecs.shape == (k, dim)
             np.testing.assert_allclose(
-                vecs.conj() @ vecs.T, np.eye(dim), atol=1e-10
+                vecs.conj() @ vecs.T, np.eye(k), atol=1e-10
             )
+
+    def test_frame_memory_is_linear_in_d(self):
+        # the frame is k <= 3 rows of length d: at n = 12 (d = 4096) one
+        # d x d array alone would take 256 MiB
+        rng = np.random.default_rng(11)
+        n = 12
+        zz = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+        terms = [PauliTerm(float(c), "I" * i + "ZZ" + "I" * (n - i - 2)) for i, c in enumerate(zz)]
+        terms += [PauliTerm(float(h), "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
+        basis_state = np.zeros(2**n)
+        basis_state[0] = 1.0
+        prob = EvolutionProblem(build_operator(terms, n), StateVector(basis_state))
+        state_at_arclength(prob, 0.5)  # grows the Krylov basis that build_frame reuses
+        tracemalloc.start()
+        try:
+            fr = build_frame(prob, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fr.binormal is not None
+        assert peak < 32 * 2**20
 
     def test_planar_curve_has_no_binormal(self):
         prob = EvolutionProblem(
@@ -167,7 +189,7 @@ class TestCartanMatrix:
         for dim in (2, 3, 4, 8):
             for _ in range(5):
                 prob = random_problem(rng, dim)
-                cart = cartan_matrix(prob, float(rng.uniform(0, 2)))
+                cart = build_frame(prob, float(rng.uniform(0, 2))).cartan
                 np.testing.assert_allclose(cart + cart.conj().T, 0.0, atol=1e-12)
 
     def test_entries_encode_curvature_and_torsion(self):
@@ -176,7 +198,7 @@ class TestCartanMatrix:
             for _ in range(5):
                 prob = random_problem(rng, dim)
                 m = central_moments(prob.hamiltonian, prob.initial_state)
-                cart = cartan_matrix(prob, 0.0)
+                cart = build_frame(prob, 0.0).cartan
                 tau = np.sqrt(max(torsion_from_moments(m), 0.0))
                 assert abs(cart[1, 2]) == pytest.approx(tau, rel=1e-9, abs=1e-10)
                 assert abs(cart[1, 1]) == pytest.approx(abs(m.alpha3), rel=1e-9, abs=1e-10)
@@ -184,14 +206,14 @@ class TestCartanMatrix:
     def test_first_row_is_pure_tangent(self):
         rng = np.random.default_rng(179)
         prob = random_problem(rng, 6)
-        cart = cartan_matrix(prob, 1.1)
+        cart = build_frame(prob, 1.1).cartan
         np.testing.assert_allclose(cart[0], [0, 1, 0], atol=1e-12)
 
     def test_constant_along_curve(self):
         rng = np.random.default_rng(181)
         prob = random_problem(rng, 4)
         np.testing.assert_allclose(
-            cartan_matrix(prob, 0.2), cartan_matrix(prob, 1.9), atol=1e-11
+            build_frame(prob, 0.2).cartan, build_frame(prob, 1.9).cartan, atol=1e-11
         )
 
     def test_matches_finite_differences_of_frame(self):
@@ -221,7 +243,7 @@ class TestSigmaZPlane:
             single_qubit([0, 0, 1.0]), StateVector(np.array([1, 1]) / np.sqrt(2))
         )
         assert geometric_at(prob, 0.0) == pytest.approx((0.0, 0.0), abs=1e-12)
-        cart = cartan_matrix(prob, 0.0)
+        cart = build_frame(prob, 0.0).cartan
         np.testing.assert_allclose(cart[:2, :2], [[0, 1], [-1, 0]], atol=1e-12)
 
 
@@ -245,7 +267,7 @@ def test_pauli_backing_matches_dense_backing(n):
         prob = EvolutionProblem(op, state)
         out.append([curvature_from_moments(mom), torsion_from_moments(mom)])
         out.append(geometric_at(prob, 0.7))
-        out.append(cartan_matrix(prob, 0.7))
+        out.append(build_frame(prob, 0.7).cartan)
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 

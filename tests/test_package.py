@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "build_frame",
     "build_operator",
     "build_report",
-    "cartan_matrix",
     "central_moments",
     "classical_frenet_serret",
     "curvature_bloch",

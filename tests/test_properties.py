@@ -18,7 +18,7 @@ from qucurve import (
     EvolutionProblem,
     HermitianOperator,
     StateVector,
-    cartan_matrix,
+    build_frame,
     central_moments,
     curvature_from_moments,
     curvature_torsion_geometric,
@@ -44,7 +44,7 @@ def _geometry(ham: HermitianOperator, state: StateVector, s: float):
     return (
         np.array([curvature_from_moments(mom), torsion_from_moments(mom)]),
         np.array(curvature_torsion_geometric(prob, [s])[0]),
-        np.abs(cartan_matrix(prob, s)),
+        np.abs(build_frame(prob, s).cartan),
     )
 
 
