@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .config import SpecError, load_problem_spec
-from .evolution import NumericalError, StationaryStateError
+from .moments import NumericalError, StationaryStateError
 from .reporting import build_report, sweep_row, trajectory_rows
 from .validation import PERTURBABLE_CASES, run_validation
 
@@ -32,14 +32,16 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_DEGENERATE = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
 # Most rows of a trajectory or sweep grid: np.linspace allocates the grid up front.
 MAX_GRID_POINTS = 1_000_000
 
 EXIT_CODES = (
-    "exit codes: 0 success; 1 validation failures; 2 malformed input or usage; 3 degenerate geometry "
-    "(an eigenstate); 4 numerical failure (a cross-check or fit missed its tolerance). The messages "
-    "of 2 and 4 name the field, flag or quantity."
+    "exit codes: 0 success; 1 validation failures; 2 malformed input or usage (also an --output that "
+    "is a directory or cannot be opened); 3 degenerate geometry (an eigenstate); 4 numerical failure "
+    "(a cross-check or fit missed its tolerance); 141 standard output closed by its reader. The "
+    "messages of 2 and 4 name the field, flag or quantity."
 )
 
 
@@ -86,7 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output(path: str) -> None:
-    """Reject an --output path whose directory is missing, before any work."""
+    """Reject an --output path that is a directory or whose directory is missing, before any work."""
+    if os.path.isdir(path):
+        raise SpecError("--output", f"{path!r} is a directory")
     folder = os.path.dirname(path) or "."
     if not os.path.isdir(folder):
         raise SpecError("--output", f"directory {folder!r} does not exist")
@@ -95,7 +99,11 @@ def _check_output(path: str) -> None:
 def _write_csv(path: str, header: list[str], rows) -> None:
     """Comma-joined lines (no csv quoting is needed); a failing row removes the file."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh = open(path, "w", newline="", encoding="utf-8")
+    except OSError as exc:  # only the open: a write error, such as a closed pipe, propagates
+        raise SpecError("--output", f"cannot open {path!r}: {exc.strerror}") from exc
+    try:
+        with fh:
             fh.write(",".join(header) + "\n")
             fh.writelines(",".join(row) + "\n" for row in rows)
     except ValueError:
@@ -182,7 +190,14 @@ def main(argv=None) -> int:
 
 
 def entry_point():
-    raise SystemExit(main())
+    """``main`` as a process: a reader that closes stdout early ends it with ``EXIT_BROKEN_PIPE``."""
+    try:
+        code = main()
+        sys.stdout.flush()  # so a closed pipe is met here, not in the flush at exit
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiets the flush at exit
+        code = EXIT_BROKEN_PIPE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -58,10 +58,7 @@ class SpecError(ValueError):
 # Named states "kind:a,b" with two numeric arguments: the argument names, which
 # a sweep rebinds, and the builder.
 _NAMED_ARGS = {
-    "bloch": (
-        ("theta", "phi"),
-        lambda theta, phi: StateVector([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)]),
-    ),
+    "bloch": (("theta", "phi"), models._bloch_angle_state),
     "xi": (("xi", "phi"), models.xi_state),
 }
 

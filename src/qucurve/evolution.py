@@ -31,11 +31,9 @@ import math
 import numpy as np
 
 from .hilbert import HermitianOperator, StateVector
-from .moments import NumericalError, StationaryStateError, _moment_pass, _require_moving
+from .moments import NumericalError, _moment_pass, _require_moving
 
 __all__ = [
-    "StationaryStateError",
-    "NumericalError",
     "EvolutionProblem",
     "evolve",
     "parallel_transported_state",
@@ -121,13 +119,6 @@ class EvolutionProblem:
     @property
     def dim(self) -> int:
         return self.hamiltonian.dim
-
-    @property
-    def is_stationary(self) -> bool:
-        return self.moments.is_stationary
-
-    def _require_moving(self):
-        _require_moving(self.moments)
 
     def _apply_delta_h(self, vec: np.ndarray) -> np.ndarray:
         """(H - E) vec / v, without forming the centered matrix."""
@@ -240,5 +231,5 @@ def _transported_states(problem: EvolutionProblem, ts) -> list[StateVector]:
 
 def _arclength_states(problem: EvolutionProblem, s_points) -> list[StateVector]:
     """``state_at_arclength`` at every arc length in ``s_points``, evaluated together."""
-    problem._require_moving()
+    _require_moving(problem.moments)
     return _transported_states(problem, np.asarray(s_points, dtype=float) / problem.speed)

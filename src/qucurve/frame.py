@@ -117,7 +117,7 @@ def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
     rows = np.array(rows)
     k = rows.shape[0]
     cartan = np.zeros((3, 3), dtype=complex)
-    cartan[:k, :k] = (-1j * problem._apply_delta_h(rows.T)).T @ rows.conj().T
+    cartan[:k, :k] = np.array([-1j * problem._apply_delta_h(f) for f in rows]) @ rows.conj().T
     return QuantumFrame(
         s=s,
         psi=StateVector(rows[0]),

@@ -146,12 +146,10 @@ class HermitianOperator:
         return self._matrix
 
     def apply(self, vec) -> np.ndarray:
-        """M @ v for a vector (d,) or a block of columns (d, k), as a plain ndarray."""
+        """M @ v for one vector v of d amplitudes, as a plain ndarray."""
         v = _as_vector(vec)
         if self._perms is None:
             return self._matrix @ v
-        if v.ndim == 2:  # one gather per column beats a (G, d, k) gather
-            return np.stack([self.apply(col) for col in v.T], axis=1)
         return (self._diags * v[self._perms]).sum(0)
 
     def __repr__(self):
@@ -215,16 +213,10 @@ def _encode_word(word: str) -> tuple[int, np.ndarray]:
     052328, 2004).  The leftmost letter owns the most significant bit.  Row j
     of P holds one entry, in column j ^ x; the vector lists them by j.
     """
-    x = z = 0
-    for c in word:
-        x = (x << 1) | (c in "XY")
-        z = (z << 1) | (c in "ZY")
-    masked = (np.arange(2 ** len(word)) ^ x) & z  # the sign of row j is (-1)^popcount(masked[j])
-    parity = np.zeros_like(masked)
-    for bit in range(z.bit_length()):  # popcount mod 2 over the set bits of z,
-        if z >> bit & 1:  # without NumPy 2's bitwise_count
-            parity ^= masked >> bit
-    return x, (1, 1j, -1, -1j)[word.count("Y") % 4] * (1 - 2 * (parity & 1))
+    x = int(word.translate(str.maketrans("IXYZ", "0110")), 2)
+    z = int(word.translate(str.maketrans("IXYZ", "0011")), 2)
+    sign = np.where(np.bitwise_count((np.arange(2 ** len(word)) ^ x) & z) & 1, -1, 1)
+    return x, (1, 1j, -1, -1j)[word.count("Y") % 4] * sign
 
 
 def _pauli_sum(weighted, dim: int) -> HermitianOperator:

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolution import EvolutionProblem, NumericalError, StationaryStateError, evolve
-from .hilbert import HermitianOperator, StateVector, _check_coefficient, _encode_word, _pauli_sum, _project_off
+from .evolution import EvolutionProblem, evolve
+from .hilbert import _NORM_TOL, HermitianOperator, StateVector, _check_coefficient, _encode_word, _pauli_sum, _project_off
+from .moments import NumericalError, StationaryStateError, _require_moving
 
 __all__ = [
     "bloch_to_state",
@@ -54,10 +55,13 @@ def bloch_to_state(a) -> StateVector:
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {a.shape}")
-    if abs(np.linalg.norm(a) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(a) - 1.0) > _NORM_TOL:
         raise ValueError(f"Bloch vector must be unit length, got |a| = {np.linalg.norm(a)!r}")
-    theta = np.arccos(np.clip(a[2], -1.0, 1.0))
-    phi = np.arctan2(a[1], a[0])
+    return _bloch_angle_state(np.arccos(np.clip(a[2], -1.0, 1.0)), np.arctan2(a[1], a[0]))
+
+
+def _bloch_angle_state(theta: float, phi: float) -> StateVector:
+    """cos(theta/2) |0> + e^(i phi) sin(theta/2) |1>, at polar angle theta and azimuth phi."""
     return StateVector([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
 
 
@@ -106,7 +110,7 @@ def geodesic_efficiency(problem: EvolutionProblem, t: float) -> float:
     psi(t) leaves a relative error of about 2e-17 / (v t).  Equal to 1 exactly
     on geodesic curves, smaller otherwise.
     """
-    problem._require_moving()
+    _require_moving(problem.moments)
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
     psi0 = problem.initial_state.amplitudes

@@ -23,6 +23,8 @@ import numpy as np
 from .hilbert import HermitianOperator, StateVector
 
 __all__ = [
+    "StationaryStateError",
+    "NumericalError",
     "MomentSet",
     "central_moments",
     "curvature_from_moments",

@@ -30,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import EvolutionProblem, NumericalError
+from .evolution import EvolutionProblem
 from .hilbert import StateVector, _as_vector, _project_off
+from .moments import NumericalError, _require_moving
 
 __all__ = [
     "FitResult",
@@ -155,7 +156,7 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
 
 def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], dict[float, np.ndarray]]:
     """The checked steps, and psi(t) for every distinct t in {dt, 2 dt}, evolved in one walk."""
-    problem._require_moving()  # before the step floor, which reads the speed
+    _require_moving(problem.moments)  # before the step floor, which reads the speed
     dts = tuple(float(dt) for dt in dt_grid)
     if len(dts) < 2 or any(dt <= 0 for dt in dts):
         raise ValueError("dt_grid must contain at least two positive steps")

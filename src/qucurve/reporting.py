@@ -14,11 +14,11 @@ from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
-from .evolution import EvolutionProblem, NumericalError
+from .evolution import EvolutionProblem
 from .frame import _binormal_present, curvature_torsion_geometric
 from .hilbert import HermitianOperator, StateVector
 from .models import geodesic_efficiency, state_to_bloch
-from .moments import curvature_from_moments, torsion_from_moments
+from .moments import NumericalError, curvature_from_moments, torsion_from_moments
 from .oracles import fit_coefficients
 
 __all__ = ["GeometryReport", "build_report", "format_float", "trajectory_rows", "sweep_row"]

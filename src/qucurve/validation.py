@@ -23,6 +23,7 @@ from .oracles import (
     fit_coefficients,
     sphere_geodesic_curvature,
 )
+from .reporting import _CLAMP_FLOOR
 
 __all__ = ["CaseResult", "PERTURBABLE_CASES", "run_validation"]
 
@@ -51,7 +52,7 @@ def _closed_form_state(t: float) -> np.ndarray:
     return np.array([c * c, -0.5j * np.sin(2 * t), -0.5j * np.sin(2 * t), s * s])
 
 
-def _case_evolved_state_closed_form(perturb: bool = False) -> CaseResult:
+def _case_evolved_state_closed_form(perturb: bool = False) -> float:
     prob = _two_qubit_cross_field()
     worst = 0.0
     for t in (0.0, 0.3, 0.7, 1.9):
@@ -61,10 +62,10 @@ def _case_evolved_state_closed_form(perturb: bool = False) -> CaseResult:
             expected[0] += 1e-3
         got = evolve(prob, t).amplitudes
         worst = max(worst, float(np.max(np.abs(got - expected))))
-    return CaseResult("evolved-state-closed-form", worst, 1e-10)
+    return worst
 
 
-def _case_frame_closed_form(perturb: bool = False) -> CaseResult:
+def _case_frame_closed_form(perturb: bool = False) -> float:
     """Tangent, binormal, curvature, torsion, and structure matrix of the
     worked two-qubit example, against their exact trigonometric forms; the
     singlet (|01> - |10>)/sqrt(2) never couples, so no frame row holds it."""
@@ -88,10 +89,10 @@ def _case_frame_closed_form(perturb: bool = False) -> CaseResult:
         cart_expected = np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex)
         worst = max(worst, float(np.max(np.abs(frame.cartan - cart_expected))))
         worst = max(worst, *(abs(np.vdot(f.amplitudes, singlet)) for f in frame.vectors()))
-    return CaseResult("frame-closed-form", worst, 1e-8)
+    return worst
 
 
-def _case_xi_family_grid() -> CaseResult:
+def _case_xi_family_grid() -> float:
     ham = models.single_qubit([0.0, 0.0, 1.0])
     worst = 0.0
     for xi in np.linspace(0.01, 0.99, 99):
@@ -100,10 +101,10 @@ def _case_xi_family_grid() -> CaseResult:
         worst = max(worst, abs(curvature_from_moments(mom) - models.xi_curvature(float(xi))))
         worst = max(worst, abs(mom.alpha4 - models.xi_kurtosis(float(xi))))
         worst = max(worst, abs(torsion_from_moments(mom)))
-    return CaseResult("xi-family-grid", worst, 1e-9)
+    return worst
 
 
-def _case_efficiency_grid() -> CaseResult:
+def _case_efficiency_grid() -> float:
     ham = models.single_qubit([0.0, 0.0, 1.0])
     t = np.pi / 4.0
     worst = 0.0
@@ -112,10 +113,10 @@ def _case_efficiency_grid() -> CaseResult:
         worst = max(
             worst, abs(models.geodesic_efficiency(prob, t) - models.xi_efficiency(t, float(xi)))
         )
-    return CaseResult("efficiency-grid", worst, 1e-6)
+    return worst
 
 
-def _case_bloch_reduction() -> CaseResult:
+def _case_bloch_reduction() -> float:
     rng = np.random.default_rng(20240517)
     worst = 0.0
     for _ in range(40):
@@ -133,7 +134,7 @@ def _case_bloch_reduction() -> CaseResult:
             / max(1.0, models.curvature_bloch(a, m)),
         )
         worst = max(worst, abs(torsion_from_moments(mom)))
-    return CaseResult("bloch-reduction", worst, 1e-9)
+    return worst
 
 
 def _random_problem(rng, dim: int) -> EvolutionProblem:
@@ -144,7 +145,7 @@ def _random_problem(rng, dim: int) -> EvolutionProblem:
     return EvolutionProblem(ham, state)
 
 
-def _case_cross_path_random() -> CaseResult:
+def _case_cross_path_random() -> float:
     rng = np.random.default_rng(911)
     worst = 0.0
     for dim in (2, 3, 4, 8):
@@ -157,12 +158,12 @@ def _case_cross_path_random() -> CaseResult:
             worst = max(worst, abs(km - kg) / max(1.0, abs(km)))
             worst = max(worst, abs(tm - tg) / max(1.0, abs(tm)))
             worst = max(worst, abs(km - tm - mom.alpha3**2))
-            if tm < -1e-9:
+            if tm < _CLAMP_FLOOR:
                 worst = max(worst, abs(tm))
-    return CaseResult("cross-path-random", worst, 1e-9)
+    return worst
 
 
-def _case_two_qubit_formulas() -> CaseResult:
+def _case_two_qubit_formulas() -> float:
     rng = np.random.default_rng(5150)
     worst = 0.0
     phi_plus = models.bell_state("phi+")
@@ -180,10 +181,10 @@ def _case_two_qubit_formulas() -> CaseResult:
             mom = central_moments(ham, state)
             worst = max(worst, abs(curvature_from_moments(mom) - k_ref) / max(1.0, k_ref))
             worst = max(worst, abs(torsion_from_moments(mom) - t_ref) / max(1.0, t_ref))
-    return CaseResult("two-qubit-formulas", worst, 1e-9)
+    return worst
 
 
-def _case_heisenberg_formulas() -> CaseResult:
+def _case_heisenberg_formulas() -> float:
     rng = np.random.default_rng(77)
     worst = 0.0
     for _ in range(30):
@@ -196,10 +197,10 @@ def _case_heisenberg_formulas() -> CaseResult:
             mom = central_moments(ham, state)
             worst = max(worst, abs(curvature_from_moments(mom) - k_ref) / max(1.0, k_ref))
             worst = max(worst, abs(torsion_from_moments(mom) - t_ref) / max(1.0, t_ref))
-    return CaseResult("heisenberg-formulas", worst, 1e-9)
+    return worst
 
 
-def _case_planar_bell_states() -> CaseResult:
+def _case_planar_bell_states() -> float:
     rng = np.random.default_rng(31)
     worst = 0.0
     for _ in range(10):
@@ -210,10 +211,10 @@ def _case_planar_bell_states() -> CaseResult:
             if mom.is_stationary:
                 continue
             worst = max(worst, abs(torsion_from_moments(mom)))
-    return CaseResult("planar-bell-states", worst, 1e-10)
+    return worst
 
 
-def _case_quartic_fits() -> CaseResult:
+def _case_quartic_fits() -> float:
     prob = _two_qubit_cross_field()
     grid = [k * 1e-3 / prob.speed for k in (1.0, 2.0, 4.0)]
     mom = prob.moments
@@ -222,10 +223,10 @@ def _case_quartic_fits() -> CaseResult:
         abs(kfit.coefficient / mom.mu2**2 - 1.0),
         abs(tfit.coefficient / mom.mu2**2 - 1.0),
     )
-    return CaseResult("quartic-fits", worst, 0.02)
+    return worst
 
 
-def _case_parallel_transport() -> CaseResult:
+def _case_parallel_transport() -> float:
     rng = np.random.default_rng(13)
     worst = 0.0
     dt = 1e-4
@@ -237,10 +238,10 @@ def _case_parallel_transport() -> CaseResult:
             minus = parallel_transported_state(prob, t - dt).amplitudes
             here = parallel_transported_state(prob, t).amplitudes
             worst = max(worst, abs(np.vdot(here, (plus - minus) / (2 * dt))))
-    return CaseResult("parallel-transport", worst, 1e-6)
+    return worst
 
 
-def _case_classical_circle() -> CaseResult:
+def _case_classical_circle() -> float:
     radius, theta = 1.7, 0.8
     n = 4001
     t = np.linspace(0.0, 2.0 * np.pi * radius * np.sin(theta), n)
@@ -259,30 +260,27 @@ def _case_classical_circle() -> CaseResult:
     mom = central_moments(models.single_qubit([0.0, 0.0, 1.0]), models.xi_state(xi))
     ratio_dev = abs(curvature_from_moments(mom) - 4.0 * radius**2 * kappa_geo**2)
     worst = max(worst, ratio_dev)
-    return CaseResult("classical-circle", worst, 1e-6)
+    return worst
 
 
-_CASES = [
-    _case_evolved_state_closed_form,
-    _case_frame_closed_form,
-    _case_xi_family_grid,
-    _case_efficiency_grid,
-    _case_bloch_reduction,
-    _case_cross_path_random,
-    _case_two_qubit_formulas,
-    _case_heisenberg_formulas,
-    _case_planar_bell_states,
-    _case_quartic_fits,
-    _case_parallel_transport,
-    _case_classical_circle,
-]
-
-_PERTURBABLE = {
-    "evolved-state-closed-form": _case_evolved_state_closed_form,
-    "frame-closed-form": _case_frame_closed_form,
+# name -> (tolerance, case), in the order of the report
+_CASES = {
+    "evolved-state-closed-form": (1e-10, _case_evolved_state_closed_form),
+    "frame-closed-form": (1e-8, _case_frame_closed_form),
+    "xi-family-grid": (1e-9, _case_xi_family_grid),
+    "efficiency-grid": (1e-6, _case_efficiency_grid),
+    "bloch-reduction": (1e-9, _case_bloch_reduction),
+    "cross-path-random": (1e-9, _case_cross_path_random),
+    "two-qubit-formulas": (1e-9, _case_two_qubit_formulas),
+    "heisenberg-formulas": (1e-9, _case_heisenberg_formulas),
+    "planar-bell-states": (1e-10, _case_planar_bell_states),
+    "quartic-fits": (0.02, _case_quartic_fits),
+    "parallel-transport": (1e-6, _case_parallel_transport),
+    "classical-circle": (1e-6, _case_classical_circle),
 }
 
-PERTURBABLE_CASES = tuple(_PERTURBABLE)
+# The cases whose expected fixture takes a ``perturb`` flag.
+PERTURBABLE_CASES = ("evolved-state-closed-form", "frame-closed-form")
 
 
 def run_validation(perturb: str | None = None) -> list[CaseResult]:
@@ -295,5 +293,7 @@ def run_validation(perturb: str | None = None) -> list[CaseResult]:
         raise ValueError(
             f"case {perturb!r} does not support perturbation; choose from {PERTURBABLE_CASES}"
         )
-    target = _PERTURBABLE.get(perturb)
-    return [case(perturb=True) if case is target else case() for case in _CASES]
+    return [
+        CaseResult(name, case(perturb=True) if name == perturb else case(), tolerance)
+        for name, (tolerance, case) in _CASES.items()
+    ]

@@ -247,7 +247,7 @@ def test_finite_difference_oracle():
     # the raw fitted constant must vanish to rounding precision
     for _ in range(10):
         prob = EvolutionProblem(single_qubit(rng.normal(size=3)), random_state(rng, 2))
-        if prob.is_stationary:
+        if prob.moments.is_stationary:
             continue
         grid = tuple(j * 1e-3 / prob.speed for j in (1.0, 2.0, 4.0))
         assert abs(fit_coefficients(prob, grid)[1].coefficient) <= 1e-10

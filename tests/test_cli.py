@@ -11,10 +11,22 @@ import qucurve.models
 import qucurve.reporting
 from qucurve import MAX_QUBITS, StateVector, xi_curvature
 from qucurve.cli import MAX_GRID_POINTS, main
+from qucurve.validation import PERTURBABLE_CASES, run_validation
 
 from conftest import MALFORMED_FILES
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+
+# The commands that write an --output file, without their --input and --output.
+CSV_COMMANDS = pytest.mark.parametrize(
+    "argv",
+    [
+        ["trajectory", "--t-max", "1", "--steps", "3"],
+        ["sweep", "--param", "xi", "--from", "0.2", "--to", "0.8", "--points", "3"],
+    ],
+    ids=["trajectory", "sweep"],
+)
 
 
 @pytest.fixture
@@ -381,14 +393,7 @@ class TestUsageErrors:
         assert f"{flag}: must lie in [2, {MAX_GRID_POINTS}], got {MAX_GRID_POINTS + 1}" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["trajectory", "--t-max", "1", "--steps", "3"],
-            ["sweep", "--param", "xi", "--from", "0.2", "--to", "0.8", "--points", "3"],
-        ],
-        ids=["trajectory", "sweep"],
-    )
+    @CSV_COMMANDS
     def test_output_in_missing_directory(self, argv, xi_family_file, tmp_path, monkeypatch, capsys):
         def no_work(path):
             raise AssertionError("the problem file was read before --output was checked")
@@ -399,6 +404,38 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert captured.err == f"error: --output: directory {str(out.parent)!r} does not exist\n"
         assert not out.parent.exists()
+
+    @CSV_COMMANDS
+    def test_output_is_a_directory(self, argv, tmp_path):
+        # rejected before the problem file is read: the input named here does not exist
+        out = tmp_path / "out"
+        out.mkdir()
+        proc = subprocess.run(
+            [sys.executable, "-m", "qucurve.cli", *argv, "--input", str(tmp_path / "absent.json"), "--output", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: --output: {str(out)!r} is a directory\n"
+        assert list(tmp_path.iterdir()) == [out] and not any(out.iterdir())
+
+    @CSV_COMMANDS
+    def test_output_that_cannot_be_opened(self, argv, xi_family_file, tmp_path, capsys):
+        # a dangling link passes the directory checks and fails only when opened
+        out = tmp_path / "out.csv"
+        out.symlink_to(tmp_path / "missing" / "out.csv")
+        assert main(argv + ["--input", xi_family_file, "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --output: cannot open {str(out)!r}: No such file or directory\n"
+        assert not (tmp_path / "missing").exists()
+
+    def test_help_lists_output_and_closed_stdout_codes(self, capsys):
+        assert main(["--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "an --output that is a directory or cannot be opened" in out
+        assert "141 standard output closed by its reader" in out
 
 
 # Counts the root parsers built, in a fresh interpreter: after the import, then
@@ -741,10 +778,27 @@ class TestValidateCommand:
         assert out.count("PASS") == 12
         assert "FAIL" not in out
 
-    def test_perturbed_case_fails(self, capsys):
-        assert main(["validate", "--perturb", "frame-closed-form"]) == 1
+    def test_case_table(self):
+        assert [(res.name, res.tolerance) for res in run_validation()] == [
+            ("evolved-state-closed-form", 1e-10),
+            ("frame-closed-form", 1e-8),
+            ("xi-family-grid", 1e-9),
+            ("efficiency-grid", 1e-6),
+            ("bloch-reduction", 1e-9),
+            ("cross-path-random", 1e-9),
+            ("two-qubit-formulas", 1e-9),
+            ("heisenberg-formulas", 1e-9),
+            ("planar-bell-states", 1e-10),
+            ("quartic-fits", 0.02),
+            ("parallel-transport", 1e-6),
+            ("classical-circle", 1e-6),
+        ]
+
+    @pytest.mark.parametrize("case", PERTURBABLE_CASES)
+    def test_perturbed_case_fails(self, case, capsys):
+        assert main(["validate", "--perturb", case]) == 1
         out = capsys.readouterr().out
-        assert "FAIL  frame-closed-form" in out
+        assert [line.split()[1] for line in out.splitlines() if line.startswith("FAIL")] == [case]
         assert "11/12 validation cases passed" in out
 
     def test_unknown_perturb_case(self, capsys):
@@ -764,6 +818,17 @@ class TestInstalledEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dimension"] == 4
+
+    def test_closed_stdout(self, crossed_fields_file, qucurve_console_script):
+        # 2000 rows of about 260 bytes overfill the 64 KiB pipe, so the
+        # writer meets the closed read end
+        argv = ["qucurve", "trajectory", "--input", crossed_fields_file, "--t-max", "2", "--steps", "2000"]
+        proc = subprocess.Popen(argv + ["--output", "/dev/stdout"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        assert proc.stdout.readline().startswith("t,s,fidelity_to_initial,")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 141
+        assert "Traceback" not in err and "Exception ignored" not in err
 
     def test_module_invocation(self, crossed_fields_file):
         proc = subprocess.run(

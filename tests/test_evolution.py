@@ -81,7 +81,7 @@ class TestEvolutionProblem:
 
     def test_eigenstate_is_stationary(self):
         prob = EvolutionProblem(SIGMA_Z, StateVector([1, 0]))
-        assert prob.is_stationary
+        assert prob.moments.is_stationary
         with pytest.raises(StationaryStateError, match="arc length undefined"):
             state_at_arclength(prob, 0.1)
 

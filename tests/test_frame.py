@@ -123,7 +123,7 @@ class TestGeometricPath:
                 [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]
             )
             prob = EvolutionProblem(single_qubit(m), state)
-            if prob.is_stationary:
+            if prob.moments.is_stationary:
                 continue
             assert geometric_at(prob, 0.3)[1] < 1e-20
 
