@@ -14,6 +14,7 @@ deterministic: identical inputs give byte-identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -39,9 +40,9 @@ MAX_GRID_POINTS = 1_000_000
 
 EXIT_CODES = (
     "exit codes: 0 success; 1 validation failures; 2 malformed input or usage (also an --output that "
-    "is a directory or cannot be opened); 3 degenerate geometry (an eigenstate); 4 numerical failure "
-    "(a cross-check or fit missed its tolerance); 141 standard output closed by its reader. The "
-    "messages of 2 and 4 name the field, flag or quantity."
+    "is a directory or cannot be opened or written); 3 degenerate geometry (an eigenstate); 4 numerical "
+    "failure (a cross-check or fit missed its tolerance, or an evolved state lost its unit norm); 141 "
+    "standard output closed by its reader. The messages of 2 and 4 name the field, flag or quantity."
 )
 
 
@@ -97,17 +98,21 @@ def _check_output(path: str) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """Comma-joined lines (no csv quoting is needed); a failing row removes the file."""
+    """Comma-joined lines (no csv quoting is needed); a failing row or write removes a partial regular file."""
     try:
         fh = open(path, "w", newline="", encoding="utf-8")
-    except OSError as exc:  # only the open: a write error, such as a closed pipe, propagates
+    except OSError as exc:
         raise SpecError("--output", f"cannot open {path!r}: {exc.strerror}") from exc
     try:
         with fh:
             fh.write(",".join(header) + "\n")
             fh.writelines(",".join(row) + "\n" for row in rows)
-    except ValueError:
-        os.remove(path)
+    except (ValueError, OSError) as exc:
+        if os.path.isfile(path):  # never a device, and a closed pipe is no regular file
+            with contextlib.suppress(OSError):  # one that cannot be unlinked, as under /proc, stays
+                os.remove(path)
+        if isinstance(exc, OSError) and not isinstance(exc, BrokenPipeError):
+            raise SpecError("--output", f"cannot write {path!r}: {exc.strerror}") from exc
         raise
 
 

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .hilbert import HermitianOperator, StateVector
+from .hilbert import _NORM_TOL, HermitianOperator, StateVector
 from .moments import NumericalError, _moment_pass, _require_moving
 
 __all__ = [
@@ -74,7 +74,8 @@ class EvolutionProblem:
     the peak memory of that work.  Once the basis stops growing, a call
     costs one exp and one product with the rotated basis per time.  A state
     depends only on (H, psi_0, t), never on the times requested before or
-    beside it.  The public attributes are read-only.
+    beside it.  ``_evolve_rows`` checks each state as it forms it, for unit
+    norm within 1e-12.  The public attributes are read-only.
 
     Parameters
     ----------
@@ -166,7 +167,8 @@ class EvolutionProblem:
         One walk up the basis sizes serves every time.  A time is settled at
         the first size whose error estimate it passes, the size it would
         reach alone, and its row is formed by its own product with the
-        rotated basis, so each row depends only on (H, psi_0, t).
+        rotated basis, so each row depends only on (H, psi_0, t).  A row whose
+        norm is off 1 by more than ``_NORM_TOL``, or NaN, raises ``NumericalError``.
         """
         ts = np.asarray(ts, dtype=float)
         out = np.empty((len(ts), self.dim), dtype=complex)
@@ -194,7 +196,10 @@ class EvolutionProblem:
                     self._rotated = None  # free the old one first
                     self._rotated = (u.T @ self._basis[:m].view(np.float64)).view(complex)
                 for i, p in zip(settle.tolist(), phases):
-                    out[i] = np.exp(-1j * self.energy * ts[i]) * ((u[0] * p) @ self._rotated)
+                    row = out[i] = np.exp(-1j * self.energy * ts[i]) * ((u[0] * p) @ self._rotated)
+                    norm = math.sqrt(np.vdot(row, row).real)
+                    if not abs(norm - 1.0) <= _NORM_TOL:
+                        raise NumericalError(f"t = {float(ts[i])!r}: the evolved state has norm {norm!r}, not 1")
             size += size // 4
         return out
 
@@ -217,19 +222,15 @@ def parallel_transported_state(problem: EvolutionProblem, t: float) -> StateVect
     orthogonal to the curve and norms of derivatives acquire direct geometric
     meaning.
     """
-    return _transported_states(problem, [t])[0]
+    return StateVector(_transported_rows(problem, [t])[0])
 
 
 def state_at_arclength(problem: EvolutionProblem, s: float) -> StateVector:
     """Parallel-transported state at arc length s, i.e. at time t = s/v."""
-    return _arclength_states(problem, [s])[0]
-
-
-def _transported_states(problem: EvolutionProblem, ts) -> list[StateVector]:
-    return [StateVector(np.exp(1j * problem.energy * t) * row) for t, row in zip(ts, problem._evolve_rows(ts))]
-
-
-def _arclength_states(problem: EvolutionProblem, s_points) -> list[StateVector]:
-    """``state_at_arclength`` at every arc length in ``s_points``, evaluated together."""
     _require_moving(problem.moments)
-    return _transported_states(problem, np.asarray(s_points, dtype=float) / problem.speed)
+    return StateVector(_transported_rows(problem, [s / problem.speed])[0])
+
+
+def _transported_rows(problem: EvolutionProblem, ts) -> np.ndarray:
+    """``parallel_transported_state`` at every time in ``ts``, as the checked rows of one walk."""
+    return np.exp(1j * problem.energy * np.asarray(ts, dtype=float))[:, None] * problem._evolve_rows(ts)

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import EvolutionProblem, _arclength_states, state_at_arclength
+from .evolution import EvolutionProblem, _transported_rows, state_at_arclength
 from .hilbert import StateVector, _project_off
+from .moments import _require_moving
 
 __all__ = [
     "QuantumFrame",
@@ -92,9 +93,10 @@ def curvature_torsion_geometric(problem: EvolutionProblem, s_points) -> list[tup
     length in ``s_points``, evolved together in one walk; each pair depends
     only on its own arc length, bit for bit.  A planar curve's tau^2 is
     rounding, about 1e-30."""
+    _require_moving(problem.moments)
     out = []
-    for psi in _arclength_states(problem, s_points):
-        _, _, perp, nbar = _vectors_from(problem, psi.amplitudes)
+    for psi in _transported_rows(problem, np.asarray(s_points, dtype=float) / problem.speed):
+        _, _, perp, nbar = _vectors_from(problem, psi)
         out.append((float(np.vdot(perp, perp).real), float(np.vdot(nbar, nbar).real)))
     return out
 
@@ -109,7 +111,8 @@ def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
     principal block is meaningful.  One state evaluation and k + 2 dh
     products: O(d) work.
     """
-    psi, tan, perp, nbar = _vectors_from(problem, state_at_arclength(problem, s).amplitudes)
+    state = state_at_arclength(problem, s)
+    psi, tan, perp, nbar = _vectors_from(problem, state.amplitudes)
     tau_sq = float(np.vdot(nbar, nbar).real)
     rows = [psi, tan]
     if _binormal_present(tau_sq):
@@ -120,7 +123,7 @@ def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
     cartan[:k, :k] = np.array([-1j * problem._apply_delta_h(f) for f in rows]) @ rows.conj().T
     return QuantumFrame(
         s=s,
-        psi=StateVector(rows[0]),
+        psi=state,
         tangent=StateVector(rows[1]),
         binormal_raw=nbar,
         binormal=StateVector(rows[2]) if k == 3 else None,

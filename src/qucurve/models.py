@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .evolution import EvolutionProblem, evolve
-from .hilbert import _NORM_TOL, HermitianOperator, StateVector, _check_coefficient, _encode_word, _pauli_sum, _project_off
+from .evolution import EvolutionProblem
+from .hilbert import _NORM_TOL, HermitianOperator, StateVector, _as_vector, _check_coefficient, _encode_word, _pauli_sum, _project_off
 from .moments import NumericalError, StationaryStateError, _require_moving
 
 __all__ = [
@@ -65,11 +65,12 @@ def _bloch_angle_state(theta: float, phi: float) -> StateVector:
     return StateVector([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
 
 
-def state_to_bloch(state: StateVector) -> np.ndarray:
-    """Bloch vector (<sigma_x>, <sigma_y>, <sigma_z>) of a qubit state."""
-    if state.dim != 2:
-        raise ValueError(f"Bloch vector defined for d = 2 only, got d = {state.dim}")
-    c0, c1 = state.amplitudes
+def state_to_bloch(state) -> np.ndarray:
+    """Bloch vector (<sigma_x>, <sigma_y>, <sigma_z>) of a qubit state or its amplitudes."""
+    amps = _as_vector(state)
+    if amps.shape != (2,):
+        raise ValueError(f"Bloch vector defined for d = 2 only, got d = {len(amps)}")
+    c0, c1 = amps
     cross = np.conj(c0) * c1
     return np.array([2.0 * cross.real, 2.0 * cross.imag, (abs(c0) ** 2 - abs(c1) ** 2)])
 
@@ -114,7 +115,7 @@ def geodesic_efficiency(problem: EvolutionProblem, t: float) -> float:
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
     psi0 = problem.initial_state.amplitudes
-    psi_t = evolve(problem, t).amplitudes
+    psi_t = problem._evolve_rows([t])[0]
     angle = np.arctan2(np.linalg.norm(_project_off(psi_t, psi0)), abs(np.vdot(psi0, psi_t)))
     eta = float(angle / (problem.speed * t))
     if eta > 1.0 + 1e-9:

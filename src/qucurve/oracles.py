@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import EvolutionProblem
-from .hilbert import StateVector, _as_vector, _project_off
+from .hilbert import _as_vector, _project_off
 from .moments import NumericalError, _require_moving
 
 __all__ = [
@@ -170,7 +170,7 @@ def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], d
             stacklevel=3,
         )
     times = list(dict.fromkeys(t for dt in dts for t in (dt, 2.0 * dt)))
-    return dts, {t: StateVector(row).amplitudes for t, row in zip(times, problem._evolve_rows(times))}
+    return dts, dict(zip(times, problem._evolve_rows(times)))
 
 
 def fit_coefficients(problem: EvolutionProblem, dt_grid) -> tuple[FitResult, FitResult]:

@@ -188,11 +188,10 @@ def trajectory_rows(
         chunk = max(1, _CHUNK_AMPLITUDES // d)
         for start in range(0, steps, chunk):
             ts = times[start : start + chunk]
-            for t, amplitudes in zip(ts, problem._evolve_rows(ts)):
-                psi = StateVector(amplitudes)
+            for t, psi in zip(ts, problem._evolve_rows(ts)):
                 fid = abs(state.inner(psi)) ** 2
                 row = [format_float(t), format_float(problem.speed * t), format_float(fid)]
-                row += map(repr, psi.amplitudes.view(np.float64).tolist())
+                row += map(repr, psi.view(np.float64).tolist())
                 if d == 2:
                     row += [format_float(c) for c in state_to_bloch(psi)]
                 row += [format_float(kappa), format_float(tau)]

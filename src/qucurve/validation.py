@@ -41,10 +41,7 @@ class CaseResult:
 
 def _two_qubit_cross_field() -> EvolutionProblem:
     """H = XZ + ZX on |00>: the canonical fully-worked frame example."""
-    ham = models.two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0)
-    amp = np.zeros(4, dtype=complex)
-    amp[0] = 1.0
-    return EvolutionProblem(ham, StateVector(amp))
+    return EvolutionProblem(models.two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0), StateVector([1, 0, 0, 0]))
 
 
 def _closed_form_state(t: float) -> np.ndarray:
@@ -219,11 +216,7 @@ def _case_quartic_fits() -> float:
     grid = [k * 1e-3 / prob.speed for k in (1.0, 2.0, 4.0)]
     mom = prob.moments
     kfit, tfit = fit_coefficients(prob, grid)
-    worst = max(
-        abs(kfit.coefficient / mom.mu2**2 - 1.0),
-        abs(tfit.coefficient / mom.mu2**2 - 1.0),
-    )
-    return worst
+    return max(abs(kfit.coefficient / mom.mu2**2 - 1.0), abs(tfit.coefficient / mom.mu2**2 - 1.0))
 
 
 def _case_parallel_transport() -> float:
@@ -258,9 +251,7 @@ def _case_classical_circle() -> float:
     kappa_geo = sphere_geodesic_curvature(theta, radius)
     xi = float(np.cos(theta / 2.0))
     mom = central_moments(models.single_qubit([0.0, 0.0, 1.0]), models.xi_state(xi))
-    ratio_dev = abs(curvature_from_moments(mom) - 4.0 * radius**2 * kappa_geo**2)
-    worst = max(worst, ratio_dev)
-    return worst
+    return max(worst, abs(curvature_from_moments(mom) - 4.0 * radius**2 * kappa_geo**2))
 
 
 # name -> (tolerance, case), in the order of the report

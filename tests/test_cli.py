@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import qucurve.cli
+import qucurve.evolution
 import qucurve.models
 import qucurve.reporting
-from qucurve import MAX_QUBITS, StateVector, xi_curvature
+from qucurve import MAX_QUBITS, xi_curvature
 from qucurve.cli import MAX_GRID_POINTS, main
 from qucurve.validation import PERTURBABLE_CASES, run_validation
 
@@ -299,11 +300,11 @@ def _negative_torsion(monkeypatch):
 def _overshooting_evolution(monkeypatch):
     # a qubit state orthogonal to the start is pi/2 away, farther than the
     # path length v t <= 1 of the sweep's xi states allows
-    def orthogonal(prob, t):
+    def orthogonal(prob, ts):
         a, b = prob.initial_state.amplitudes
-        return StateVector([-np.conj(b), np.conj(a)])
+        return np.array([[-np.conj(b), np.conj(a)]] * len(ts))
 
-    monkeypatch.setattr(qucurve.models, "evolve", orthogonal)
+    monkeypatch.setattr(qucurve.evolution.EvolutionProblem, "_evolve_rows", orthogonal)
 
 
 class TestNumericalFailures:
@@ -356,6 +357,39 @@ class TestNumericalFailures:
         assert captured.out == ""
         assert captured.err.startswith(f"error: t = {t}: ")
         assert not out.exists()  # rows already written are removed with the file
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report"],
+            ["--oracle", "report"],
+            ["trajectory", "--t-max", "1", "--steps", "3"],
+            ["sweep", "--param", "xi", "--from", "0.2", "--to", "0.8", "--points", "3"],
+        ],
+        ids=["report", "oracle-report", "trajectory", "sweep"],
+    )
+    def test_evolved_state_off_unit_norm(self, argv, xi_family_file, tmp_path, monkeypatch, capsys):
+        # no norm passes a negative tolerance, so the first evolved row fails its check
+        monkeypatch.setattr(qucurve.evolution, "_NORM_TOL", -1.0)
+        out = tmp_path / "out.csv"
+        if argv[-1] != "report":
+            argv = argv + ["--output", str(out)]
+        assert main(argv + ["--input", xi_family_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: t = ")
+        assert "norm" in captured.err and "Traceback" not in captured.err
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
+    def test_failing_run_removes_no_device(self, monkeypatch, capsys):
+        # the partial output is removed only when it is a regular file
+        removed = []
+        monkeypatch.setattr(qucurve.cli.os, "remove", removed.append)
+        argv = ["trajectory", "--input", str(FIXTURES / "problem_ising_n6.json")]
+        assert main(argv + ["--t-max", "1e308", "--steps", "5", "--output", "/dev/null"]) == 4
+        assert capsys.readouterr().err.startswith("error: t = 5e+307: ")
+        assert removed == []
 
 
 class TestUsageErrors:
@@ -431,10 +465,47 @@ class TestUsageErrors:
         assert captured.err == f"error: --output: cannot open {str(out)!r}: No such file or directory\n"
         assert not (tmp_path / "missing").exists()
 
+    @CSV_COMMANDS
+    @pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+    def test_output_that_cannot_be_written(self, argv, xi_family_file, monkeypatch, capsys):
+        # /dev/full opens but fails every write with ENOSPC
+        removed = []
+        monkeypatch.setattr(qucurve.cli.os, "remove", removed.append)
+        assert main(argv + ["--input", xi_family_file, "--output", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --output: cannot write '/dev/full': No space left on device\n"
+        assert removed == []
+
+    def test_write_error_removes_a_partial_regular_file(self, tmp_path):
+        def rows():
+            yield ["1"]
+            raise OSError(28, "No space left on device")
+
+        out = tmp_path / "out.csv"
+        with pytest.raises(qucurve.cli.SpecError, match="cannot write .*: No space left on device"):
+            qucurve.cli._write_csv(str(out), ["a"], rows())
+        assert not out.exists()
+
+    def test_write_error_on_a_file_that_cannot_be_unlinked(self, tmp_path, monkeypatch):
+        # a regular file that refuses removal, as under /proc, still ends in the --output error
+        def rows():
+            yield ["1"]
+            raise OSError(5, "Input/output error")
+
+        def refuse(path):
+            raise PermissionError(1, "Operation not permitted", path)
+
+        monkeypatch.setattr(qucurve.cli.os, "remove", refuse)
+        out = tmp_path / "out.csv"
+        with pytest.raises(qucurve.cli.SpecError, match="cannot write .*: Input/output error"):
+            qucurve.cli._write_csv(str(out), ["a"], rows())
+        assert out.exists()
+
     def test_help_lists_output_and_closed_stdout_codes(self, capsys):
         assert main(["--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
-        assert "an --output that is a directory or cannot be opened" in out
+        assert "an --output that is a directory or cannot be opened or written" in out
         assert "141 standard output closed by its reader" in out
 
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import qucurve.evolution
+
 from qucurve import (
     EvolutionProblem,
     HermitianOperator,
@@ -114,8 +116,14 @@ class TestEvolve:
     def test_norm_preserved(self):
         rng = np.random.default_rng(43)
         prob = random_problem(rng, 8)
-        # StateVector construction re-validates unit norm at 1e-12
-        evolve(prob, 17.3)
+        rows = prob._evolve_rows([0.0, 1.0, 17.3])
+        np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_norm_checked_as_rows_are_formed(self, monkeypatch):
+        prob = random_problem(np.random.default_rng(43), 8)
+        monkeypatch.setattr(qucurve.evolution, "_NORM_TOL", -1.0)
+        with pytest.raises(NumericalError, match=r"^t = 17\.3: the evolved state has norm "):
+            evolve(prob, 17.3)
 
 
 class TestParallelTransport:
