@@ -43,8 +43,7 @@ mu2_sq = mom.mu2**2
 # turns it into kappa^2 = 1.  The residual is the relative scatter of the
 # per-dt coefficient estimates -- a direct check that the dt^4 law holds.
 
-grid = tuple(k * 1e-3 / speed for k in (1.0, 2.0, 4.0))
-fit, tfit = fit_coefficients(problem, grid)
+fit, tfit = fit_coefficients(problem)  # the default grid {1, 2, 4} x 1e-3 / v
 print("geodesic-deviation fit (crossed fields)")
 print(f"  dt grid          = {fit.dt_grid}")
 print(f"  raw coefficient  = {fit.coefficient!r}   (moments say {mom.mu4 - mom.mu2**2!r})")
@@ -83,9 +82,7 @@ for base in (4e-2, 2e-2, 1e-2, 5e-3):
 
 qubit = EvolutionProblem(single_qubit([0.6, 0.0, 0.8]), StateVector([1, 0]))
 qmom = central_moments(qubit.hamiltonian, qubit.initial_state)
-qspeed = float(np.sqrt(qmom.mu2))
-qgrid = tuple(k * 1e-3 / qspeed for k in (1.0, 2.0, 4.0))
-qfit, qtfit = fit_coefficients(qubit, qgrid)
+qfit, qtfit = fit_coefficients(qubit)
 print("\nsingle qubit (planar)")
 print(f"  normalized curvature fit = {qfit.coefficient / qmom.mu2**2!r}")
 print(f"  kappa^2 from moments     = {curvature_from_moments(qmom)!r}")

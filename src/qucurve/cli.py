@@ -18,6 +18,7 @@ import contextlib
 import functools
 import math
 import os
+import shutil
 import sys
 
 import numpy as np
@@ -98,19 +99,26 @@ def _check_output(path: str) -> None:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    """Comma-joined lines (no csv quoting is needed); a failing row or write removes a partial regular file."""
+    """Comma-joined lines (no csv quoting is needed).  A regular or absent target is replaced only once every
+    row is in a sibling temp file, which a failure removes; a device or pipe is written in place, never removed."""
+    target = os.path.realpath(path)
+    temp = None if os.path.exists(path) and not os.path.isfile(path) else f"{target}.{os.getpid()}.tmp"
     try:
-        fh = open(path, "w", newline="", encoding="utf-8")
+        fh = open(temp or path, "w", newline="", encoding="utf-8")  # a new file gets 0o666 less the umask
     except OSError as exc:
         raise SpecError("--output", f"cannot open {path!r}: {exc.strerror}") from exc
     try:
         with fh:
             fh.write(",".join(header) + "\n")
             fh.writelines(",".join(row) + "\n" for row in rows)
-    except (ValueError, OSError) as exc:
-        if os.path.isfile(path):  # never a device, and a closed pipe is no regular file
+        if temp:
+            if os.path.exists(target):
+                shutil.copymode(target, temp)
+            os.replace(temp, target)
+    except BaseException as exc:
+        if temp:
             with contextlib.suppress(OSError):  # one that cannot be unlinked, as under /proc, stays
-                os.remove(path)
+                os.remove(temp)
         if isinstance(exc, OSError) and not isinstance(exc, BrokenPipeError):
             raise SpecError("--output", f"cannot write {path!r}: {exc.strerror}") from exc
         raise

@@ -31,7 +31,7 @@ import math
 import numpy as np
 
 from .hilbert import _NORM_TOL, HermitianOperator, StateVector
-from .moments import NumericalError, _moment_pass, _require_moving
+from .moments import NumericalError, _moment_pass
 
 __all__ = [
     "EvolutionProblem",
@@ -62,8 +62,8 @@ class EvolutionProblem:
     """A stationary Hamiltonian together with an initial pure state.
 
     One ``central_moments`` pass (two products ``H.apply``) at construction
-    gives ``moments``, the mean energy E, the speed v = sqrt(<(H-E)^2>) and
-    the stationary decision.  States are evolved in a Lanczos basis of
+    gives ``moments``, the mean energy E and the speed v = sqrt(<(H-E)^2>) > 0,
+    since it refuses an eigenstate.  States are evolved in a Lanczos basis of
     (H - E, psi_0) that grows on demand, with full reorthogonalization, until
     the error estimate at the requested time is below 1e-14 or the Krylov
     space is invariant.  Between calls a problem keeps the basis, the
@@ -86,6 +86,8 @@ class EvolutionProblem:
     ------
     ValueError
         On dimension mismatch between operator and state.
+    StationaryStateError
+        If the initial state is an eigenstate of the Hamiltonian.
     """
 
     def __init__(self, hamiltonian: HermitianOperator, initial_state: StateVector):
@@ -100,7 +102,7 @@ class EvolutionProblem:
         psi = initial_state.amplitudes
         self.moments, centered = _moment_pass(hamiltonian, psi)
         self.energy = self.moments.mean
-        self.speed = float(np.sqrt(max(self.moments.mu2, 0.0)))
+        self.speed = float(np.sqrt(self.moments.mu2))
 
         # Lanczos state: basis rows v_0..v_{m-1}, diagonal alpha_0..alpha_{m-1},
         # off-diagonal beta_0..beta_{m-1} (beta_{m-1} is the norm of the
@@ -227,7 +229,6 @@ def parallel_transported_state(problem: EvolutionProblem, t: float) -> StateVect
 
 def state_at_arclength(problem: EvolutionProblem, s: float) -> StateVector:
     """Parallel-transported state at arc length s, i.e. at time t = s/v."""
-    _require_moving(problem.moments)
     return StateVector(_transported_rows(problem, [s / problem.speed])[0])
 
 

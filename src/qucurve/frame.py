@@ -30,7 +30,6 @@ import numpy as np
 
 from .evolution import EvolutionProblem, _transported_rows, state_at_arclength
 from .hilbert import StateVector, _project_off
-from .moments import _require_moving
 
 __all__ = [
     "QuantumFrame",
@@ -93,7 +92,6 @@ def curvature_torsion_geometric(problem: EvolutionProblem, s_points) -> list[tup
     length in ``s_points``, evolved together in one walk; each pair depends
     only on its own arc length, bit for bit.  A planar curve's tau^2 is
     rounding, about 1e-30."""
-    _require_moving(problem.moments)
     out = []
     for psi in _transported_rows(problem, np.asarray(s_points, dtype=float) / problem.speed):
         _, _, perp, nbar = _vectors_from(problem, psi)

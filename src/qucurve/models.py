@@ -20,7 +20,7 @@ import numpy as np
 
 from .evolution import EvolutionProblem
 from .hilbert import _NORM_TOL, HermitianOperator, StateVector, _as_vector, _check_coefficient, _encode_word, _pauli_sum, _project_off
-from .moments import NumericalError, StationaryStateError, _require_moving
+from .moments import NumericalError, StationaryStateError
 
 __all__ = [
     "bloch_to_state",
@@ -111,7 +111,6 @@ def geodesic_efficiency(problem: EvolutionProblem, t: float) -> float:
     psi(t) leaves a relative error of about 2e-17 / (v t).  Equal to 1 exactly
     on geodesic curves, smaller otherwise.
     """
-    _require_moving(problem.moments)
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
     psi0 = problem.initial_state.amplitudes
@@ -134,16 +133,11 @@ _BELL_AMPLITUDES = {
     "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0),
 }
 
-# Unicode aliases accepted in config files.
-_BELL_ALIASES = {"Φ+": "phi+", "Φ-": "phi-", "Ψ+": "psi+", "Ψ-": "psi-"}
-
-
 def bell_state(kind: str) -> StateVector:
     """One of the four Bell pairs: 'phi+', 'phi-', 'psi+', 'psi-'."""
-    key = _BELL_ALIASES.get(kind, kind.lower())
-    if key not in _BELL_AMPLITUDES:
+    if kind not in _BELL_AMPLITUDES:
         raise ValueError(f"unknown Bell state {kind!r}; expected phi+/phi-/psi+/psi-")
-    return StateVector(_BELL_AMPLITUDES[key])
+    return StateVector(_BELL_AMPLITUDES[kind])
 
 
 def ghz_state() -> StateVector:

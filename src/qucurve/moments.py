@@ -49,20 +49,16 @@ class NumericalError(ValueError):
 class MomentSet:
     """Central moments mu_r = <(H - <H>)^r> up to r = 4, plus standardized ratios.
 
-    ``alpha3`` and ``alpha4`` are None when the state is (numerically) an
-    eigenstate: with mu2 ~ 0 the ratios are undefined.
+    Only a moving state has one (``central_moments`` refuses an eigenstate),
+    so mu2 > 0 and the ratios ``alpha3`` and ``alpha4`` are finite.
     """
 
     mean: float
     mu2: float
     mu3: float
     mu4: float
-    alpha3: float | None
-    alpha4: float | None
-
-    @property
-    def is_stationary(self) -> bool:
-        return self.alpha4 is None
+    alpha3: float
+    alpha4: float
 
 
 def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> MomentSet:
@@ -75,8 +71,14 @@ def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> Momen
 
     so mu2 and mu4 are nonnegative by construction and mu3 is real up to
     rounding.  This never forms matrix powers, nor a matrix for a
-    Pauli-backed H.  An H out of floating-point range, where alpha4 has no
-    finite value, raises ``NumericalError``.
+    Pauli-backed H.
+
+    Raises
+    ------
+    StationaryStateError
+        For an eigenstate, mu2 <= 1e-10 ||H||_F^2 / d: the curve is a point.
+    NumericalError
+        For an H out of floating-point range, where alpha4 has no finite value.
     """
     if hamiltonian.dim != state.dim:
         raise ValueError(f"dimension mismatch: operator {hamiltonian.dim}, state {state.dim}")
@@ -84,7 +86,7 @@ def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> Momen
 
 
 def _moment_pass(hamiltonian: HermitianOperator, psi: np.ndarray) -> tuple[MomentSet, np.ndarray]:
-    """``central_moments`` of amplitudes psi, and w1 = (H - <H>) psi."""
+    """``central_moments`` of amplitudes psi, and w1 = (H - <H>) psi; the one refusal of an eigenstate."""
     fro_sq = hamiltonian.frobenius_sq
     if not math.isfinite(fro_sq):  # else the stationary test below always holds
         raise NumericalError(f"alpha4 is out of floating-point range: hamiltonian ||H||_F^2 = {fro_sq!r}")
@@ -97,20 +99,14 @@ def _moment_pass(hamiltonian: HermitianOperator, psi: np.ndarray) -> tuple[Momen
     mu4 = float(np.vdot(w2, w2).real)
 
     if mu2 <= _STATIONARY_MU2_TOL * fro_sq / hamiltonian.dim:
-        alpha3 = alpha4 = None
-    else:
-        try:
-            alpha3, alpha4 = mu3 / mu2**1.5, mu4 / mu2**2
-        except (OverflowError, ZeroDivisionError):  # mu2 powers out of floating-point range
-            alpha3 = alpha4 = math.inf
-        if not (math.isfinite(alpha3) and math.isfinite(alpha4)):
-            raise NumericalError(f"alpha4 = mu4 / mu2^2 is out of floating-point range: mu2 = {mu2!r}, mu4 = {mu4!r}")
-    return MomentSet(mean=mean, mu2=mu2, mu3=mu3, mu4=mu4, alpha3=alpha3, alpha4=alpha4), w1
-
-
-def _require_moving(m: MomentSet):
-    if m.is_stationary:
         raise StationaryStateError("stationary state: arc length undefined")
+    try:
+        alpha3, alpha4 = mu3 / mu2**1.5, mu4 / mu2**2
+    except (OverflowError, ZeroDivisionError):  # mu2 powers out of floating-point range
+        alpha3 = alpha4 = math.inf
+    if not (math.isfinite(alpha3) and math.isfinite(alpha4)):
+        raise NumericalError(f"alpha4 = mu4 / mu2^2 is out of floating-point range: mu2 = {mu2!r}, mu4 = {mu4!r}")
+    return MomentSet(mean=mean, mu2=mu2, mu3=mu3, mu4=mu4, alpha3=alpha3, alpha4=alpha4), w1
 
 
 def curvature_from_moments(m: MomentSet) -> float:
@@ -119,8 +115,12 @@ def curvature_from_moments(m: MomentSet) -> float:
     Nonnegative because the variance of (H-<H>)^2 is mu4 - mu2^2 >= 0;
     rounding may produce values as low as -1e-12 near zero.
     """
-    _require_moving(m)
     return m.alpha4 - 1.0
+
+
+# tau^2 values this far below zero are rounding noise on a planar curve and
+# are clamped in displayed reports; anything lower indicates a real bug.
+_CLAMP_FLOOR = -1e-9
 
 
 def torsion_from_moments(m: MomentSet) -> float:
@@ -128,8 +128,7 @@ def torsion_from_moments(m: MomentSet) -> float:
 
     This is also the slack in the Pearson moment inequality
     alpha4 >= 1 + alpha3^2, which reports quote as ``pearson_gap``.
-    Returned raw: tiny negative values (>= -1e-9) are rounding noise on
-    exactly-zero torsion and are left to display layers to clamp.
+    Returned raw: negative values down to ``_CLAMP_FLOOR`` are rounding
+    noise on exactly-zero torsion and are left to display layers to clamp.
     """
-    _require_moving(m)
     return m.alpha4 - 1.0 - m.alpha3**2

@@ -32,7 +32,7 @@ import numpy as np
 
 from .evolution import EvolutionProblem
 from .hilbert import _as_vector, _project_off
-from .moments import NumericalError, _require_moving
+from .moments import NumericalError
 
 __all__ = [
     "FitResult",
@@ -156,7 +156,6 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
 
 def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], dict[float, np.ndarray]]:
     """The checked steps, and psi(t) for every distinct t in {dt, 2 dt}, evolved in one walk."""
-    _require_moving(problem.moments)  # before the step floor, which reads the speed
     dts = tuple(float(dt) for dt in dt_grid)
     if len(dts) < 2 or any(dt <= 0 for dt in dts):
         raise ValueError("dt_grid must contain at least two positive steps")
@@ -173,9 +172,10 @@ def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], d
     return dts, dict(zip(times, problem._evolve_rows(times)))
 
 
-def fit_coefficients(problem: EvolutionProblem, dt_grid) -> tuple[FitResult, FitResult]:
+def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> tuple[FitResult, FitResult]:
     """Curvature constant mu4 - mu2^2 and torsion constant tau^2 mu2^2, from
-    one grid check and one walk for the snapshots psi(dt) and psi(2 dt).
+    one grid check and one walk for the snapshots psi(dt) and psi(2 dt), on
+    ``dt_grid`` (default {1, 2, 4} * 1e-3 / v).
 
     Curvature: for each step dt the evolved midpoint psi(dt) is compared
     against the geodesic segment from psi(0) to psi(2 dt); the minimal
@@ -195,9 +195,9 @@ def fit_coefficients(problem: EvolutionProblem, dt_grid) -> tuple[FitResult, Fit
         If the curvature fit misfits by more than 5%, either fit is not
         finite, the smallest dt v is below 1e-5, or psi(0) and psi(2 dt)
         are orthogonal.
-    StationaryStateError
-        For an eigenstate input.
     """
+    if dt_grid is None:
+        dt_grid = [k * 1e-3 / problem.speed for k in (1.0, 2.0, 4.0)]
     dts, states = _snapshots(problem, dt_grid)
     psi0 = problem.initial_state.amplitudes
     values = [_min_geodesic_deviation(psi0, states[dt], states[2.0 * dt]) for dt in dts]

@@ -18,14 +18,10 @@ from .evolution import EvolutionProblem
 from .frame import _binormal_present, curvature_torsion_geometric
 from .hilbert import HermitianOperator, StateVector
 from .models import geodesic_efficiency, state_to_bloch
-from .moments import NumericalError, curvature_from_moments, torsion_from_moments
+from .moments import _CLAMP_FLOOR, NumericalError, curvature_from_moments, torsion_from_moments
 from .oracles import fit_coefficients
 
 __all__ = ["GeometryReport", "build_report", "format_float", "trajectory_rows", "sweep_row"]
-
-# tau^2 values this far below zero are rounding noise on a planar curve and
-# are clamped in displayed reports; anything lower indicates a real bug.
-_CLAMP_FLOOR = -1e-9
 
 # Cross-path consistency required of every published report.
 _PATH_AGREEMENT = 1e-8
@@ -87,7 +83,7 @@ def build_report(
     points in [0, 1]; they are constants of the motion, so their spread
     doubles as a self-check (a warning is emitted if it exceeds 1e-9).  With
     ``with_oracle`` the finite-difference fits are run on ``dt_grid``
-    (default {1, 2, 4} * 1e-3 / v) and reported normalized by mu2^2; the
+    (``fit_coefficients``' default when None) and reported normalized by mu2^2; the
     fits' warnings (a coarse grid) join the report's ``warnings``.
 
     Raises
@@ -125,8 +121,6 @@ def build_report(
 
     oracle = None
     if with_oracle:
-        if dt_grid is None:
-            dt_grid = [k * 1e-3 / problem.speed for k in (1.0, 2.0, 4.0)]
         with catch_warnings(record=True) as caught:
             simplefilter("always")
             kfit, tfit = fit_coefficients(problem, dt_grid)

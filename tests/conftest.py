@@ -20,6 +20,14 @@ MALFORMED_FILES = {
 }
 
 
+@pytest.fixture(scope="session", autouse=True)
+def runtime_warnings_fail_subprocesses():
+    """A RuntimeWarning fails a demo or console-script subprocess as pyproject.toml makes it fail in-process."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONWARNINGS", ",".join(filter(None, [os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"])))
+        yield
+
+
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return HermitianOperator((a + a.conj().T) / 2.0)

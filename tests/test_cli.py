@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -392,6 +394,37 @@ class TestNumericalFailures:
         assert removed == []
 
 
+# An eigenstate in each input form: Pauli words, a dense matrix and a family.
+EIGENSTATES = {
+    "pauli": {"hamiltonian": {"pauli_terms": [{"coeff": 1.0, "word": "ZZ"}]}, "state": {"named": "01"}},
+    "dense": {
+        "hamiltonian": {"dense": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]]},
+        "state": {"amplitudes": [[0, 0], [1, 0]]},
+    },
+    "family": {"hamiltonian": {"family": "single_qubit", "couplings": {"mz": 1.0}}, "state": {"named": "xi:0.0,0.0"}},
+}
+
+EIGENSTATE_COMMANDS = [
+    (form, argv)
+    for form in EIGENSTATES
+    for argv in (["report"], ["--oracle", "report"], ["trajectory", "--t-max", "1", "--steps", "3"])
+] + [("family", ["sweep", "--param", "xi", "--from", "0", "--to", "0.5", "--points", "3"])]
+
+
+@pytest.mark.parametrize("form, argv", EIGENSTATE_COMMANDS, ids=[f"{f}-{' '.join(a[:2])}" for f, a in EIGENSTATE_COMMANDS])
+def test_eigenstate_refused_alike(form, argv, tmp_path, capsys):
+    # one refusal in the moment pass serves every command: exit 3, one message, no output file
+    path = tmp_path / "eigen.json"
+    path.write_text(json.dumps(EIGENSTATES[form]))
+    if argv[0] in ("trajectory", "sweep"):
+        argv = argv + ["--output", str(tmp_path / "out.csv")]
+    assert main(argv + ["--input", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stationary state: arc length undefined\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
 class TestUsageErrors:
     def test_no_subcommand(self, capsys):
         assert main([]) == 2
@@ -500,7 +533,41 @@ class TestUsageErrors:
         out = tmp_path / "out.csv"
         with pytest.raises(qucurve.cli.SpecError, match="cannot write .*: Input/output error"):
             qucurve.cli._write_csv(str(out), ["a"], rows())
-        assert out.exists()
+        assert not out.exists()
+        assert [p.name for p in tmp_path.iterdir()] == [f"out.csv.{os.getpid()}.tmp"]
+
+    def test_failing_run_keeps_an_existing_output(self, tmp_path, capsys):
+        # the rows go to a temp file that replaces the target only once complete
+        out = tmp_path / "out.csv"
+        out.write_text("keep me")
+        argv = ["trajectory", "--input", str(FIXTURES / "problem_ising_n6.json"), "--t-max", "1e308", "--steps", "5"]
+        assert main(argv + ["--output", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("error: t = 5e+307: ")
+        assert out.read_bytes() == b"keep me"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_output_mode(self, crossed_fields_file, tmp_path):
+        # an existing file keeps its mode; a new one gets 0o666 less the umask, as open() gives
+        kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+        kept.write_text("old")
+        kept.chmod(0o640)
+        for out in (kept, new):
+            assert main(["trajectory", "--input", crossed_fields_file, "--t-max", "1", "--steps", "3", "--output", str(out)]) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+        assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+        assert kept.read_bytes() == new.read_bytes() and new.read_bytes().startswith(b"t,s,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["crossed.json", "kept.csv", "new.csv"]
+
+    def test_output_through_a_link(self, crossed_fields_file, tmp_path):
+        # the link's target is replaced; the link stays a link
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old")
+        link.symlink_to(target)
+        assert main(["trajectory", "--input", crossed_fields_file, "--t-max", "1", "--steps", "3", "--output", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes().startswith(b"t,s,")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["crossed.json", "link.csv", "target.csv"]
 
     def test_help_lists_output_and_closed_stdout_codes(self, capsys):
         assert main(["--help"]) == 0

@@ -325,6 +325,8 @@ MALFORMED = [
     (probe(state={"named": "frobnicate"}), "state.named: unrecognized named state 'frobnicate'"),
     (probe(state={"named": "ghz:1"}), "state.named: unrecognized named state 'ghz:1'"),
     (probe(state={"named": "bell:omega"}), "state.named: unknown Bell state 'omega'; expected phi+/phi-/psi+/psi-"),
+    (probe(state={"named": "bell:Φ+"}), "state.named: unknown Bell state 'Φ+'; expected phi+/phi-/psi+/psi-"),
+    (probe(state={"named": "bell:PHI+"}), "state.named: unknown Bell state 'PHI+'; expected phi+/phi-/psi+/psi-"),
     (probe(state={"named": "bloch:0.5"}), "state.named: bloch takes two comma-separated numbers, got '0.5'"),
     (probe(state={"named": "bloch:a,b"}), "state.named: non-numeric argument in 'bloch:a,b'"),
     (probe(state={"named": "bloch:nan,0"}), "state.named: non-finite argument in 'bloch:nan,0'"),

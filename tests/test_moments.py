@@ -55,17 +55,16 @@ class TestCentralMoments:
             assert m.mu4 == pytest.approx(weights @ centered**4, rel=1e-11)
 
     def test_eigenstate_flags_stationary(self):
-        m = central_moments(SIGMA_Z, StateVector([0, 1]))
-        assert m.is_stationary
-        assert m.alpha3 is None and m.alpha4 is None
-        assert m.mean == pytest.approx(-1.0, abs=1e-14)
+        # the moment pass refuses an eigenstate: no MomentSet describes a point
+        with pytest.raises(StationaryStateError, match="^stationary state: arc length undefined$"):
+            central_moments(SIGMA_Z, StateVector([0, 1]))
 
     def test_stationarity_is_scale_invariant(self):
         # criterion is relative to the operator's size, so a huge eigenvalue
         # with tiny rounding residue still counts as stationary
         big = HermitianOperator(1e8 * PAULI["Z"])
-        m = central_moments(big, StateVector([1, 0]))
-        assert m.is_stationary
+        with pytest.raises(StationaryStateError, match="^stationary state: arc length undefined$"):
+            central_moments(big, StateVector([1, 0]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
@@ -114,10 +113,10 @@ class TestMomentGeometry:
                 assert curvature_from_moments(m) >= -1e-12
 
     def test_stationary_state_raises(self):
-        m = central_moments(SIGMA_Z, StateVector([1, 0]))
-        for fn in (curvature_from_moments, torsion_from_moments):
-            with pytest.raises(StationaryStateError, match="arc length undefined"):
-                fn(m)
+        # both entry points to the moment pass refuse an eigenstate with one message
+        for build in (central_moments, EvolutionProblem):
+            with pytest.raises(StationaryStateError, match="^stationary state: arc length undefined$"):
+                build(SIGMA_Z, StateVector([1, 0]))
 
 
 class TestInvariances:
@@ -181,12 +180,16 @@ class TestEvolutionProblemMoments:
     def test_bitwise_equal_to_central_moments(self):
         stationary = 0
         for ham, psi in self._problems():
+            try:
+                want = central_moments(ham, psi)
+            except StationaryStateError:
+                with pytest.raises(StationaryStateError, match="^stationary state: arc length undefined$"):
+                    EvolutionProblem(ham, psi)
+                stationary += 1
+                continue
             got = EvolutionProblem(ham, psi).moments
-            want = central_moments(ham, psi)
             for name in ("mean", "mu2", "mu3", "mu4", "alpha3", "alpha4"):
-                a, b = getattr(got, name), getattr(want, name)
-                assert (a is None and b is None) or np.float64(a).tobytes() == np.float64(b).tobytes(), name
-            stationary += got.is_stationary
+                assert np.float64(getattr(got, name)).tobytes() == np.float64(getattr(want, name)).tobytes(), name
         assert stationary == 2
 
     def test_energy_and_speed_come_from_the_moments(self):

@@ -203,9 +203,9 @@ class TestCurvatureFit:
             fit_coefficients(crossed_fields_problem, (0.05, 0.1, 0.2))
 
     def test_stationary_state_rejected(self):
-        prob = EvolutionProblem(HermitianOperator(PAULI["Z"]), ZERO)
-        with pytest.raises(StationaryStateError):
-            fit_coefficients(prob, self.DT_GRID)
+        # an eigenstate never reaches the fits: its problem is refused
+        with pytest.raises(StationaryStateError, match="^stationary state: arc length undefined$"):
+            EvolutionProblem(HermitianOperator(PAULI["Z"]), ZERO)
 
 
 class TestTorsionFit:
