@@ -64,8 +64,8 @@ for s, (kappa_sq, tau_sq) in zip(stations, curvature_torsion_geometric(problem, 
 frame = build_frame(problem, 0.0)
 labels = ("position", "tangent", "binormal")
 print("\nframe at s = 0 (rows = frame vectors, basis |00>,|01>,|10>,|11>)")
-for label, vec in zip(labels, frame.vectors()):
-    pretty = ", ".join(f"{z.real:+.3f}{z.imag:+.3f}j" for z in vec.amplitudes)
+for label, vec in zip(labels, frame.rows):
+    pretty = ", ".join(f"{z.real:+.3f}{z.imag:+.3f}j" for z in vec)
     print(f"  {label:9s} [{pretty}]")
 
 print("\nstructure matrix (constant in s)")
@@ -74,7 +74,7 @@ with np.printoptions(precision=3, suppress=True):
 
 singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2)
 print("\noverlap of the singlet with each frame row")
-for label, vec in zip(labels, frame.vectors()):
-    overlap = float(abs(np.vdot(vec.amplitudes, singlet)))
+for label, vec in zip(labels, frame.rows):
+    overlap = float(abs(np.vdot(vec, singlet)))
     print(f"  |<{label}|singlet>| = {overlap!r}")
     assert np.isclose(overlap, 0.0, atol=1e-12)

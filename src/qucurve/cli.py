@@ -90,7 +90,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_output(path: str) -> None:
-    """Reject an --output path that is a directory or whose directory is missing, before any work."""
+    """Reject an --output path that is empty, a directory or in a missing directory, before any work."""
+    if not path:  # realpath("") is the working directory, whose temp sibling lies outside it
+        raise SpecError("--output", "must be a nonempty path")
     if os.path.isdir(path):
         raise SpecError("--output", f"{path!r} is a directory")
     folder = os.path.dirname(path) or "."

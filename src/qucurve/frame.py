@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import EvolutionProblem, _transported_rows, state_at_arclength
-from .hilbert import StateVector, _project_off
+from .hilbert import _project_off
 
 __all__ = [
     "QuantumFrame",
@@ -44,30 +44,16 @@ _BINORMAL_NORM_TOL = 1e-8
 
 @dataclass(frozen=True)
 class QuantumFrame:
-    """Orthonormal moving frame {psi, tangent, binormal} at a fixed arc length.
-
-    ``binormal`` is None for planar (zero-torsion) curves, where the raw
-    binormal vector is numerically zero and cannot be normalized.  The frame
-    is these k <= 3 rows only; it is not completed to a basis of C^d.
-    ``cartan`` is the 3x3 structure matrix of frame derivatives; when the
-    binormal is absent only its leading 2x2 block is populated.
-    """
+    """Orthonormal moving frame at arc length s: ``rows`` is one read-only
+    complex k x d array (Psi, T[, N]), not completed to a basis of C^d, with
+    k = 3 exactly when ``_binormal_present(tau_sq)``.  ``cartan`` is the 3x3
+    structure matrix, of which only the leading k x k block is populated."""
 
     s: float
-    psi: StateVector
-    tangent: StateVector
-    binormal_raw: np.ndarray
-    binormal: StateVector | None
+    rows: np.ndarray
     kappa_sq: float
     tau_sq: float
     cartan: np.ndarray
-
-    def vectors(self) -> list[StateVector]:
-        """The frame rows in order: psi, tangent, binormal (if any)."""
-        out = [self.psi, self.tangent]
-        if self.binormal is not None:
-            out.append(self.binormal)
-        return out
 
 
 def _binormal_present(tau_sq: float) -> bool:
@@ -102,30 +88,19 @@ def curvature_torsion_geometric(problem: EvolutionProblem, s_points) -> list[tup
 def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
     """The moving frame at arc length s and its structure matrix.
 
-    The frame is the first k <= 3 Lanczos rows f = (Psi, T[, N]) of
+    ``rows`` holds the first k <= 3 Lanczos rows f = (Psi, T[, N]) of
     (dh, Psi(s)), up to phases: N is present (k = 3) only when the curve
-    twists.  Its structure matrix is C[i][j] = <f_j | d/ds f_i> =
-    <f_j | -i dh f_i>, zero-padded to 3x3, so on a planar curve only the 2x2
-    principal block is meaningful.  One state evaluation and k + 2 dh
-    products: O(d) work.
+    twists, and ``rows[0]`` holds the amplitudes of
+    ``state_at_arclength(problem, s)``.  Its structure matrix is
+    C[i][j] = <f_j | d/ds f_i> = <f_j | -i dh f_i>, zero-padded to 3x3, so on
+    a planar curve only the 2x2 principal block is meaningful.  One state
+    evaluation and k + 2 dh products: O(d) work.
     """
-    state = state_at_arclength(problem, s)
-    psi, tan, perp, nbar = _vectors_from(problem, state.amplitudes)
+    psi, tan, perp, nbar = _vectors_from(problem, state_at_arclength(problem, s).amplitudes)
     tau_sq = float(np.vdot(nbar, nbar).real)
-    rows = [psi, tan]
-    if _binormal_present(tau_sq):
-        rows.append(nbar / np.linalg.norm(nbar))
-    rows = np.array(rows)
-    k = rows.shape[0]
+    rows = np.array([psi, tan, nbar / np.linalg.norm(nbar)] if _binormal_present(tau_sq) else [psi, tan])
+    rows.setflags(write=False)
+    k = len(rows)
     cartan = np.zeros((3, 3), dtype=complex)
     cartan[:k, :k] = np.array([-1j * problem._apply_delta_h(f) for f in rows]) @ rows.conj().T
-    return QuantumFrame(
-        s=s,
-        psi=state,
-        tangent=StateVector(rows[1]),
-        binormal_raw=nbar,
-        binormal=StateVector(rows[2]) if k == 3 else None,
-        kappa_sq=float(np.vdot(perp, perp).real),
-        tau_sq=tau_sq,
-        cartan=cartan,
-    )
+    return QuantumFrame(s=s, rows=rows, kappa_sq=float(np.vdot(perp, perp).real), tau_sq=tau_sq, cartan=cartan)

@@ -65,7 +65,7 @@ class StateVector:
             raise ValueError(f"state must be a 1-d vector with d >= 2, got shape {a.shape}")
         nrm = np.linalg.norm(a)
         if not abs(nrm - 1.0) <= _NORM_TOL:  # also rejects NaN
-            raise ValueError(f"state norm {nrm!r} deviates from 1 by more than {_NORM_TOL:.0e}")
+            raise ValueError(f"state norm {float(nrm)!r} deviates from 1 by more than {_NORM_TOL:.0e}")
         a = a.copy()
         a.setflags(write=False)
         object.__setattr__(self, "amplitudes", a)

@@ -16,6 +16,8 @@ sphere -- the curve never leaves a plane through the projective space.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .evolution import EvolutionProblem
@@ -56,7 +58,7 @@ def bloch_to_state(a) -> StateVector:
     if a.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {a.shape}")
     if abs(np.linalg.norm(a) - 1.0) > _NORM_TOL:
-        raise ValueError(f"Bloch vector must be unit length, got |a| = {np.linalg.norm(a)!r}")
+        raise ValueError(f"Bloch vector must be unit length, got |a| = {float(np.linalg.norm(a))!r}")
     return _bloch_angle_state(np.arccos(np.clip(a[2], -1.0, 1.0)), np.arctan2(a[1], a[0]))
 
 
@@ -115,7 +117,10 @@ def geodesic_efficiency(problem: EvolutionProblem, t: float) -> float:
         raise ValueError(f"t must be positive, got {t}")
     psi0 = problem.initial_state.amplitudes
     psi_t = problem._evolve_rows([t])[0]
-    angle = np.arctan2(np.linalg.norm(_project_off(psi_t, psi0)), abs(np.vdot(psi0, psi_t)))
+    off = _project_off(psi_t, psi0)
+    exp = math.frexp(float(np.max(np.abs(off))))[1]  # unscaled, squares of entries near v t underflow
+    np.ldexp(off.view(np.float64), -exp, out=off.view(np.float64))
+    angle = np.arctan2(math.ldexp(np.linalg.norm(off), exp), abs(np.vdot(psi0, psi_t)))
     eta = float(angle / (problem.speed * t))
     if eta > 1.0 + 1e-9:
         raise NumericalError(f"geodesic efficiency eta = {eta!r} exceeds 1 beyond tolerance")

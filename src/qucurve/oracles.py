@@ -144,11 +144,12 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
     no signal, so its misfit is reported as exactly 0.0.  A coefficient or
     misfit that is not finite (dt^4 overflows) raises ``NumericalError``.
     """
-    x = np.asarray(dt_grid, dtype=float) ** 4
     y = np.asarray(values, dtype=float)
-    coeff = float(np.dot(x, y) / np.dot(x, x))
-    noise = np.all(np.abs(y) <= _ROUNDING_FLOOR)
-    residual = 0.0 if noise else float(np.linalg.norm(y - coeff * x) / np.linalg.norm(y))
+    with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
+        x = np.asarray(dt_grid, dtype=float) ** 4
+        coeff = float(np.dot(x, y) / np.dot(x, x))
+        noise = np.all(np.abs(y) <= _ROUNDING_FLOOR)
+        residual = 0.0 if noise else float(np.linalg.norm(y - coeff * x) / np.linalg.norm(y))
     if not (np.isfinite(coeff) and np.isfinite(residual)):
         raise NumericalError(f"dt_grid: quartic fit gives coefficient {coeff!r}, residual {residual!r}")
     return coeff, residual

@@ -79,12 +79,12 @@ def _case_frame_closed_form(perturb: bool = False) -> float:
             tan_expected = tan_expected.copy()
             tan_expected[0] += 1e-3
         frame = build_frame(prob, s)
-        worst = max(worst, float(np.max(np.abs(frame.tangent.amplitudes - tan_expected))))
-        worst = max(worst, float(np.max(np.abs(frame.binormal.amplitudes - nbar_expected))))
+        worst = max(worst, float(np.max(np.abs(frame.rows[1] - tan_expected))))
+        worst = max(worst, float(np.max(np.abs(frame.rows[2] - nbar_expected))))
         worst = max(worst, abs(frame.kappa_sq - 1.0), abs(frame.tau_sq - 1.0))
         cart_expected = np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex)
         worst = max(worst, float(np.max(np.abs(frame.cartan - cart_expected))))
-        worst = max(worst, *(abs(np.vdot(f.amplitudes, singlet)) for f in frame.vectors()))
+        worst = max(worst, float(np.max(np.abs(frame.rows.conj() @ singlet))))
     return worst
 
 

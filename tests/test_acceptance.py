@@ -120,11 +120,10 @@ def test_closed_form_value_table():
                 0.5 * np.cos(arg) + 0.5,
             ]
         )
-        assert abs(np.vdot(tan_expected, fr.tangent.amplitudes)) == pytest.approx(1.0, abs=1e-9)
-        assert abs(np.vdot(bin_expected, fr.binormal.amplitudes)) == pytest.approx(1.0, abs=1e-9)
-        assert len(fr.vectors()) == 3
-        overlap = max(abs(np.vdot(f.amplitudes, singlet)) for f in fr.vectors())
-        assert overlap == pytest.approx(0.0, abs=1e-9)
+        assert len(fr.rows) == 3
+        assert abs(np.vdot(tan_expected, fr.rows[1])) == pytest.approx(1.0, abs=1e-9)
+        assert abs(np.vdot(bin_expected, fr.rows[2])) == pytest.approx(1.0, abs=1e-9)
+        assert np.max(np.abs(fr.rows.conj() @ singlet)) == pytest.approx(0.0, abs=1e-9)
     np.testing.assert_allclose(
         build_frame(prob, 0.0).cartan,
         np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex),
@@ -303,9 +302,8 @@ def test_frame_geometry():
             s = float(rng.uniform(0, 2))
             fr = build_frame(prob, s)
 
-            vecs = np.array([v.amplitudes for v in fr.vectors()])
-            gram = vecs.conj() @ vecs.T
-            assert np.max(np.abs(gram - np.eye(len(vecs)))) <= 1e-10
+            gram = fr.rows.conj() @ fr.rows.T
+            assert np.max(np.abs(gram - np.eye(len(fr.rows)))) <= 1e-10
 
             cart = fr.cartan
             assert np.max(np.abs(cart + cart.conj().T)) <= 1e-9
@@ -315,14 +313,13 @@ def test_frame_geometry():
             skew = np.sqrt(
                 max(curvature_from_moments(mom) - torsion_from_moments(mom), 0.0)
             )
-            if fr.binormal is not None:
+            if len(fr.rows) == 3:
                 assert abs(cart[1, 2]) == pytest.approx(tau, abs=1e-8)
             assert abs(cart[1, 1]) == pytest.approx(skew, abs=1e-8)
 
             if dim == 2:
-                nbar = build_frame(prob, s).binormal_raw
-                assert np.linalg.norm(nbar) <= 1e-10
-                assert fr.binormal is None
+                assert fr.tau_sq <= 1e-20  # tau_sq is ||Nbar||^2
+                assert len(fr.rows) == 2
 
 
 def test_classical_reference():

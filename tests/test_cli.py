@@ -473,6 +473,21 @@ class TestUsageErrors:
         assert not out.parent.exists()
 
     @CSV_COMMANDS
+    def test_empty_output(self, argv, xi_family_file, tmp_path, monkeypatch, capsys):
+        def no_work(path):
+            raise AssertionError("the problem file was read before --output was checked")
+
+        monkeypatch.setattr(qucurve.cli, "load_problem_spec", no_work)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        before = sorted(tmp_path.iterdir())
+        assert main(argv + ["--input", xi_family_file, "--output", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --output: must be a nonempty path\n"
+        assert sorted(tmp_path.iterdir()) == before and not any(work.iterdir())
+
+    @CSV_COMMANDS
     def test_output_is_a_directory(self, argv, tmp_path):
         # rejected before the problem file is read: the input named here does not exist
         out = tmp_path / "out"
@@ -737,6 +752,33 @@ class TestSweepCommand:
             cells = line.split(",")
             xi, eta = float(cells[0]), float(cells[3])
             assert eta == pytest.approx(qucurve.models.xi_efficiency(efficiency_t, xi), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("efficiency_t", [1e-160, 1e-300])
+    @pytest.mark.parametrize(
+        "couplings, named, param, grid",
+        [
+            ({"mx": 1.0, "mz": 1.0}, "0", "mx", ["0.5", "1.5"]),
+            ({"mz": 1.0}, "xi:0.6,0", "mz", ["0.5", "1.5"]),
+        ],
+        ids=["basis-state", "xi-state"],
+    )
+    def test_eta_below_squared_underflow(self, couplings, named, param, grid, efficiency_t, tmp_path, capsys):
+        # on these states the off-psi0 part of psi(t) is exact, with entries near v t whose
+        # squares underflow below v t ~ 1e-155; a norm taken without rescaling read eta = 0.0
+        doc = {
+            "hamiltonian": {"family": "single_qubit", "couplings": couplings},
+            "state": {"named": named},
+            "options": {"efficiency_t": efficiency_t},
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--input", str(path), "--param", param, "--from", grid[0], "--to", grid[1], "--points", "3"]
+        assert main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        etas = [float(line.split(",")[3]) for line in out.read_text().splitlines()[1:]]
+        assert len(etas) == 3
+        assert all(abs(eta - 1.0) <= 4 * np.finfo(float).eps for eta in etas)
 
     def test_xi_sweep(self, xi_family_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

@@ -317,7 +317,7 @@ MALFORMED = [
     ),
     (
         probe(state={"amplitudes": [[1, 0], [1, 0], [0, 0], [0, 0]]}),
-        "state.amplitudes: state norm np.float64(1.4142135623730951) deviates from 1 by more than 1e-12",
+        "state.amplitudes: state norm 1.4142135623730951 deviates from 1 by more than 1e-12",
     ),
     (probe(state={"amplitudes": [[1, 0], [0, 0]]}), "state: state dimension 2 does not match hamiltonian dimension 4"),
     (probe(state={"named": ""}), "state.named: must be a nonempty string"),

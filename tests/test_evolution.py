@@ -181,7 +181,7 @@ class TestArcLength:
 
 
 def _tangent(prob, s):
-    return build_frame(prob, s).tangent.amplitudes
+    return build_frame(prob, s).rows[1]
 
 
 def _acceleration(prob, s):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -58,13 +59,9 @@ class TestWorkedExample:
     def test_frame_vectors(self, crossed_fields_problem):
         for s in (0.0, 0.9):
             fr = build_frame(crossed_fields_problem, s)
-            np.testing.assert_allclose(
-                fr.tangent.amplitudes, crossed_fields_tangent(s), atol=1e-12
-            )
-            assert fr.binormal is not None
-            np.testing.assert_allclose(
-                fr.binormal.amplitudes, crossed_fields_binormal(s), atol=1e-12
-            )
+            assert fr.rows.shape == (3, 4)
+            np.testing.assert_allclose(fr.rows[1], crossed_fields_tangent(s), atol=1e-12)
+            np.testing.assert_allclose(fr.rows[2], crossed_fields_binormal(s), atol=1e-12)
 
     def test_singlet_is_off_the_frame(self, crossed_fields_problem):
         # {psi, T, N} all live in the triplet sector, so the singlet
@@ -72,9 +69,8 @@ class TestWorkedExample:
         singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)
         for s in (0.0, 0.7):
             fr = build_frame(crossed_fields_problem, s)
-            assert len(fr.vectors()) == 3
-            overlap = max(abs(np.vdot(f.amplitudes, singlet)) for f in fr.vectors())
-            assert overlap == pytest.approx(0.0, abs=1e-12)
+            assert len(fr.rows) == 3
+            assert np.max(np.abs(fr.rows.conj() @ singlet)) == pytest.approx(0.0, abs=1e-12)
 
     def test_cartan_matrix(self, crossed_fields_problem):
         expected = np.array([[0, 1, 0], [-1, 0, 1], [0, -1, 0]], dtype=complex)
@@ -85,17 +81,13 @@ class TestWorkedExample:
 
 
 class TestGeometricPath:
-    def test_binormal_raw_is_orthogonal_to_psi_and_tangent(self):
+    def test_binormal_row_is_orthogonal_to_psi_and_tangent(self):
         rng = np.random.default_rng(137)
         for dim in (3, 4, 8):
             prob = random_problem(rng, dim)
-            s = float(rng.uniform(0, 2))
-            frame = build_frame(prob, s)
-            nbar = frame.binormal_raw
-            psi = state_at_arclength(prob, s).amplitudes
-            tan = frame.tangent.amplitudes
-            assert abs(np.vdot(psi, nbar)) < 1e-12
-            assert abs(np.vdot(tan, nbar)) < 1e-12
+            psi, tan, binormal = build_frame(prob, float(rng.uniform(0, 2))).rows
+            assert abs(np.vdot(psi, binormal)) < 1e-12
+            assert abs(np.vdot(tan, binormal)) < 1e-12
 
     def test_coefficients_constant_along_curve(self):
         rng = np.random.default_rng(139)
@@ -136,12 +128,22 @@ class TestBuildFrame:
         for dim in (2, 3, 4, 8, 64, 1024):
             prob = random_problem(rng, dim)
             fr = build_frame(prob, float(rng.uniform(0, 2)))
-            vecs = np.array([v.amplitudes for v in fr.vectors()])
-            k = 2 if fr.binormal is None else 3
-            assert vecs.shape == (k, dim)
+            k = 3 if qucurve.frame._binormal_present(fr.tau_sq) else 2
+            assert fr.rows.shape == (k, dim)
             np.testing.assert_allclose(
-                vecs.conj() @ vecs.T, np.eye(k), atol=1e-10
+                fr.rows.conj() @ fr.rows.T, np.eye(k), atol=1e-10
             )
+
+    def test_frame_is_its_rows(self):
+        rng = np.random.default_rng(158)
+        prob = random_problem(rng, 5)
+        fr = build_frame(prob, 0.6)
+        assert [f.name for f in dataclasses.fields(fr)] == ["s", "rows", "kappa_sq", "tau_sq", "cartan"]
+        assert fr.rows.dtype == complex and not fr.rows.flags.writeable
+        with pytest.raises(ValueError):
+            fr.rows[0, 0] = 0.0
+        # rows[0] is the transported state itself, bit for bit
+        np.testing.assert_array_equal(fr.rows[0], state_at_arclength(prob, 0.6).amplitudes)
 
     def test_frame_memory_is_linear_in_d(self):
         # the frame is k <= 3 rows of length d: at n = 12 (d = 4096) one
@@ -161,7 +163,7 @@ class TestBuildFrame:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert fr.binormal is not None
+        assert len(fr.rows) == 3
         assert peak < 32 * 2**20
 
     def test_planar_curve_has_no_binormal(self):
@@ -169,8 +171,8 @@ class TestBuildFrame:
             single_qubit([0.0, 0.0, 1.0]), StateVector([0.8, 0.6])
         )
         fr = build_frame(prob, 0.5)
-        assert fr.binormal is None
-        assert len(fr.vectors()) == 2
+        assert not qucurve.frame._binormal_present(fr.tau_sq)
+        assert len(fr.rows) == 2
         # third row and column of the structure matrix stay empty
         np.testing.assert_allclose(fr.cartan[2, :], 0.0, atol=1e-15)
         np.testing.assert_allclose(fr.cartan[:, 2], 0.0, atol=1e-15)
@@ -227,13 +229,10 @@ class TestCartanMatrix:
         fr = build_frame(prob, s)
         lo = build_frame(prob, s - ds)
         hi = build_frame(prob, s + ds)
-        frame_here = fr.vectors()[:3]
-        for i, (lo_v, hi_v) in enumerate(
-            zip(lo.vectors()[:3], hi.vectors()[:3])
-        ):
-            deriv = (hi_v.amplitudes - lo_v.amplitudes) / (2 * ds)
+        for i, (lo_v, hi_v) in enumerate(zip(lo.rows, hi.rows)):
+            deriv = (hi_v - lo_v) / (2 * ds)
             for j in range(3):
-                fd = np.vdot(frame_here[j].amplitudes, deriv)
+                fd = np.vdot(fr.rows[j], deriv)
                 assert fr.cartan[i, j] == pytest.approx(fd, abs=1e-5)
 
 

@@ -63,7 +63,7 @@ class TestBlochMaps:
         np.testing.assert_allclose(state_to_bloch(plus_i), [0, 1, 0], atol=1e-15)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="unit length"):
+        with pytest.raises(ValueError, match=r"unit length, got \|a\| = 2\.0$"):
             bloch_to_state([0, 0, 2])
         with pytest.raises(ValueError, match="shape"):
             bloch_to_state([1, 0])

@@ -1,4 +1,12 @@
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import qucurve
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_public_name_resolves():
@@ -71,3 +79,13 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(qucurve.__all__) == PUBLIC_NAMES
+
+
+def test_readme_quick_start_runs(tmp_path):
+    block = re.search(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S).group(1)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", block], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "1.0 1.0"

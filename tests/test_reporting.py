@@ -128,7 +128,7 @@ class TestBuildReport:
         for prob, present in ((planar, False), (crossed_fields_problem, True)):
             rep = build_report(prob.hamiltonian, prob.initial_state)
             assert rep.frame_present is present
-            assert rep.frame_present == (build_frame(prob, 0.0).binormal is not None)
+            assert rep.frame_present == (len(build_frame(prob, 0.0).rows) == 3)
 
     @pytest.mark.parametrize(
         "scale",
