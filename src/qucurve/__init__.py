@@ -11,8 +11,7 @@ another:
 * projector geometry: norms of the acceleration vector projected off the
   curve and its tangent;
 * finite-difference fits: quartic-in-time departures from geodesics and
-  from two-snapshot planes, plus a classical Frenet-Serret extractor for
-  sampled curves in R^3.
+  from two-snapshot planes.
 """
 
 from . import config, evolution, frame, hilbert, models, moments, oracles, reporting

@@ -173,9 +173,9 @@ def _parse_options(raw) -> dict:
         raise SpecError("options.efficiency_t", f"must be a positive number, got {options['efficiency_t']!r}")
     grid = options["dt_grid"]
     if grid is not None and not (
-        isinstance(grid, list) and len(grid) >= 2 and all(_is_number(x) and x > 0 for x in grid)
+        isinstance(grid, list) and all(_is_number(x) and x > 0 for x in grid) and len(set(map(float, grid))) >= 2
     ):
-        raise SpecError("options.dt_grid", "must be a list of >= 2 positive numbers")
+        raise SpecError("options.dt_grid", "must be a list of positive numbers with >= 2 distinct values")
     return options
 
 

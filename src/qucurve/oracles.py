@@ -16,11 +16,6 @@ from physically measurable data only:
 Fitting the quartic coefficients on a small grid of time steps and dividing
 by mu2^2 recovers the dimensionless kappa^2 and tau^2.  A column of fitted
 values that is all rounding noise reports a misfit of exactly 0.
-
-A sampled-space-curve Frenet-Serret extractor is included so the quantum
-quantities can be checked against ordinary curves in R^3 (e.g. circles on a
-sphere, whose geodesic curvature the quantum curvature reproduces up to a
-factor 4R^2).
 """
 
 from __future__ import annotations
@@ -34,14 +29,7 @@ from .evolution import EvolutionProblem
 from .hilbert import _as_vector, _project_off
 from .moments import NumericalError
 
-__all__ = [
-    "FitResult",
-    "SpaceCurveSamples",
-    "fubini_study_sq",
-    "fit_coefficients",
-    "classical_frenet_serret",
-    "sphere_geodesic_curvature",
-]
+__all__ = ["FitResult", "fubini_study_sq", "fit_coefficients"]
 
 _OVERLAP_TOL = 1e-10
 
@@ -67,26 +55,6 @@ class FitResult:
     coefficient: float
     residual: float
     dt_grid: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class SpaceCurveSamples:
-    """A curve in R^3 sampled on a strictly increasing parameter grid."""
-
-    parameter: np.ndarray
-    points: np.ndarray  # shape (n, 3)
-
-    def __post_init__(self):
-        t = np.asarray(self.parameter, dtype=float)
-        p = np.asarray(self.points, dtype=float)
-        if t.ndim != 1 or p.shape != (t.shape[0], 3):
-            raise ValueError(f"expected (n,) parameters and (n, 3) points, got {t.shape}, {p.shape}")
-        if t.shape[0] < 5:
-            raise ValueError("need at least 5 samples for third-order differences")
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("parameter grid must be strictly increasing")
-        object.__setattr__(self, "parameter", t)
-        object.__setattr__(self, "points", p)
 
 
 def fubini_study_sq(psi1, psi2) -> float:
@@ -158,8 +126,8 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
 def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], dict[float, np.ndarray]]:
     """The checked steps, and psi(t) for every distinct t in {dt, 2 dt}, evolved in one walk."""
     dts = tuple(float(dt) for dt in dt_grid)
-    if len(dts) < 2 or any(dt <= 0 for dt in dts):
-        raise ValueError("dt_grid must contain at least two positive steps")
+    if len(set(dts)) < 2 or any(dt <= 0 for dt in dts):
+        raise ValueError("dt_grid must contain at least two distinct positive steps")
     least = min(dts) * problem.speed
     if least < _MIN_STEP:
         raise NumericalError(f"dt_grid: smallest dt*v = {least:.3g} is below {_MIN_STEP:.0e}, where fits see rounding")
@@ -215,58 +183,3 @@ def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> tuple[FitResult
         values.append(float(np.vdot(r, r).real))
     tau_fit = FitResult(*_fit_quartic(dts, values), dt_grid=dts)
     return kappa_fit, tau_fit
-
-
-def classical_frenet_serret(samples: SpaceCurveSamples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pointwise curvature and torsion of a sampled space curve.
-
-    Second-order central-difference stencils applied directly to the raw
-    samples give r', r'', r''' at interior points (two samples trimmed at
-    each end, where the five-point stencil for r''' does not fit), and the
-    classical formulas
-
-        kappa = |r' x r''| / |r'|^3
-        tau   = (r' x r'') . r''' / |r' x r''|^2
-
-    are evaluated there.  The parameter grid must be uniform: classical
-    central stencils lose their error cancellation on irregular spacing.
-
-    Returns
-    -------
-    (parameter, kappa, tau) : three aligned 1-d arrays over interior samples.
-    """
-    t = samples.parameter
-    r = samples.points
-    steps = np.diff(t)
-    h = float(steps[0])
-    if np.max(np.abs(steps - h)) > 1e-9 * h:
-        raise ValueError("parameter grid must be uniformly spaced")
-
-    sl = slice(2, -2)
-    d1 = (r[3:-1] - r[1:-3]) / (2.0 * h)
-    d2 = (r[3:-1] - 2.0 * r[2:-2] + r[1:-3]) / h**2
-    d3 = (r[4:] - 2.0 * r[3:-1] + 2.0 * r[1:-3] - r[:-4]) / (2.0 * h**3)
-
-    cross = np.cross(d1, d2)
-    cross_norm = np.linalg.norm(cross, axis=1)
-    speed = np.linalg.norm(d1, axis=1)
-    # The second-difference stencil carries rounding of order eps*|r|/h^2, so
-    # a cross product at that level (or a speed at the first-difference analog)
-    # is indistinguishable from a straight or stalled curve and the division
-    # below would amplify pure noise.
-    noise = 64.0 * np.finfo(float).eps * float(np.max(np.abs(r)) + 1.0) / h**2
-    if np.any(speed <= noise * h) or np.any(cross_norm <= speed * noise):
-        raise ValueError("degenerate samples: vanishing speed or curvature")
-    kappa = cross_norm / speed**3
-    tau = np.einsum("ij,ij->i", cross, d3) / cross_norm**2
-    return t[sl], kappa, tau
-
-
-def sphere_geodesic_curvature(theta: float, radius: float) -> float:
-    """Geodesic curvature cot(theta)/R of the colatitude-theta circle on a
-    radius-R sphere; zero at the equator (a great circle)."""
-    if not 0.0 < theta < np.pi:
-        raise ValueError(f"theta must lie in (0, pi), got {theta}")
-    if radius <= 0.0:
-        raise ValueError(f"radius must be positive, got {radius}")
-    return 1.0 / (np.tan(theta) * radius)

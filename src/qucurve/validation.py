@@ -17,12 +17,7 @@ from .evolution import EvolutionProblem, evolve, parallel_transported_state
 from .frame import build_frame, curvature_torsion_geometric
 from .hilbert import HermitianOperator, StateVector
 from .moments import _CLAMP_FLOOR, StationaryStateError, central_moments, curvature_from_moments, torsion_from_moments
-from .oracles import (
-    SpaceCurveSamples,
-    classical_frenet_serret,
-    fit_coefficients,
-    sphere_geodesic_curvature,
-)
+from .oracles import fit_coefficients
 
 __all__ = ["CaseResult", "PERTURBABLE_CASES", "run_validation"]
 
@@ -234,23 +229,12 @@ def _case_parallel_transport() -> float:
 
 
 def _case_classical_circle() -> float:
+    # kappa^2 of the xi-state whose Bloch vector rides the colatitude-theta circle is
+    # 4 R^2 times the squared geodesic curvature cot(theta)/R of that circle on the radius-R sphere
     radius, theta = 1.7, 0.8
-    n = 4001
-    t = np.linspace(0.0, 2.0 * np.pi * radius * np.sin(theta), n)
-    rho = radius * np.sin(theta)
-    pts = np.stack(
-        [rho * np.cos(t / rho), rho * np.sin(t / rho), np.full_like(t, radius * np.cos(theta))],
-        axis=1,
-    )
-    _, kappa, tau = classical_frenet_serret(SpaceCurveSamples(t, pts))
-    worst = max(float(np.max(np.abs(kappa - 1.0 / rho))), float(np.max(np.abs(tau))))
-
-    # quantum counterpart: kappa^2 of the matching xi-state is 4 R^2 times the
-    # squared geodesic curvature of the circle on the radius-R sphere
-    kappa_geo = sphere_geodesic_curvature(theta, radius)
-    xi = float(np.cos(theta / 2.0))
-    mom = central_moments(models.single_qubit([0.0, 0.0, 1.0]), models.xi_state(xi))
-    return max(worst, abs(curvature_from_moments(mom) - 4.0 * radius**2 * kappa_geo**2))
+    kappa_geo = 1.0 / (np.tan(theta) * radius)
+    mom = central_moments(models.single_qubit([0.0, 0.0, 1.0]), models.xi_state(float(np.cos(theta / 2.0))))
+    return abs(curvature_from_moments(mom) - 4.0 * radius**2 * kappa_geo**2)
 
 
 # name -> (tolerance, case), in the order of the report
@@ -266,7 +250,7 @@ _CASES = {
     "planar-bell-states": (1e-10, _case_planar_bell_states),
     "quartic-fits": (0.02, _case_quartic_fits),
     "parallel-transport": (1e-6, _case_parallel_transport),
-    "classical-circle": (1e-6, _case_classical_circle),
+    "classical-circle": (1e-12, _case_classical_circle),
 }
 
 # The cases whose expected fixture takes a ``perturb`` flag.

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import stat
 import sys
@@ -26,6 +27,14 @@ def runtime_warnings_fail_subprocesses():
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONWARNINGS", ",".join(filter(None, [os.environ.get("PYTHONWARNINGS"), "error::RuntimeWarning"])))
         yield
+
+
+def load_demo(stem):
+    """The module of ``demos/<stem>.py``, loaded by path; its ``__main__`` block does not run."""
+    spec = importlib.util.spec_from_file_location(stem, Path(__file__).resolve().parents[1] / "demos" / f"{stem}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_hermitian(rng, dim):

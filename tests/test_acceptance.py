@@ -19,7 +19,6 @@ from qucurve import (
     bell_state,
     build_frame,
     central_moments,
-    classical_frenet_serret,
     curvature_bloch,
     curvature_from_moments,
     curvature_torsion_geometric,
@@ -35,8 +34,6 @@ from qucurve import (
     nonlocal_product_coefficients,
     parallel_transported_state,
     single_qubit,
-    sphere_geodesic_curvature,
-    SpaceCurveSamples,
     StationaryStateError,
     torsion_bloch,
     torsion_from_moments,
@@ -51,7 +48,7 @@ from qucurve.cli import main
 from qucurve.hilbert import HermitianOperator
 from qucurve.models import bloch_to_state
 
-from conftest import crossed_fields_state, random_hermitian, random_problem, random_state
+from conftest import crossed_fields_state, load_demo, random_hermitian, random_problem, random_state
 
 SIGMA_Z = single_qubit([0.0, 0.0, 1.0])
 
@@ -323,13 +320,14 @@ def test_frame_geometry():
 
 
 def test_classical_reference():
-    # sampled circles of several radii: kappa = 1/R, tau = 0
+    # sampled circles of several radii, through demo 06's R^3 extractor: kappa = 1/R, tau = 0
+    classical_frenet_serret = load_demo("06_classical_correspondence").classical_frenet_serret
     for radius in (0.5, 1.7, 3.0):
         t = np.linspace(0.0, 2 * np.pi, 8001)
         pts = np.stack(
             [radius * np.cos(t), radius * np.sin(t), np.zeros_like(t)], axis=1
         )
-        _, kappa, tau = classical_frenet_serret(SpaceCurveSamples(t, pts))
+        _, kappa, tau = classical_frenet_serret(t, pts)
         assert np.max(np.abs(kappa - 1.0 / radius)) <= 1e-6 * (1.0 / radius)
         assert np.max(np.abs(tau)) <= 1e-6
 
@@ -343,7 +341,7 @@ def test_classical_reference():
         for theta in thetas:
             xi = float(np.cos(theta / 2.0))
             kappa_q, _ = pipeline_coefficients(SIGMA_Z, xi_state(xi))
-            kappa_geo = sphere_geodesic_curvature(theta, radius)
+            kappa_geo = 1.0 / (np.tan(theta) * radius)  # cot(theta) / R
             ratio = kappa_q / kappa_geo**2
             assert ratio == pytest.approx(4.0 * radius**2, rel=1e-9)
 

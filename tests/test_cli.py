@@ -106,6 +106,18 @@ class TestReportCommand:
         assert main(["report", "--input", str(path)]) == 2
         assert "hamiltonian.pauli_terms[0].word" in capsys.readouterr().err
 
+    def test_repeated_dt_grid_step_exit_code(self, tmp_path, capsys):
+        # one distinct step fits C dt^4 exactly, so the 5% misfit gate could never fire
+        doc = {
+            "hamiltonian": {"family": "two_qubit_nonlocal", "couplings": {"m1": 0.7, "m2": 0.4, "m3": -0.3, "m4": 0.9}},
+            "state": {"named": "00"},
+            "options": {"dt_grid": [0.3, 0.3]},
+        }
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        assert main(["--oracle", "report", "--input", str(path)]) == 2
+        assert "options.dt_grid" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "doc, quantity",
         [
@@ -971,7 +983,7 @@ class TestValidateCommand:
             ("planar-bell-states", 1e-10),
             ("quartic-fits", 0.02),
             ("parallel-transport", 1e-6),
-            ("classical-circle", 1e-6),
+            ("classical-circle", 1e-12),
         ]
 
     @pytest.mark.parametrize("case", PERTURBABLE_CASES)

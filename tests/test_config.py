@@ -339,9 +339,10 @@ MALFORMED = [
     (probe(options=[]), "options: must be an object"),
     (probe(options={"mystery": 1}), "options: unknown keys ['mystery']"),
     (probe(options={"efficiency_t": 0}), "options.efficiency_t: must be a positive number, got 0"),
-    (probe(options={"dt_grid": [1e-3]}), "options.dt_grid: must be a list of >= 2 positive numbers"),
-    (probe(options={"dt_grid": [1e-3, -1e-3]}), "options.dt_grid: must be a list of >= 2 positive numbers"),
-    (probe(options={"dt_grid": 0.1}), "options.dt_grid: must be a list of >= 2 positive numbers"),
+    (probe(options={"dt_grid": [1e-3]}), "options.dt_grid: must be a list of positive numbers with >= 2 distinct values"),
+    (probe(options={"dt_grid": [1e-3, -1e-3]}), "options.dt_grid: must be a list of positive numbers with >= 2 distinct values"),
+    (probe(options={"dt_grid": 0.1}), "options.dt_grid: must be a list of positive numbers with >= 2 distinct values"),
+    (probe(options={"dt_grid": [0.3, 0.3]}), "options.dt_grid: must be a list of positive numbers with >= 2 distinct values"),
 ]
 
 

@@ -7,16 +7,13 @@ import qucurve.oracles
 from qucurve import (
     EvolutionProblem,
     NumericalError,
-    SpaceCurveSamples,
     StateVector,
     StationaryStateError,
     central_moments,
-    classical_frenet_serret,
     curvature_from_moments,
     evolve,
     fit_coefficients,
     fubini_study_sq,
-    sphere_geodesic_curvature,
     torsion_from_moments,
 )
 from qucurve.reporting import build_report
@@ -24,7 +21,9 @@ from qucurve.hilbert import PAULI, HermitianOperator
 from qucurve.models import single_qubit
 from qucurve.oracles import _min_geodesic_deviation
 
-from conftest import random_problem
+from conftest import load_demo, random_problem
+
+classical_frenet_serret = load_demo("06_classical_correspondence").classical_frenet_serret
 
 ZERO = StateVector([1, 0])
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
@@ -193,9 +192,9 @@ class TestCurvatureFit:
         assert abs(fit.coefficient) <= 1e-12
 
     def test_grid_validation(self, crossed_fields_problem):
-        with pytest.raises(ValueError, match="two positive steps"):
+        with pytest.raises(ValueError, match="two distinct positive steps"):
             fit_coefficients(crossed_fields_problem, (1e-3,))
-        with pytest.raises(ValueError, match="two positive steps"):
+        with pytest.raises(ValueError, match="two distinct positive steps"):
             fit_coefficients(crossed_fields_problem, (1e-3, -1e-3))
 
     def test_coarse_grid_warns(self, crossed_fields_problem):
@@ -245,6 +244,11 @@ class TestTorsionFit:
 
 
 class TestGridChecks:
+    def test_repeated_step_rejected(self, crossed_fields_problem):
+        # one distinct step fits C dt^4 exactly through any value, so the 5% misfit gate could never fire
+        with pytest.raises(ValueError, match="two distinct positive steps"):
+            fit_coefficients(crossed_fields_problem, (3e-3, 3e-3))
+
     def test_step_below_floor_rejected(self, crossed_fields_problem):
         # dt v = 1.4e-9: every deviation lies under the rounding floor, so a
         # fit would report a residual of 0 on pure noise
@@ -304,15 +308,17 @@ class TestSnapshots:
 
 
 class TestClassicalFrenetSerret:
+    """The R^3 extractor that demo 06 carries, loaded from the demo file."""
+
     def _circle(self, radius, n=2001):
         t = np.linspace(0.0, 2 * np.pi, n)
         pts = np.stack(
             [radius * np.cos(t), radius * np.sin(t), np.zeros_like(t)], axis=1
         )
-        return SpaceCurveSamples(t, pts)
+        return t, pts
 
     def test_circle(self):
-        t, kappa, tau = classical_frenet_serret(self._circle(1.7))
+        t, kappa, tau = classical_frenet_serret(*self._circle(1.7))
         np.testing.assert_allclose(kappa, 1 / 1.7, rtol=1e-5)
         np.testing.assert_allclose(tau, 0.0, atol=1e-9)
         assert t.shape == kappa.shape == tau.shape == (2001 - 4,)
@@ -321,48 +327,37 @@ class TestClassicalFrenetSerret:
         a, b = 2.0, 0.5
         t = np.linspace(0.0, 4 * np.pi, 4001)
         pts = np.stack([a * np.cos(t), a * np.sin(t), b * t], axis=1)
-        _, kappa, tau = classical_frenet_serret(SpaceCurveSamples(t, pts))
+        _, kappa, tau = classical_frenet_serret(t, pts)
         np.testing.assert_allclose(kappa, a / (a**2 + b**2), rtol=1e-5)
         np.testing.assert_allclose(tau, b / (a**2 + b**2), rtol=1e-5)
 
     def test_interior_parameter_slice(self):
-        samples = self._circle(1.0, n=9)
-        t, _, _ = classical_frenet_serret(samples)
-        np.testing.assert_allclose(t, samples.parameter[2:-2])
+        t, pts = self._circle(1.0, n=9)
+        inner, _, _ = classical_frenet_serret(t, pts)
+        np.testing.assert_allclose(inner, t[2:-2])
 
     def test_straight_line_rejected(self):
         t = np.linspace(0, 1, 11)
         pts = np.stack([t, 2 * t, 3 * t], axis=1)
         with pytest.raises(ValueError, match="degenerate"):
-            classical_frenet_serret(SpaceCurveSamples(t, pts))
+            classical_frenet_serret(t, pts)
 
     def test_nonuniform_grid_rejected(self):
         t = np.array([0.0, 0.1, 0.25, 0.3, 0.4, 0.5])
         pts = np.stack([np.cos(t), np.sin(t), np.zeros_like(t)], axis=1)
         with pytest.raises(ValueError, match="uniform"):
-            classical_frenet_serret(SpaceCurveSamples(t, pts))
+            classical_frenet_serret(t, pts)
 
     def test_sample_validation(self):
-        t = np.linspace(0, 1, 4)
-        pts = np.zeros((4, 3))
         with pytest.raises(ValueError, match="at least 5"):
-            SpaceCurveSamples(t, pts)
+            classical_frenet_serret(np.linspace(0, 1, 4), np.zeros((4, 3)))
         with pytest.raises(ValueError, match="increasing"):
-            SpaceCurveSamples(np.array([0.0, 0.2, 0.1, 0.3, 0.4]), np.zeros((5, 3)))
+            classical_frenet_serret(np.array([0.0, 0.2, 0.1, 0.3, 0.4]), np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="increasing"):  # uniform, but decreasing
+            classical_frenet_serret(np.linspace(1, 0, 5), np.zeros((5, 3)))
+        with pytest.raises(ValueError, match="increasing"):  # uniform, with step 0
+            classical_frenet_serret(np.zeros(5), np.zeros((5, 3)))
         with pytest.raises(ValueError, match="expected"):
-            SpaceCurveSamples(np.linspace(0, 1, 5), np.zeros((5, 2)))
-
-
-class TestSphereGeodesicCurvature:
-    def test_values(self):
-        assert sphere_geodesic_curvature(np.pi / 2, 3.0) == pytest.approx(0.0, abs=1e-15)
-        assert sphere_geodesic_curvature(np.pi / 4, 2.0) == pytest.approx(0.5, rel=1e-14)
-
-    def test_shrinking_cap_diverges(self):
-        assert sphere_geodesic_curvature(1e-3, 1.0) > 999.0
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError, match="theta"):
-            sphere_geodesic_curvature(0.0, 1.0)
-        with pytest.raises(ValueError, match="radius"):
-            sphere_geodesic_curvature(1.0, -2.0)
+            classical_frenet_serret(np.linspace(0, 1, 5), np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="expected"):
+            classical_frenet_serret(np.linspace(0, 1, 6).reshape(2, 3), np.zeros((6, 3)))

@@ -28,7 +28,6 @@ PUBLIC_NAMES = [
     "PauliTerm",
     "ProblemSpec",
     "QuantumFrame",
-    "SpaceCurveSamples",
     "SpecError",
     "StateVector",
     "StationaryStateError",
@@ -39,7 +38,6 @@ PUBLIC_NAMES = [
     "build_operator",
     "build_report",
     "central_moments",
-    "classical_frenet_serret",
     "curvature_bloch",
     "curvature_from_moments",
     "curvature_torsion_geometric",
@@ -60,7 +58,6 @@ PUBLIC_NAMES = [
     "parallel_transported_state",
     "parse_problem_spec",
     "single_qubit",
-    "sphere_geodesic_curvature",
     "state_at_arclength",
     "state_to_bloch",
     "sweep_row",
