@@ -73,16 +73,17 @@ def _vectors_from(problem: EvolutionProblem, psi: np.ndarray) -> tuple[np.ndarra
     return psi, tan, perp, nbar
 
 
+def _curvature_torsion_at(problem: EvolutionProblem, psi: np.ndarray) -> tuple[float, float]:
+    """(kappa^2, tau^2) = (||P_Psi T'||^2, ||P_T P_Psi T'||^2) at the state Psi, from two dh products."""
+    _, _, perp, nbar = _vectors_from(problem, psi)
+    return float(np.vdot(perp, perp).real), float(np.vdot(nbar, nbar).real)
+
+
 def curvature_torsion_geometric(problem: EvolutionProblem, s_points) -> list[tuple[float, float]]:
-    """(kappa^2, tau^2) = (||P_Psi T'||^2, ||P_T P_Psi T'||^2) at each arc
-    length in ``s_points``, evolved together in one walk; each pair depends
-    only on its own arc length, bit for bit.  A planar curve's tau^2 is
-    rounding, about 1e-30."""
-    out = []
-    for psi in _transported_rows(problem, np.asarray(s_points, dtype=float) / problem.speed):
-        _, _, perp, nbar = _vectors_from(problem, psi)
-        out.append((float(np.vdot(perp, perp).real), float(np.vdot(nbar, nbar).real)))
-    return out
+    """``_curvature_torsion_at`` each arc length in ``s_points``, evolved in one walk; each
+    pair depends only on its own arc length, bit for bit.  A planar curve's tau^2 is about 1e-30."""
+    rows = _transported_rows(problem, np.asarray(s_points, dtype=float) / problem.speed)
+    return [_curvature_torsion_at(problem, psi) for psi in rows]
 
 
 def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:

@@ -15,7 +15,7 @@ from warnings import catch_warnings, simplefilter
 import numpy as np
 
 from .evolution import EvolutionProblem
-from .frame import _binormal_present, curvature_torsion_geometric
+from .frame import _binormal_present, _curvature_torsion_at, curvature_torsion_geometric
 from .hilbert import HermitianOperator, StateVector
 from .models import geodesic_efficiency, state_to_bloch
 from .moments import _CLAMP_FLOOR, NumericalError, curvature_from_moments, torsion_from_moments
@@ -26,7 +26,7 @@ __all__ = ["GeometryReport", "build_report", "format_float", "trajectory_rows", 
 # Cross-path consistency required of every published report.
 _PATH_AGREEMENT = 1e-8
 
-# Arc-length points in [0, 1] on which a report samples the projector route.
+# Arc-length points in [0, 1] on which an oracle report checks the projector route.
 _ARC_SAMPLES = 10
 
 # Amplitudes of the trajectory rows evolved together: a chunk of
@@ -79,12 +79,12 @@ def build_report(
 ) -> GeometryReport:
     """Compute curvature/torsion along the moment and projector paths.
 
-    The geometric quantities are evaluated on ``_ARC_SAMPLES`` arc-length
-    points in [0, 1]; they are constants of the motion, so their spread
-    doubles as a self-check (a warning is emitted if it exceeds 1e-9).  With
-    ``with_oracle`` the finite-difference fits are run on ``dt_grid``
-    (``fit_coefficients``' default when None) and reported normalized by mu2^2; the
-    fits' warnings (a coarse grid) join the report's ``warnings``.
+    Both paths are read at Psi(0) = psi0, so a plain report evolves nothing.
+    With ``with_oracle`` the finite-difference fits are run on ``dt_grid``
+    (``fit_coefficients``' default when None) and reported normalized by mu2^2,
+    and the projector path is read on ``_ARC_SAMPLES`` arc-length points in
+    [0, 1]: kappa^2 and tau^2 are constants of the motion, so a spread above
+    1e-9 is a warning.  The fits' warnings (a coarse grid) join ``warnings``.
 
     Raises
     ------
@@ -101,14 +101,7 @@ def build_report(
     kappa_m = curvature_from_moments(mom)
     tau_m_raw = torsion_from_moments(mom)
 
-    s_points = np.linspace(0.0, 1.0, _ARC_SAMPLES)
-    kappa_gs, tau_gs = zip(*curvature_torsion_geometric(problem, s_points))
-    for name, vals in (("kappa_sq_geometric", kappa_gs), ("tau_sq_geometric", tau_gs)):
-        spread = max(vals) - min(vals)
-        if spread > 1e-9:
-            warnings.append(f"{name} varies by {spread!r} across arc-length samples")
-    kappa_g = kappa_gs[0]
-    tau_g = tau_gs[0]
+    kappa_g, tau_g = _curvature_torsion_at(problem, problem.initial_state.amplitudes)
 
     if abs(kappa_m - kappa_g) > _PATH_AGREEMENT * max(1.0, abs(kappa_m)):
         raise NumericalError(
@@ -121,6 +114,11 @@ def build_report(
 
     oracle = None
     if with_oracle:
+        arc = curvature_torsion_geometric(problem, np.linspace(0.0, 1.0, _ARC_SAMPLES))
+        for name, vals in zip(("kappa_sq_geometric", "tau_sq_geometric"), zip(*arc)):
+            spread = max(vals) - min(vals)
+            if spread > 1e-9:
+                warnings.append(f"{name} varies by {spread!r} across arc-length samples")
         with catch_warnings(record=True) as caught:
             simplefilter("always", UserWarning)  # a NumPy RuntimeWarning still meets the caller's filters
             kfit, tfit = fit_coefficients(problem, dt_grid)

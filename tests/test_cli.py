@@ -293,21 +293,22 @@ class TestNonFiniteInput:
 
 
 def _skew_curvature(monkeypatch):
-    orig = qucurve.reporting.curvature_torsion_geometric
+    orig = qucurve.reporting._curvature_torsion_at
 
-    def skewed(prob, s_points):
-        return [(kappa + 1.0, tau) for kappa, tau in orig(prob, s_points)]
+    def skewed(prob, psi):
+        kappa, tau = orig(prob, psi)
+        return kappa + 1.0, tau
 
-    monkeypatch.setattr(qucurve.reporting, "curvature_torsion_geometric", skewed)
+    monkeypatch.setattr(qucurve.reporting, "_curvature_torsion_at", skewed)
 
 
 def _negative_torsion(monkeypatch):
-    orig = qucurve.reporting.curvature_torsion_geometric
+    orig = qucurve.reporting._curvature_torsion_at
 
-    def negative(prob, s_points):
-        return [(kappa, -1e-3) for kappa, _ in orig(prob, s_points)]
+    def negative(prob, psi):
+        return orig(prob, psi)[0], -1e-3
 
-    monkeypatch.setattr(qucurve.reporting, "curvature_torsion_geometric", negative)
+    monkeypatch.setattr(qucurve.reporting, "_curvature_torsion_at", negative)
     monkeypatch.setattr(qucurve.reporting, "torsion_from_moments", lambda mom: -1e-3)
 
 
@@ -375,12 +376,11 @@ class TestNumericalFailures:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["report"],
             ["--oracle", "report"],
             ["trajectory", "--t-max", "1", "--steps", "3"],
             ["sweep", "--param", "xi", "--from", "0.2", "--to", "0.8", "--points", "3"],
         ],
-        ids=["report", "oracle-report", "trajectory", "sweep"],
+        ids=["oracle-report", "trajectory", "sweep"],
     )
     def test_evolved_state_off_unit_norm(self, argv, xi_family_file, tmp_path, monkeypatch, capsys):
         # no norm passes a negative tolerance, so the first evolved row fails its check
@@ -395,6 +395,14 @@ class TestNumericalFailures:
         assert "norm" in captured.err and "Traceback" not in captured.err
         assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_plain_report_evolves_nothing(self, xi_family_file, monkeypatch, capsys):
+        # both routes are read at psi0, so no evolved row meets the norm check
+        monkeypatch.setattr(qucurve.evolution, "_NORM_TOL", -1.0)
+        assert main(["report", "--input", xi_family_file]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["warnings"] == []
 
     def test_failing_run_removes_no_device(self, monkeypatch, capsys):
         # the partial output is removed only when it is a regular file

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qucurve.oracles
+import qucurve.reporting
 from qucurve import (
     EvolutionProblem,
     NumericalError,
@@ -297,14 +298,16 @@ class TestSnapshots:
         assert set(times) == {grid[0], grid[1], grid[2], 2.0 * grid[2]}
 
     def test_oracle_report_evolves_four_times_in_one_walk(self, crossed_fields_problem, walks):
-        """Both fits share one walk of 4 rows beside the report's arc-length walk."""
+        """A plain report walks nothing; an oracle report walks its arc samples
+        in [0, 1] once, and both fits share one walk of 4 rows."""
         args = crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state
         build_report(*args)
-        arc_walks = list(walks)
-        walks.clear()
+        assert walks == []
         build_report(*args, with_oracle=True)
-        assert walks[: len(arc_walks)] == arc_walks
-        assert [len(times) for times in walks[len(arc_walks) :]] == [4]
+        arc = np.linspace(0.0, 1.0, qucurve.reporting._ARC_SAMPLES) / crossed_fields_problem.speed
+        assert len(walks) == 2
+        assert walks[0] == arc.tolist()
+        assert len(walks[1]) == len(set(walks[1])) == 4
 
 
 class TestClassicalFrenetSerret:

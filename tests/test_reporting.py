@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import qucurve.frame
 import qucurve.reporting
 from qucurve import (
     EvolutionProblem,
@@ -12,7 +13,6 @@ from qucurve import (
     StationaryStateError,
     build_operator,
     build_report,
-    curvature_torsion_geometric,
     evolve,
     format_float,
     sweep_row,
@@ -153,32 +153,79 @@ class TestBuildReport:
         ):
             assert getattr(rep, key) == pytest.approx(getattr(base, key), rel=1e-12), key
 
-    def test_ising_chain_report_grows_at_most_twenty_lanczos_vectors(self, monkeypatch):
-        # s = 1 needs 20 vectors on these chains; the sizes 16, 20, 25, ...
-        # stop there, where a doubling would grow 32
-        problems = []
-
-        class Recorded(EvolutionProblem):
-            def __init__(self, *args):
-                super().__init__(*args)
-                problems.append(self)
-
-        monkeypatch.setattr(qucurve.reporting, "EvolutionProblem", Recorded)
-        rng = np.random.default_rng(10)
-        n = 10
-        zz = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
-        terms = [PauliTerm(float(c), "I" * i + "ZZ" + "I" * (n - i - 2)) for i, c in enumerate(zz)]
-        terms += [PauliTerm(float(h), "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
-        rep = build_report(build_operator(terms, n), random_state(rng, 2**n))
+    def test_ising_chain_oracle_report_grows_at_most_twenty_lanczos_vectors(self, monkeypatch):
+        # the oracle's arc samples reach s = 1, which needs 20 vectors on these
+        # chains; the sizes 16, 20, 25, ... stop there, where a doubling would grow 32
+        problems = _recorded_problems(monkeypatch)
+        rep = build_report(*_ising_chain(np.random.default_rng(10), 10), with_oracle=True)
         assert rep.warnings == []
         assert len(problems) == 1
         assert 16 < len(problems[0]._alpha) <= 20
+
+    @pytest.mark.parametrize("case", ["crossed_fields", "planar_qubit", "dense_d16", "ising_n6"])
+    def test_plain_and_oracle_reports_share_every_field(self, case, crossed_fields_problem):
+        if case == "crossed_fields":
+            args = crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state
+        elif case == "planar_qubit":
+            args = single_qubit([1.0, 0.0, 1.0]), StateVector([1, 0])
+        elif case == "dense_d16":
+            rng = np.random.default_rng(7)
+            args = random_hermitian(rng, 16), random_state(rng, 16)
+        else:
+            args = _ising_chain(np.random.default_rng(6), 6)
+        plain = vars(build_report(*args))
+        oracle = vars(build_report(*args, with_oracle=True))
+        for key in plain.keys() - {"oracle", "warnings"}:
+            assert repr(oracle[key]) == repr(plain[key]), key
+        # the oracle's own warnings follow the plain report's
+        assert oracle["warnings"][: len(plain["warnings"])] == plain["warnings"]
+
+    def test_oracle_report_warns_on_a_spread_across_arc_samples(self, monkeypatch):
+        # rows past s = 0 rolled off the evolved states: the projector route,
+        # read there, is no longer constant along the arc samples
+        rng = np.random.default_rng(17)
+        ham, psi = random_hermitian(rng, 16), random_state(rng, 16)
+        transported = qucurve.frame._transported_rows
+
+        def rolled(problem, ts):
+            rows = transported(problem, ts)
+            rows[1:] = np.roll(rows[1:], 1, axis=1)
+            return rows
+
+        monkeypatch.setattr(qucurve.frame, "_transported_rows", rolled)
+        plain = build_report(ham, psi)
+        rep = build_report(ham, psi, with_oracle=True)
+        assert plain.warnings == []
+        spread = [w for w in rep.warnings if w.endswith(" across arc-length samples")]
+        assert [w.split(" varies by ")[0] for w in spread] == ["kappa_sq_geometric", "tau_sq_geometric"]
+        assert rep.kappa_sq_geometric == plain.kappa_sq_geometric
+
+
+def _recorded_problems(monkeypatch) -> list:
+    """Every ``EvolutionProblem`` that ``build_report`` constructs, in order."""
+    problems = []
+
+    class Recorded(EvolutionProblem):
+        def __init__(self, *args):
+            super().__init__(*args)
+            problems.append(self)
+
+    monkeypatch.setattr(qucurve.reporting, "EvolutionProblem", Recorded)
+    return problems
+
+
+def _ising_chain(rng, n):
+    """A transverse-field Ising chain with random signed couplings, Pauli-backed, on a random state."""
+    zz = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    terms = [PauliTerm(float(c), "I" * i + "ZZ" + "I" * (n - i - 2)) for i, c in enumerate(zz)]
+    terms += [PauliTerm(float(h), "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
+    return build_operator(terms, n), random_state(rng, 2**n)
 
 
 class TestOneMomentPass:
     """A report, a trajectory and a sweep row read the problem's moments instead
     of a second ``central_moments`` pass: they apply H only as often as the
-    problem's construction and the projector route do."""
+    problem's construction and the route they read do."""
 
     @pytest.fixture
     def applies(self, monkeypatch):
@@ -192,15 +239,18 @@ class TestOneMomentPass:
         monkeypatch.setattr(HermitianOperator, "apply", counted)
         return count
 
-    def test_report(self, crossed_fields_problem, applies):
-        ham, psi = crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state
+    @pytest.mark.parametrize("n", [None, 6, 10], ids=["dense-d4", "pauli-n6", "pauli-n10"])
+    def test_report(self, n, applies, monkeypatch):
+        # both routes are read at psi0: H psi and H (H - E) psi for the moments,
+        # H psi and H T for the projector route, and no Lanczos vector is grown
+        rng = np.random.default_rng(29)
+        ham, psi = (random_hermitian(rng, 4), random_state(rng, 4)) if n is None else _ising_chain(rng, n)
+        assert (ham._perms is None) == (n is None)  # dense matrix or Pauli groups
+        problems = _recorded_problems(monkeypatch)
         build_report(ham, psi)
-        report = applies[0]
-        applies[0] = 0
-        problem = EvolutionProblem(ham, psi)
-        assert applies[0] == 2  # H psi and H (H - E) psi
-        curvature_torsion_geometric(problem, np.linspace(0.0, 1.0, qucurve.reporting._ARC_SAMPLES))
-        assert report == applies[0]
+        assert applies[0] == 4
+        assert len(problems) == 1
+        assert len(problems[0]._alpha) == 1
 
     def test_sweep_row(self, applies):
         ham = single_qubit([0.3, 0.0, 1.0])
