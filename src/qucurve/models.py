@@ -327,39 +327,44 @@ def heisenberg_w_coefficients(j_x: float, j_y: float, j_z: float, h: float) -> t
 # ---------------------------------------------------------------------------
 
 
+def _xi_weight(xi: float) -> float:
+    """xi^2 (1 - xi^2), for an xi in [0, 1] off the eigenstates xi in {0, 1}."""
+    if not 0.0 <= xi <= 1.0:
+        raise ValueError(f"xi must lie in [0, 1], got {xi}")
+    return _check_denominator(xi * xi * (1.0 - xi * xi), "xi in {0, 1} is an eigenstate")
+
+
 def xi_curvature(xi: float) -> float:
     """kappa^2(xi) = (1 - 2 xi^2)^2 / [ xi^2 (1 - xi^2) ] for H = m sigma_z.
 
     Independent of the field strength m; vanishes only at the balanced
     superposition xi = 1/sqrt(2), which evolves along a geodesic.
     """
-    weight = xi * xi * (1.0 - xi * xi)
-    _check_denominator(weight, "xi in {0, 1} is an eigenstate")
-    return (1.0 - 2.0 * xi * xi) ** 2 / weight
+    return (1.0 - 2.0 * xi * xi) ** 2 / _xi_weight(xi)
 
 
 def xi_kurtosis(xi: float) -> float:
     """alpha4(xi) = (1 - 3 xi^2 + 3 xi^4) / [ xi^2 (1 - xi^2) ]; kappa^2 + 1."""
-    weight = xi * xi * (1.0 - xi * xi)
-    _check_denominator(weight, "xi in {0, 1} is an eigenstate")
-    return (1.0 - 3.0 * xi * xi + 3.0 * xi**4) / weight
+    return (1.0 - 3.0 * xi * xi + 3.0 * xi**4) / _xi_weight(xi)
 
 
 def xi_efficiency(t: float, xi: float, m: float = 1.0) -> float:
     """Geodesic efficiency of the xi-state under H = m sigma_z at time t.
 
         eta = arctan2( 2 xi sqrt(1 - xi^2) |sin mt|, sqrt( cos^2(mt) + (2 xi^2 - 1)^2 sin^2(mt) ) )
-              / [ 2 xi sqrt(1 - xi^2) m t ]
+              / [ 2 xi sqrt(1 - xi^2) |m| t ]
 
     The angle is arccos of the overlap, written with its sine so that it keeps
     every digit as mt -> 0.  Equals 1 identically at xi = 1/sqrt(2) and dips
-    below 1 elsewhere.
+    below 1 elsewhere; the sign of m does not matter, and m = 0 stops the state.
     """
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
-    weight = xi * np.sqrt(max(0.0, 1.0 - xi * xi))
-    _check_denominator(weight, "xi in {0, 1} is an eigenstate")
+    if m == 0.0:
+        raise StationaryStateError("stationary state: arc length undefined (m = 0)")
+    _xi_weight(xi)
+    weight = xi * np.sqrt(1.0 - xi * xi)
     c = np.cos(m * t)
     s = np.sin(m * t)
     overlap = np.sqrt(c * c + (2.0 * xi * xi - 1.0) ** 2 * s * s)
-    return float(np.arctan2(2.0 * weight * abs(s), overlap) / (2.0 * weight * m * t))
+    return float(np.arctan2(2.0 * weight * abs(s), overlap) / (2.0 * weight * abs(m) * t))

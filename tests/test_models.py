@@ -373,6 +373,16 @@ class TestXiFamily:
             with pytest.raises(StationaryStateError):
                 xi_kurtosis(xi)
 
+    @pytest.mark.parametrize("xi", [2.0, -0.5, 1.0 + 1e-12, float("nan")])
+    @pytest.mark.parametrize(
+        "closed_form", [xi_state, xi_curvature, xi_kurtosis, lambda xi: xi_efficiency(1.0, xi)],
+        ids=["xi_state", "xi_curvature", "xi_kurtosis", "xi_efficiency"],
+    )
+    def test_xi_outside_unit_interval_rejected(self, closed_form, xi):
+        # each closed form refuses what xi_state refuses, not with a negative kappa^2
+        with pytest.raises(ValueError, match=r"^xi must lie in \[0, 1\], got "):
+            closed_form(xi)
+
 
 class TestEfficiency:
     def test_balanced_superposition_is_geodesic(self):
@@ -381,14 +391,20 @@ class TestEfficiency:
             assert geodesic_efficiency(prob, t) == pytest.approx(1.0, abs=1e-12)
             assert xi_efficiency(t, 1 / np.sqrt(2)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_closed_form_matches_pipeline(self):
-        m = 1.3
+    @pytest.mark.parametrize("m", [1.3, -1.3])
+    def test_closed_form_matches_pipeline(self, m):
         for xi in (0.3, 0.6, 0.85):
             prob = EvolutionProblem(single_qubit([0, 0, m]), xi_state(xi))
             for t in (0.4, 1.1):
                 assert geodesic_efficiency(prob, t) == pytest.approx(
                     xi_efficiency(t, xi, m), rel=1e-10
                 )
+            # the field's sign reverses the precession, not the path length
+            assert xi_efficiency(0.4, xi, m) == xi_efficiency(0.4, xi, abs(m))
+
+    def test_zero_field_is_stationary(self):
+        with pytest.raises(StationaryStateError, match=r"m = 0"):
+            xi_efficiency(1.0, 0.6, 0.0)
 
     def test_never_exceeds_unity(self):
         for xi in np.linspace(0.1, 0.9, 9):
