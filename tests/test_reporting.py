@@ -181,8 +181,8 @@ class TestBuildReport:
         assert oracle["warnings"][: len(plain["warnings"])] == plain["warnings"]
 
     def test_oracle_report_warns_on_a_spread_across_arc_samples(self, monkeypatch):
-        # rows past s = 0 rolled off the evolved states: the projector route,
-        # read there, is no longer constant along the arc samples
+        # every arc row past s = 0 has its amplitudes rolled by one place, so
+        # the projector route read there is no longer constant along the arc
         rng = np.random.default_rng(17)
         ham, psi = random_hermitian(rng, 16), random_state(rng, 16)
         transported = qucurve.frame._transported_rows
