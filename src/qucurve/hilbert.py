@@ -2,16 +2,16 @@
 
 States are unit vectors in C^d and observables are Hermitian operators.  An
 operator is backed either by a dense matrix or, when assembled from Pauli
-words, by the words' signed permutations grouped by their bit-flip masks; the
-second backing applies H to a vector in O(d) per group and never stores a
-d x d matrix, so Pauli sums reach MAX_QUBITS qubits.  The frame and the
-oracle fits share one projection off unit vectors, ``_project_off``.
+words by ``_pauli_sum`` (a ``pauli_terms`` document or a model family), by
+the words' signed permutations grouped by their bit-flip masks; the second
+backing applies H to a vector in O(d) per group and never stores a d x d
+matrix, so Pauli sums reach MAX_QUBITS qubits.  The frame and the oracle
+fits share one projection off unit vectors, ``_project_off``.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,6 @@ __all__ = [
     "PAULI",
     "StateVector",
     "HermitianOperator",
-    "PauliTerm",
-    "build_operator",
 ]
 
 # Convention: sigma_x = [[0,1],[1,0]], sigma_y = [[0,-i],[i,0]],
@@ -93,12 +91,12 @@ class HermitianOperator:
 
     ``HermitianOperator(matrix)`` stores a dense matrix.  Non-Hermitian input
     is rejected rather than symmetrized: silently taking (M + M^dagger)/2
-    would hide caller bugs.  ``build_operator`` gives the other backing, a
-    Pauli sum in G groups: group g is the permutation ``perms[g] = j ^ x_g``
-    with the diagonal ``diags[g]``, (M v)[j] = sum_g diags[g, j] v[j ^ x_g],
-    so no d x d array is stored.  ``matrix`` is the dense form either way;
-    a Pauli-backed operator builds it on first access.  ``frobenius_sq`` is
-    ||M||_F^2, computed once.
+    would hide caller bugs.  A ``pauli_terms`` document and the model
+    families give the other backing, a Pauli sum in G groups: group g is the
+    permutation ``perms[g] = j ^ x_g`` with the diagonal ``diags[g]``,
+    (M v)[j] = sum_g diags[g, j] v[j ^ x_g], so no d x d array is stored.
+    ``matrix`` is the dense form either way; a Pauli-backed operator builds
+    it on first access.  ``frobenius_sq`` is ||M||_F^2, computed once.
     """
 
     __slots__ = ("dim", "frobenius_sq", "_matrix", "_perms", "_diags")
@@ -148,29 +146,14 @@ class HermitianOperator:
     def apply(self, vec) -> np.ndarray:
         """M @ v for one vector v of d amplitudes, as a plain ndarray."""
         v = _as_vector(vec)
+        if v.shape != (self.dim,):
+            raise ValueError(f"operator on C^{self.dim} cannot apply to an array of shape {v.shape}")
         if self._perms is None:
             return self._matrix @ v
         return (self._diags * v[self._perms]).sum(0)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
-
-
-@dataclass(frozen=True)
-class PauliTerm:
-    """A weighted Pauli word, e.g. 1.5 * XZ acting on two qubits."""
-
-    coefficient: float
-    word: str
-
-    def __post_init__(self):
-        _check_coefficient(self.coefficient)
-        if not self.word or any(c not in PAULI for c in self.word):
-            raise ValueError(f"word must be a nonempty string over I,X,Y,Z, got {self.word!r}")
-
-    @property
-    def n_qubits(self) -> int:
-        return len(self.word)
 
 
 def _check_coefficient(c) -> None:
@@ -228,37 +211,3 @@ def _pauli_sum(weighted, dim: int) -> HermitianOperator:
     perms = np.arange(dim) ^ np.array(list(groups), dtype=np.int64).reshape(-1, 1)
     diags = np.array(list(groups.values())).reshape(len(groups), dim)
     return HermitianOperator._from_pauli_groups(perms, diags)
-
-
-def build_operator(terms, n_qubits: int) -> HermitianOperator:
-    """Assemble sum_k c_k P_k over n-qubit Pauli words.
-
-    Each word is a signed permutation matrix, so a term fills d entries.
-
-    Parameters
-    ----------
-    terms : iterable of PauliTerm
-        Real-weighted Pauli words, each of length ``n_qubits``.
-    n_qubits : int
-        Number of qubits; the result acts on C^(2^n).
-
-    Returns
-    -------
-    HermitianOperator
-        The Pauli-backed 2^n x 2^n sum: one (permutation, diagonal) pair per
-        distinct x-mask, the diagonals summed over the words that share it.
-        Real coefficients on Hermitian words make it Hermitian by
-        construction.
-
-    Raises
-    ------
-    ValueError
-        If n_qubits lies outside [1, MAX_QUBITS] or a word has another length.
-    """
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must lie in [1, {MAX_QUBITS}], got {n_qubits}")
-    terms = list(terms)
-    for k, term in enumerate(terms):
-        if term.n_qubits != n_qubits:
-            raise ValueError(f"term {k} word {term.word!r} has {term.n_qubits} qubits, expected {n_qubits}")
-    return _pauli_sum(((term.coefficient, _encode_word(term.word)) for term in terms), 2**n_qubits)

@@ -52,13 +52,19 @@ __all__ = [
 _DEGENERATE_TOL = 1e-12
 
 
-def bloch_to_state(a) -> StateVector:
-    """Pure state with Bloch vector a = (ax, ay, az), |a| = 1."""
+def _unit_bloch(a) -> np.ndarray:
+    """a as a float array of shape (3,) and unit length: the Bloch vector of a pure state."""
     a = np.asarray(a, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"Bloch vector must have shape (3,), got {a.shape}")
-    if abs(np.linalg.norm(a) - 1.0) > _NORM_TOL:
+    if not abs(np.linalg.norm(a) - 1.0) <= _NORM_TOL:  # also rejects NaN
         raise ValueError(f"Bloch vector must be unit length, got |a| = {float(np.linalg.norm(a))!r}")
+    return a
+
+
+def bloch_to_state(a) -> StateVector:
+    """Pure state with Bloch vector a = (ax, ay, az), |a| = 1."""
+    a = _unit_bloch(a)
     return _bloch_angle_state(np.arccos(np.clip(a[2], -1.0, 1.0)), np.arctan2(a[1], a[0]))
 
 
@@ -81,10 +87,10 @@ def curvature_bloch(a, m) -> float:
     """Single-qubit kappa^2 = 4 (a.m)^2 / (|m|^2 - (a.m)^2) for H = m . sigma.
 
     The identity term m0 shifts the spectrum only and drops out.  Requires a
-    non-degenerate field (m != 0) and a state that is not an eigenstate of it
-    (a not parallel to m).
+    non-degenerate field (m != 0) and a pure state, |a| = 1, that is not an
+    eigenstate of it (a not parallel to m).
     """
-    a = np.asarray(a, dtype=float)
+    a = _unit_bloch(a)
     m = np.asarray(m, dtype=float)
     m_sq = float(np.dot(m, m))
     am = float(np.dot(a, m))
@@ -358,6 +364,8 @@ def xi_efficiency(t: float, xi: float, m: float = 1.0) -> float:
     every digit as mt -> 0.  Equals 1 identically at xi = 1/sqrt(2) and dips
     below 1 elsewhere; the sign of m does not matter, and m = 0 stops the state.
     """
+    if not (np.isfinite(t) and np.isfinite(m)):
+        raise ValueError(f"t and m must be finite, got t = {t}, m = {m}")
     if t <= 0.0:
         raise ValueError(f"t must be positive, got {t}")
     if m == 0.0:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qucurve
-from qucurve import EvolutionProblem, HermitianOperator, StateVector
+from qucurve import PAULI, EvolutionProblem, HermitianOperator, StateVector, parse_problem_spec
 from qucurve.models import two_qubit_nonlocal
 
 # Unreadable problem files: invalid JSON, a byte that is not UTF-8, an integer
@@ -49,6 +49,21 @@ def random_state(rng, dim):
 
 def random_problem(rng, dim):
     return EvolutionProblem(random_hermitian(rng, dim), random_state(rng, dim))
+
+
+def pauli_sum(terms):
+    """sum_k c_k P_k over (c_k, word_k) pairs, built from a ``pauli_terms`` problem document."""
+    terms = [{"coeff": c, "word": word} for c, word in terms]
+    doc = {"hamiltonian": {"pauli_terms": terms}, "state": {"named": "0" * len(terms[0]["word"])}}
+    return parse_problem_spec(doc).build()[0]
+
+
+def kron_word(word):
+    """The dense matrix of a Pauli word as the Kronecker product of its letters."""
+    m = PAULI[word[0]]
+    for c in word[1:]:
+        m = np.kron(m, PAULI[c])
+    return m
 
 
 @pytest.fixture

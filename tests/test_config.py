@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from qucurve import MAX_DENSE_DIM, MAX_QUBITS, ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
-from qucurve.hilbert import PauliTerm, build_operator
 
-from conftest import MALFORMED_FILES
+from conftest import MALFORMED_FILES, kron_word
 
 
 def minimal_doc():
@@ -75,16 +74,17 @@ class TestParsing:
             [(0.25, "IYZ"), (-1.0, "YIX"), (0.25, "IYZ"), (-0.0, "III"), (2.0, "ZZY")],
         ],
     )
-    def test_pauli_terms_build_as_build_operator(self, terms):
+    def test_pauli_terms_build_as_kron_sum(self, terms):
+        # signed zeros and repeated words included: the summed matrix equals
+        # the Kronecker reference bit for bit
         doc = minimal_doc()
         doc["hamiltonian"]["pauli_terms"] = [{"coeff": c, "word": w} for c, w in terms]
         doc["state"] = {"named": "0" * len(terms[0][1])}
         built, _ = parse_problem_spec(doc).build()
-        ref = build_operator([PauliTerm(float(c), w) for c, w in terms], len(terms[0][1]))
-        for name in ("_perms", "_diags"):
-            got, want = getattr(built, name), getattr(ref, name)
-            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-        assert np.float64(built.frobenius_sq).tobytes() == np.float64(ref.frobenius_sq).tobytes()
+        ref = sum(c * kron_word(w) for c, w in terms)
+        got = built.matrix
+        assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+        assert np.float64(built.frobenius_sq).tobytes() == np.float64(np.vdot(ref, ref).real).tobytes()
 
     def test_pauli_word_qubit_ceiling(self):
         doc = minimal_doc()
@@ -264,6 +264,7 @@ MALFORMED = [
     (probe({"pauli_terms": []}), "hamiltonian.pauli_terms: must be a nonempty list"),
     (probe({"pauli_terms": [["XZ", 1.0]]}), "hamiltonian.pauli_terms[0]: must be an object with coeff and word"),
     (probe({"pauli_terms": [{"coeff": "one", "word": "XZ"}]}), "hamiltonian.pauli_terms[0].coeff: must be a finite number"),
+    (probe({"pauli_terms": [{"coeff": 1j, "word": "XZ"}]}), "hamiltonian.pauli_terms[0].coeff: must be a finite number"),
     (
         probe({"pauli_terms": [{"coeff": 1.0, "word": "XQ"}]}),
         "hamiltonian.pauli_terms[0].word: must be a string over I,X,Y,Z, got 'XQ'",

@@ -18,9 +18,9 @@ from qucurve import (
     state_at_arclength,
 )
 from qucurve.frame import _vectors_from
-from qucurve.hilbert import PAULI, PauliTerm, build_operator
+from qucurve.hilbert import PAULI
 
-from conftest import crossed_fields_state, delta_h, propagator, random_hermitian, random_problem, random_state
+from conftest import crossed_fields_state, delta_h, pauli_sum, propagator, random_hermitian, random_problem, random_state
 
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
 SIGMA_Z = HermitianOperator(PAULI["Z"])
@@ -358,9 +358,9 @@ class TestKrylovEvolution:
         # later calls grow, the m x m spectra, and the rotation of the basis
         # at the last settle size, until H is next applied
         n = 12
-        terms = [PauliTerm(1.0, "I" * k + "ZZ" + "I" * (n - k - 2)) for k in range(n - 1)]
-        terms += [PauliTerm(0.7, "I" * k + "X" + "I" * (n - k - 1)) for k in range(n)]
-        prob = EvolutionProblem(build_operator(terms, n), StateVector(np.eye(1, 2**n)[0]))
+        terms = [(1.0, "I" * k + "ZZ" + "I" * (n - k - 2)) for k in range(n - 1)]
+        terms += [(0.7, "I" * k + "X" + "I" * (n - k - 1)) for k in range(n)]
+        prob = EvolutionProblem(pauli_sum(terms), StateVector(np.eye(1, 2**n)[0]))
 
         def kept_bytes():
             def array_bytes(obj):

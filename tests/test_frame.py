@@ -8,11 +8,9 @@ import qucurve.frame
 from qucurve import (
     EvolutionProblem,
     HermitianOperator,
-    PauliTerm,
     StateVector,
     StationaryStateError,
     build_frame,
-    build_operator,
     central_moments,
     curvature_from_moments,
     curvature_torsion_geometric,
@@ -22,7 +20,7 @@ from qucurve import (
 from qucurve.hilbert import PAULI
 from qucurve.models import single_qubit
 
-from conftest import random_problem, random_state
+from conftest import pauli_sum, random_problem, random_state
 
 
 def geometric_at(problem, s):
@@ -151,11 +149,11 @@ class TestBuildFrame:
         rng = np.random.default_rng(11)
         n = 12
         zz = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
-        terms = [PauliTerm(float(c), "I" * i + "ZZ" + "I" * (n - i - 2)) for i, c in enumerate(zz)]
-        terms += [PauliTerm(float(h), "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
+        terms = [(c, "I" * i + "ZZ" + "I" * (n - i - 2)) for i, c in enumerate(zz)]
+        terms += [(h, "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
         basis_state = np.zeros(2**n)
         basis_state[0] = 1.0
-        prob = EvolutionProblem(build_operator(terms, n), StateVector(basis_state))
+        prob = EvolutionProblem(pauli_sum(terms), StateVector(basis_state))
         state_at_arclength(prob, 0.5)  # grows the Krylov basis that build_frame reuses
         tracemalloc.start()
         try:
@@ -259,7 +257,7 @@ def test_pauli_backing_matches_dense_backing(n):
     # against the dense matvec, through both routes and the structure matrix
     rng = np.random.default_rng(n)
     words = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(2 * n)]
-    pauli = build_operator([PauliTerm(float(c), w) for c, w in zip(rng.normal(size=2 * n), words)], n)
+    pauli = pauli_sum(zip(rng.normal(size=2 * n), words))
     dense = HermitianOperator(pauli.matrix)
     state = random_state(rng, 2**n)
     got, want = [], []
@@ -282,7 +280,7 @@ def test_batched_points_are_bitwise_independent(backing, dim):
     n = dim.bit_length() - 1
     if backing == "pauli":
         words = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(2 * n)]
-        op = build_operator([PauliTerm(float(c), w) for c, w in zip(rng.normal(size=2 * n), words)], n)
+        op = pauli_sum(zip(rng.normal(size=2 * n), words))
         prob = EvolutionProblem(op, random_state(rng, dim))
     else:
         prob = random_problem(rng, dim)

@@ -34,7 +34,8 @@ from qucurve import (
     xi_kurtosis,
     xi_state,
 )
-from qucurve.hilbert import PauliTerm, build_operator
+
+from conftest import pauli_sum
 
 
 def random_bloch(rng):
@@ -103,6 +104,25 @@ class TestBlochCurvature:
             curvature_bloch([0, 0, 1], [0, 0, 0])  # no field
         with pytest.raises(StationaryStateError):
             torsion_bloch([1, 0, 0], [2, 0, 0])
+
+    @pytest.mark.parametrize("closed_form", [curvature_bloch, torsion_bloch])
+    @pytest.mark.parametrize(
+        "a, message",
+        [
+            ([0.5, 0, 0], r"unit length, got \|a\| = 0\.5$"),
+            ([0, 0, 0], r"unit length, got \|a\| = 0\.0$"),
+            ([2, 0, 0], r"unit length, got \|a\| = 2\.0$"),
+            ([np.nan, 0, 0], r"unit length, got \|a\| = nan$"),
+            ([1, 0], r"shape \(3,\), got \(2,\)$"),
+        ],
+        ids=["half", "zero", "double", "nan", "short"],
+    )
+    def test_refuses_what_bloch_to_state_refuses(self, closed_form, a, message):
+        # a is not the Bloch vector of a pure state; the field (1, 0, 1) is fine
+        with pytest.raises(ValueError, match=message):
+            bloch_to_state(a)
+        with pytest.raises(ValueError, match=message):
+            closed_form(a, [1, 0, 1])
 
 
 class TestStateFactories:
@@ -189,8 +209,8 @@ def _bits(x) -> bytes:
 
 
 class TestFamilyEncoding:
-    """Family operators summed from the once-encoded word table equal
-    ``build_operator`` of the same terms, byte for byte."""
+    """Family operators summed from the once-encoded word table equal a
+    ``pauli_terms`` document of the same terms, byte for byte."""
 
     SPECIAL = (0.0, -0.0, 1, -3, 1e-300, -1e-300, 1e300, -1e300)
 
@@ -201,14 +221,12 @@ class TestFamilyEncoding:
         ]
 
     @pytest.mark.parametrize("family", sorted(models._FAMILY_WORDS))
-    def test_table_sum_equals_build_operator(self, family):
+    def test_table_sum_equals_pauli_terms_document(self, family):
         rng = np.random.default_rng(sorted(models._FAMILY_WORDS).index(family))
         groups = list(models._FAMILY_WORDS[family].values())
-        n_qubits = len(groups[0][0])
         for _ in range(50):
             couplings = self._couplings(rng, len(groups))
-            terms = [PauliTerm(c, word) for c, group in zip(couplings, groups) for word in group]
-            want = build_operator(terms, n_qubits)
+            want = pauli_sum((c, word) for c, group in zip(couplings, groups) for word in group)
             got = models._family_operator(family, couplings)
             assert got._perms.tobytes() == want._perms.tobytes()
             assert got._diags.tobytes() == want._diags.tobytes()
@@ -419,6 +437,13 @@ class TestEfficiency:
             assert xi_efficiency(t, xi) == pytest.approx(series, rel=4e-16, abs=0.0)
             prob = EvolutionProblem(single_qubit([0, 0, 1.0]), xi_state(xi))
             assert geodesic_efficiency(prob, t) == pytest.approx(series, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "t, m", [(1.0, np.nan), (np.nan, 1.0), (1.0, np.inf), (1.0, -np.inf), (np.inf, 1.0)]
+    )
+    def test_non_finite_time_or_field(self, t, m):
+        with pytest.raises(ValueError, match=r"^t and m must be finite, got "):
+            xi_efficiency(t, 0.6, m)
 
     def test_invalid_time(self):
         prob = EvolutionProblem(single_qubit([0, 0, 1.0]), xi_state(0.5))

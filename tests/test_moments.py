@@ -11,9 +11,9 @@ from qucurve import (
     torsion_from_moments,
     xi_state,
 )
-from qucurve.hilbert import PAULI, PauliTerm, build_operator
+from qucurve.hilbert import PAULI
 
-from conftest import random_hermitian, random_state
+from conftest import pauli_sum, random_hermitian, random_state
 
 SIGMA_Z = HermitianOperator(PAULI["Z"])
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
@@ -165,7 +165,7 @@ class TestEvolutionProblemMoments:
     @staticmethod
     def _pauli_problem(rng, n):
         words = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(2 * n + 1)]
-        ham = build_operator([PauliTerm(float(rng.normal()), w) for w in words], n)
+        ham = pauli_sum((rng.normal(), w) for w in words)
         return ham, random_state(rng, 2**n)
 
     def _problems(self):
@@ -175,7 +175,7 @@ class TestEvolutionProblemMoments:
         for n in range(1, 7):
             yield self._pauli_problem(rng, n)
         yield SIGMA_Z, StateVector([0, 1])  # an eigenstate
-        yield build_operator([PauliTerm(0.5, "ZZI"), PauliTerm(-1.5, "IZZ")], 3), StateVector(np.eye(8)[5])
+        yield pauli_sum([(0.5, "ZZI"), (-1.5, "IZZ")]), StateVector(np.eye(8)[5])
 
     def test_bitwise_equal_to_central_moments(self):
         stationary = 0

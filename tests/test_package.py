@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "MomentSet",
     "NumericalError",
     "PAULI",
-    "PauliTerm",
     "ProblemSpec",
     "QuantumFrame",
     "SpecError",
@@ -35,7 +34,6 @@ PUBLIC_NAMES = [
     "bell_state",
     "bloch_to_state",
     "build_frame",
-    "build_operator",
     "build_report",
     "central_moments",
     "curvature_bloch",

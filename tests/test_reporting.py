@@ -7,11 +7,9 @@ import qucurve.frame
 import qucurve.reporting
 from qucurve import (
     EvolutionProblem,
-    PauliTerm,
     StateVector,
     build_frame,
     StationaryStateError,
-    build_operator,
     build_report,
     evolve,
     format_float,
@@ -24,7 +22,7 @@ from qucurve.config import parse_problem_spec
 from qucurve.hilbert import PAULI, HermitianOperator
 from qucurve.models import single_qubit
 
-from conftest import random_hermitian, random_state
+from conftest import pauli_sum, random_hermitian, random_state
 
 SIGMA_Z = HermitianOperator(PAULI["Z"])
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
@@ -217,9 +215,9 @@ def _recorded_problems(monkeypatch) -> list:
 def _ising_chain(rng, n):
     """A transverse-field Ising chain with random signed couplings, Pauli-backed, on a random state."""
     zz = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
-    terms = [PauliTerm(float(c), "I" * i + "ZZ" + "I" * (n - i - 2)) for i, c in enumerate(zz)]
-    terms += [PauliTerm(float(h), "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
-    return build_operator(terms, n), random_state(rng, 2**n)
+    terms = [(c, "I" * i + "ZZ" + "I" * (n - i - 2)) for i, c in enumerate(zz)]
+    terms += [(h, "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
+    return pauli_sum(terms), random_state(rng, 2**n)
 
 
 class TestOneMomentPass:
