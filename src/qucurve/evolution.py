@@ -4,11 +4,13 @@ Throughout, hbar = 1.  A problem instance pairs a Hamiltonian H with an
 initial pure state psi_0.  The physically evolved state is
 psi(t) = exp(-iHt) psi_0; multiplying by exp(+iEt) with E = <H> removes the
 dynamical phase and yields the parallel-transported representative Psi(t),
-which satisfies <Psi|dPsi/dt> = 0.
+which satisfies <Psi|dPsi/dt> = 0.  ``EvolutionProblem.evolve(ts)`` and
+``EvolutionProblem.transported(ts)`` give psi(t) and Psi(t), one row per time.
 
 Arc length along the projective-space curve is s = v t, where the speed v is
-the energy uncertainty, v^2 = <(H - E)^2>.  In arc-length parametrization the
-curve has unit-norm tangent
+the energy uncertainty, v^2 = <(H - E)^2>, so Psi at arc length s is
+``transported([s / v])[0]``.  In arc-length parametrization the curve has
+unit-norm tangent
 
     T(s) = -i (dh) Psi(s),      dh = (H - E) / v,
 
@@ -33,12 +35,7 @@ import numpy as np
 from .hilbert import _NORM_TOL, HermitianOperator, StateVector
 from .moments import NumericalError, _moment_pass
 
-__all__ = [
-    "EvolutionProblem",
-    "evolve",
-    "parallel_transported_state",
-    "state_at_arclength",
-]
+__all__ = ["EvolutionProblem"]
 
 # A Krylov state is accepted once the a-posteriori estimate
 # |t| beta_m |e_m^T exp(-itT_m) e_1| of its error is at most this.  The error
@@ -63,19 +60,20 @@ class EvolutionProblem:
 
     One ``central_moments`` pass (two products ``H.apply``) at construction
     gives ``moments``, the mean energy E and the speed v = sqrt(<(H-E)^2>) > 0,
-    since it refuses an eigenstate.  States are evolved in a Lanczos basis of
-    (H - E, psi_0) that grows on demand, with full reorthogonalization, until
-    the error estimate at the requested time is below 1e-14 or the Krylov
-    space is invariant.  Between calls a problem keeps the basis, the
-    eigendecompositions of its tridiagonal matrices and one rotation: the
-    first m basis vectors rotated onto the eigenvectors of T_m (an m x m by
-    m x 2d real product), for the last size m at which a time settled.  It
-    is dropped before the basis grows or H is applied, so it never adds to
-    the peak memory of that work.  Once the basis stops growing, a call
-    costs one exp and one product with the rotated basis per time.  A state
-    depends only on (H, psi_0, t), never on the times requested before or
-    beside it.  ``_evolve_rows`` checks each state as it forms it, for unit
-    norm within 1e-12.  The public attributes are read-only.
+    since it refuses an eigenstate.  ``evolve`` and ``transported`` give
+    psi(t) and Psi(t) at many times, as the rows of one array.  States are
+    evolved in a Lanczos basis of (H - E, psi_0) that grows on demand, with
+    full reorthogonalization, until the error estimate at the requested time
+    is below 1e-14 or the Krylov space is invariant.  Between calls a problem
+    keeps the basis, the eigendecompositions of its tridiagonal matrices and
+    one rotation: the first m basis vectors rotated onto the eigenvectors of
+    T_m (an m x m by m x 2d real product), for the last size m at which a
+    time settled.  It is dropped before the basis grows or H is applied, so
+    it never adds to the peak memory of that work.  Once the basis stops
+    growing, a call costs one exp and one product with the rotated basis per
+    time.  A state depends only on (H, psi_0, t), never on the times
+    requested before or beside it.  ``evolve`` checks each row as it forms
+    it, for unit norm within 1e-12.  The public attributes are read-only.
 
     Parameters
     ----------
@@ -163,7 +161,7 @@ class EvolutionProblem:
             eig = self._spectra[m] = np.linalg.eigh(tri)
         return eig
 
-    def _evolve_rows(self, ts) -> np.ndarray:
+    def evolve(self, ts) -> np.ndarray:
         """exp(-iHt) psi_0 for each time in ``ts``, as the rows of an array.
 
         One walk up the basis sizes serves every time.  A time is settled at
@@ -205,33 +203,14 @@ class EvolutionProblem:
             size += size // 4
         return out
 
+    def transported(self, ts) -> np.ndarray:
+        """The rows of ``evolve(ts)`` times exp(+iEt): the parallel-transported states Psi(t)."""
+        ts = np.asarray(ts, dtype=float)
+        return np.exp(1j * self.energy * ts)[:, None] * self.evolve(ts)
+
     def __repr__(self):
         return (
             f"EvolutionProblem(dim={self.dim}, energy={self.energy:.6g}, "
             f"speed={self.speed:.6g})"
         )
 
-
-def evolve(problem: EvolutionProblem, t: float) -> StateVector:
-    """Schroedinger-evolved state exp(-iHt) psi_0."""
-    return StateVector(problem._evolve_rows([t])[0])
-
-
-def parallel_transported_state(problem: EvolutionProblem, t: float) -> StateVector:
-    """Evolved state with the dynamical phase removed: exp(+iEt) exp(-iHt) psi_0.
-
-    The representative satisfies <Psi|dPsi/dt> = 0, so its derivative is
-    orthogonal to the curve and norms of derivatives acquire direct geometric
-    meaning.
-    """
-    return StateVector(_transported_rows(problem, [t])[0])
-
-
-def state_at_arclength(problem: EvolutionProblem, s: float) -> StateVector:
-    """Parallel-transported state at arc length s, i.e. at time t = s/v."""
-    return StateVector(_transported_rows(problem, [s / problem.speed])[0])
-
-
-def _transported_rows(problem: EvolutionProblem, ts) -> np.ndarray:
-    """``parallel_transported_state`` at every time in ``ts``, as the checked rows of one walk."""
-    return np.exp(1j * problem.energy * np.asarray(ts, dtype=float))[:, None] * problem._evolve_rows(ts)

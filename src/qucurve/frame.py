@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .evolution import EvolutionProblem, _transported_rows, state_at_arclength
+from .evolution import EvolutionProblem
 from .hilbert import _project_off
 
 __all__ = [
@@ -82,7 +82,7 @@ def _curvature_torsion_at(problem: EvolutionProblem, psi: np.ndarray) -> tuple[f
 def curvature_torsion_geometric(problem: EvolutionProblem, s_points) -> list[tuple[float, float]]:
     """``_curvature_torsion_at`` each arc length in ``s_points``, evolved in one walk; each
     pair depends only on its own arc length, bit for bit.  A planar curve's tau^2 is about 1e-30."""
-    rows = _transported_rows(problem, np.asarray(s_points, dtype=float) / problem.speed)
+    rows = problem.transported(np.asarray(s_points, dtype=float) / problem.speed)
     return [_curvature_torsion_at(problem, psi) for psi in rows]
 
 
@@ -91,13 +91,13 @@ def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
 
     ``rows`` holds the first k <= 3 Lanczos rows f = (Psi, T[, N]) of
     (dh, Psi(s)), up to phases: N is present (k = 3) only when the curve
-    twists, and ``rows[0]`` holds the amplitudes of
-    ``state_at_arclength(problem, s)``.  Its structure matrix is
+    twists, and ``rows[0]`` is ``problem.transported([s / problem.speed])[0]``.
+    Its structure matrix is
     C[i][j] = <f_j | d/ds f_i> = <f_j | -i dh f_i>, zero-padded to 3x3, so on
     a planar curve only the 2x2 principal block is meaningful.  One state
     evaluation and k + 2 dh products: O(d) work.
     """
-    psi, tan, perp, nbar = _vectors_from(problem, state_at_arclength(problem, s).amplitudes)
+    psi, tan, perp, nbar = _vectors_from(problem, problem.transported([s / problem.speed])[0])
     tau_sq = float(np.vdot(nbar, nbar).real)
     rows = np.array([psi, tan, nbar / np.linalg.norm(nbar)] if _binormal_present(tau_sq) else [psi, tan])
     rows.setflags(write=False)

@@ -92,6 +92,8 @@ def curvature_bloch(a, m) -> float:
     """
     a = _unit_bloch(a)
     m = np.asarray(m, dtype=float)
+    if m.shape != (3,) or not np.isfinite(m).all():
+        raise ValueError(f"field m must be a finite vector of shape (3,), got m = {m.tolist()!r}")
     m_sq = float(np.dot(m, m))
     am = float(np.dot(a, m))
     denom = m_sq - am * am
@@ -119,10 +121,10 @@ def geodesic_efficiency(problem: EvolutionProblem, t: float) -> float:
     psi(t) leaves a relative error of about 2e-17 / (v t).  Equal to 1 exactly
     on geodesic curves, smaller otherwise.
     """
-    if t <= 0.0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:  # also refuses NaN
+        raise ValueError(f"t must be positive and finite, got {t}")
     psi0 = problem.initial_state.amplitudes
-    psi_t = problem._evolve_rows([t])[0]
+    psi_t = problem.evolve([t])[0]
     off = _project_off(psi_t, psi0)
     exp = math.frexp(float(np.max(np.abs(off))))[1]  # unscaled, squares of entries near v t underflow
     np.ldexp(off.view(np.float64), -exp, out=off.view(np.float64))

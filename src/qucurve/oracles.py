@@ -138,7 +138,7 @@ def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], d
             stacklevel=3,
         )
     times = list(dict.fromkeys(t for dt in dts for t in (dt, 2.0 * dt)))
-    return dts, dict(zip(times, problem._evolve_rows(times)))
+    return dts, dict(zip(times, problem.evolve(times)))
 
 
 def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> tuple[FitResult, FitResult]:

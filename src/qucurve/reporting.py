@@ -161,8 +161,8 @@ def trajectory_rows(
     """
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
-    if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    if not 0.0 < t_max < np.inf:  # also refuses NaN
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
     problem = EvolutionProblem(hamiltonian, state)
     kappa = curvature_from_moments(problem.moments)
     tau = _clamp_tau(torsion_from_moments(problem.moments), "tau_sq", [])
@@ -180,7 +180,7 @@ def trajectory_rows(
         chunk = max(1, _CHUNK_AMPLITUDES // d)
         for start in range(0, steps, chunk):
             ts = times[start : start + chunk]
-            for t, psi in zip(ts, problem._evolve_rows(ts)):
+            for t, psi in zip(ts, problem.evolve(ts)):
                 fid = abs(state.inner(psi)) ** 2
                 row = [format_float(t), format_float(problem.speed * t), format_float(fid)]
                 row += map(repr, psi.view(np.float64).tolist())

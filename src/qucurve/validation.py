@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .evolution import EvolutionProblem, evolve, parallel_transported_state
+from .evolution import EvolutionProblem
 from .frame import build_frame, curvature_torsion_geometric
 from .hilbert import HermitianOperator, StateVector
 from .moments import _CLAMP_FLOOR, StationaryStateError, central_moments, curvature_from_moments, torsion_from_moments
@@ -45,13 +45,13 @@ def _closed_form_state(t: float) -> np.ndarray:
 
 def _case_evolved_state_closed_form(perturb: bool = False) -> float:
     prob = _two_qubit_cross_field()
+    ts = (0.0, 0.3, 0.7, 1.9)
     worst = 0.0
-    for t in (0.0, 0.3, 0.7, 1.9):
+    for t, got in zip(ts, prob.evolve(ts)):
         expected = _closed_form_state(t)
         if perturb:
             expected = expected.copy()
             expected[0] += 1e-3
-        got = evolve(prob, t).amplitudes
         worst = max(worst, float(np.max(np.abs(got - expected))))
     return worst
 
@@ -221,9 +221,7 @@ def _case_parallel_transport() -> float:
         for _ in range(5):
             prob = _random_problem(rng, dim)
             t = float(rng.uniform(0.0, 2.0))
-            plus = parallel_transported_state(prob, t + dt).amplitudes
-            minus = parallel_transported_state(prob, t - dt).amplitudes
-            here = parallel_transported_state(prob, t).amplitudes
+            plus, minus, here = prob.transported([t + dt, t - dt, t])
             worst = max(worst, abs(np.vdot(here, (plus - minus) / (2 * dt))))
     return worst
 

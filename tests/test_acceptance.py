@@ -32,7 +32,6 @@ from qucurve import (
     local_product_coefficients,
     nonlocal_bell_coefficients,
     nonlocal_product_coefficients,
-    parallel_transported_state,
     single_qubit,
     StationaryStateError,
     torsion_bloch,
@@ -99,7 +98,7 @@ def test_closed_form_value_table():
     assert kappa == pytest.approx(1.0, rel=1e-9)
     assert tau == pytest.approx(1.0, rel=1e-9)
     for t in (0.3, 1.1):
-        got = parallel_transported_state(prob, t).amplitudes
+        got = prob.transported([t])[0]
         overlap = abs(np.vdot(crossed_fields_state(t), got))
         assert overlap == pytest.approx(1.0, abs=1e-9)
     singlet = np.array([0, 1, -1, 0]) / np.sqrt(2)

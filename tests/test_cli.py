@@ -319,7 +319,7 @@ def _overshooting_evolution(monkeypatch):
         a, b = prob.initial_state.amplitudes
         return np.array([[-np.conj(b), np.conj(a)]] * len(ts))
 
-    monkeypatch.setattr(qucurve.evolution.EvolutionProblem, "_evolve_rows", orthogonal)
+    monkeypatch.setattr(qucurve.evolution.EvolutionProblem, "evolve", orthogonal)
 
 
 class TestNumericalFailures:

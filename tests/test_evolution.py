@@ -10,12 +10,9 @@ from qucurve import (
     StateVector,
     StationaryStateError,
     build_frame,
-    evolve,
     ghz_state,
     heisenberg3,
-    parallel_transported_state,
     single_qubit,
-    state_at_arclength,
 )
 from qucurve.frame import _vectors_from
 from qucurve.hilbert import PAULI
@@ -77,9 +74,9 @@ class TestEvolutionProblem:
         # |E| + max |theta| = 1 + 4.16 (E = 1, theta = +-sqrt(10) - 1): the phases
         # overflow at t = 1e308, which must name t rather than build a NaN state
         prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), StateVector([1, 0]))
-        evolve(prob, 1e307)  # finite phases still evolve
+        prob.evolve([1e307])  # finite phases still evolve
         with pytest.raises(NumericalError, match=r"t = 1e\+308"):
-            evolve(prob, 1e308)
+            prob.evolve([1e308])
 
     def test_eigenstate_is_stationary(self):
         # refused at construction, so no problem has a zero speed to divide by
@@ -102,12 +99,12 @@ class TestEvolve:
         prob = EvolutionProblem(SIGMA_Z, PLUS)
         for t in (0.0, 0.5, 2.0):
             expected = np.array([np.exp(-1j * t), np.exp(1j * t)]) / np.sqrt(2)
-            np.testing.assert_allclose(evolve(prob, t).amplitudes, expected, atol=1e-14)
+            np.testing.assert_allclose(prob.evolve([t])[0], expected, atol=1e-14)
 
     def test_crossed_fields_closed_form(self, crossed_fields_problem):
         for t in (0.0, 0.3, 1.9):
             np.testing.assert_allclose(
-                evolve(crossed_fields_problem, t).amplitudes,
+                crossed_fields_problem.evolve([t])[0],
                 crossed_fields_state(t),
                 atol=1e-12,
             )
@@ -115,14 +112,14 @@ class TestEvolve:
     def test_norm_preserved(self):
         rng = np.random.default_rng(43)
         prob = random_problem(rng, 8)
-        rows = prob._evolve_rows([0.0, 1.0, 17.3])
+        rows = prob.evolve([0.0, 1.0, 17.3])
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_norm_checked_as_rows_are_formed(self, monkeypatch):
         prob = random_problem(np.random.default_rng(43), 8)
         monkeypatch.setattr(qucurve.evolution, "_NORM_TOL", -1.0)
         with pytest.raises(NumericalError, match=r"^t = 17\.3: the evolved state has norm "):
-            evolve(prob, 17.3)
+            prob.evolve([17.3])
 
 
 class TestParallelTransport:
@@ -131,7 +128,7 @@ class TestParallelTransport:
         state = StateVector([np.cos(theta / 2), np.sin(theta / 2)])
         prob = EvolutionProblem(SIGMA_Z, state)
         t = 0.9
-        ratio = parallel_transported_state(prob, t).amplitudes / evolve(prob, t).amplitudes
+        ratio = prob.transported([t])[0] / prob.evolve([t])[0]
         np.testing.assert_allclose(ratio, np.exp(1j * prob.energy * t), atol=1e-12)
 
     def test_transported_derivative_is_horizontal(self):
@@ -141,9 +138,9 @@ class TestParallelTransport:
             for _ in range(12):
                 prob = random_problem(rng, dim)
                 t = float(rng.uniform(0, 2))
-                plus = parallel_transported_state(prob, t + dt).amplitudes
-                minus = parallel_transported_state(prob, t - dt).amplitudes
-                here = parallel_transported_state(prob, t).amplitudes
+                plus = prob.transported([t + dt])[0]
+                minus = prob.transported([t - dt])[0]
+                here = prob.transported([t])[0]
                 deriv = (plus - minus) / (2 * dt)
                 assert abs(np.vdot(here, deriv)) < 1e-6
 
@@ -162,8 +159,8 @@ class TestParallelTransport:
         assert prob.energy == pytest.approx(0.0, abs=1e-12)
         t = 1.3
         np.testing.assert_allclose(
-            parallel_transported_state(prob, t).amplitudes,
-            evolve(prob, t).amplitudes,
+            prob.transported([t])[0],
+            prob.evolve([t])[0],
             atol=1e-12,
         )
 
@@ -174,7 +171,7 @@ class TestArcLength:
         assert crossed_fields_problem.speed == pytest.approx(np.sqrt(2), rel=1e-14)
         for s in (0.0, 0.5, 1.2):
             np.testing.assert_allclose(
-                state_at_arclength(crossed_fields_problem, s).amplitudes,
+                crossed_fields_problem.transported([s / crossed_fields_problem.speed])[0],
                 crossed_fields_state(s / np.sqrt(2)),
                 atol=1e-12,
             )
@@ -186,7 +183,7 @@ def _tangent(prob, s):
 
 def _acceleration(prob, s):
     """T'(s) = -(dh)^2 Psi(s), read off the frame's P_Psi T' = T' + Psi."""
-    psi, _, perp, _ = _vectors_from(prob, state_at_arclength(prob, s).amplitudes)
+    psi, _, perp, _ = _vectors_from(prob, prob.transported([s / prob.speed])[0])
     return perp - psi
 
 
@@ -204,17 +201,17 @@ class TestTangent:
             prob = random_problem(rng, dim)
             s = float(rng.uniform(0, 3))
             tan = _tangent(prob, s)
-            psi = state_at_arclength(prob, s)
+            psi = prob.transported([s / prob.speed])[0]
             assert np.linalg.norm(tan) == pytest.approx(1.0, rel=1e-12)
-            assert abs(np.vdot(psi.amplitudes, tan)) < 1e-12
+            assert abs(np.vdot(psi, tan)) < 1e-12
 
     def test_matches_finite_difference_of_state(self):
         rng = np.random.default_rng(61)
         prob = random_problem(rng, 4)
         s, ds = 0.8, 1e-5
         fd = (
-            state_at_arclength(prob, s + ds).amplitudes
-            - state_at_arclength(prob, s - ds).amplitudes
+            prob.transported([(s + ds) / prob.speed])[0]
+            - prob.transported([(s - ds) / prob.speed])[0]
         ) / (2 * ds)
         np.testing.assert_allclose(_tangent(prob, s), fd, atol=1e-7)
 
@@ -273,8 +270,8 @@ class TestInvariances:
         )
         t = 1.1
         np.testing.assert_allclose(
-            parallel_transported_state(shifted, t).amplitudes,
-            parallel_transported_state(prob, t).amplitudes,
+            shifted.transported([t])[0],
+            prob.transported([t])[0],
             atol=1e-10,
         )
 
@@ -285,8 +282,8 @@ class TestInvariances:
         scaled = EvolutionProblem(HermitianOperator(lam * prob.hamiltonian.matrix), prob.initial_state)
         s = 0.9  # same arc length must give the same point on the curve
         np.testing.assert_allclose(
-            state_at_arclength(scaled, s).amplitudes,
-            state_at_arclength(prob, s).amplitudes,
+            scaled.transported([s / scaled.speed])[0],
+            prob.transported([s / prob.speed])[0],
             atol=1e-11,
         )
 
@@ -304,7 +301,7 @@ class TestKrylovEvolution:
         t_full = dim / (0.5 * (evals[-1] - evals[0]))
         for t in (0.0, 1e-3, 0.3, 2.0, t_full, 5 * t_full):
             expected = propagator(prob.hamiltonian, t) @ prob.initial_state.amplitudes
-            np.testing.assert_allclose(evolve(prob, t).amplitudes, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(prob.evolve([t])[0], expected, rtol=0, atol=1e-12)
 
     def test_ghz_on_heisenberg3(self):
         # GHZ spans a small invariant subspace: the Lanczos basis breaks down early
@@ -312,7 +309,7 @@ class TestKrylovEvolution:
         prob = EvolutionProblem(ham, ghz_state())
         for t in (0.0, 0.4, 3.0, 50.0):
             expected = propagator(ham, t) @ prob.initial_state.amplitudes
-            np.testing.assert_allclose(evolve(prob, t).amplitudes, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(prob.evolve([t])[0], expected, rtol=0, atol=1e-12)
 
     def test_two_level_superposition(self):
         rng = np.random.default_rng(89)
@@ -325,18 +322,18 @@ class TestKrylovEvolution:
                 np.exp(-1j * evals[i] * t) * evecs[:, i]
                 + np.exp(1j * (phi - evals[j] * t)) * evecs[:, j]
             ) / np.sqrt(2)
-            np.testing.assert_allclose(evolve(prob, t).amplitudes, expected, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(prob.evolve([t])[0], expected, rtol=0, atol=1e-12)
 
     def test_state_independent_of_earlier_requests(self):
         rng = np.random.default_rng(97)
         ham, psi = random_hermitian(rng, 128), random_state(rng, 128)
         prob = EvolutionProblem(ham, psi)
-        first = evolve(prob, 0.05).amplitudes
-        evolve(prob, 50.0)
-        np.testing.assert_array_equal(evolve(prob, 0.05).amplitudes, first)
+        first = prob.evolve([0.05])[0]
+        prob.evolve([50.0])
+        np.testing.assert_array_equal(prob.evolve([0.05])[0], first)
         late = EvolutionProblem(ham, psi)
-        evolve(late, 50.0)
-        np.testing.assert_array_equal(evolve(late, 0.05).amplitudes, first)
+        late.evolve([50.0])
+        np.testing.assert_array_equal(late.evolve([0.05])[0], first)
 
     def test_batched_rows_equal_single_evaluations(self):
         # each row is settled at the basis size its own time needs, whatever
@@ -344,14 +341,20 @@ class TestKrylovEvolution:
         rng = np.random.default_rng(109)
         ham, psi = random_hermitian(rng, 128), random_state(rng, 128)
         ts = [3.0, 0.05, 40.0, 0.05, -2.5, 0.0, 3.0]
-        alone = [evolve(EvolutionProblem(ham, psi), t).amplitudes for t in ts]
+        alone = [EvolutionProblem(ham, psi).evolve([t])[0] for t in ts]
         prob = EvolutionProblem(ham, psi)
-        np.testing.assert_array_equal(prob._evolve_rows(ts), alone)
-        np.testing.assert_array_equal(prob._evolve_rows(ts[::-1]), alone[::-1])
-        np.testing.assert_array_equal([evolve(prob, t).amplitudes for t in ts], alone)
+        np.testing.assert_array_equal(prob.evolve(ts), alone)
+        np.testing.assert_array_equal(prob.evolve(ts[::-1]), alone[::-1])
+        np.testing.assert_array_equal([prob.evolve([t])[0] for t in ts], alone)
         late = EvolutionProblem(ham, psi)
-        evolve(late, 40.0)
-        np.testing.assert_array_equal(late._evolve_rows(ts[:2]), alone[:2])
+        late.evolve([40.0])
+        np.testing.assert_array_equal(late.evolve(ts[:2]), alone[:2])
+        # transported rows are the same rows times the phase exp(iEt), bit for bit
+        transported = [EvolutionProblem(ham, psi).transported([t])[0] for t in ts]
+        np.testing.assert_array_equal(transported, np.exp(1j * prob.energy * np.array(ts))[:, None] * alone)
+        np.testing.assert_array_equal(prob.transported(ts), transported)
+        np.testing.assert_array_equal(prob.transported(ts[::-1]), transported[::-1])
+        np.testing.assert_array_equal(late.transported(ts[:2]), transported[:2])
 
     def test_keeps_one_rotation_of_dimension_d_beyond_the_basis(self):
         # between calls a problem keeps the Lanczos basis and residual, which
@@ -372,37 +375,37 @@ class TestKrylovEvolution:
 
             return array_bytes({k: v for k, v in vars(prob).items() if k not in ("_basis", "_residual")})
 
-        evolve(prob, 0.05)
+        prob.evolve([0.05])
         assert len(prob._alpha) == 16
-        evolve(prob, 0.2)
+        prob.evolve([0.2])
         assert len(prob._alpha) == 20
         assert kept_bytes() < 20 * prob.dim * 16 + 64 * 1024
         prob._grow(25)  # a growing basis drops the rotation before it reallocates
         assert kept_bytes() < 64 * 1024
-        evolve(prob, 0.2)
+        prob.evolve([0.2])
         assert kept_bytes() > 64 * 1024
         prob._apply_delta_h(prob.initial_state.amplitudes)
         assert kept_bytes() < 64 * 1024
 
     def test_rotation_is_reused_by_later_calls_at_its_size(self):
         prob = random_problem(np.random.default_rng(109), 300)
-        first = evolve(prob, 0.3).amplitudes
+        first = prob.evolve([0.3])[0]
         rotated = prob._rotated
         assert rotated is not None
-        again = prob._evolve_rows([0.3, 0.3])
+        again = prob.evolve([0.3, 0.3])
         assert prob._rotated is rotated
         assert np.array_equal(again[0], first) and np.array_equal(again[1], first)
 
     def test_first_overflowing_time_is_named(self):
         prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), StateVector([1, 0]))
         with pytest.raises(NumericalError, match=r"t = 5e\+307"):
-            prob._evolve_rows([1e307, 5e307, np.inf, 1e308])
+            prob.evolve([1e307, 5e307, np.inf, 1e308])
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_fails_closed(self, t):
         prob = random_problem(np.random.default_rng(107), 40)
         with pytest.raises(NumericalError, match=f"t = {t!r}"):
-            evolve(prob, t)
+            prob.evolve([t])
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6])
     def test_scaled_hamiltonian_at_rescaled_time(self, scale):
@@ -411,5 +414,5 @@ class TestKrylovEvolution:
         scaled = EvolutionProblem(HermitianOperator(scale * prob.hamiltonian.matrix), prob.initial_state)
         for t in (0.2, 3.0):
             np.testing.assert_allclose(
-                evolve(scaled, t / scale).amplitudes, evolve(prob, t).amplitudes, rtol=0, atol=1e-12
+                scaled.evolve([t / scale])[0], prob.evolve([t])[0], rtol=0, atol=1e-12
             )

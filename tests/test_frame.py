@@ -14,7 +14,6 @@ from qucurve import (
     central_moments,
     curvature_from_moments,
     curvature_torsion_geometric,
-    state_at_arclength,
     torsion_from_moments,
 )
 from qucurve.hilbert import PAULI
@@ -141,7 +140,7 @@ class TestBuildFrame:
         with pytest.raises(ValueError):
             fr.rows[0, 0] = 0.0
         # rows[0] is the transported state itself, bit for bit
-        np.testing.assert_array_equal(fr.rows[0], state_at_arclength(prob, 0.6).amplitudes)
+        np.testing.assert_array_equal(fr.rows[0], prob.transported([0.6 / prob.speed])[0])
 
     def test_frame_memory_is_linear_in_d(self):
         # the frame is k <= 3 rows of length d: at n = 12 (d = 4096) one
@@ -154,7 +153,7 @@ class TestBuildFrame:
         basis_state = np.zeros(2**n)
         basis_state[0] = 1.0
         prob = EvolutionProblem(pauli_sum(terms), StateVector(basis_state))
-        state_at_arclength(prob, 0.5)  # grows the Krylov basis that build_frame reuses
+        prob.transported([0.5 / prob.speed])  # grows the Krylov basis that build_frame reuses
         tracemalloc.start()
         try:
             fr = build_frame(prob, 0.5)

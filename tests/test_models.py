@@ -124,6 +124,22 @@ class TestBlochCurvature:
         with pytest.raises(ValueError, match=message):
             closed_form(a, [1, 0, 1])
 
+    @pytest.mark.parametrize("closed_form", [curvature_bloch, torsion_bloch])
+    @pytest.mark.parametrize(
+        "m, shown",
+        [
+            ([np.nan, 0, 1], r"\[nan, 0\.0, 1\.0\]"),
+            ([1, np.inf, 0], r"\[1\.0, inf, 0\.0\]"),
+            ([1, 0], r"\[1\.0, 0\.0\]"),
+        ],
+        ids=["nan", "inf", "short"],
+    )
+    def test_refuses_a_non_finite_or_short_field(self, closed_form, m, shown):
+        # the state a = (0, 0, 1) is fine; the field is not a finite 3-vector
+        message = r"^field m must be a finite vector of shape \(3,\), got m = " + shown + "$"
+        with pytest.raises(ValueError, match=message):
+            closed_form([0, 0, 1], m)
+
 
 class TestStateFactories:
     def test_bell_states(self):
@@ -447,8 +463,9 @@ class TestEfficiency:
 
     def test_invalid_time(self):
         prob = EvolutionProblem(single_qubit([0, 0, 1.0]), xi_state(0.5))
-        with pytest.raises(ValueError, match="positive"):
-            geodesic_efficiency(prob, 0.0)
+        for t in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match=r"^t must be positive and finite, got "):
+                geodesic_efficiency(prob, t)
         with pytest.raises(ValueError, match="positive"):
             xi_efficiency(-1.0, 0.5)
 

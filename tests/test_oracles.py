@@ -12,7 +12,6 @@ from qucurve import (
     StationaryStateError,
     central_moments,
     curvature_from_moments,
-    evolve,
     fit_coefficients,
     fubini_study_sq,
     torsion_from_moments,
@@ -155,8 +154,8 @@ class TestGeodesicDeviation:
         prob = random_problem(np.random.default_rng(seed), dim)
         dt = 10.0**log_step / prob.speed
         a = prob.initial_state.amplitudes
-        p = evolve(prob, dt).amplitudes
-        b = evolve(prob, 2.0 * dt).amplitudes
+        p = prob.evolve([dt])[0]
+        b = prob.evolve([2.0 * dt])[0]
         want = _brute_min_deviation(a, p, b)
         assert _min_geodesic_deviation(a, p, b) == pytest.approx(want, rel=1e-6)
 
@@ -280,13 +279,13 @@ class TestSnapshots:
     @pytest.fixture
     def walks(self, monkeypatch):
         walks = []
-        evolve_rows = EvolutionProblem._evolve_rows
+        evolve = EvolutionProblem.evolve
 
         def counted(problem, ts):
             walks.append(list(ts))
-            return evolve_rows(problem, ts)
+            return evolve(problem, ts)
 
-        monkeypatch.setattr(EvolutionProblem, "_evolve_rows", counted)
+        monkeypatch.setattr(EvolutionProblem, "evolve", counted)
         return walks
 
     def test_four_distinct_times_per_fit(self, crossed_fields_problem, walks):

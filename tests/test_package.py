@@ -39,7 +39,6 @@ PUBLIC_NAMES = [
     "curvature_bloch",
     "curvature_from_moments",
     "curvature_torsion_geometric",
-    "evolve",
     "fit_coefficients",
     "format_float",
     "fubini_study_sq",
@@ -53,10 +52,8 @@ PUBLIC_NAMES = [
     "local_product_coefficients",
     "nonlocal_bell_coefficients",
     "nonlocal_product_coefficients",
-    "parallel_transported_state",
     "parse_problem_spec",
     "single_qubit",
-    "state_at_arclength",
     "state_to_bloch",
     "sweep_row",
     "torsion_bloch",

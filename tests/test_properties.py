@@ -22,7 +22,6 @@ from qucurve import (
     central_moments,
     curvature_from_moments,
     curvature_torsion_geometric,
-    evolve,
     torsion_from_moments,
 )
 
@@ -100,8 +99,8 @@ def test_time_rescaling(seed, dim, t, log_c):
     c = 10.0**log_c
     scaled = EvolutionProblem(HermitianOperator(c * ham.matrix), state)
     np.testing.assert_allclose(
-        evolve(scaled, t / c).amplitudes,
-        evolve(EvolutionProblem(ham, state), t).amplitudes,
+        scaled.evolve([t / c])[0],
+        EvolutionProblem(ham, state).evolve([t])[0],
         rtol=0,
         atol=1e-12,
     )

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-import qucurve.frame
 import qucurve.reporting
 from qucurve import (
     EvolutionProblem,
@@ -11,7 +10,6 @@ from qucurve import (
     build_frame,
     StationaryStateError,
     build_report,
-    evolve,
     format_float,
     sweep_row,
     trajectory_rows,
@@ -183,14 +181,14 @@ class TestBuildReport:
         # the projector route read there is no longer constant along the arc
         rng = np.random.default_rng(17)
         ham, psi = random_hermitian(rng, 16), random_state(rng, 16)
-        transported = qucurve.frame._transported_rows
+        transported = EvolutionProblem.transported
 
         def rolled(problem, ts):
             rows = transported(problem, ts)
             rows[1:] = np.roll(rows[1:], 1, axis=1)
             return rows
 
-        monkeypatch.setattr(qucurve.frame, "_transported_rows", rolled)
+        monkeypatch.setattr(EvolutionProblem, "transported", rolled)
         plain = build_report(ham, psi)
         rep = build_report(ham, psi, with_oracle=True)
         assert plain.warnings == []
@@ -255,7 +253,7 @@ class TestOneMomentPass:
         sweep_row(ham, xi_state(0.4), 0.4, efficiency_t=1.0)
         row = applies[0]
         applies[0] = 0
-        evolve(EvolutionProblem(ham, xi_state(0.4)), 1.0)
+        EvolutionProblem(ham, xi_state(0.4)).evolve([1.0])
         assert row == applies[0]
 
 
@@ -268,7 +266,7 @@ class TestTrajectoryRows:
         _, rows = trajectory_rows(ham, psi, t_max=20.0, steps=8)
         prob = EvolutionProblem(ham, psi)
         for t, row in zip(np.linspace(0.0, 20.0, 8), rows):
-            assert row[3:-2] == [repr(x) for x in evolve(prob, t).amplitudes.view(np.float64).tolist()]
+            assert row[3:-2] == [repr(x) for x in prob.evolve([t])[0].view(np.float64).tolist()]
 
     def test_equatorial_rotation(self):
         header, rows = trajectory_rows(SIGMA_Z, PLUS, t_max=1.0, steps=5)
@@ -319,8 +317,9 @@ class TestTrajectoryRows:
     def test_validation(self):
         with pytest.raises(ValueError, match="steps"):
             trajectory_rows(SIGMA_Z, PLUS, t_max=1.0, steps=1)
-        with pytest.raises(ValueError, match="positive"):
-            trajectory_rows(SIGMA_Z, PLUS, t_max=0.0, steps=5)
+        for t_max in (0.0, np.nan, np.inf):  # refused before the rows are iterated
+            with pytest.raises(ValueError, match=r"^t_max must be positive and finite, got "):
+                trajectory_rows(SIGMA_Z, PLUS, t_max=t_max, steps=5)
         with pytest.raises(StationaryStateError):
             trajectory_rows(SIGMA_Z, StateVector([1, 0]), t_max=1.0, steps=5)
 
