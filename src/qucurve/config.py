@@ -25,7 +25,8 @@ State forms (exactly one):
                  "ghz", "w", or a computational basis string like "010"
 
 Numbers must be finite JSON numbers, not booleans.  ``parse_problem_spec``
-is the only pass over a document, so ``ProblemSpec.build`` only constructs.
+is the only pass over a document; ``ProblemSpec.build`` then checks what
+needs the built objects: Hermiticity, unit norm and matching dimensions.
 """
 
 from __future__ import annotations

@@ -12,25 +12,15 @@ fits share one projection off unit vectors, ``_project_off``.
 from __future__ import annotations
 
 import numbers
+import sys
 
 import numpy as np
 
 __all__ = [
     "MAX_QUBITS",
-    "PAULI",
     "StateVector",
     "HermitianOperator",
 ]
-
-# Convention: sigma_x = [[0,1],[1,0]], sigma_y = [[0,-i],[i,0]],
-# sigma_z = [[1,0],[0,-1]]; in an n-qubit word the leftmost character acts on
-# qubit 1, which carries the most significant bit of the basis index.
-PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 # Longest Pauli word accepted.  A Pauli-backed operator stores an index row
 # and a complex row of 2^n entries per x-mask group, and a state is 2^n
@@ -95,8 +85,7 @@ class HermitianOperator:
     families give the other backing, a Pauli sum in G groups: group g is the
     permutation ``perms[g] = j ^ x_g`` with the diagonal ``diags[g]``,
     (M v)[j] = sum_g diags[g, j] v[j ^ x_g], so no d x d array is stored.
-    ``matrix`` is the dense form either way; a Pauli-backed operator builds
-    it on first access.  ``frobenius_sq`` is ||M||_F^2, computed once.
+    ``frobenius_sq`` is ||M||_F^2, computed once.
     """
 
     __slots__ = ("dim", "frobenius_sq", "_matrix", "_perms", "_diags")
@@ -131,18 +120,6 @@ class HermitianOperator:
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("HermitianOperator is immutable")
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """The dense d x d matrix (read-only)."""
-        if self._matrix is None:
-            m = np.zeros((self.dim, self.dim), dtype=complex)
-            rows = np.arange(self.dim)
-            for perm, diag in zip(self._perms, self._diags):
-                m[rows, perm] = diag
-            m.setflags(write=False)
-            object.__setattr__(self, "_matrix", m)
-        return self._matrix
-
     def apply(self, vec) -> np.ndarray:
         """M @ v for one vector v of d amplitudes, as a plain ndarray."""
         v = _as_vector(vec)
@@ -158,9 +135,9 @@ class HermitianOperator:
 
 def _check_coefficient(c) -> None:
     """Reject a Pauli weight that is not a finite real number."""
-    if not isinstance(c, numbers.Real):  # a complex weight breaks Hermiticity
+    if isinstance(c, bool) or not isinstance(c, numbers.Real):  # a complex weight breaks Hermiticity
         raise ValueError(f"coefficient must be a real number, got {c!r}")
-    if not np.isfinite(c):
+    if not abs(c) <= sys.float_info.max:  # NaN, inf, and an int beyond float range
         raise ValueError(f"coefficient must be finite, got {c!r}")
 
 

@@ -1,10 +1,11 @@
 """Closed-form model systems: qubits, entangled pairs, and three coupled spins.
 
-Every function here evaluates an exact expression (a Bloch-sphere reduction
+Each closed form here evaluates an exact expression (a Bloch-sphere reduction
 or a rational function of coupling constants) for the squared curvature and
 torsion of a specific family.  None of them share code with the moment or
 projector pipelines, which is the point: they are what the pipelines are
-validated against.
+validated against.  ``geodesic_efficiency`` is not a closed form: it evolves
+the state through ``EvolutionProblem``.
 
 Single qubit, H = m . sigma + m0 I, Bloch vector a:
 
@@ -209,10 +210,15 @@ def _family_operator(family: str, couplings) -> HermitianOperator:
     return _pauli_sum([(couplings[k], encoded) for k, encoded in rows], dim)
 
 
-def _checked_family_operator(family: str, couplings) -> HermitianOperator:
-    """``_family_operator`` of couplings that must be finite real numbers."""
+def _check_couplings(*couplings) -> None:
+    """Refuse any coupling that is not a finite real number."""
     for c in couplings:
         _check_coefficient(c)
+
+
+def _checked_family_operator(family: str, couplings) -> HermitianOperator:
+    """``_family_operator`` of couplings that must be finite real numbers."""
+    _check_couplings(*couplings)
     return _family_operator(family, [float(c) for c in couplings])
 
 
@@ -260,6 +266,7 @@ def nonlocal_product_coefficients(m1: float, m2: float, m3: float, m4: float) ->
     kappa^2 = 4 (m2^2 m3^2 + m2^2 m4^2 + m3^2 m4^2) / (m1^2 + m3^2 + m4^2)^2
     tau^2   = 4 (m3^2 + m4^2) (m1 m2 - m3 m4)^2 / (m1^2 + m3^2 + m4^2)^3
     """
+    _check_couplings(m1, m2, m3, m4)
     denom = _check_denominator(m1 * m1 + m3 * m3 + m4 * m4, "all transverse couplings vanish")
     kappa_sq = 4.0 * (m2 * m2 * m3 * m3 + m2 * m2 * m4 * m4 + m3 * m3 * m4 * m4) / denom**2
     tau_sq = 4.0 * (m3 * m3 + m4 * m4) * (m1 * m2 - m3 * m4) ** 2 / denom**3
@@ -272,6 +279,7 @@ def nonlocal_bell_coefficients(m1: float, m2: float, m3: float, m4: float) -> tu
     The dynamics stays inside a two-dimensional invariant subspace, so the
     curve is planar: kappa^2 = 4 (m1 + m2)^2 / (m3 - m4)^2, tau^2 = 0.
     """
+    _check_couplings(m1, m2, m3, m4)
     diff = m3 - m4
     _check_denominator(diff * diff, "m3 = m4 makes phi+ stationary")
     return 4.0 * (m1 + m2) ** 2 / diff**2, 0.0
@@ -284,6 +292,7 @@ def local_bell_coefficients(m1: float, m2: float, m3: float, m4: float) -> tuple
 
         kappa^2 = tau^2 = 4 (m1 m4 - m2 m3)^2 / [ (m1+m2)^2 + (m3+m4)^2 ]^2.
     """
+    _check_couplings(m1, m2, m3, m4)
     denom = _check_denominator((m1 + m2) ** 2 + (m3 + m4) ** 2, "summed fields vanish")
     value = 4.0 * (m1 * m4 - m2 * m3) ** 2 / denom**2
     return value, value
@@ -295,6 +304,7 @@ def local_product_coefficients(m1: float, m2: float, m3: float, m4: float) -> tu
     kappa^2 = 4 (m1^2 m2^2 + m1^2 m3^2 + m2^2 m4^2) / (m1^2 + m2^2)^2
     tau^2   = 4 m1^2 m2^2 [ m1^2 + m2^2 + (m3 - m4)^2 ] / (m1^2 + m2^2)^3
     """
+    _check_couplings(m1, m2, m3, m4)
     denom = _check_denominator(m1 * m1 + m2 * m2, "transverse fields vanish")
     kappa_sq = 4.0 * (m1 * m1 * m2 * m2 + m1 * m1 * m3 * m3 + m2 * m2 * m4 * m4) / denom**2
     tau_sq = 4.0 * m1 * m1 * m2 * m2 * (m1 * m1 + m2 * m2 + (m3 - m4) ** 2) / denom**3
@@ -312,6 +322,7 @@ def heisenberg_ghz_coefficients(j_x: float, j_y: float, j_z: float, h: float) ->
     At j_x = j_y (with h != 0) both coefficients vanish by continuity; the
     shared (j_x - j_y)^2 factor dominates the limit.
     """
+    _check_couplings(j_x, j_y, j_z, h)
     diff = j_x - j_y
     denom = _check_denominator(3.0 * h * h + diff * diff, "GHZ is an exchange eigenstate")
     aniso = j_x + j_y - 2.0 * j_z
@@ -325,6 +336,7 @@ def heisenberg_w_coefficients(j_x: float, j_y: float, j_z: float, h: float) -> t
 
     kappa^2 = (4/3) (2h + j_x + j_y - 2 j_z)^2 / (j_x - j_y)^2, tau^2 = 0.
     """
+    _check_couplings(j_x, j_y, j_z, h)
     diff = j_x - j_y
     _check_denominator(diff * diff, "W is stationary at j_x = j_y")
     return (4.0 / 3.0) * (2.0 * h + j_x + j_y - 2.0 * j_z) ** 2 / diff**2, 0.0

@@ -20,6 +20,7 @@ values that is all rounding noise reports a misfit of exactly 0.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -126,8 +127,8 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
 def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], dict[float, np.ndarray]]:
     """The checked steps, and psi(t) for every distinct t in {dt, 2 dt}, evolved in one walk."""
     dts = tuple(float(dt) for dt in dt_grid)
-    if len(set(dts)) < 2 or any(dt <= 0 for dt in dts):
-        raise ValueError("dt_grid must contain at least two distinct positive steps")
+    if len(set(dts)) < 2 or not all(0 < dt < math.inf for dt in dts):  # also refuses NaN
+        raise ValueError("dt_grid must contain at least two distinct positive steps, all finite")
     least = min(dts) * problem.speed
     if least < _MIN_STEP:
         raise NumericalError(f"dt_grid: smallest dt*v = {least:.3g} is below {_MIN_STEP:.0e}, where fits see rounding")

@@ -8,6 +8,7 @@ is a pure function of the input document, so repeated runs are byte-identical.
 from __future__ import annotations
 
 import json
+import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from warnings import catch_warnings, simplefilter
@@ -159,8 +160,8 @@ def trajectory_rows(
     formatted only when the iterator reaches them, so a writer can stream
     the table.
     """
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral) or steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if not 0.0 < t_max < np.inf:  # also refuses NaN
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     problem = EvolutionProblem(hamiltonian, state)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qucurve
-from qucurve import PAULI, EvolutionProblem, HermitianOperator, StateVector, parse_problem_spec
+from qucurve import EvolutionProblem, HermitianOperator, StateVector, parse_problem_spec
 from qucurve.models import two_qubit_nonlocal
 
 # Unreadable problem files: invalid JSON, a byte that is not UTF-8, an integer
@@ -58,6 +58,16 @@ def pauli_sum(terms):
     return parse_problem_spec(doc).build()[0]
 
 
+# The 2x2 Pauli matrices.  In an n-qubit word the leftmost letter acts on
+# qubit 1, which carries the most significant bit of the basis index.
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
 def kron_word(word):
     """The dense matrix of a Pauli word as the Kronecker product of its letters."""
     m = PAULI[word[0]]
@@ -73,6 +83,13 @@ def crossed_fields_problem():
     return EvolutionProblem(ham, StateVector([1, 0, 0, 0]))
 
 
+def dense(op):
+    """The d x d matrix of an operator: its dense backing, or else ``op.apply`` on each basis vector."""
+    if op._matrix is not None:
+        return op._matrix
+    return np.array([op.apply(e) for e in np.eye(op.dim)]).T
+
+
 def propagator(hamiltonian, t):
     """Dense reference exp(-iHt) from the Hermitian eigendecomposition.
 
@@ -80,13 +97,13 @@ def propagator(hamiltonian, t):
     unlike a truncated series, so U^dagger U = I holds to ~1e-15 for any t.
     This O(d^3) route is what the Krylov evolution is checked against.
     """
-    w, basis = np.linalg.eigh(hamiltonian.matrix)
+    w, basis = np.linalg.eigh(dense(hamiltonian))
     return (basis * np.exp(-1j * w * t)) @ basis.conj().T
 
 
 def delta_h(problem):
     """Dimensionless centered Hamiltonian (H - E)/v as a dense matrix; <(dh)^2> = 1."""
-    return (problem.hamiltonian.matrix - problem.energy * np.eye(problem.dim)) / problem.speed
+    return (dense(problem.hamiltonian) - problem.energy * np.eye(problem.dim)) / problem.speed
 
 
 def crossed_fields_state(t):

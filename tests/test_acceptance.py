@@ -47,7 +47,7 @@ from qucurve.cli import main
 from qucurve.hilbert import HermitianOperator
 from qucurve.models import bloch_to_state
 
-from conftest import crossed_fields_state, load_demo, random_hermitian, random_problem, random_state
+from conftest import crossed_fields_state, dense, load_demo, random_hermitian, random_problem, random_state
 
 SIGMA_Z = single_qubit([0.0, 0.0, 1.0])
 
@@ -278,13 +278,13 @@ def test_invariance_suite():
         )
 
         shift = float(rng.uniform(-5, 5))
-        shifted = HermitianOperator(ham.matrix + shift * np.eye(dim))
+        shifted = HermitianOperator(dense(ham) + shift * np.eye(dim))
         np.testing.assert_allclose(
             profile(shifted, state), base, rtol=1e-9, atol=1e-9
         )
 
         scale = float(rng.uniform(0.1, 3.0) * rng.choice([-1.0, 1.0]))
-        scaled = HermitianOperator(scale * ham.matrix)
+        scaled = HermitianOperator(scale * dense(ham))
         np.testing.assert_allclose(
             profile(scaled, state), base, rtol=1e-9, atol=1e-12
         )

@@ -3,7 +3,7 @@ import pytest
 
 from qucurve import MAX_DENSE_DIM, MAX_QUBITS, ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
 
-from conftest import MALFORMED_FILES, kron_word
+from conftest import MALFORMED_FILES, dense, kron_word
 
 
 def minimal_doc():
@@ -24,7 +24,7 @@ class TestParsing:
         ham, state = spec.build()
         assert ham.dim == 4
         np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-15)
-        row0 = ham.matrix[0]
+        row0 = dense(ham)[0]
         np.testing.assert_allclose(row0, [0, 1, 1, 0], atol=1e-15)
 
     def test_default_options(self):
@@ -82,7 +82,7 @@ class TestParsing:
         doc["state"] = {"named": "0" * len(terms[0][1])}
         built, _ = parse_problem_spec(doc).build()
         ref = sum(c * kron_word(w) for c, w in terms)
-        got = built.matrix
+        got = dense(built)
         assert (got.dtype, got.shape, got.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
         assert np.float64(built.frobenius_sq).tobytes() == np.float64(np.vdot(ref, ref).real).tobytes()
 
@@ -100,7 +100,7 @@ class TestParsing:
             "state": {"named": "0"},
         }
         ham, _ = parse_problem_spec(doc).build()
-        np.testing.assert_allclose(ham.matrix, [[1, -1j], [1j, -1]], atol=1e-15)
+        np.testing.assert_allclose(dense(ham), [[1, -1j], [1j, -1]], atol=1e-15)
 
     def test_dense_must_be_hermitian(self):
         doc = {
@@ -122,7 +122,7 @@ class TestParsing:
         }
         spec = parse_problem_spec(doc)
         ham, _ = spec.build()
-        np.testing.assert_allclose(ham.matrix, np.diag([1.0, -1.0]), atol=1e-15)
+        np.testing.assert_allclose(dense(ham), np.diag([1.0, -1.0]), atol=1e-15)
         # unspecified couplings default to zero
         assert spec.hamiltonian_data["couplings"] == {"mx": 0.0, "my": 0.0, "mz": 1.0, "m0": 0.0}
 
@@ -212,8 +212,8 @@ class TestParsing:
     def test_signed_zeros_kept(self):
         doc = {"hamiltonian": {"dense": [[[1.0, -0.0], [0, 0]], [[0, -0.0], [-0.0, 0.0]]]}, "state": {"named": "0"}}
         ham, _ = parse_problem_spec(doc).build()
-        assert np.signbit(ham.matrix.imag).tolist() == [[True, False], [True, False]]
-        assert np.signbit(ham.matrix.real).tolist() == [[False, False], [False, True]]
+        assert np.signbit(dense(ham).imag).tolist() == [[True, False], [True, False]]
+        assert np.signbit(dense(ham).real).tolist() == [[False, False], [False, True]]
 
     def test_dimension_mismatch(self):
         doc = minimal_doc()
@@ -247,7 +247,7 @@ def probe(hamiltonian=PAULI, state=None, **extra):
     return {"hamiltonian": hamiltonian, "state": state or {"named": "00"}, **extra}
 
 
-def dense(*rows):
+def dense_doc(*rows):
     return probe({"dense": list(rows)}, {"named": "0"})
 
 
@@ -277,14 +277,14 @@ MALFORMED = [
         probe({"pauli_terms": [{"coeff": 1.0, "word": "XZ"}, {"coeff": 1.0, "word": "X"}]}),
         "hamiltonian.pauli_terms[1].word: all words must have equal length",
     ),
-    (dense(), "hamiltonian.dense: must be a nonempty list of rows"),
-    (dense([[1, 0]], [[0, 0], [1, 0]]), "hamiltonian.dense[0]: must be a row of 2 entries"),
-    (dense([[1, 0], "x"], [[0, 0], [1, 0]]), "hamiltonian.dense[0][1]: must be an [re, im] pair of finite numbers"),
-    (dense([[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]), "hamiltonian.dense[0][1]: must be an [re, im] pair of finite numbers"),
-    (dense([[1, 0], [0, 0]], [[NAN, 0], [1, 0]]), "hamiltonian.dense[1][0]: must be an [re, im] pair of finite numbers"),
-    (dense([[1, 0], [0, 0]], [[0, 0]]), "hamiltonian.dense[1]: must be a row of 2 entries"),
+    (dense_doc(), "hamiltonian.dense: must be a nonempty list of rows"),
+    (dense_doc([[1, 0]], [[0, 0], [1, 0]]), "hamiltonian.dense[0]: must be a row of 2 entries"),
+    (dense_doc([[1, 0], "x"], [[0, 0], [1, 0]]), "hamiltonian.dense[0][1]: must be an [re, im] pair of finite numbers"),
+    (dense_doc([[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]), "hamiltonian.dense[0][1]: must be an [re, im] pair of finite numbers"),
+    (dense_doc([[1, 0], [0, 0]], [[NAN, 0], [1, 0]]), "hamiltonian.dense[1][0]: must be an [re, im] pair of finite numbers"),
+    (dense_doc([[1, 0], [0, 0]], [[0, 0]]), "hamiltonian.dense[1]: must be a row of 2 entries"),
     (
-        dense([[1, 0], [2, 0]], [[3, 0], [1, 0]]),
+        dense_doc([[1, 0], [2, 0]], [[3, 0], [1, 0]]),
         "hamiltonian.dense: matrix is not Hermitian: max |M - M^dagger| = 1.000e+00 > 1e-12",
     ),
     (

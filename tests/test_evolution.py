@@ -15,9 +15,8 @@ from qucurve import (
     single_qubit,
 )
 from qucurve.frame import _vectors_from
-from qucurve.hilbert import PAULI
 
-from conftest import crossed_fields_state, delta_h, pauli_sum, propagator, random_hermitian, random_problem, random_state
+from conftest import PAULI, crossed_fields_state, delta_h, dense, pauli_sum, propagator, random_hermitian, random_problem, random_state
 
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
 SIGMA_Z = HermitianOperator(PAULI["Z"])
@@ -61,13 +60,13 @@ class TestEvolutionProblem:
         rng = np.random.default_rng(31)
         prob = random_problem(rng, 5)
         psi = prob.initial_state.amplitudes
-        assert prob.energy == pytest.approx(np.vdot(psi, prob.hamiltonian.matrix @ psi).real, abs=1e-12)
+        assert prob.energy == pytest.approx(np.vdot(psi, dense(prob.hamiltonian) @ psi).real, abs=1e-12)
 
     def test_speed_squared_is_variance(self):
         rng = np.random.default_rng(37)
         prob = random_problem(rng, 4)
         psi = prob.initial_state.amplitudes
-        h2 = np.vdot(psi, prob.hamiltonian.matrix @ (prob.hamiltonian.matrix @ psi)).real
+        h2 = np.vdot(psi, dense(prob.hamiltonian) @ (dense(prob.hamiltonian) @ psi)).real
         assert prob.speed**2 == pytest.approx(h2 - prob.energy**2, rel=1e-12)
 
     def test_overflowing_phase_names_the_time(self):
@@ -266,7 +265,7 @@ class TestInvariances:
         rng = np.random.default_rng(79)
         prob = random_problem(rng, 4)
         shifted = EvolutionProblem(
-            HermitianOperator(prob.hamiltonian.matrix + 3.7 * np.eye(4)), prob.initial_state
+            HermitianOperator(dense(prob.hamiltonian) + 3.7 * np.eye(4)), prob.initial_state
         )
         t = 1.1
         np.testing.assert_allclose(
@@ -279,7 +278,7 @@ class TestInvariances:
         rng = np.random.default_rng(83)
         prob = random_problem(rng, 4)
         lam = 2.5
-        scaled = EvolutionProblem(HermitianOperator(lam * prob.hamiltonian.matrix), prob.initial_state)
+        scaled = EvolutionProblem(HermitianOperator(lam * dense(prob.hamiltonian)), prob.initial_state)
         s = 0.9  # same arc length must give the same point on the curve
         np.testing.assert_allclose(
             scaled.transported([s / scaled.speed])[0],
@@ -295,7 +294,7 @@ class TestKrylovEvolution:
     def test_matches_propagator_on_random_problems(self, dim):
         rng = np.random.default_rng(dim)
         prob = random_problem(rng, dim)
-        evals = np.linalg.eigvalsh(prob.hamiltonian.matrix)
+        evals = np.linalg.eigvalsh(dense(prob.hamiltonian))
         # at t_full the spectral half-width times t is dim: the Krylov basis
         # must grow to (nearly) the whole space
         t_full = dim / (0.5 * (evals[-1] - evals[0]))
@@ -314,7 +313,7 @@ class TestKrylovEvolution:
     def test_two_level_superposition(self):
         rng = np.random.default_rng(89)
         ham = random_hermitian(rng, 64)
-        evals, evecs = np.linalg.eigh(ham.matrix)
+        evals, evecs = np.linalg.eigh(dense(ham))
         i, j, phi = 5, 40, 0.8
         prob = EvolutionProblem(ham, StateVector((evecs[:, i] + np.exp(1j * phi) * evecs[:, j]) / np.sqrt(2)))
         for t in (0.0, 0.3, 7.0, 50.0):
@@ -411,7 +410,7 @@ class TestKrylovEvolution:
     def test_scaled_hamiltonian_at_rescaled_time(self, scale):
         rng = np.random.default_rng(101)
         prob = random_problem(rng, 64)
-        scaled = EvolutionProblem(HermitianOperator(scale * prob.hamiltonian.matrix), prob.initial_state)
+        scaled = EvolutionProblem(HermitianOperator(scale * dense(prob.hamiltonian)), prob.initial_state)
         for t in (0.2, 3.0):
             np.testing.assert_allclose(
                 scaled.evolve([t / scale])[0], prob.evolve([t])[0], rtol=0, atol=1e-12

@@ -16,10 +16,9 @@ from qucurve import (
     curvature_torsion_geometric,
     torsion_from_moments,
 )
-from qucurve.hilbert import PAULI
 from qucurve.models import single_qubit
 
-from conftest import pauli_sum, random_problem, random_state
+from conftest import dense, pauli_sum, random_problem, random_state
 
 
 def geometric_at(problem, s):
@@ -257,10 +256,10 @@ def test_pauli_backing_matches_dense_backing(n):
     rng = np.random.default_rng(n)
     words = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(2 * n)]
     pauli = pauli_sum(zip(rng.normal(size=2 * n), words))
-    dense = HermitianOperator(pauli.matrix)
+    dense_op = HermitianOperator(dense(pauli))
     state = random_state(rng, 2**n)
     got, want = [], []
-    for op, out in ((pauli, got), (dense, want)):
+    for op, out in ((pauli, got), (dense_op, want)):
         mom = central_moments(op, state)
         prob = EvolutionProblem(op, state)
         out.append([curvature_from_moments(mom), torsion_from_moments(mom)])

@@ -35,7 +35,7 @@ from qucurve import (
     xi_state,
 )
 
-from conftest import pauli_sum
+from conftest import dense, pauli_sum
 
 
 def random_bloch(rng):
@@ -179,15 +179,15 @@ class TestStateFactories:
 class TestHamiltonianFactories:
     def test_single_qubit_matrices(self):
         np.testing.assert_allclose(
-            single_qubit([0, 0, 1]).matrix, np.diag([1.0, -1.0]), atol=1e-15
+            dense(single_qubit([0, 0, 1])), np.diag([1.0, -1.0]), atol=1e-15
         )
         np.testing.assert_allclose(
-            single_qubit([1, 0, 0], m0=2.0).matrix, [[2, 1], [1, 2]], atol=1e-15
+            dense(single_qubit([1, 0, 0], m0=2.0)), [[2, 1], [1, 2]], atol=1e-15
         )
 
     def test_two_qubit_nonlocal_matrix(self):
         # XX flips both bits, ZZ weighs their parity
-        got = two_qubit_nonlocal(1.0, 1.0, 0.0, 0.0).matrix
+        got = dense(two_qubit_nonlocal(1.0, 1.0, 0.0, 0.0))
         expected = np.array(
             [[1, 0, 0, 1], [0, -1, 1, 0], [0, 1, -1, 0], [1, 0, 0, 1]], dtype=complex
         )
@@ -198,10 +198,10 @@ class TestHamiltonianFactories:
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         eye = np.eye(2)
         np.testing.assert_allclose(
-            two_qubit_local(1.0, 0.0, 0.0, 0.0).matrix, np.kron(eye, x), atol=1e-15
+            dense(two_qubit_local(1.0, 0.0, 0.0, 0.0)), np.kron(eye, x), atol=1e-15
         )
         np.testing.assert_allclose(
-            two_qubit_local(0.0, 1.0, 0.0, 0.0).matrix, np.kron(x, eye), atol=1e-15
+            dense(two_qubit_local(0.0, 1.0, 0.0, 0.0)), np.kron(x, eye), atol=1e-15
         )
 
     def test_heisenberg3_matrix(self):
@@ -217,7 +217,7 @@ class TestHamiltonianFactories:
             expected[i, j] = expected[j, i] = jx - jy
         for i, j in ((1, 2), (1, 4), (2, 4), (3, 5), (3, 6), (5, 6)):
             expected[i, j] = expected[j, i] = jx + jy
-        np.testing.assert_allclose(heisenberg3(jx, jy, jz, h).matrix, expected, atol=1e-13)
+        np.testing.assert_allclose(dense(heisenberg3(jx, jy, jz, h)), expected, atol=1e-13)
 
 
 def _bits(x) -> bytes:
@@ -284,6 +284,8 @@ class TestBuilderCouplingChecks:
             (1j, "coefficient must be a real number, got 1j"),
             (1 + 0j, r"coefficient must be a real number, got \(1\+0j\)"),
             ("0.5", "coefficient must be a real number, got '0.5'"),
+            (True, "coefficient must be a real number, got True"),
+            (10**400, "coefficient must be finite, got 10{400}"),
         ],
     )
     def test_rejects(self, builder, coupling, message):
@@ -299,6 +301,24 @@ class TestCoefficientFormulas:
         assert local_product_coefficients(1, 1, 0, 0) == pytest.approx((1.0, 1.0))
         assert heisenberg_ghz_coefficients(1, 0, 0, 0) == pytest.approx((4 / 3, 0.0))
         assert heisenberg_w_coefficients(2, 1, 0, 0) == pytest.approx((12.0, 0.0))
+
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            nonlocal_product_coefficients,
+            nonlocal_bell_coefficients,
+            local_bell_coefficients,
+            local_product_coefficients,
+            heisenberg_ghz_coefficients,
+            heisenberg_w_coefficients,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_refuses_a_non_finite_coupling(self, closed_form, bad):
+        # nonlocal_bell gave (0.0, 0.0) at m3 = inf, the others NaN or inf
+        with pytest.raises(ValueError, match=f"^coefficient must be finite, got {bad}$"):
+            closed_form(0.7, 0.4, bad, 0.9)
 
     @staticmethod
     def _pipeline(ham, state):

@@ -11,9 +11,8 @@ from qucurve import (
     torsion_from_moments,
     xi_state,
 )
-from qucurve.hilbert import PAULI
 
-from conftest import pauli_sum, random_hermitian, random_state
+from conftest import PAULI, dense, pauli_sum, random_hermitian, random_state
 
 SIGMA_Z = HermitianOperator(PAULI["Z"])
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
@@ -45,7 +44,7 @@ class TestCentralMoments:
             ham = random_hermitian(rng, dim)
             psi = random_state(rng, dim)
             m = central_moments(ham, psi)
-            evals, evecs = np.linalg.eigh(ham.matrix)
+            evals, evecs = np.linalg.eigh(dense(ham))
             weights = np.abs(evecs.conj().T @ psi.amplitudes) ** 2
             mean = weights @ evals
             centered = evals - mean
@@ -125,7 +124,7 @@ class TestInvariances:
         ham = random_hermitian(rng, 4)
         psi = random_state(rng, 4)
         base = central_moments(ham, psi)
-        shifted = central_moments(HermitianOperator(ham.matrix + 2.9 * np.eye(4)), psi)
+        shifted = central_moments(HermitianOperator(dense(ham) + 2.9 * np.eye(4)), psi)
         assert shifted.mean == pytest.approx(base.mean + 2.9, rel=1e-12)
         assert shifted.mu2 == pytest.approx(base.mu2, rel=1e-10)
         assert shifted.mu3 == pytest.approx(base.mu3, rel=1e-9, abs=1e-10)
@@ -137,7 +136,7 @@ class TestInvariances:
         psi = random_state(rng, 5)
         lam = 1.8
         base = central_moments(ham, psi)
-        scaled = central_moments(HermitianOperator(lam * ham.matrix), psi)
+        scaled = central_moments(HermitianOperator(lam * dense(ham)), psi)
         assert scaled.mu2 == pytest.approx(lam**2 * base.mu2, rel=1e-12)
         assert scaled.mu3 == pytest.approx(lam**3 * base.mu3, rel=1e-12)
         assert scaled.mu4 == pytest.approx(lam**4 * base.mu4, rel=1e-12)
@@ -150,7 +149,7 @@ class TestInvariances:
         ham = random_hermitian(rng, 6)
         psi = random_state(rng, 6)
         base = central_moments(ham, psi)
-        moved = central_moments(HermitianOperator(-0.7 * ham.matrix + 4.2 * np.eye(6)), psi)
+        moved = central_moments(HermitianOperator(-0.7 * dense(ham) + 4.2 * np.eye(6)), psi)
         assert curvature_from_moments(moved) == pytest.approx(
             curvature_from_moments(base), rel=1e-10
         )

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +19,11 @@ from qucurve import (
     torsion_from_moments,
 )
 from qucurve.reporting import build_report
-from qucurve.hilbert import PAULI, HermitianOperator
+from qucurve.hilbert import HermitianOperator
 from qucurve.models import single_qubit
 from qucurve.oracles import _min_geodesic_deviation
 
-from conftest import load_demo, random_problem
+from conftest import PAULI, load_demo, random_problem
 
 classical_frenet_serret = load_demo("06_classical_correspondence").classical_frenet_serret
 
@@ -248,6 +250,14 @@ class TestGridChecks:
         # one distinct step fits C dt^4 exactly through any value, so the 5% misfit gate could never fire
         with pytest.raises(ValueError, match="two distinct positive steps"):
             fit_coefficients(crossed_fields_problem, (3e-3, 3e-3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_step_rejected(self, crossed_fields_problem, bad):
+        # refused before the coarse-step warning, not later as non-finite evolution phases
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^dt_grid must contain at least two distinct positive steps, all finite$"):
+                fit_coefficients(crossed_fields_problem, (1e-3, bad))
 
     def test_step_below_floor_rejected(self, crossed_fields_problem):
         # dt v = 1.4e-9: every deviation lies under the rounding floor, so a

@@ -24,7 +24,6 @@ PUBLIC_NAMES = [
     "MAX_QUBITS",
     "MomentSet",
     "NumericalError",
-    "PAULI",
     "ProblemSpec",
     "QuantumFrame",
     "SpecError",

@@ -25,7 +25,7 @@ from qucurve import (
     torsion_from_moments,
 )
 
-from conftest import random_hermitian, random_state
+from conftest import dense, random_hermitian, random_state
 
 REL, ABS = 1e-9, 1e-10
 
@@ -69,7 +69,7 @@ def test_global_phase(seed, dim, s, phase):
 @given(seed=seeds, dim=dims, s=arc_lengths, shift=st.floats(min_value=-10.0, max_value=10.0))
 def test_energy_shift(seed, dim, s, shift):
     _, ham, state = _draw(seed, dim)
-    shifted = HermitianOperator(ham.matrix + shift * np.eye(dim))
+    shifted = HermitianOperator(dense(ham) + shift * np.eye(dim))
     _assert_same_geometry(_geometry(ham, state, s), _geometry(shifted, state, s))
 
 
@@ -77,7 +77,7 @@ def test_energy_shift(seed, dim, s, shift):
 @given(seed=seeds, dim=dims, s=arc_lengths, log_c=st.floats(min_value=-6.0, max_value=6.0))
 def test_hamiltonian_scaling(seed, dim, s, log_c):
     _, ham, state = _draw(seed, dim)
-    scaled = HermitianOperator(10.0**log_c * ham.matrix)
+    scaled = HermitianOperator(10.0**log_c * dense(ham))
     _assert_same_geometry(_geometry(ham, state, s), _geometry(scaled, state, s))
 
 
@@ -87,7 +87,7 @@ def test_unitary_conjugation(seed, dim, s):
     rng, ham, state = _draw(seed, dim)
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     u = np.linalg.qr(z)[0]
-    conjugated = HermitianOperator(u @ ham.matrix @ u.conj().T)
+    conjugated = HermitianOperator(u @ dense(ham) @ u.conj().T)
     moved = StateVector(u @ state.amplitudes)
     _assert_same_geometry(_geometry(ham, state, s), _geometry(conjugated, moved, s))
 
@@ -97,7 +97,7 @@ def test_unitary_conjugation(seed, dim, s):
 def test_time_rescaling(seed, dim, t, log_c):
     _, ham, state = _draw(seed, dim)
     c = 10.0**log_c
-    scaled = EvolutionProblem(HermitianOperator(c * ham.matrix), state)
+    scaled = EvolutionProblem(HermitianOperator(c * dense(ham)), state)
     np.testing.assert_allclose(
         scaled.evolve([t / c])[0],
         EvolutionProblem(ham, state).evolve([t])[0],

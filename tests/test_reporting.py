@@ -17,10 +17,10 @@ from qucurve import (
     xi_state,
 )
 from qucurve.config import parse_problem_spec
-from qucurve.hilbert import PAULI, HermitianOperator
+from qucurve.hilbert import HermitianOperator
 from qucurve.models import single_qubit
 
-from conftest import pauli_sum, random_hermitian, random_state
+from conftest import PAULI, dense, pauli_sum, random_hermitian, random_state
 
 SIGMA_Z = HermitianOperator(PAULI["Z"])
 PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
@@ -134,7 +134,7 @@ class TestBuildReport:
         rng = np.random.default_rng(103)
         ham, psi = random_hermitian(rng, 16), random_state(rng, 16)
         base = build_report(ham, psi)
-        rep = build_report(HermitianOperator(scale * ham.matrix), psi)
+        rep = build_report(HermitianOperator(scale * dense(ham)), psi)
         assert rep.speed == pytest.approx(scale * base.speed, rel=1e-12)
         assert rep.frame_present == base.frame_present
         assert rep.warnings == base.warnings
@@ -323,6 +323,13 @@ class TestTrajectoryRows:
         with pytest.raises(StationaryStateError):
             trajectory_rows(SIGMA_Z, StateVector([1, 0]), t_max=1.0, steps=5)
 
+    @pytest.mark.parametrize("steps", [5.0, 2.5, True])
+    def test_steps_must_be_an_integer(self, steps):
+        # refused before returning, not when the rows are read
+        with pytest.raises(ValueError, match=rf"^steps must be an integer >= 2, got {steps!r}$"):
+            trajectory_rows(SIGMA_Z, PLUS, t_max=1.0, steps=steps)
+        assert len(list(trajectory_rows(SIGMA_Z, PLUS, t_max=1.0, steps=np.int64(3))[1])) == 3
+
     def test_rows_are_deterministic(self):
         (header_a, a), (header_b, b) = (trajectory_rows(SIGMA_Z, PLUS, t_max=3.0, steps=7) for _ in range(2))
         assert header_a == header_b and list(a) == list(b)
@@ -347,12 +354,12 @@ class TestSweepRow:
 
 
 class TestPauliPathIsMatrixFree:
-    """An n = 12 Ising chain through every report path with ``matrix`` disabled."""
+    """An n = 12 Ising chain through every report path; the operator has no dense view."""
 
     N = 12
 
     @pytest.fixture
-    def chain(self, monkeypatch):
+    def chain(self):
         rng = np.random.default_rng(12)
         n = self.N
         zz, hx = rng.uniform(0.5, 1.5, n - 1), rng.uniform(0.5, 1.5, n)
@@ -364,11 +371,6 @@ class TestPauliPathIsMatrixFree:
             "hamiltonian": {"pauli_terms": terms},
             "state": {"amplitudes": [[a.real, a.imag] for a in psi]},
         }
-
-        def no_dense(op):
-            raise AssertionError("dense matrix built on the Pauli path")
-
-        monkeypatch.setattr(HermitianOperator, "matrix", property(no_dense))
         ham, state = parse_problem_spec(doc).build()
         return ham, state, self._reference(zz, hx, state.amplitudes)
 
@@ -404,6 +406,9 @@ class TestPauliPathIsMatrixFree:
             "fidelity": abs(np.vdot(psi, evolved)) ** 2,
             "eta": np.arccos(abs(np.vdot(psi, evolved))) / (np.sqrt(mu2) * t),
         }
+
+    def test_operator_has_no_matrix(self):
+        assert not hasattr(HermitianOperator, "matrix")
 
     def test_report(self, chain):
         ham, state, ref = chain
