@@ -922,6 +922,10 @@ DENSE_AMPLITUDES = {
 # a six-qubit Ising chain (d = 64) with fields on a seeded random state: its
 # Krylov space is larger than the smallest Lanczos basis, unlike d <= 8
 ISING_N6 = json.loads((FIXTURES / "problem_ising_n6.json").read_text())
+# a ten-qubit chain (d = 1024) with ZZ, X, Z and YY terms on a seeded random
+# state: the largest input of the benchmark's report form, pauli_terms plus
+# amplitudes
+ISING_N10 = json.loads((FIXTURES / "problem_ising_n10.json").read_text())
 TWO_QUBIT_COUPLINGS = {"m1": 0.7, "m2": 0.4, "m3": -0.3, "m4": 0.9}
 TWO_QUBIT_NONLOCAL = {
     "hamiltonian": {"family": "two_qubit_nonlocal", "couplings": TWO_QUBIT_COUPLINGS},
@@ -943,6 +947,7 @@ class TestGoldenOutputs:
             ("family_named", FAMILY_NAMED),
             ("dense_amplitudes", DENSE_AMPLITUDES),
             ("ising_n6", ISING_N6),
+            ("ising_n10", ISING_N10),
             ("two_qubit_nonlocal", TWO_QUBIT_NONLOCAL),
             ("two_qubit_local", TWO_QUBIT_LOCAL),
         ],
