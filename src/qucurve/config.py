@@ -40,7 +40,7 @@ from itertools import chain
 import numpy as np
 
 from . import models
-from .hilbert import MAX_QUBITS, HermitianOperator, StateVector, _encode_word, _pauli_sum
+from .hilbert import MAX_QUBITS, HermitianOperator, StateVector, _pauli_terms
 
 __all__ = ["MAX_DENSE_DIM", "SpecError", "ProblemSpec", "load_problem_spec", "parse_problem_spec"]
 
@@ -82,7 +82,7 @@ class ProblemSpec:
     def build(self) -> tuple[HermitianOperator, StateVector]:
         data = self.hamiltonian_data
         if self.hamiltonian_form == "pauli_terms":
-            op = _pauli_sum(((c, _encode_word(word)) for c, word in data), 2 ** len(data[0][1]))
+            op = _pauli_terms(data)
         elif self.hamiltonian_form == "dense":
             try:
                 op = HermitianOperator(data)
@@ -182,22 +182,20 @@ def _parse_options(raw) -> dict:
 
 def _complex_pairs(cells: list, pointer: str) -> np.ndarray:
     """Complex vector of [re, im] pairs, bit-exact (signed zeros too); a failure names the first bad pair."""
+    valid = all(issubclass(t, list) for t in set(map(type, cells))) and set(map(len, cells)) == {2}
+    flat = list(chain.from_iterable(cells)) if valid else []
+    valid = valid and all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, flat)))
     try:
-        pairs = np.array(cells, dtype=float)
-        types = set(map(type, chain.from_iterable(cells)))
-        valid = (
-            pairs.shape == (len(cells), 2)
-            and all(issubclass(t, (int, float)) and t is not bool for t in types)
-            and bool(np.isfinite(pairs).all())
-        )
-    except (TypeError, ValueError, OverflowError):
+        pairs = np.array(flat if valid else [], dtype=float)
+        valid = valid and bool(np.isfinite(pairs).all())
+    except OverflowError:  # an integer beyond float range
         valid = False
     if not valid:
         k = next(
             k for k, c in enumerate(cells) if not (isinstance(c, list) and len(c) == 2 and all(map(_is_number, c)))
         )
         raise SpecError(f"{pointer}[{k}]", "must be an [re, im] pair of finite numbers")
-    return pairs.view(complex)[:, 0]
+    return pairs.view(complex)
 
 
 def _parse_hamiltonian(form: str, ham: dict):
@@ -213,7 +211,7 @@ def _parse_hamiltonian(form: str, ham: dict):
             coeff, word = entry["coeff"], entry["word"]
             if not _is_number(coeff):
                 raise SpecError(f"{at}.coeff", "must be a finite number")
-            if not isinstance(word, str) or not word or any(c not in "IXYZ" for c in word):
+            if not isinstance(word, str) or not word or not set(word) <= {"I", "X", "Y", "Z"}:
                 raise SpecError(f"{at}.word", f"must be a string over I,X,Y,Z, got {word!r}")
             if len(word) > MAX_QUBITS:
                 raise SpecError(f"{at}.word", f"has {len(word)} letters, more than {MAX_QUBITS}")

@@ -104,16 +104,12 @@ class EvolutionProblem:
 
         # Lanczos state: basis rows v_0..v_{m-1}, diagonal alpha_0..alpha_{m-1},
         # off-diagonal beta_0..beta_{m-1} (beta_{m-1} is the norm of the
-        # pending residual, which becomes v_m).
+        # pending residual, which becomes v_m).  A plain report reads none of
+        # it: the first ``_grow`` starts it from the moment pass's (H - E) psi_0,
+        # kept as the residual until then.
         self._breakdown = _BREAKDOWN_TOL * np.sqrt(hamiltonian.frobenius_sq)
-        self._basis = np.empty((min(self.dim, _KRYLOV_MIN_DIM), self.dim), dtype=complex)
-        self._basis[0] = psi
-        alpha0 = float(np.vdot(psi, centered).real)
-        residual = centered - alpha0 * psi
-        residual -= psi * np.vdot(psi, residual)
-        self._alpha = [alpha0]
-        self._beta = [float(np.linalg.norm(residual))]
-        self._residual = residual
+        self._basis = np.empty((0, self.dim), dtype=complex)
+        self._alpha, self._beta, self._residual = [], [], centered
         self._spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._rotated: np.ndarray | None = None  # U^T V_m^T of the last settle size m
 
@@ -137,6 +133,12 @@ class EvolutionProblem:
             grown = np.empty((target, self.dim), dtype=complex)
             grown[: len(self._alpha)] = self._basis[: len(self._alpha)]
             self._basis = grown
+        if not self._alpha:  # v_0 = psi_0, and the residual is (H - E) psi_0
+            psi = self._basis[0] = self.initial_state.amplitudes
+            alpha0 = float(np.vdot(psi, self._residual).real)
+            residual = self._residual - alpha0 * psi
+            residual -= psi * np.vdot(psi, residual)
+            self._alpha, self._beta, self._residual = [alpha0], [float(np.linalg.norm(residual))], residual
         while len(self._alpha) < target and not self._complete(len(self._alpha)):
             m = len(self._alpha)
             v = self._residual / self._beta[-1]

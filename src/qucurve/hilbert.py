@@ -5,12 +5,16 @@ operator is backed either by a dense matrix or, when assembled from Pauli
 words by ``_pauli_sum`` (a ``pauli_terms`` document or a model family), by
 the words' signed permutations grouped by their bit-flip masks; the second
 backing applies H to a vector in O(d) per group and never stores a d x d
-matrix, so Pauli sums reach MAX_QUBITS qubits.  The frame and the oracle
-fits share one projection off unit vectors, ``_project_off``.
+matrix, so Pauli sums reach MAX_QUBITS qubits.  The words of one operator
+share one index row np.arange(d): a word with Z or Y letters computes its
+d signs from it, and a word without them adds its coefficient to its
+group's diagonal as a scalar.  The frame and the oracle fits share one
+projection off unit vectors, ``_project_off``.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 
@@ -138,6 +142,9 @@ def _check_coefficient(c) -> None:
     if isinstance(c, bool) or not isinstance(c, numbers.Real):  # a complex weight breaks Hermiticity
         raise ValueError(f"coefficient must be a real number, got {c!r}")
     if not abs(c) <= sys.float_info.max:  # NaN, inf, and an int beyond float range
+        if isinstance(c, int):  # counted, not printed: repr refuses more than 4,300 digits
+            k = int(abs(c).bit_length() * math.log10(2)) + 1  # |c| has k or k - 1 digits
+            raise ValueError(f"coefficient must be finite, got an integer of {k - (10 ** (k - 1) > abs(c))} digits")
         raise ValueError(f"coefficient must be finite, got {c!r}")
 
 
@@ -164,27 +171,41 @@ def _project_off(vec: np.ndarray, *units: np.ndarray) -> np.ndarray:
     return r
 
 
-def _encode_word(word: str) -> tuple[int, np.ndarray]:
+_X_BITS, _Z_BITS = str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011")  # X, Y flip; Z, Y sign
+
+
+def _encode_word(word: str, index: np.ndarray) -> tuple[int, np.ndarray | int]:
     """A Pauli word as its bit-flip mask x and its signed row entries.
 
     The word maps each basis state to a signed basis state,
     P|j> = i^#Y (-1)^popcount(j & z) |j ^ x>, where x marks the X and Y
     letters and z the Z and Y letters (Aaronson and Gottesman, PRA 70,
     052328, 2004).  The leftmost letter owns the most significant bit.  Row j
-    of P holds one entry, in column j ^ x; the vector lists them by j.
+    of P holds one entry, in column j ^ x; listed by j = ``index``, the
+    operator's np.arange(d), they are i^#Y (-1)^popcount((j ^ x) & z).  A
+    word without Z or Y letters has the constant row 1, returned as that scalar.
     """
-    x = int(word.translate(str.maketrans("IXYZ", "0110")), 2)
-    z = int(word.translate(str.maketrans("IXYZ", "0011")), 2)
-    sign = np.where(np.bitwise_count((np.arange(2 ** len(word)) ^ x) & z) & 1, -1, 1)
-    return x, (1, 1j, -1, -1j)[word.count("Y") % 4] * sign
+    x = int(word.translate(_X_BITS), 2)
+    z = int(word.translate(_Z_BITS), 2)
+    if not z:
+        return x, 1
+    phase = (1, 1j, -1, -1j)[word.count("Y") % 4]
+    return x, np.where(np.bitwise_count((index ^ x) & z) & 1, -phase, phase)
 
 
-def _pauli_sum(weighted, dim: int) -> HermitianOperator:
-    """sum_k c_k P_k over pairs (c_k, ``_encode_word(P_k)``) of d x d words."""
-    groups: dict[int, np.ndarray] = {}  # x-mask -> summed diagonal, in order of first use
+def _pauli_sum(weighted, index: np.ndarray) -> HermitianOperator:
+    """sum_k c_k P_k over pairs (c_k, ``_encode_word(P_k, index)``) of d x d words."""
+    groups: dict[int, np.ndarray] = {}  # x-mask -> diagonal summed from zeros, in order of first use
     for c, (x, row) in weighted:
-        diag = groups.setdefault(x, np.zeros(dim, dtype=complex))
+        diag = groups.get(x)
+        if diag is None:
+            diag = groups[x] = np.zeros(len(index), dtype=complex)
         diag += c * row
-    perms = np.arange(dim) ^ np.array(list(groups), dtype=np.int64).reshape(-1, 1)
-    diags = np.array(list(groups.values())).reshape(len(groups), dim)
-    return HermitianOperator._from_pauli_groups(perms, diags)
+    perms = index ^ np.array(list(groups), dtype=np.int64)[:, None]
+    return HermitianOperator._from_pauli_groups(perms, np.array(list(groups.values())))
+
+
+def _pauli_terms(terms) -> HermitianOperator:
+    """sum_k c_k P_k over (c_k, P_k) pairs, Pauli words of one length, each encoded as it is summed."""
+    index = np.arange(2 ** len(terms[0][1]))
+    return _pauli_sum(((c, _encode_word(word, index)) for c, word in terms), index)

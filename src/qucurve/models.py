@@ -195,19 +195,21 @@ _FAMILY_WORDS = {
 }
 
 
-# Each family's words encoded once per process, with the index of the
-# coupling that weights each: a build only sums couplings times rows.
-_FAMILY_ROWS = {
-    family: [(k, _encode_word(word)) for k, group in enumerate(words.values()) for word in group]
-    for family, words in _FAMILY_WORDS.items()
-}
+def _encode_family(words: dict) -> tuple[np.ndarray, list]:
+    """np.arange(d) and each word encoded over it, with the index of the coupling that weights it."""
+    index = np.arange(2 ** len(next(iter(words.values()))[0]))
+    return index, [(k, _encode_word(word, index)) for k, group in enumerate(words.values()) for word in group]
+
+
+# Each family's words encoded once per process: a build only sums couplings
+# times rows.
+_FAMILY_ROWS = {family: _encode_family(words) for family, words in _FAMILY_WORDS.items()}
 
 
 def _family_operator(family: str, couplings) -> HermitianOperator:
     """The Pauli sum of ``family`` with checked ``couplings`` in the table's order."""
-    rows = _FAMILY_ROWS[family]
-    dim = len(rows[0][1][1])  # a word's row has one entry per basis state
-    return _pauli_sum([(couplings[k], encoded) for k, encoded in rows], dim)
+    index, rows = _FAMILY_ROWS[family]
+    return _pauli_sum([(couplings[k], encoded) for k, encoded in rows], index)
 
 
 def _check_couplings(*couplings) -> None:

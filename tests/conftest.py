@@ -76,6 +76,28 @@ def kron_word(word):
     return m
 
 
+def reference_pauli_groups(terms):
+    """The (perms, diags) backing of sum_k c_k P_k over (c_k, word_k) pairs, each word encoded on its own.
+
+    Word by word: its flip mask x and sign mask z, a fresh np.arange(d), the
+    signs (-1)^popcount((j ^ x) & z) times i^#Y, and the coefficient times
+    that row added to the diagonal of the word's x group, which starts at
+    zeros on the group's first word.  The library's Pauli build must give
+    these arrays byte for byte.
+    """
+    dim = 2 ** len(terms[0][1])
+    groups = {}
+    for c, word in terms:
+        x = int(word.translate(str.maketrans("IXYZ", "0110")), 2)
+        z = int(word.translate(str.maketrans("IXYZ", "0011")), 2)
+        sign = np.where(np.bitwise_count((np.arange(dim) ^ x) & z) & 1, -1, 1)
+        diag = groups.setdefault(x, np.zeros(dim, dtype=complex))
+        diag += c * ((1, 1j, -1, -1j)[word.count("Y") % 4] * sign)
+    perms = np.arange(dim) ^ np.array(list(groups), dtype=np.int64).reshape(-1, 1)
+    diags = np.array(list(groups.values())).reshape(len(groups), dim)
+    return perms, diags
+
+
 @pytest.fixture
 def crossed_fields_problem():
     """H = XZ + ZX on |00>: every frame quantity has a known closed form."""

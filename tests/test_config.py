@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qucurve import MAX_DENSE_DIM, MAX_QUBITS, ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
+from qucurve.cli import main
 
 from conftest import MALFORMED_FILES, dense, kron_word
 
@@ -352,6 +353,33 @@ def test_malformed_document_message(doc, message):
     with pytest.raises(SpecError) as info:
         parse_problem_spec(doc).build()
     assert str(info.value) == message
+
+
+# Cells, as JSON text, that a parse of the flattened pairs could mishandle.
+BAD_CELLS = {
+    "numeric-string": '["1.5", 0]',
+    "two-char-string": '"10"',
+    "two-key-object": '{"re": 1, "im": 0}',
+    "nested-pair": "[[1, 0], [0, 0]]",
+    "null": "null",
+    "bare-number": "1",
+    "infinity": "[Infinity, 0]",
+    "huge-integer": "[1" + "0" * 400 + ", 0]",
+}
+CELL_DOCS = {
+    "state.amplitudes[2]": '{"hamiltonian": {"pauli_terms": [{"coeff": 1.0, "word": "XZ"}]}, '
+    '"state": {"amplitudes": [[1, 0], [0, 0], CELL, [0, 0]]}}',
+    "hamiltonian.dense[1][1]": '{"hamiltonian": {"dense": [[[1, 0], [0, 0]], [[0, 0], CELL]]}, "state": {"named": "0"}}',
+}
+
+
+@pytest.mark.parametrize("pointer", CELL_DOCS)
+@pytest.mark.parametrize("cell", BAD_CELLS.values(), ids=BAD_CELLS)
+def test_malformed_cell_exits_2_naming_it(pointer, cell, tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(CELL_DOCS[pointer].replace("CELL", cell))
+    assert main(["report", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {pointer}: must be an [re, im] pair of finite numbers\n"
 
 
 class TestLoadFromFile:

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qucurve import HermitianOperator, StateVector
+from qucurve import HermitianOperator, StateVector, models
 from qucurve.hilbert import _project_off
 
-from conftest import PAULI, dense, kron_word, pauli_sum, random_hermitian, random_state
+from conftest import PAULI, dense, kron_word, pauli_sum, random_hermitian, random_state, reference_pauli_groups
 
 
 class TestStateVector:
@@ -189,6 +189,60 @@ def test_pauli_apply_matches_kron_sum(case):
     expected = np.vdot(reference, reference).real
     assert abs(op.frobenius_sq - expected) <= 1e-13 * expected
 
+
+
+def _same_bytes(build, terms):
+    # coefficients near the float limit overflow a group's sum to inf or NaN,
+    # in both builds alike
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = build()
+        perms, diags = reference_pauli_groups(terms)
+    assert op._perms.dtype == perms.dtype and op._perms.shape == perms.shape
+    assert op._diags.dtype == diags.dtype and op._diags.shape == diags.shape
+    assert op._perms.tobytes() == perms.tobytes()
+    assert op._diags.tobytes() == diags.tobytes()
+
+
+_coefficients = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -0.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _word_lists(draw):
+    """Words over IXYZ up to n = 8, with all-I words, Z-free words and words
+    that repeat an earlier word's x-mask (X <-> Y and I <-> Z keep it)."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    words = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(["any", "identity", "z-free", "same-mask"]))
+        if kind == "identity":
+            word = "I" * n
+        elif kind == "z-free":
+            word = draw(st.text(alphabet="IX", min_size=n, max_size=n))
+        elif kind == "same-mask" and words:
+            flips = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            swap = {"X": "Y", "Y": "X", "I": "Z", "Z": "I"}
+            word = "".join(swap[c] if f else c for c, f in zip(draw(st.sampled_from(words)), flips))
+        else:
+            word = draw(st.text(alphabet="IXYZ", min_size=n, max_size=n))
+        words.append(word)
+    return [(draw(_coefficients), word) for word in words]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(terms=_word_lists())
+def test_pauli_build_matches_per_word_reference_bytes(terms):
+    _same_bytes(lambda: pauli_sum(terms), terms)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(family=st.sampled_from(sorted(models._FAMILY_WORDS)), couplings=st.lists(_coefficients, min_size=4, max_size=4))
+def test_family_build_matches_per_word_reference_bytes(family, couplings):
+    groups = models._FAMILY_WORDS[family].values()
+    terms = [(c, word) for c, group in zip(couplings, groups) for word in group]
+    _same_bytes(lambda: models._family_operator(family, couplings), terms)
 
 
 class TestProjectOff:

@@ -285,7 +285,10 @@ class TestBuilderCouplingChecks:
             (1 + 0j, r"coefficient must be a real number, got \(1\+0j\)"),
             ("0.5", "coefficient must be a real number, got '0.5'"),
             (True, "coefficient must be a real number, got True"),
-            (10**400, "coefficient must be finite, got 10{400}"),
+            # an integer beyond float range is described by its digit count
+            (10**400, "coefficient must be finite, got an integer of 401 digits"),
+            pytest.param(-(10**400) + 1, "coefficient must be finite, got an integer of 400 digits", id="-1e400+1"),
+            pytest.param(10**5000, "coefficient must be finite, got an integer of 5001 digits", id="1e5000"),
         ],
     )
     def test_rejects(self, builder, coupling, message):

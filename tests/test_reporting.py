@@ -238,7 +238,7 @@ class TestOneMomentPass:
     @pytest.mark.parametrize("n", [None, 6, 10], ids=["dense-d4", "pauli-n6", "pauli-n10"])
     def test_report(self, n, applies, monkeypatch):
         # both routes are read at psi0: H psi and H (H - E) psi for the moments,
-        # H psi and H T for the projector route, and no Lanczos vector is grown
+        # H psi and H T for the projector route, and no Lanczos vector is started
         rng = np.random.default_rng(29)
         ham, psi = (random_hermitian(rng, 4), random_state(rng, 4)) if n is None else _ising_chain(rng, n)
         assert (ham._perms is None) == (n is None)  # dense matrix or Pauli groups
@@ -246,7 +246,7 @@ class TestOneMomentPass:
         build_report(ham, psi)
         assert applies[0] == 4
         assert len(problems) == 1
-        assert len(problems[0]._alpha) == 1
+        assert len(problems[0]._alpha) == 0 and len(problems[0]._basis) == 0
 
     def test_sweep_row(self, applies):
         ham = single_qubit([0.3, 0.0, 1.0])
