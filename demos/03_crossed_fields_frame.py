@@ -17,7 +17,6 @@ import numpy as np
 
 from qucurve import (
     EvolutionProblem,
-    StateVector,
     build_frame,
     central_moments,
     curvature_from_moments,
@@ -26,7 +25,7 @@ from qucurve import (
     two_qubit_nonlocal,
 )
 
-problem = EvolutionProblem(two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0), StateVector([1, 0, 0, 0]))
+problem = EvolutionProblem(two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0), [1, 0, 0, 0])
 
 # %%
 # Path one: central moments of the energy distribution.  The eigenvalues

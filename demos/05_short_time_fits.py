@@ -23,7 +23,6 @@ import numpy as np
 
 from qucurve import (
     EvolutionProblem,
-    StateVector,
     central_moments,
     curvature_from_moments,
     fit_coefficients,
@@ -32,7 +31,7 @@ from qucurve import (
     two_qubit_nonlocal,
 )
 
-problem = EvolutionProblem(two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0), StateVector([1, 0, 0, 0]))
+problem = EvolutionProblem(two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0), [1, 0, 0, 0])
 mom = central_moments(problem.hamiltonian, problem.initial_state)
 speed = float(np.sqrt(mom.mu2))
 mu2_sq = mom.mu2**2
@@ -80,7 +79,7 @@ for base in (4e-2, 2e-2, 1e-2, 5e-3):
 # curvature, but the plane fit collapses to numerical zero because a
 # two-level curve never leaves the plane of its own great circle.
 
-qubit = EvolutionProblem(single_qubit([0.6, 0.0, 0.8]), StateVector([1, 0]))
+qubit = EvolutionProblem(single_qubit([0.6, 0.0, 0.8]), [1, 0])
 qmom = central_moments(qubit.hamiltonian, qubit.initial_state)
 qfit, qtfit = fit_coefficients(qubit)
 print("\nsingle qubit (planar)")

@@ -40,7 +40,7 @@ from itertools import chain
 import numpy as np
 
 from . import models
-from .hilbert import MAX_QUBITS, HermitianOperator, StateVector, _pauli_terms
+from .hilbert import MAX_QUBITS, HermitianOperator, _pauli_sum, _unit_state
 
 __all__ = ["MAX_DENSE_DIM", "SpecError", "ProblemSpec", "load_problem_spec", "parse_problem_spec"]
 
@@ -76,13 +76,14 @@ class ProblemSpec:
     hamiltonian_form: str  # "pauli_terms" | "dense" | "family"
     hamiltonian_data: object  # [(coeff, word)] | complex (d, d) array | {"family": name, "couplings": {...}}
     state_form: str  # "amplitudes" | "named"
-    state_data: object  # complex (d,) array | (kind, args)
+    state_data: object  # read-only complex (d,) array | (kind, args)
     options: dict = field(default_factory=dict)
 
-    def build(self) -> tuple[HermitianOperator, StateVector]:
+    def build(self) -> tuple[HermitianOperator, np.ndarray]:
+        """H and the amplitudes of psi0; an ``amplitudes`` state is ``state_data`` itself, not a copy."""
         data = self.hamiltonian_data
         if self.hamiltonian_form == "pauli_terms":
-            op = _pauli_terms(data)
+            op = _pauli_sum(data)
         elif self.hamiltonian_form == "dense":
             try:
                 op = HermitianOperator(data)
@@ -92,10 +93,8 @@ class ProblemSpec:
             fam = data["family"]
             op = models._family_operator(fam, [data["couplings"][k] for k in models._FAMILY_WORDS[fam]])
         state = _build_state(self.state_form, self.state_data, op.dim)
-        if state.dim != op.dim:
-            raise SpecError(
-                "state", f"state dimension {state.dim} does not match hamiltonian dimension {op.dim}"
-            )
+        if len(state) != op.dim:
+            raise SpecError("state", f"state dimension {len(state)} does not match hamiltonian dimension {op.dim}")
         return op, state
 
     def with_parameter(self, name: str, value: float) -> "ProblemSpec":
@@ -254,7 +253,9 @@ def _parse_state(form: str, data):
             raise SpecError("state.amplitudes", "must be a list of >= 2 [re, im] pairs")
         if len(data) > 2**MAX_QUBITS:
             raise SpecError("state.amplitudes", f"has {len(data)} entries, more than {2**MAX_QUBITS}")
-        return _complex_pairs(data, "state.amplitudes")
+        amps = _complex_pairs(data, "state.amplitudes")
+        amps.setflags(write=False)  # so the built state is this array, the one copy of psi0
+        return amps
     if not isinstance(data, str) or not data:
         raise SpecError("state.named", "must be a nonempty string")
     if data in ("ghz", "w"):
@@ -289,10 +290,10 @@ def _check_xi(kind: str, args: tuple):
         raise SpecError("state.named", f"xi must lie in [0, 1], got {args[0]}")
 
 
-def _build_state(form: str, data, dim: int) -> StateVector:
+def _build_state(form: str, data, dim: int) -> np.ndarray:
     if form == "amplitudes":
         try:
-            return StateVector(data)
+            return _unit_state(data)
         except ValueError as exc:
             raise SpecError("state.amplitudes", str(exc)) from exc
     kind, args = data
@@ -304,7 +305,7 @@ def _build_state(form: str, data, dim: int) -> StateVector:
             raise SpecError("state.named", f"basis string {word!r} implies dimension {2**len(word)}, hamiltonian has {dim}")
         amps = np.zeros(dim, dtype=complex)
         amps[int(word, 2)] = 1.0
-        return StateVector(amps)
+        return _unit_state(amps)
     if kind == "bell":
         return models.bell_state(args[0])
     return models.ghz_state() if kind == "ghz" else models.w_state()

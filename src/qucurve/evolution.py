@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .hilbert import _NORM_TOL, HermitianOperator, StateVector
+from .hilbert import _NORM_TOL, HermitianOperator, _unit_state
 from .moments import NumericalError, _moment_pass
 
 __all__ = ["EvolutionProblem"]
@@ -78,26 +78,26 @@ class EvolutionProblem:
     Parameters
     ----------
     hamiltonian : HermitianOperator
-    initial_state : StateVector
+    initial_state : array_like
+        The amplitudes of psi_0, of unit norm within 1e-12.  They are kept
+        as ``initial_state``, a read-only array: a writable input is copied.
 
     Raises
     ------
     ValueError
-        On dimension mismatch between operator and state.
+        On amplitudes that are not a unit vector with d >= 2, or a dimension
+        mismatch between operator and state.
     StationaryStateError
         If the initial state is an eigenstate of the Hamiltonian.
     """
 
-    def __init__(self, hamiltonian: HermitianOperator, initial_state: StateVector):
-        if hamiltonian.dim != initial_state.dim:
-            raise ValueError(
-                f"dimension mismatch: hamiltonian {hamiltonian.dim}, "
-                f"state {initial_state.dim}"
-            )
+    def __init__(self, hamiltonian: HermitianOperator, initial_state):
+        psi = _unit_state(initial_state)
+        if hamiltonian.dim != len(psi):
+            raise ValueError(f"dimension mismatch: hamiltonian {hamiltonian.dim}, state {len(psi)}")
         self.hamiltonian = hamiltonian
-        self.initial_state = initial_state
+        self.initial_state = psi
 
-        psi = initial_state.amplitudes
         self.moments, centered = _moment_pass(hamiltonian, psi)
         self.energy = self.moments.mean
         self.speed = float(np.sqrt(self.moments.mu2))
@@ -134,7 +134,7 @@ class EvolutionProblem:
             grown[: len(self._alpha)] = self._basis[: len(self._alpha)]
             self._basis = grown
         if not self._alpha:  # v_0 = psi_0, and the residual is (H - E) psi_0
-            psi = self._basis[0] = self.initial_state.amplitudes
+            psi = self._basis[0] = self.initial_state
             alpha0 = float(np.vdot(psi, self._residual).real)
             residual = self._residual - alpha0 * psi
             residual -= psi * np.vdot(psi, residual)

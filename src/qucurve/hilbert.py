@@ -1,6 +1,7 @@
 """Finite-dimensional Hilbert space primitives.
 
-States are unit vectors in C^d and observables are Hermitian operators.  An
+A state is its amplitudes: ``_unit_state`` checks them once and returns a
+read-only unit vector in C^d.  Observables are Hermitian operators.  An
 operator is backed either by a dense matrix or, when assembled from Pauli
 words by ``_pauli_sum`` (a ``pauli_terms`` document or a model family), by
 the words' signed permutations grouped by their bit-flip masks; the second
@@ -22,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "MAX_QUBITS",
-    "StateVector",
     "HermitianOperator",
 ]
 
@@ -33,51 +33,6 @@ MAX_QUBITS = 20
 
 _NORM_TOL = 1e-12
 _HERM_TOL = 1e-12
-
-
-class StateVector:
-    """A pure state: unit-norm complex vector.
-
-    Parameters
-    ----------
-    amplitudes : array_like
-        Complex amplitudes; must have unit Euclidean norm within 1e-12.
-
-    Raises
-    ------
-    ValueError
-        If the input is not a 1-d vector of unit norm with d >= 2.
-    """
-
-    __slots__ = ("amplitudes",)
-
-    def __init__(self, amplitudes):
-        a = np.asarray(amplitudes, dtype=complex)
-        if a.ndim != 1 or a.shape[0] < 2:
-            raise ValueError(f"state must be a 1-d vector with d >= 2, got shape {a.shape}")
-        nrm = np.linalg.norm(a)
-        if not abs(nrm - 1.0) <= _NORM_TOL:  # also rejects NaN
-            raise ValueError(f"state norm {float(nrm)!r} deviates from 1 by more than {_NORM_TOL:.0e}")
-        a = a.copy()
-        a.setflags(write=False)
-        object.__setattr__(self, "amplitudes", a)
-
-    def __setattr__(self, name, value):  # immutable
-        raise AttributeError("StateVector is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def inner(self, other: "StateVector") -> complex:
-        """Hermitian inner product <self|other>."""
-        return complex(np.vdot(self.amplitudes, _as_vector(other)))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.amplitudes, dtype=dtype or complex)
-
-    def __repr__(self):
-        return f"StateVector(dim={self.dim})"
 
 
 class HermitianOperator:
@@ -126,7 +81,7 @@ class HermitianOperator:
 
     def apply(self, vec) -> np.ndarray:
         """M @ v for one vector v of d amplitudes, as a plain ndarray."""
-        v = _as_vector(vec)
+        v = np.asarray(vec)
         if v.shape != (self.dim,):
             raise ValueError(f"operator on C^{self.dim} cannot apply to an array of shape {v.shape}")
         if self._perms is None:
@@ -137,8 +92,8 @@ class HermitianOperator:
         return f"HermitianOperator(dim={self.dim})"
 
 
-def _check_coefficient(c) -> None:
-    """Reject a Pauli weight that is not a finite real number."""
+def _check_coefficient(c):
+    """c, a Pauli weight or coupling; refused unless it is a finite real number."""
     if isinstance(c, bool) or not isinstance(c, numbers.Real):  # a complex weight breaks Hermiticity
         raise ValueError(f"coefficient must be a real number, got {c!r}")
     if not abs(c) <= sys.float_info.max:  # NaN, inf, and an int beyond float range
@@ -146,6 +101,7 @@ def _check_coefficient(c) -> None:
             k = int(abs(c).bit_length() * math.log10(2)) + 1  # |c| has k or k - 1 digits
             raise ValueError(f"coefficient must be finite, got an integer of {k - (10 ** (k - 1) > abs(c))} digits")
         raise ValueError(f"coefficient must be finite, got {c!r}")
+    return c
 
 
 def _hermitian_deviation(m: np.ndarray) -> float:
@@ -156,10 +112,20 @@ def _hermitian_deviation(m: np.ndarray) -> float:
     return float(np.max(devs))
 
 
-def _as_vector(v) -> np.ndarray:
-    if isinstance(v, StateVector):
-        return v.amplitudes
-    return np.asarray(v, dtype=complex)
+def _unit_state(amplitudes) -> np.ndarray:
+    """A pure state: ``amplitudes`` as a read-only complex vector of unit norm
+    (within 1e-12) with d >= 2.  A read-only input is taken as it is; a
+    writable one is copied, so the caller cannot change the state later."""
+    a = np.asarray(amplitudes, dtype=complex)
+    if a.ndim != 1 or a.shape[0] < 2:
+        raise ValueError(f"state must be a 1-d vector with d >= 2, got shape {a.shape}")
+    nrm = math.sqrt(np.vdot(a, a).real)
+    if not abs(nrm - 1.0) <= _NORM_TOL:  # also rejects NaN
+        raise ValueError(f"state norm {nrm!r} deviates from 1 by more than {_NORM_TOL:.0e}")
+    if a.flags.writeable:
+        a = a.copy()
+        a.setflags(write=False)
+    return a
 
 
 def _project_off(vec: np.ndarray, *units: np.ndarray) -> np.ndarray:
@@ -193,19 +159,22 @@ def _encode_word(word: str, index: np.ndarray) -> tuple[int, np.ndarray | int]:
     return x, np.where(np.bitwise_count((index ^ x) & z) & 1, -phase, phase)
 
 
-def _pauli_sum(weighted, index: np.ndarray) -> HermitianOperator:
-    """sum_k c_k P_k over pairs (c_k, ``_encode_word(P_k, index)``) of d x d words."""
-    groups: dict[int, np.ndarray] = {}  # x-mask -> diagonal summed from zeros, in order of first use
-    for c, (x, row) in weighted:
-        diag = groups.get(x)
-        if diag is None:
-            diag = groups[x] = np.zeros(len(index), dtype=complex)
-        diag += c * row
-    perms = index ^ np.array(list(groups), dtype=np.int64)[:, None]
-    return HermitianOperator._from_pauli_groups(perms, np.array(list(groups.values())))
+def _pauli_sum(terms, encoded=None) -> HermitianOperator:
+    """sum_k c_k P_k over (c_k, P_k) pairs, Pauli words of one length.
 
-
-def _pauli_terms(terms) -> HermitianOperator:
-    """sum_k c_k P_k over (c_k, P_k) pairs, Pauli words of one length, each encoded as it is summed."""
+    ``encoded`` holds the words' flip masks and rows when the caller has them
+    (a model family encodes its words once per process).  The masks come
+    first: the groups, in order of first use of their masks, are the rows of
+    one (G, d) array of zeros.  Each word's row, encoded as it is summed if
+    not given, is then added in place to its group's row, so no per-word or
+    per-group array outlives its term.
+    """
     index = np.arange(2 ** len(terms[0][1]))
-    return _pauli_sum(((c, _encode_word(word, index)) for c, word in terms), index)
+    masks, rows = encoded or ([int(word.translate(_X_BITS), 2) for _, word in terms], None)
+    groups = dict.fromkeys(masks)
+    diags = np.zeros((len(groups), len(index)), dtype=complex)
+    groups = dict(zip(groups, diags))  # each mask's row of ``diags``, a view
+    for k, ((c, word), x) in enumerate(zip(terms, masks)):
+        groups[x] += c * (_encode_word(word, index)[1] if rows is None else rows[k])
+    perms = index ^ np.array(list(groups), dtype=np.int64)[:, None]
+    return HermitianOperator._from_pauli_groups(perms, diags)

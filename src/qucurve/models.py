@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .evolution import EvolutionProblem
-from .hilbert import _NORM_TOL, HermitianOperator, StateVector, _as_vector, _check_coefficient, _encode_word, _pauli_sum, _project_off
+from .hilbert import _NORM_TOL, HermitianOperator, _check_coefficient, _encode_word, _pauli_sum, _project_off, _unit_state
 from .moments import NumericalError, StationaryStateError
 
 __all__ = [
@@ -63,20 +63,20 @@ def _unit_bloch(a) -> np.ndarray:
     return a
 
 
-def bloch_to_state(a) -> StateVector:
+def bloch_to_state(a) -> np.ndarray:
     """Pure state with Bloch vector a = (ax, ay, az), |a| = 1."""
     a = _unit_bloch(a)
     return _bloch_angle_state(np.arccos(np.clip(a[2], -1.0, 1.0)), np.arctan2(a[1], a[0]))
 
 
-def _bloch_angle_state(theta: float, phi: float) -> StateVector:
+def _bloch_angle_state(theta: float, phi: float) -> np.ndarray:
     """cos(theta/2) |0> + e^(i phi) sin(theta/2) |1>, at polar angle theta and azimuth phi."""
-    return StateVector([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
+    return _unit_state([np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)])
 
 
 def state_to_bloch(state) -> np.ndarray:
-    """Bloch vector (<sigma_x>, <sigma_y>, <sigma_z>) of a qubit state or its amplitudes."""
-    amps = _as_vector(state)
+    """Bloch vector (<sigma_x>, <sigma_y>, <sigma_z>) of a qubit's amplitudes."""
+    amps = np.asarray(state, dtype=complex)
     if amps.shape != (2,):
         raise ValueError(f"Bloch vector defined for d = 2 only, got d = {len(amps)}")
     c0, c1 = amps
@@ -124,7 +124,7 @@ def geodesic_efficiency(problem: EvolutionProblem, t: float) -> float:
     """
     if not 0.0 < t < math.inf:  # also refuses NaN
         raise ValueError(f"t must be positive and finite, got {t}")
-    psi0 = problem.initial_state.amplitudes
+    psi0 = problem.initial_state
     psi_t = problem.evolve([t])[0]
     off = _project_off(psi_t, psi0)
     exp = math.frexp(float(np.max(np.abs(off))))[1]  # unscaled, squares of entries near v t underflow
@@ -146,33 +146,32 @@ _BELL_AMPLITUDES = {
     "psi+": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2.0),
     "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2.0),
 }
+_GHZ_AMPLITUDES = np.array([1, 0, 0, 0, 0, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
+_W_AMPLITUDES = np.array([0, 1, 1, 0, 1, 0, 0, 0], dtype=complex) / np.sqrt(3.0)
 
-def bell_state(kind: str) -> StateVector:
+
+def bell_state(kind: str) -> np.ndarray:
     """One of the four Bell pairs: 'phi+', 'phi-', 'psi+', 'psi-'."""
     if kind not in _BELL_AMPLITUDES:
         raise ValueError(f"unknown Bell state {kind!r}; expected phi+/phi-/psi+/psi-")
-    return StateVector(_BELL_AMPLITUDES[kind])
+    return _unit_state(_BELL_AMPLITUDES[kind])
 
 
-def ghz_state() -> StateVector:
+def ghz_state() -> np.ndarray:
     """Three-qubit GHZ state (|000> + |111>)/sqrt(2)."""
-    amp = np.zeros(8, dtype=complex)
-    amp[0] = amp[7] = 1.0 / np.sqrt(2.0)
-    return StateVector(amp)
+    return _unit_state(_GHZ_AMPLITUDES)
 
 
-def w_state() -> StateVector:
+def w_state() -> np.ndarray:
     """Three-qubit W state (|001> + |010> + |100>)/sqrt(3)."""
-    amp = np.zeros(8, dtype=complex)
-    amp[1] = amp[2] = amp[4] = 1.0 / np.sqrt(3.0)
-    return StateVector(amp)
+    return _unit_state(_W_AMPLITUDES)
 
 
-def xi_state(xi: float, phi: float = 0.0) -> StateVector:
+def xi_state(xi: float, phi: float = 0.0) -> np.ndarray:
     """Qubit superposition xi |0> + e^(i phi) sqrt(1 - xi^2) |1>, xi in [0, 1]."""
     if not 0.0 <= xi <= 1.0:
         raise ValueError(f"xi must lie in [0, 1], got {xi}")
-    return StateVector([xi, np.exp(1j * phi) * np.sqrt(1.0 - xi * xi)])
+    return _unit_state([xi, np.exp(1j * phi) * np.sqrt(1.0 - xi * xi)])
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +194,11 @@ _FAMILY_WORDS = {
 }
 
 
-def _encode_family(words: dict) -> tuple[np.ndarray, list]:
-    """np.arange(d) and each word encoded over it, with the index of the coupling that weights it."""
-    index = np.arange(2 ** len(next(iter(words.values()))[0]))
-    return index, [(k, _encode_word(word, index)) for k, group in enumerate(words.values()) for word in group]
+def _encode_family(words: dict) -> tuple[list, tuple]:
+    """Each word with the index of the coupling that weights it, and the words' flip masks and rows over np.arange(d)."""
+    weighted = [(k, word) for k, group in enumerate(words.values()) for word in group]
+    index = np.arange(2 ** len(weighted[0][1]))
+    return weighted, tuple(zip(*(_encode_word(word, index) for _, word in weighted)))
 
 
 # Each family's words encoded once per process: a build only sums couplings
@@ -208,20 +208,13 @@ _FAMILY_ROWS = {family: _encode_family(words) for family, words in _FAMILY_WORDS
 
 def _family_operator(family: str, couplings) -> HermitianOperator:
     """The Pauli sum of ``family`` with checked ``couplings`` in the table's order."""
-    index, rows = _FAMILY_ROWS[family]
-    return _pauli_sum([(couplings[k], encoded) for k, encoded in rows], index)
-
-
-def _check_couplings(*couplings) -> None:
-    """Refuse any coupling that is not a finite real number."""
-    for c in couplings:
-        _check_coefficient(c)
+    weighted, encoded = _FAMILY_ROWS[family]
+    return _pauli_sum([(couplings[k], word) for k, word in weighted], encoded)
 
 
 def _checked_family_operator(family: str, couplings) -> HermitianOperator:
     """``_family_operator`` of couplings that must be finite real numbers."""
-    _check_couplings(*couplings)
-    return _family_operator(family, [float(c) for c in couplings])
+    return _family_operator(family, [float(_check_coefficient(c)) for c in couplings])
 
 
 def single_qubit(m, m0: float = 0.0):
@@ -256,6 +249,18 @@ def heisenberg3(j_x: float, j_y: float, j_z: float, h: float):
 # ---------------------------------------------------------------------------
 
 
+def _scaled_couplings(*couplings) -> list[float]:
+    """The checked couplings divided by 2^e, the least power of two above their largest modulus.
+
+    The closed forms are homogeneous of degree 0 in the couplings and the
+    division is exact, so no value changes, no product leaves floating-point
+    range, and ``_check_denominator`` compares with the couplings' own scale.
+    """
+    couplings = [_check_coefficient(c) for c in couplings]
+    e = math.frexp(max(abs(c) for c in couplings))[1]
+    return [math.ldexp(c, -e) for c in couplings]
+
+
 def _check_denominator(value: float, context: str) -> float:
     if abs(value) <= _DEGENERATE_TOL:
         raise StationaryStateError(f"stationary state: arc length undefined ({context})")
@@ -268,7 +273,7 @@ def nonlocal_product_coefficients(m1: float, m2: float, m3: float, m4: float) ->
     kappa^2 = 4 (m2^2 m3^2 + m2^2 m4^2 + m3^2 m4^2) / (m1^2 + m3^2 + m4^2)^2
     tau^2   = 4 (m3^2 + m4^2) (m1 m2 - m3 m4)^2 / (m1^2 + m3^2 + m4^2)^3
     """
-    _check_couplings(m1, m2, m3, m4)
+    m1, m2, m3, m4 = _scaled_couplings(m1, m2, m3, m4)
     denom = _check_denominator(m1 * m1 + m3 * m3 + m4 * m4, "all transverse couplings vanish")
     kappa_sq = 4.0 * (m2 * m2 * m3 * m3 + m2 * m2 * m4 * m4 + m3 * m3 * m4 * m4) / denom**2
     tau_sq = 4.0 * (m3 * m3 + m4 * m4) * (m1 * m2 - m3 * m4) ** 2 / denom**3
@@ -281,7 +286,7 @@ def nonlocal_bell_coefficients(m1: float, m2: float, m3: float, m4: float) -> tu
     The dynamics stays inside a two-dimensional invariant subspace, so the
     curve is planar: kappa^2 = 4 (m1 + m2)^2 / (m3 - m4)^2, tau^2 = 0.
     """
-    _check_couplings(m1, m2, m3, m4)
+    m1, m2, m3, m4 = _scaled_couplings(m1, m2, m3, m4)
     diff = m3 - m4
     _check_denominator(diff * diff, "m3 = m4 makes phi+ stationary")
     return 4.0 * (m1 + m2) ** 2 / diff**2, 0.0
@@ -294,7 +299,7 @@ def local_bell_coefficients(m1: float, m2: float, m3: float, m4: float) -> tuple
 
         kappa^2 = tau^2 = 4 (m1 m4 - m2 m3)^2 / [ (m1+m2)^2 + (m3+m4)^2 ]^2.
     """
-    _check_couplings(m1, m2, m3, m4)
+    m1, m2, m3, m4 = _scaled_couplings(m1, m2, m3, m4)
     denom = _check_denominator((m1 + m2) ** 2 + (m3 + m4) ** 2, "summed fields vanish")
     value = 4.0 * (m1 * m4 - m2 * m3) ** 2 / denom**2
     return value, value
@@ -306,7 +311,7 @@ def local_product_coefficients(m1: float, m2: float, m3: float, m4: float) -> tu
     kappa^2 = 4 (m1^2 m2^2 + m1^2 m3^2 + m2^2 m4^2) / (m1^2 + m2^2)^2
     tau^2   = 4 m1^2 m2^2 [ m1^2 + m2^2 + (m3 - m4)^2 ] / (m1^2 + m2^2)^3
     """
-    _check_couplings(m1, m2, m3, m4)
+    m1, m2, m3, m4 = _scaled_couplings(m1, m2, m3, m4)
     denom = _check_denominator(m1 * m1 + m2 * m2, "transverse fields vanish")
     kappa_sq = 4.0 * (m1 * m1 * m2 * m2 + m1 * m1 * m3 * m3 + m2 * m2 * m4 * m4) / denom**2
     tau_sq = 4.0 * m1 * m1 * m2 * m2 * (m1 * m1 + m2 * m2 + (m3 - m4) ** 2) / denom**3
@@ -324,7 +329,7 @@ def heisenberg_ghz_coefficients(j_x: float, j_y: float, j_z: float, h: float) ->
     At j_x = j_y (with h != 0) both coefficients vanish by continuity; the
     shared (j_x - j_y)^2 factor dominates the limit.
     """
-    _check_couplings(j_x, j_y, j_z, h)
+    j_x, j_y, j_z, h = _scaled_couplings(j_x, j_y, j_z, h)
     diff = j_x - j_y
     denom = _check_denominator(3.0 * h * h + diff * diff, "GHZ is an exchange eigenstate")
     aniso = j_x + j_y - 2.0 * j_z
@@ -338,7 +343,7 @@ def heisenberg_w_coefficients(j_x: float, j_y: float, j_z: float, h: float) -> t
 
     kappa^2 = (4/3) (2h + j_x + j_y - 2 j_z)^2 / (j_x - j_y)^2, tau^2 = 0.
     """
-    _check_couplings(j_x, j_y, j_z, h)
+    j_x, j_y, j_z, h = _scaled_couplings(j_x, j_y, j_z, h)
     diff = j_x - j_y
     _check_denominator(diff * diff, "W is stationary at j_x = j_y")
     return (4.0 / 3.0) * (2.0 * h + j_x + j_y - 2.0 * j_z) ** 2 / diff**2, 0.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import HermitianOperator, StateVector
+from .hilbert import HermitianOperator, _unit_state
 
 __all__ = [
     "StationaryStateError",
@@ -61,8 +61,8 @@ class MomentSet:
     alpha4: float
 
 
-def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> MomentSet:
-    """Compute <H> and central moments mu2..mu4 of H in a pure state.
+def central_moments(hamiltonian: HermitianOperator, state) -> MomentSet:
+    """Compute <H> and central moments mu2..mu4 of H in a pure state, given by its amplitudes.
 
     Uses two products ``H.apply`` with (H - <H> I): with
     w1 = (H-<H>)psi and w2 = (H-<H>)w1,
@@ -75,14 +75,17 @@ def central_moments(hamiltonian: HermitianOperator, state: StateVector) -> Momen
 
     Raises
     ------
+    ValueError
+        For amplitudes that are not a unit vector in C^d, d = ``hamiltonian.dim``.
     StationaryStateError
         For an eigenstate, mu2 <= 1e-10 ||H||_F^2 / d: the curve is a point.
     NumericalError
         For an H out of floating-point range, where alpha4 has no finite value.
     """
-    if hamiltonian.dim != state.dim:
-        raise ValueError(f"dimension mismatch: operator {hamiltonian.dim}, state {state.dim}")
-    return _moment_pass(hamiltonian, state.amplitudes)[0]
+    psi = _unit_state(state)
+    if hamiltonian.dim != len(psi):
+        raise ValueError(f"dimension mismatch: operator {hamiltonian.dim}, state {len(psi)}")
+    return _moment_pass(hamiltonian, psi)[0]
 
 
 def _moment_pass(hamiltonian: HermitianOperator, psi: np.ndarray) -> tuple[MomentSet, np.ndarray]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import EvolutionProblem
-from .hilbert import _as_vector, _project_off
+from .hilbert import _project_off
 from .moments import NumericalError
 
 __all__ = ["FitResult", "fubini_study_sq", "fit_coefficients"]
@@ -66,7 +66,7 @@ def fubini_study_sq(psi1, psi2) -> float:
     precision when the states nearly coincide -- near-zero distances come out
     at the 1e-30 level instead of drowning in 1e-16 cancellation noise.
     """
-    r = _project_off(_as_vector(psi2), _as_vector(psi1))
+    r = _project_off(np.asarray(psi2, dtype=complex), np.asarray(psi1, dtype=complex))
     return float(np.vdot(r, r).real)
 
 
@@ -169,7 +169,7 @@ def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> tuple[FitResult
     if dt_grid is None:
         dt_grid = [k * 1e-3 / problem.speed for k in (1.0, 2.0, 4.0)]
     dts, states = _snapshots(problem, dt_grid)
-    psi0 = problem.initial_state.amplitudes
+    psi0 = problem.initial_state
     values = [_min_geodesic_deviation(psi0, states[dt], states[2.0 * dt]) for dt in dts]
     coeff, residual = _fit_quartic(dts, values)
     if residual > 0.05:

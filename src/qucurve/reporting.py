@@ -17,7 +17,7 @@ import numpy as np
 
 from .evolution import EvolutionProblem
 from .frame import _binormal_present, _curvature_torsion_at, curvature_torsion_geometric
-from .hilbert import HermitianOperator, StateVector
+from .hilbert import HermitianOperator
 from .models import geodesic_efficiency, state_to_bloch
 from .moments import _CLAMP_FLOOR, NumericalError, curvature_from_moments, torsion_from_moments
 from .oracles import fit_coefficients
@@ -74,7 +74,7 @@ def _clamp_tau(value: float, label: str, warnings: list[str]) -> float:
 
 def build_report(
     hamiltonian: HermitianOperator,
-    state: StateVector,
+    state,
     with_oracle: bool = False,
     dt_grid=None,
 ) -> GeometryReport:
@@ -102,7 +102,7 @@ def build_report(
     kappa_m = curvature_from_moments(mom)
     tau_m_raw = torsion_from_moments(mom)
 
-    kappa_g, tau_g = _curvature_torsion_at(problem, problem.initial_state.amplitudes)
+    kappa_g, tau_g = _curvature_torsion_at(problem, problem.initial_state)
 
     if abs(kappa_m - kappa_g) > _PATH_AGREEMENT * max(1.0, abs(kappa_m)):
         raise NumericalError(
@@ -150,7 +150,7 @@ def build_report(
 
 
 def trajectory_rows(
-    hamiltonian: HermitianOperator, state: StateVector, t_max: float, steps: int
+    hamiltonian: HermitianOperator, state, t_max: float, steps: int
 ) -> tuple[list[str], Iterator[list[str]]]:
     """Header and an iterator of formatted rows for a trajectory CSV.
 
@@ -182,7 +182,7 @@ def trajectory_rows(
         for start in range(0, steps, chunk):
             ts = times[start : start + chunk]
             for t, psi in zip(ts, problem.evolve(ts)):
-                fid = abs(state.inner(psi)) ** 2
+                fid = abs(complex(np.vdot(problem.initial_state, psi))) ** 2
                 row = [format_float(t), format_float(problem.speed * t), format_float(fid)]
                 row += map(repr, psi.view(np.float64).tolist())
                 if d == 2:
@@ -194,7 +194,7 @@ def trajectory_rows(
 
 
 def sweep_row(
-    hamiltonian: HermitianOperator, state: StateVector, param_value: float, efficiency_t: float
+    hamiltonian: HermitianOperator, state, param_value: float, efficiency_t: float
 ) -> list[str]:
     """One formatted sweep-CSV row: param, kappa_sq, tau_sq, eta, alpha4, alpha3_sq."""
     problem = EvolutionProblem(hamiltonian, state)

@@ -15,7 +15,7 @@ import numpy as np
 from . import models
 from .evolution import EvolutionProblem
 from .frame import build_frame, curvature_torsion_geometric
-from .hilbert import HermitianOperator, StateVector
+from .hilbert import HermitianOperator
 from .moments import _CLAMP_FLOOR, StationaryStateError, central_moments, curvature_from_moments, torsion_from_moments
 from .oracles import fit_coefficients
 
@@ -35,7 +35,7 @@ class CaseResult:
 
 def _two_qubit_cross_field() -> EvolutionProblem:
     """H = XZ + ZX on |00>: the canonical fully-worked frame example."""
-    return EvolutionProblem(models.two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0), StateVector([1, 0, 0, 0]))
+    return EvolutionProblem(models.two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0), np.array([1, 0, 0, 0]))
 
 
 def _closed_form_state(t: float) -> np.ndarray:
@@ -132,8 +132,7 @@ def _random_problem(rng, dim: int) -> EvolutionProblem:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     ham = HermitianOperator((a + a.conj().T) / 2.0)
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    state = StateVector(z / np.linalg.norm(z))
-    return EvolutionProblem(ham, state)
+    return EvolutionProblem(ham, z / np.linalg.norm(z))
 
 
 def _case_cross_path_random() -> float:
@@ -158,7 +157,7 @@ def _case_two_qubit_formulas() -> float:
     rng = np.random.default_rng(5150)
     worst = 0.0
     phi_plus = models.bell_state("phi+")
-    zero_zero = StateVector([1, 0, 0, 0])
+    zero_zero = np.array([1, 0, 0, 0])
     for _ in range(30):
         m = rng.uniform(-2.0, 2.0, size=4)
         nonlocal_h, local_h = models.two_qubit_nonlocal(*m), models.two_qubit_local(*m)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qucurve
-from qucurve import EvolutionProblem, HermitianOperator, StateVector, parse_problem_spec
+from qucurve import EvolutionProblem, HermitianOperator, parse_problem_spec
 from qucurve.models import two_qubit_nonlocal
 
 # Unreadable problem files: invalid JSON, a byte that is not UTF-8, an integer
@@ -44,7 +44,7 @@ def random_hermitian(rng, dim):
 
 def random_state(rng, dim):
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return StateVector(z / np.linalg.norm(z))
+    return z / np.linalg.norm(z)
 
 
 def random_problem(rng, dim):
@@ -102,7 +102,7 @@ def reference_pauli_groups(terms):
 def crossed_fields_problem():
     """H = XZ + ZX on |00>: every frame quantity has a known closed form."""
     ham = two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0)
-    return EvolutionProblem(ham, StateVector([1, 0, 0, 0]))
+    return EvolutionProblem(ham, [1, 0, 0, 0])
 
 
 def dense(op):

@@ -15,7 +15,6 @@ import pytest
 
 from qucurve import (
     EvolutionProblem,
-    StateVector,
     bell_state,
     build_frame,
     central_moments,
@@ -93,7 +92,7 @@ def test_closed_form_value_table():
     assert geodesic_efficiency(balanced, t_eff) == pytest.approx(1.0, abs=1e-9)
 
     # -- crossed two-body couplings on |00>: the fully worked frame -----
-    prob = EvolutionProblem(two_qubit_nonlocal(0, 0, 1, 1), StateVector([1, 0, 0, 0]))
+    prob = EvolutionProblem(two_qubit_nonlocal(0, 0, 1, 1), [1, 0, 0, 0])
     kappa, tau = pipeline_coefficients(prob.hamiltonian, prob.initial_state)
     assert kappa == pytest.approx(1.0, rel=1e-9)
     assert tau == pytest.approx(1.0, rel=1e-9)
@@ -130,7 +129,7 @@ def test_closed_form_value_table():
     # kappa is compared along the moment path, tau along the projector
     # path, whose residual-norm construction stays exact for planar curves.
     rng = np.random.default_rng(2025)
-    zero_zero = StateVector([1, 0, 0, 0])
+    zero_zero = np.array([1, 0, 0, 0], dtype=complex)
     phi_plus = bell_state("phi+")
     cases = [
         (
@@ -272,7 +271,7 @@ def test_invariance_suite():
         base = profile(ham, state)
 
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
-        rotated = StateVector(phase * state.amplitudes)
+        rotated = phase * state
         np.testing.assert_allclose(
             profile(ham, rotated), base, rtol=1e-9, atol=1e-12
         )

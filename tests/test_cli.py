@@ -316,7 +316,7 @@ def _overshooting_evolution(monkeypatch):
     # a qubit state orthogonal to the start is pi/2 away, farther than the
     # path length v t <= 1 of the sweep's xi states allows
     def orthogonal(prob, ts):
-        a, b = prob.initial_state.amplitudes
+        a, b = prob.initial_state
         return np.array([[-np.conj(b), np.conj(a)]] * len(ts))
 
     monkeypatch.setattr(qucurve.evolution.EvolutionProblem, "evolve", orthogonal)

@@ -24,7 +24,7 @@ class TestParsing:
         spec = parse_problem_spec(minimal_doc())
         ham, state = spec.build()
         assert ham.dim == 4
-        np.testing.assert_allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(state, [1, 0, 0, 0], atol=1e-15)
         row0 = dense(ham)[0]
         np.testing.assert_allclose(row0, [0, 1, 1, 0], atol=1e-15)
 
@@ -151,15 +151,15 @@ class TestParsing:
                 "state": {"named": named},
             }
             _, state = parse_problem_spec(doc).build()
-            assert state.dim == dim
-            assert abs(state.amplitudes[index]) > 0.1
+            assert len(state) == dim
+            assert abs(state[index]) > 0.1
 
     def test_amplitude_state(self):
         doc = minimal_doc()
         s = 1 / np.sqrt(2)
         doc["state"] = {"amplitudes": [[s, 0], [0, 0], [0, 0], [0, s]]}
         _, state = parse_problem_spec(doc).build()
-        np.testing.assert_allclose(state.amplitudes, [s, 0, 0, s * 1j], atol=1e-15)
+        np.testing.assert_allclose(state, [s, 0, 0, s * 1j], atol=1e-15)
 
     def test_amplitude_norm_enforced(self):
         doc = minimal_doc()
@@ -390,7 +390,7 @@ class TestLoadFromFile:
         path.write_text(json.dumps(minimal_doc()))
         spec = load_problem_spec(str(path))
         ham, state = spec.build()
-        assert ham.dim == 4 and state.dim == 4
+        assert ham.dim == 4 and len(state) == 4
 
     def test_missing_file(self):
         with pytest.raises(SpecError, match=r"\(file\)"):
@@ -425,7 +425,7 @@ class TestWithParameter:
         }
         bound = parse_problem_spec(doc).with_parameter("xi", 0.7)
         _, state = bound.build()
-        np.testing.assert_allclose(state.amplitudes[0], 0.7, atol=1e-12)
+        np.testing.assert_allclose(state[0], 0.7, atol=1e-12)
 
     def test_rebind_bloch_angle(self):
         doc = {
@@ -434,7 +434,7 @@ class TestWithParameter:
         }
         bound = parse_problem_spec(doc).with_parameter("theta", np.pi / 2)
         _, state = bound.build()
-        np.testing.assert_allclose(np.abs(state.amplitudes), [np.cos(np.pi / 4)] * 2, atol=1e-12)
+        np.testing.assert_allclose(np.abs(state), [np.cos(np.pi / 4)] * 2, atol=1e-12)
 
     def test_rebound_xi_is_checked(self):
         doc = {

@@ -7,7 +7,6 @@ from qucurve import (
     EvolutionProblem,
     HermitianOperator,
     NumericalError,
-    StateVector,
     StationaryStateError,
     build_frame,
     ghz_state,
@@ -18,7 +17,7 @@ from qucurve.frame import _vectors_from
 
 from conftest import PAULI, crossed_fields_state, delta_h, dense, pauli_sum, propagator, random_hermitian, random_problem, random_state
 
-PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
+PLUS = np.array([1, 1]) / np.sqrt(2)
 SIGMA_Z = HermitianOperator(PAULI["Z"])
 
 
@@ -59,20 +58,20 @@ class TestEvolutionProblem:
     def test_energy_matches_expectation(self):
         rng = np.random.default_rng(31)
         prob = random_problem(rng, 5)
-        psi = prob.initial_state.amplitudes
+        psi = prob.initial_state
         assert prob.energy == pytest.approx(np.vdot(psi, dense(prob.hamiltonian) @ psi).real, abs=1e-12)
 
     def test_speed_squared_is_variance(self):
         rng = np.random.default_rng(37)
         prob = random_problem(rng, 4)
-        psi = prob.initial_state.amplitudes
+        psi = prob.initial_state
         h2 = np.vdot(psi, dense(prob.hamiltonian) @ (dense(prob.hamiltonian) @ psi)).real
         assert prob.speed**2 == pytest.approx(h2 - prob.energy**2, rel=1e-12)
 
     def test_overflowing_phase_names_the_time(self):
         # |E| + max |theta| = 1 + 4.16 (E = 1, theta = +-sqrt(10) - 1): the phases
         # overflow at t = 1e308, which must name t rather than build a NaN state
-        prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), StateVector([1, 0]))
+        prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), [1, 0])
         prob.evolve([1e307])  # finite phases still evolve
         with pytest.raises(NumericalError, match=r"t = 1e\+308"):
             prob.evolve([1e308])
@@ -80,16 +79,16 @@ class TestEvolutionProblem:
     def test_eigenstate_is_stationary(self):
         # refused at construction, so no problem has a zero speed to divide by
         with pytest.raises(StationaryStateError, match="^stationary state: arc length undefined$"):
-            EvolutionProblem(SIGMA_Z, StateVector([1, 0]))
+            EvolutionProblem(SIGMA_Z, [1, 0])
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            EvolutionProblem(SIGMA_Z, StateVector([1, 0, 0]))
+            EvolutionProblem(SIGMA_Z, [1, 0, 0])
 
     def test_delta_h_is_standardized(self):
         rng = np.random.default_rng(41)
         prob = random_problem(rng, 6)
-        dh_psi = delta_h(prob) @ prob.initial_state.amplitudes
+        dh_psi = delta_h(prob) @ prob.initial_state
         assert np.vdot(dh_psi, dh_psi).real == pytest.approx(1.0, abs=1e-12)
 
 
@@ -124,7 +123,7 @@ class TestEvolve:
 class TestParallelTransport:
     def test_phase_relative_to_evolve(self):
         theta = np.pi / 4
-        state = StateVector([np.cos(theta / 2), np.sin(theta / 2)])
+        state = np.array([np.cos(theta / 2), np.sin(theta / 2)], dtype=complex)
         prob = EvolutionProblem(SIGMA_Z, state)
         t = 0.9
         ratio = prob.transported([t])[0] / prob.evolve([t])[0]
@@ -153,7 +152,7 @@ class TestParallelTransport:
             energy * (np.outer(basis[:, 1], basis[:, 1].conj()) - np.outer(basis[:, 0], basis[:, 0].conj()))
         )
         phi = 0.6
-        state = StateVector((basis[:, 0] + np.exp(1j * phi) * basis[:, 1]) / np.sqrt(2))
+        state = (basis[:, 0] + np.exp(1j * phi) * basis[:, 1]) / np.sqrt(2)
         prob = EvolutionProblem(ham, state)
         assert prob.energy == pytest.approx(0.0, abs=1e-12)
         t = 1.3
@@ -243,7 +242,7 @@ class TestTangentDerivative:
         rng = np.random.default_rng(71)
         prob = random_problem(rng, 5)
         dh = delta_h(prob)
-        psi = prob.initial_state.amplitudes
+        psi = prob.initial_state
         w = dh @ (dh @ psi)
         mu4_standardized = np.vdot(w, w).real
         for s in (0.0, 0.9, 2.4):
@@ -256,7 +255,7 @@ class TestInvariances:
         rng = np.random.default_rng(73)
         prob = random_problem(rng, 4)
         shifted = EvolutionProblem(
-            prob.hamiltonian, StateVector(np.exp(1j * 0.77) * prob.initial_state.amplitudes)
+            prob.hamiltonian, np.exp(1j * 0.77) * prob.initial_state
         )
         assert shifted.energy == pytest.approx(prob.energy, abs=1e-12)
         assert shifted.speed == pytest.approx(prob.speed, rel=1e-12)
@@ -299,7 +298,7 @@ class TestKrylovEvolution:
         # must grow to (nearly) the whole space
         t_full = dim / (0.5 * (evals[-1] - evals[0]))
         for t in (0.0, 1e-3, 0.3, 2.0, t_full, 5 * t_full):
-            expected = propagator(prob.hamiltonian, t) @ prob.initial_state.amplitudes
+            expected = propagator(prob.hamiltonian, t) @ prob.initial_state
             np.testing.assert_allclose(prob.evolve([t])[0], expected, rtol=0, atol=1e-12)
 
     def test_ghz_on_heisenberg3(self):
@@ -307,7 +306,7 @@ class TestKrylovEvolution:
         ham = heisenberg3(1.4, 0.3, 0.6, 0.9)
         prob = EvolutionProblem(ham, ghz_state())
         for t in (0.0, 0.4, 3.0, 50.0):
-            expected = propagator(ham, t) @ prob.initial_state.amplitudes
+            expected = propagator(ham, t) @ prob.initial_state
             np.testing.assert_allclose(prob.evolve([t])[0], expected, rtol=0, atol=1e-12)
 
     def test_two_level_superposition(self):
@@ -315,7 +314,7 @@ class TestKrylovEvolution:
         ham = random_hermitian(rng, 64)
         evals, evecs = np.linalg.eigh(dense(ham))
         i, j, phi = 5, 40, 0.8
-        prob = EvolutionProblem(ham, StateVector((evecs[:, i] + np.exp(1j * phi) * evecs[:, j]) / np.sqrt(2)))
+        prob = EvolutionProblem(ham, (evecs[:, i] + np.exp(1j * phi) * evecs[:, j]) / np.sqrt(2))
         for t in (0.0, 0.3, 7.0, 50.0):
             expected = (
                 np.exp(-1j * evals[i] * t) * evecs[:, i]
@@ -356,13 +355,13 @@ class TestKrylovEvolution:
         np.testing.assert_array_equal(late.transported(ts[:2]), transported[:2])
 
     def test_keeps_one_rotation_of_dimension_d_beyond_the_basis(self):
-        # between calls a problem keeps the Lanczos basis and residual, which
-        # later calls grow, the m x m spectra, and the rotation of the basis
-        # at the last settle size, until H is next applied
+        # between calls a problem keeps psi_0, the Lanczos basis and residual,
+        # which later calls grow, the m x m spectra, and the rotation of the
+        # basis at the last settle size, until H is next applied
         n = 12
         terms = [(1.0, "I" * k + "ZZ" + "I" * (n - k - 2)) for k in range(n - 1)]
         terms += [(0.7, "I" * k + "X" + "I" * (n - k - 1)) for k in range(n)]
-        prob = EvolutionProblem(pauli_sum(terms), StateVector(np.eye(1, 2**n)[0]))
+        prob = EvolutionProblem(pauli_sum(terms), np.eye(1, 2**n)[0])
 
         def kept_bytes():
             def array_bytes(obj):
@@ -372,7 +371,7 @@ class TestKrylovEvolution:
                     obj = list(obj.values())
                 return sum(map(array_bytes, obj)) if isinstance(obj, (list, tuple)) else 0
 
-            return array_bytes({k: v for k, v in vars(prob).items() if k not in ("_basis", "_residual")})
+            return array_bytes({k: v for k, v in vars(prob).items() if k not in ("initial_state", "_basis", "_residual")})
 
         prob.evolve([0.05])
         assert len(prob._alpha) == 16
@@ -383,7 +382,7 @@ class TestKrylovEvolution:
         assert kept_bytes() < 64 * 1024
         prob.evolve([0.2])
         assert kept_bytes() > 64 * 1024
-        prob._apply_delta_h(prob.initial_state.amplitudes)
+        prob._apply_delta_h(prob.initial_state)
         assert kept_bytes() < 64 * 1024
 
     def test_rotation_is_reused_by_later_calls_at_its_size(self):
@@ -396,7 +395,7 @@ class TestKrylovEvolution:
         assert np.array_equal(again[0], first) and np.array_equal(again[1], first)
 
     def test_first_overflowing_time_is_named(self):
-        prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), StateVector([1, 0]))
+        prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), [1, 0])
         with pytest.raises(NumericalError, match=r"t = 5e\+307"):
             prob.evolve([1e307, 5e307, np.inf, 1e308])
 

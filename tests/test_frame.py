@@ -8,7 +8,6 @@ import qucurve.frame
 from qucurve import (
     EvolutionProblem,
     HermitianOperator,
-    StateVector,
     StationaryStateError,
     build_frame,
     central_moments,
@@ -108,9 +107,7 @@ class TestGeometricPath:
         for _ in range(10):
             m = rng.normal(size=3)
             theta, phi = rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi)
-            state = StateVector(
-                [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]
-            )
+            state = [np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)]
             try:
                 prob = EvolutionProblem(single_qubit(m), state)
             except StationaryStateError:
@@ -151,7 +148,7 @@ class TestBuildFrame:
         terms += [(h, "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
         basis_state = np.zeros(2**n)
         basis_state[0] = 1.0
-        prob = EvolutionProblem(pauli_sum(terms), StateVector(basis_state))
+        prob = EvolutionProblem(pauli_sum(terms), basis_state)
         prob.transported([0.5 / prob.speed])  # grows the Krylov basis that build_frame reuses
         tracemalloc.start()
         try:
@@ -164,7 +161,7 @@ class TestBuildFrame:
 
     def test_planar_curve_has_no_binormal(self):
         prob = EvolutionProblem(
-            single_qubit([0.0, 0.0, 1.0]), StateVector([0.8, 0.6])
+            single_qubit([0.0, 0.0, 1.0]), [0.8, 0.6]
         )
         fr = build_frame(prob, 0.5)
         assert not qucurve.frame._binormal_present(fr.tau_sq)
@@ -237,7 +234,7 @@ class TestSigmaZPlane:
         # sigma_z on |+>: geodesic on the equator, kappa = tau = 0, and the
         # structure matrix reduces to the bare rotation block
         prob = EvolutionProblem(
-            single_qubit([0, 0, 1.0]), StateVector(np.array([1, 1]) / np.sqrt(2))
+            single_qubit([0, 0, 1.0]), np.array([1, 1]) / np.sqrt(2)
         )
         assert geometric_at(prob, 0.0) == pytest.approx((0.0, 0.0), abs=1e-12)
         cart = build_frame(prob, 0.0).cartan

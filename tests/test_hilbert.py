@@ -1,48 +1,16 @@
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qucurve import HermitianOperator, StateVector, models
+from qucurve import HermitianOperator, models, parse_problem_spec
 from qucurve.hilbert import _project_off
 
 from conftest import PAULI, dense, kron_word, pauli_sum, random_hermitian, random_state, reference_pauli_groups
-
-
-class TestStateVector:
-    def test_accepts_unit_vector(self):
-        s = StateVector([1, 0])
-        assert s.dim == 2
-        assert s.amplitudes.dtype == complex
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="norm"):
-            StateVector([1, 1])
-
-    def test_rejects_scalar_and_matrix(self):
-        with pytest.raises(ValueError):
-            StateVector(np.eye(2))
-        with pytest.raises(ValueError):
-            StateVector([1.0])
-
-    def test_immutable(self):
-        s = StateVector([1, 0])
-        with pytest.raises(AttributeError):
-            s.amplitudes = np.array([0, 1])
-        with pytest.raises(ValueError):
-            s.amplitudes[0] = 0.0
-
-    def test_rejects_nan_amplitude(self):
-        with pytest.raises(ValueError, match="norm"):
-            StateVector([np.nan, 1.0])
-
-    def test_inner_product_conjugates_left(self):
-        a = StateVector([1, 0])
-        b = StateVector([1j, 0])
-        assert a.inner(b) == pytest.approx(1j)
 
 
 class TestHermitianOperator:
@@ -62,7 +30,7 @@ class TestHermitianOperator:
         rng = np.random.default_rng(3)
         op = random_hermitian(rng, 4)
         v = random_state(rng, 4)
-        np.testing.assert_allclose(op.apply(v), dense(op) @ v.amplitudes, rtol=0, atol=0)
+        np.testing.assert_allclose(op.apply(v), dense(op) @ v, rtol=0, atol=0)
 
     @pytest.mark.parametrize("backing", ["pauli", "dense"])
     @pytest.mark.parametrize("shape", [(4,), (1,), (2, 2)])
@@ -245,6 +213,31 @@ def test_family_build_matches_per_word_reference_bytes(family, couplings):
     _same_bytes(lambda: models._family_operator(family, couplings), terms)
 
 
+def test_pauli_build_holds_one_group_array():
+    # the groups' diagonals are summed in place in one (G, d) array, so the
+    # build's traced peak stays near the bytes the operator keeps (about 1.7
+    # times them when each group had its own row, stacked into a copy)
+    n = 14
+    rng = np.random.default_rng(11)
+    terms = [(float(rng.normal()), "I" * k + "ZZ" + "I" * (n - k - 2)) for k in range(n - 1)]
+    terms += [(float(rng.normal()), "I" * k + letter + "I" * (n - k - 1)) for letter in "XZ" for k in range(n)]
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi /= np.linalg.norm(psi)
+    doc = {
+        "hamiltonian": {"pauli_terms": [{"coeff": c, "word": w} for c, w in terms]},
+        "state": {"amplitudes": np.stack([psi.real, psi.imag], axis=-1).tolist()},
+    }
+    spec = parse_problem_spec(doc)
+    tracemalloc.start()
+    try:
+        op, _ = spec.build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op._diags.shape == (n + 1, 2**n)
+    assert peak <= 1.2 * (op._diags.nbytes + op._perms.nbytes)
+
+
 class TestProjectOff:
     def test_residual_orthogonal_and_input_untouched(self):
         rng = np.random.default_rng(5)
@@ -261,7 +254,7 @@ class TestProjectOff:
         # one pass leaves an overlap of rounding size eps against a residual
         # of size 1e-8; naming the unit twice brings it to eps relative
         rng = np.random.default_rng(7)
-        a = random_state(rng, 8).amplitudes
+        a = random_state(rng, 8)
         w = _project_off(rng.normal(size=8) + 1j * rng.normal(size=8), a, a)
         vec = a + 1e-8 * w / np.linalg.norm(w)
         r = _project_off(vec, a, a)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from qucurve import models
 from qucurve import (
     EvolutionProblem,
-    StateVector,
     StationaryStateError,
     bell_state,
     bloch_to_state,
@@ -45,12 +45,12 @@ def random_bloch(rng):
 
 class TestBlochMaps:
     def test_poles_and_equator(self):
-        np.testing.assert_allclose(bloch_to_state([0, 0, 1]).amplitudes, [1, 0], atol=1e-15)
+        np.testing.assert_allclose(bloch_to_state([0, 0, 1]), [1, 0], atol=1e-15)
         np.testing.assert_allclose(
-            np.abs(bloch_to_state([0, 0, -1]).amplitudes), [0, 1], atol=1e-15
+            np.abs(bloch_to_state([0, 0, -1])), [0, 1], atol=1e-15
         )
         np.testing.assert_allclose(
-            bloch_to_state([1, 0, 0]).amplitudes, np.array([1, 1]) / np.sqrt(2), atol=1e-15
+            bloch_to_state([1, 0, 0]), np.array([1, 1]) / np.sqrt(2), atol=1e-15
         )
 
     def test_roundtrip(self):
@@ -60,7 +60,7 @@ class TestBlochMaps:
             np.testing.assert_allclose(state_to_bloch(bloch_to_state(a)), a, atol=1e-12)
 
     def test_circular_state(self):
-        plus_i = StateVector(np.array([1, 1j]) / np.sqrt(2))
+        plus_i = np.array([1, 1j]) / np.sqrt(2)
         np.testing.assert_allclose(state_to_bloch(plus_i), [0, 1, 0], atol=1e-15)
 
     def test_validation(self):
@@ -69,7 +69,7 @@ class TestBlochMaps:
         with pytest.raises(ValueError, match="shape"):
             bloch_to_state([1, 0])
         with pytest.raises(ValueError, match="d = 2"):
-            state_to_bloch(StateVector([1, 0, 0]))
+            state_to_bloch([1, 0, 0])
 
 
 class TestBlochCurvature:
@@ -144,10 +144,10 @@ class TestBlochCurvature:
 class TestStateFactories:
     def test_bell_states(self):
         s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(bell_state("phi+").amplitudes, [s, 0, 0, s], atol=1e-15)
-        np.testing.assert_allclose(bell_state("phi-").amplitudes, [s, 0, 0, -s], atol=1e-15)
-        np.testing.assert_allclose(bell_state("psi+").amplitudes, [0, s, s, 0], atol=1e-15)
-        np.testing.assert_allclose(bell_state("psi-").amplitudes, [0, s, -s, 0], atol=1e-15)
+        np.testing.assert_allclose(bell_state("phi+"), [s, 0, 0, s], atol=1e-15)
+        np.testing.assert_allclose(bell_state("phi-"), [s, 0, 0, -s], atol=1e-15)
+        np.testing.assert_allclose(bell_state("psi+"), [0, s, s, 0], atol=1e-15)
+        np.testing.assert_allclose(bell_state("psi-"), [0, s, -s, 0], atol=1e-15)
 
     def test_bell_aliases(self):
         # only the four lower-case labels name a Bell pair
@@ -160,17 +160,17 @@ class TestStateFactories:
             bell_state("omega")
 
     def test_ghz_and_w(self):
-        ghz = ghz_state().amplitudes
+        ghz = ghz_state()
         assert ghz[0] == ghz[7] == pytest.approx(1 / np.sqrt(2))
         assert np.all(ghz[1:7] == 0)
-        w = w_state().amplitudes
+        w = w_state()
         assert w[1] == w[2] == w[4] == pytest.approx(1 / np.sqrt(3))
         assert w[0] == w[3] == w[5] == w[6] == w[7] == 0
 
     def test_xi_state(self):
-        np.testing.assert_allclose(xi_state(1.0).amplitudes, [1, 0], atol=1e-15)
-        np.testing.assert_allclose(xi_state(0.0).amplitudes, [0, 1], atol=1e-15)
-        got = xi_state(0.6, phi=np.pi / 2).amplitudes
+        np.testing.assert_allclose(xi_state(1.0), [1, 0], atol=1e-15)
+        np.testing.assert_allclose(xi_state(0.0), [0, 1], atol=1e-15)
+        got = xi_state(0.6, phi=np.pi / 2)
         np.testing.assert_allclose(got, [0.6, 0.8j], atol=1e-15)
         with pytest.raises(ValueError, match="xi"):
             xi_state(1.2)
@@ -296,6 +296,16 @@ class TestBuilderCouplingChecks:
             self.BUILDERS[builder](coupling)
 
 
+CLOSED_FORMS = [
+    nonlocal_product_coefficients,
+    nonlocal_bell_coefficients,
+    local_bell_coefficients,
+    local_product_coefficients,
+    heisenberg_ghz_coefficients,
+    heisenberg_w_coefficients,
+]
+
+
 class TestCoefficientFormulas:
     def test_frozen_values(self):
         assert nonlocal_product_coefficients(2, 1, 1, 1) == pytest.approx((1 / 3, 1 / 27))
@@ -305,23 +315,35 @@ class TestCoefficientFormulas:
         assert heisenberg_ghz_coefficients(1, 0, 0, 0) == pytest.approx((4 / 3, 0.0))
         assert heisenberg_w_coefficients(2, 1, 0, 0) == pytest.approx((12.0, 0.0))
 
-    @pytest.mark.parametrize(
-        "closed_form",
-        [
-            nonlocal_product_coefficients,
-            nonlocal_bell_coefficients,
-            local_bell_coefficients,
-            local_product_coefficients,
-            heisenberg_ghz_coefficients,
-            heisenberg_w_coefficients,
-        ],
-        ids=lambda f: f.__name__,
-    )
+    @pytest.mark.parametrize("closed_form", CLOSED_FORMS, ids=lambda f: f.__name__)
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_refuses_a_non_finite_coupling(self, closed_form, bad):
         # nonlocal_bell gave (0.0, 0.0) at m3 = inf, the others NaN or inf
         with pytest.raises(ValueError, match=f"^coefficient must be finite, got {bad}$"):
             closed_form(0.7, 0.4, bad, 0.9)
+
+    @pytest.mark.parametrize("closed_form", CLOSED_FORMS, ids=lambda f: f.__name__)
+    def test_bit_exact_under_power_of_two_scaling(self, closed_form):
+        # kappa^2 and tau^2 do not depend on the scale of H, and scaling by 2^k is exact
+        couplings = (0.7, 0.4, -0.3, 0.9)
+        want = closed_form(*couplings)
+        for k in range(-900, 901):
+            assert closed_form(*(math.ldexp(c, k) for c in couplings)) == want, k
+
+    @pytest.mark.parametrize("closed_form", CLOSED_FORMS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("scale", [1e-7, 1e200])
+    def test_finite_at_any_coupling_scale(self, closed_form, scale):
+        # 1e200 overflowed to NaN or OverflowError, and 1e-7 read as stationary
+        couplings = (0.7, 0.4, -0.3, 0.9)
+        got = closed_form(*(scale * c for c in couplings))
+        np.testing.assert_allclose(got, closed_form(*couplings), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("closed_form", CLOSED_FORMS, ids=lambda f: f.__name__)
+    def test_zero_couplings_stay_stationary(self, closed_form):
+        with pytest.raises(StationaryStateError):
+            closed_form(0.0, 0.0, 0.0, 0.0)
+        with pytest.raises(StationaryStateError):
+            closed_form(0, 0, 0, 0)
 
     @staticmethod
     def _pipeline(ham, state):
@@ -330,7 +352,7 @@ class TestCoefficientFormulas:
 
     def test_nonlocal_product_matches_pipeline(self):
         rng = np.random.default_rng(233)
-        zero_zero = StateVector([1, 0, 0, 0])
+        zero_zero = np.array([1, 0, 0, 0], dtype=complex)
         for _ in range(15):
             ms = rng.uniform(-2, 2, size=4)
             k, t = self._pipeline(two_qubit_nonlocal(*ms), zero_zero)
@@ -360,7 +382,7 @@ class TestCoefficientFormulas:
 
     def test_local_product_matches_pipeline(self):
         rng = np.random.default_rng(251)
-        zero_zero = StateVector([1, 0, 0, 0])
+        zero_zero = np.array([1, 0, 0, 0], dtype=complex)
         for _ in range(15):
             ms = rng.uniform(-2, 2, size=4)
             k, t = self._pipeline(two_qubit_local(*ms), zero_zero)
@@ -495,4 +517,4 @@ class TestEfficiency:
     def test_stationary_state(self):
         # an eigenstate never reaches geodesic_efficiency: its problem is refused
         with pytest.raises(StationaryStateError, match="^stationary state: arc length undefined$"):
-            EvolutionProblem(single_qubit([0, 0, 1.0]), StateVector([1, 0]))
+            EvolutionProblem(single_qubit([0, 0, 1.0]), [1, 0])

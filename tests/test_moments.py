@@ -4,7 +4,6 @@ import pytest
 from qucurve import (
     EvolutionProblem,
     HermitianOperator,
-    StateVector,
     StationaryStateError,
     central_moments,
     curvature_from_moments,
@@ -15,7 +14,7 @@ from qucurve import (
 from conftest import PAULI, dense, pauli_sum, random_hermitian, random_state
 
 SIGMA_Z = HermitianOperator(PAULI["Z"])
-PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
+PLUS = np.array([1, 1]) / np.sqrt(2)
 
 
 class TestCentralMoments:
@@ -45,7 +44,7 @@ class TestCentralMoments:
             psi = random_state(rng, dim)
             m = central_moments(ham, psi)
             evals, evecs = np.linalg.eigh(dense(ham))
-            weights = np.abs(evecs.conj().T @ psi.amplitudes) ** 2
+            weights = np.abs(evecs.conj().T @ psi) ** 2
             mean = weights @ evals
             centered = evals - mean
             assert m.mean == pytest.approx(mean, rel=1e-11, abs=1e-12)
@@ -56,18 +55,18 @@ class TestCentralMoments:
     def test_eigenstate_flags_stationary(self):
         # the moment pass refuses an eigenstate: no MomentSet describes a point
         with pytest.raises(StationaryStateError, match="^stationary state: arc length undefined$"):
-            central_moments(SIGMA_Z, StateVector([0, 1]))
+            central_moments(SIGMA_Z, [0, 1])
 
     def test_stationarity_is_scale_invariant(self):
         # criterion is relative to the operator's size, so a huge eigenvalue
         # with tiny rounding residue still counts as stationary
         big = HermitianOperator(1e8 * PAULI["Z"])
         with pytest.raises(StationaryStateError, match="^stationary state: arc length undefined$"):
-            central_moments(big, StateVector([1, 0]))
+            central_moments(big, [1, 0])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            central_moments(SIGMA_Z, StateVector([1, 0, 0, 0]))
+            central_moments(SIGMA_Z, [1, 0, 0, 0])
 
 
 class TestMomentGeometry:
@@ -115,7 +114,7 @@ class TestMomentGeometry:
         # both entry points to the moment pass refuse an eigenstate with one message
         for build in (central_moments, EvolutionProblem):
             with pytest.raises(StationaryStateError, match="^stationary state: arc length undefined$"):
-                build(SIGMA_Z, StateVector([1, 0]))
+                build(SIGMA_Z, [1, 0])
 
 
 class TestInvariances:
@@ -173,8 +172,8 @@ class TestEvolutionProblemMoments:
             yield random_hermitian(rng, dim), random_state(rng, dim)
         for n in range(1, 7):
             yield self._pauli_problem(rng, n)
-        yield SIGMA_Z, StateVector([0, 1])  # an eigenstate
-        yield pauli_sum([(0.5, "ZZI"), (-1.5, "IZZ")]), StateVector(np.eye(8)[5])
+        yield SIGMA_Z, [0, 1]  # an eigenstate
+        yield pauli_sum([(0.5, "ZZI"), (-1.5, "IZZ")]), np.eye(8)[5]
 
     def test_bitwise_equal_to_central_moments(self):
         stationary = 0

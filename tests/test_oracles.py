@@ -10,7 +10,6 @@ import qucurve.reporting
 from qucurve import (
     EvolutionProblem,
     NumericalError,
-    StateVector,
     StationaryStateError,
     central_moments,
     curvature_from_moments,
@@ -27,8 +26,8 @@ from conftest import PAULI, load_demo, random_problem
 
 classical_frenet_serret = load_demo("06_classical_correspondence").classical_frenet_serret
 
-ZERO = StateVector([1, 0])
-PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
+ZERO = np.array([1, 0], dtype=complex)
+PLUS = np.array([1, 1]) / np.sqrt(2)
 
 
 class TestFubiniStudy:
@@ -36,11 +35,11 @@ class TestFubiniStudy:
         assert fubini_study_sq(ZERO, PLUS) == pytest.approx(0.5, rel=1e-14)
 
     def test_orthogonal_states_saturate(self):
-        assert fubini_study_sq(ZERO, StateVector([0, 1])) == pytest.approx(1.0, rel=1e-14)
+        assert fubini_study_sq(ZERO, [0, 1]) == pytest.approx(1.0, rel=1e-14)
 
     def test_identical_states_and_phase_invariance(self):
         assert fubini_study_sq(PLUS, PLUS) < 1e-28
-        rotated = StateVector(np.exp(1j * 1.23) * PLUS.amplitudes)
+        rotated = np.exp(1j * 1.23) * PLUS
         assert fubini_study_sq(PLUS, rotated) < 1e-28
 
     def test_symmetric(self):
@@ -48,15 +47,15 @@ class TestFubiniStudy:
         for dim in (2, 4):
             v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             w = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            a = StateVector(v / np.linalg.norm(v))
-            b = StateVector(w / np.linalg.norm(w))
+            a = v / np.linalg.norm(v)
+            b = w / np.linalg.norm(w)
             assert fubini_study_sq(a, b) == pytest.approx(fubini_study_sq(b, a), rel=1e-12)
 
     def test_retains_precision_for_nearby_states(self):
         # the residual-norm formula must resolve distances far below the
         # 1e-16 cancellation floor of 1 - |<a|b>|^2
         eps = 1e-8
-        nearby = StateVector([np.cos(eps), np.sin(eps)])
+        nearby = np.array([np.cos(eps), np.sin(eps)], dtype=complex)
         got = fubini_study_sq(ZERO, nearby)
         assert got == pytest.approx(np.sin(eps) ** 2, rel=1e-6)
 
@@ -89,7 +88,7 @@ def _bloch_ray(polar, azimuth):
 
 class TestGeodesicDeviation:
     def test_endpoints(self):
-        a, b = ZERO.amplitudes, PLUS.amplitudes
+        a, b = ZERO, PLUS
         assert _min_geodesic_deviation(a, a, b) < 1e-28
         assert _min_geodesic_deviation(a, np.exp(0.7j) * b, b) < 1e-28
         # a segment of one point
@@ -100,7 +99,7 @@ class TestGeodesicDeviation:
         # the x axis.  Its midpoint lies on it; the Bloch point at polar angle
         # pi/4 and azimuth phi lies at cos(alpha) = sqrt((1 + cos^2 phi) / 2)
         # from its nearest point, a squared distance (1 - cos alpha) / 2.
-        a, b = ZERO.amplitudes, PLUS.amplitudes
+        a, b = ZERO, PLUS
         assert _min_geodesic_deviation(a, _bloch_ray(np.pi / 4, 0.0), b) < 1e-28
         phi = 0.3
         want = 0.5 * (1.0 - np.sqrt((1.0 + np.cos(phi) ** 2) / 2.0))
@@ -133,7 +132,7 @@ class TestGeodesicDeviation:
     def test_optimum_outside_segment_clamps_to_endpoint(self):
         # the segment runs from polar angle 0 to 0.2 at azimuth 0; a point
         # beyond either end of it is nearest to that end
-        a, b = ZERO.amplitudes, _bloch_ray(0.2, 0.0)
+        a, b = ZERO, _bloch_ray(0.2, 0.0)
         beyond_b = _bloch_ray(1.0, 0.1)
         got = _min_geodesic_deviation(a, beyond_b, b)
         assert got == pytest.approx(fubini_study_sq(b, beyond_b), rel=1e-14)
@@ -144,7 +143,7 @@ class TestGeodesicDeviation:
 
     def test_orthogonal_endpoints_rejected(self):
         with pytest.raises(ValueError, match="orthogonal"):
-            _min_geodesic_deviation(ZERO.amplitudes, PLUS.amplitudes, np.array([0.0, 1.0j]))
+            _min_geodesic_deviation(ZERO, PLUS, np.array([0.0, 1.0j]))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=25)
     @given(
@@ -155,7 +154,7 @@ class TestGeodesicDeviation:
     def test_matches_brute_force_minimum(self, seed, dim, log_step):
         prob = random_problem(np.random.default_rng(seed), dim)
         dt = 10.0**log_step / prob.speed
-        a = prob.initial_state.amplitudes
+        a = prob.initial_state
         p = prob.evolve([dt])[0]
         b = prob.evolve([2.0 * dt])[0]
         want = _brute_min_deviation(a, p, b)
@@ -226,7 +225,7 @@ class TestTorsionFit:
         for _ in range(5):
             prob = EvolutionProblem(
                 single_qubit(rng.normal(size=3)),
-                StateVector([0.6, 0.8j]),
+                np.array([0.6, 0.8j], dtype=complex),
             )
             fit = fit_coefficients(prob, tuple(dt / prob.speed for dt in self.DT_GRID))[1]
             assert abs(fit.coefficient) <= 1e-10
@@ -276,7 +275,7 @@ class TestGridChecks:
         # for, on a grid of dt v = 2e-5, 4e-5, 8e-5
         # sigma_z on a state of Bloch height z has kappa^2 = 4 z^2 / (1 - z^2)
         theta = np.arccos(np.sqrt(1e-3 / (4 + 1e-3)))
-        prob = EvolutionProblem(single_qubit([0.0, 0.0, 1.0]), StateVector([np.cos(theta / 2), np.sin(theta / 2)]))
+        prob = EvolutionProblem(single_qubit([0.0, 0.0, 1.0]), [np.cos(theta / 2), np.sin(theta / 2)])
         m = central_moments(prob.hamiltonian, prob.initial_state)
         assert curvature_from_moments(m) == pytest.approx(1e-3, rel=1e-12)
         fit = fit_coefficients(prob, tuple(k * 2e-5 / prob.speed for k in (1.0, 2.0, 4.0)))[0]

@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "ProblemSpec",
     "QuantumFrame",
     "SpecError",
-    "StateVector",
     "StationaryStateError",
     "__version__",
     "bell_state",

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from qucurve import (
     EvolutionProblem,
     HermitianOperator,
-    StateVector,
     build_frame,
     central_moments,
     curvature_from_moments,
@@ -36,7 +35,7 @@ dims = st.sampled_from([2, 3, 4, 8])
 arc_lengths = st.floats(min_value=0.0, max_value=3.0)
 
 
-def _geometry(ham: HermitianOperator, state: StateVector, s: float):
+def _geometry(ham: HermitianOperator, state: np.ndarray, s: float):
     """(kappa^2, tau^2) by moments, the same by projectors, and |cartan| at s."""
     mom = central_moments(ham, state)
     prob = EvolutionProblem(ham, state)
@@ -61,7 +60,7 @@ def _draw(seed: int, dim: int):
 @given(seed=seeds, dim=dims, s=arc_lengths, phase=st.floats(min_value=0.0, max_value=2 * np.pi))
 def test_global_phase(seed, dim, s, phase):
     _, ham, state = _draw(seed, dim)
-    rotated = StateVector(np.exp(1j * phase) * state.amplitudes)
+    rotated = np.exp(1j * phase) * state
     _assert_same_geometry(_geometry(ham, state, s), _geometry(ham, rotated, s))
 
 
@@ -88,7 +87,7 @@ def test_unitary_conjugation(seed, dim, s):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     u = np.linalg.qr(z)[0]
     conjugated = HermitianOperator(u @ dense(ham) @ u.conj().T)
-    moved = StateVector(u @ state.amplitudes)
+    moved = u @ state
     _assert_same_geometry(_geometry(ham, state, s), _geometry(conjugated, moved, s))
 
 

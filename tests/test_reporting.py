@@ -6,7 +6,6 @@ import pytest
 import qucurve.reporting
 from qucurve import (
     EvolutionProblem,
-    StateVector,
     build_frame,
     StationaryStateError,
     build_report,
@@ -23,7 +22,7 @@ from qucurve.models import single_qubit
 from conftest import PAULI, dense, pauli_sum, random_hermitian, random_state
 
 SIGMA_Z = HermitianOperator(PAULI["Z"])
-PLUS = StateVector(np.array([1, 1]) / np.sqrt(2))
+PLUS = np.array([1, 1]) / np.sqrt(2)
 
 
 class TestFormatFloat:
@@ -109,7 +108,7 @@ class TestBuildReport:
         assert rep.oracle["dt_grid"] == grid
 
     def test_planar_qubit(self):
-        rep = build_report(single_qubit([1.0, 0.0, 1.0]), StateVector([1, 0]))
+        rep = build_report(single_qubit([1.0, 0.0, 1.0]), [1, 0])
         assert rep.dimension == 2
         assert not rep.frame_present
         assert rep.kappa_sq_moments == pytest.approx(4.0, rel=1e-12)
@@ -117,10 +116,10 @@ class TestBuildReport:
 
     def test_stationary_state_raises(self):
         with pytest.raises(StationaryStateError):
-            build_report(SIGMA_Z, StateVector([1, 0]))
+            build_report(SIGMA_Z, [1, 0])
 
     def test_frame_present_matches_built_frame(self, crossed_fields_problem):
-        planar = EvolutionProblem(single_qubit([1.0, 0.0, 1.0]), StateVector([1, 0]))
+        planar = EvolutionProblem(single_qubit([1.0, 0.0, 1.0]), [1, 0])
         for prob, present in ((planar, False), (crossed_fields_problem, True)):
             rep = build_report(prob.hamiltonian, prob.initial_state)
             assert rep.frame_present is present
@@ -163,7 +162,7 @@ class TestBuildReport:
         if case == "crossed_fields":
             args = crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state
         elif case == "planar_qubit":
-            args = single_qubit([1.0, 0.0, 1.0]), StateVector([1, 0])
+            args = single_qubit([1.0, 0.0, 1.0]), [1, 0]
         elif case == "dense_d16":
             rng = np.random.default_rng(7)
             args = random_hermitian(rng, 16), random_state(rng, 16)
@@ -321,7 +320,7 @@ class TestTrajectoryRows:
             with pytest.raises(ValueError, match=r"^t_max must be positive and finite, got "):
                 trajectory_rows(SIGMA_Z, PLUS, t_max=t_max, steps=5)
         with pytest.raises(StationaryStateError):
-            trajectory_rows(SIGMA_Z, StateVector([1, 0]), t_max=1.0, steps=5)
+            trajectory_rows(SIGMA_Z, [1, 0], t_max=1.0, steps=5)
 
     @pytest.mark.parametrize("steps", [5.0, 2.5, True])
     def test_steps_must_be_an_integer(self, steps):
@@ -372,7 +371,7 @@ class TestPauliPathIsMatrixFree:
             "state": {"amplitudes": [[a.real, a.imag] for a in psi]},
         }
         ham, state = parse_problem_spec(doc).build()
-        return ham, state, self._reference(zz, hx, state.amplitudes)
+        return ham, state, self._reference(zz, hx, state)
 
     @staticmethod
     def _reference(zz, hx, psi):
