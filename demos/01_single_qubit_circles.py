@@ -19,11 +19,9 @@ from qucurve import (
     bloch_to_state,
     central_moments,
     curvature_bloch,
-    curvature_from_moments,
     geodesic_efficiency,
     single_qubit,
     torsion_bloch,
-    torsion_from_moments,
 )
 
 # %%
@@ -40,10 +38,10 @@ print(f"  closed-form kappa^2      = {closed!r}")
 
 problem = EvolutionProblem(single_qubit(axis), bloch_to_state(bloch))
 moments = central_moments(problem.hamiltonian, problem.initial_state)
-print(f"  moment-pipeline kappa^2  = {curvature_from_moments(moments)!r}")
-print(f"  moment-pipeline tau^2    = {torsion_from_moments(moments)!r}")
+print(f"  moment-pipeline kappa^2  = {moments.kappa_sq!r}")
+print(f"  moment-pipeline tau^2    = {moments.tau_sq!r}")
 print(f"  closed-form tau^2        = {torsion_bloch(bloch, axis)!r}")
-assert np.isclose(closed, curvature_from_moments(moments), rtol=1e-12)
+assert np.isclose(closed, moments.kappa_sq, rtol=1e-12)
 
 # %%
 # Great circle: start on the equator, field along z.  The state follows a
@@ -54,7 +52,7 @@ equator = np.array([1.0, 0.0, 0.0])
 geodesic = EvolutionProblem(single_qubit(axis), bloch_to_state(equator))
 m_geo = central_moments(geodesic.hamiltonian, geodesic.initial_state)
 print("\nequatorial start (great circle)")
-print(f"  kappa^2 = {curvature_from_moments(m_geo)!r}")
+print(f"  kappa^2 = {m_geo.kappa_sq!r}")
 for t in (0.3, 0.9, 1.5):
     eta = geodesic_efficiency(geodesic, t)
     print(f"  efficiency at t={t}: {eta!r}")
@@ -70,5 +68,5 @@ for angle in (1.2, 0.8, 0.4, 0.2, 0.1):
     a = np.array([np.sin(angle), 0.0, np.cos(angle)])
     prob = EvolutionProblem(single_qubit(axis), bloch_to_state(a))
     mom = central_moments(prob.hamiltonian, prob.initial_state)
-    kappa = curvature_from_moments(mom)
+    kappa = mom.kappa_sq
     print(f"{angle:8.2f} {kappa:14.6f} {np.sqrt(mom.mu2):12.6f}")

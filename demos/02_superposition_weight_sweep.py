@@ -22,10 +22,8 @@ import numpy as np
 from qucurve import (
     EvolutionProblem,
     central_moments,
-    curvature_from_moments,
     geodesic_efficiency,
     single_qubit,
-    torsion_from_moments,
     xi_curvature,
     xi_efficiency,
     xi_kurtosis,
@@ -43,9 +41,8 @@ print(f"{'xi':>6s} {'kappa^2 (formula)':>18s} {'kappa^2 (moments)':>18s} "
       f"{'kurtosis':>10s} {'pearson gap':>12s}")
 for xi in (0.30, 0.45, 0.60, 1 / np.sqrt(2), 0.80, 0.92):
     mom = central_moments(SIGMA_Z, xi_state(xi))
-    print(f"{xi:6.3f} {xi_curvature(xi):18.10f} "
-          f"{curvature_from_moments(mom):18.10f} "
-          f"{xi_kurtosis(xi):10.6f} {torsion_from_moments(mom):12.2e}")
+    print(f"{xi:6.3f} {xi_curvature(xi):18.10f} {mom.kappa_sq:18.10f} "
+          f"{xi_kurtosis(xi):10.6f} {mom.tau_sq:12.2e}")
 
 # %%
 # The balanced weight is a geodesic: kappa^2 = 0 exactly, and the transport

@@ -19,9 +19,7 @@ from qucurve import (
     EvolutionProblem,
     build_frame,
     central_moments,
-    curvature_from_moments,
     curvature_torsion_geometric,
-    torsion_from_moments,
     two_qubit_nonlocal,
 )
 
@@ -35,8 +33,8 @@ problem = EvolutionProblem(two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0), [1, 0, 0, 0])
 mom = central_moments(problem.hamiltonian, problem.initial_state)
 print("moment path")
 print(f"  mean = {mom.mean!r}, mu2 = {mom.mu2!r}, mu3 = {mom.mu3!r}, mu4 = {mom.mu4!r}")
-print(f"  kappa^2 = {curvature_from_moments(mom)!r}")
-print(f"  tau^2   = {torsion_from_moments(mom)!r}")
+print(f"  kappa^2 = {mom.kappa_sq!r}")
+print(f"  tau^2   = {mom.tau_sq!r}")
 
 # %%
 # Path two: projector geometry.  Differentiate the transported state twice,

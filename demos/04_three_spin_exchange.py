@@ -18,12 +18,10 @@ import numpy as np
 from qucurve import (
     StationaryStateError,
     central_moments,
-    curvature_from_moments,
     ghz_state,
     heisenberg3,
     heisenberg_ghz_coefficients,
     heisenberg_w_coefficients,
-    torsion_from_moments,
     w_state,
 )
 
@@ -38,9 +36,9 @@ kappa_formula, tau_formula = heisenberg_ghz_coefficients(jx, jy, jz, h)
 mom = central_moments(ham, ghz_state())
 print(f"GHZ under (Jx, Jy, Jz, h) = ({jx}, {jy}, {jz}, {h})")
 print(f"  kappa^2: formula = {kappa_formula!r}")
-print(f"           moments = {curvature_from_moments(mom)!r}")
+print(f"           moments = {mom.kappa_sq!r}")
 print(f"  tau^2:   formula = {tau_formula!r}")
-print(f"           moments = {torsion_from_moments(mom)!r}")
+print(f"           moments = {mom.tau_sq!r}")
 
 # %%
 # The W state on the same Hamiltonian: nonzero curvature, identically zero
@@ -51,9 +49,9 @@ kappa_w, tau_w = heisenberg_w_coefficients(jx, jy, jz, h)
 mom_w = central_moments(ham, w_state())
 print("\nW state, same couplings")
 print(f"  kappa^2: formula = {kappa_w!r}")
-print(f"           moments = {curvature_from_moments(mom_w)!r}")
+print(f"           moments = {mom_w.kappa_sq!r}")
 print(f"  tau^2:   formula = {tau_w!r}")
-print(f"           moments = {torsion_from_moments(mom_w):.2e}")
+print(f"           moments = {mom_w.tau_sq:.2e}")
 
 # %%
 # Sweep the anisotropy at fixed field.  The W state only moves at all
@@ -79,5 +77,5 @@ k_iso, t_iso = heisenberg_ghz_coefficients(1.0, 1.0, 0.5, 0.7)
 mom_iso = central_moments(heisenberg3(1.0, 1.0, 0.5, 0.7), ghz_state())
 print("\nisotropic point Jx = Jy = 1")
 print(f"  formula  (kappa^2, tau^2) = ({k_iso!r}, {t_iso!r})")
-print(f"  pipeline  kappa^2 = {curvature_from_moments(mom_iso):.2e}, "
+print(f"  pipeline  kappa^2 = {mom_iso.kappa_sq:.2e}, "
       f"speed = {float(np.sqrt(mom_iso.mu2))!r}")

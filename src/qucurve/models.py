@@ -392,8 +392,10 @@ def xi_efficiency(t: float, xi: float, m: float = 1.0) -> float:
     if m == 0.0:
         raise StationaryStateError("stationary state: arc length undefined (m = 0)")
     _xi_weight(xi)
+    mt = float(m) * float(t)
+    if not np.finfo(float).tiny <= abs(mt) < math.inf:  # an overflow, underflow or subnormal loses the angle
+        raise ValueError(f"m t must be a normal finite float, got m t = {mt!r} at m = {m!r}, t = {t!r}")
     weight = xi * np.sqrt(1.0 - xi * xi)
-    c = np.cos(m * t)
-    s = np.sin(m * t)
+    c, s = np.cos(mt), np.sin(mt)
     overlap = np.sqrt(c * c + (2.0 * xi * xi - 1.0) ** 2 * s * s)
     return float(np.arctan2(2.0 * weight * abs(s), overlap) / (2.0 * weight * abs(m) * t))

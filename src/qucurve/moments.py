@@ -1,8 +1,9 @@
 """Central moments of a Hamiltonian in a state, and the geometry they encode.
 
-With dh = (H - <H>)/sqrt(mu2) the standardized energy fluctuation, the
-curvature and torsion coefficients of the evolution curve are pure moment
-combinations:
+The route's one entry point, ``central_moments``, returns a ``MomentSet``:
+the mean and central moments of the energy, and the curve's ``kappa_sq`` and
+``tau_sq``.  With dh = (H - <H>)/sqrt(mu2) the standardized energy
+fluctuation, those two are pure moment combinations:
 
     kappa^2 = <(dh)^4> - 1           = alpha4 - 1
     tau^2   = alpha4 - 1 - alpha3^2
@@ -27,14 +28,16 @@ __all__ = [
     "NumericalError",
     "MomentSet",
     "central_moments",
-    "curvature_from_moments",
-    "torsion_from_moments",
 ]
 
 # A state is treated as an eigenstate (zero-speed curve) when the energy
 # variance is negligible relative to the mean squared eigenvalue
 # ||H||_F^2 / d, a scale that moves with H -> cH and not with d.
 _STATIONARY_MU2_TOL = 1e-10
+
+# tau^2 values this far below zero are rounding noise on a planar curve and
+# are clamped in displayed reports; anything lower indicates a real bug.
+_CLAMP_FLOOR = -1e-9
 
 
 class StationaryStateError(ValueError):
@@ -47,10 +50,17 @@ class NumericalError(ValueError):
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Central moments mu_r = <(H - <H>)^r> up to r = 4, plus standardized ratios.
+    """Central moments mu_r = <(H - <H>)^r> up to r = 4, standardized ratios and the curve's geometry.
 
     Only a moving state has one (``central_moments`` refuses an eigenstate),
     so mu2 > 0 and the ratios ``alpha3`` and ``alpha4`` are finite.
+
+    ``kappa_sq`` = alpha4 - 1 is nonnegative because the variance of
+    (H-<H>)^2 is mu4 - mu2^2 >= 0; rounding may produce values as low as
+    -1e-12 near zero.  ``tau_sq`` = alpha4 - 1 - alpha3^2 is also the slack
+    in the Pearson inequality, which reports quote as ``pearson_gap``.  It
+    is kept raw: negative values down to ``_CLAMP_FLOOR`` are rounding noise
+    on exactly-zero torsion and are left to display layers to clamp.
     """
 
     mean: float
@@ -59,10 +69,12 @@ class MomentSet:
     mu4: float
     alpha3: float
     alpha4: float
+    kappa_sq: float
+    tau_sq: float
 
 
 def central_moments(hamiltonian: HermitianOperator, state) -> MomentSet:
-    """Compute <H> and central moments mu2..mu4 of H in a pure state, given by its amplitudes.
+    """<H>, central moments mu2..mu4, kappa^2 and tau^2 of H in a pure state, given by its amplitudes.
 
     Uses two products ``H.apply`` with (H - <H> I): with
     w1 = (H-<H>)psi and w2 = (H-<H>)w1,
@@ -109,29 +121,6 @@ def _moment_pass(hamiltonian: HermitianOperator, psi: np.ndarray) -> tuple[Momen
         alpha3 = alpha4 = math.inf
     if not (math.isfinite(alpha3) and math.isfinite(alpha4)):
         raise NumericalError(f"alpha4 = mu4 / mu2^2 is out of floating-point range: mu2 = {mu2!r}, mu4 = {mu4!r}")
-    return MomentSet(mean=mean, mu2=mu2, mu3=mu3, mu4=mu4, alpha3=alpha3, alpha4=alpha4), w1
+    kappa_sq, tau_sq = alpha4 - 1.0, alpha4 - 1.0 - alpha3**2
+    return MomentSet(mean, mu2, mu3, mu4, alpha3, alpha4, kappa_sq, tau_sq), w1
 
-
-def curvature_from_moments(m: MomentSet) -> float:
-    """Squared curvature coefficient kappa^2 = mu4/mu2^2 - 1 (dimensionless).
-
-    Nonnegative because the variance of (H-<H>)^2 is mu4 - mu2^2 >= 0;
-    rounding may produce values as low as -1e-12 near zero.
-    """
-    return m.alpha4 - 1.0
-
-
-# tau^2 values this far below zero are rounding noise on a planar curve and
-# are clamped in displayed reports; anything lower indicates a real bug.
-_CLAMP_FLOOR = -1e-9
-
-
-def torsion_from_moments(m: MomentSet) -> float:
-    """Squared torsion coefficient tau^2 = alpha4 - 1 - alpha3^2.
-
-    This is also the slack in the Pearson moment inequality
-    alpha4 >= 1 + alpha3^2, which reports quote as ``pearson_gap``.
-    Returned raw: negative values down to ``_CLAMP_FLOOR`` are rounding
-    noise on exactly-zero torsion and are left to display layers to clamp.
-    """
-    return m.alpha4 - 1.0 - m.alpha3**2

@@ -13,9 +13,10 @@ from physically measurable data only:
 * torsion -- how fast the state leaves the plane spanned by two earlier
   snapshots; the out-of-plane weight grows as tau^2 * mu2^2 * dt^4.
 
-Fitting the quartic coefficients on a small grid of time steps and dividing
-by mu2^2 recovers the dimensionless kappa^2 and tau^2.  A column of fitted
-values that is all rounding noise reports a misfit of exactly 0.
+The entry point ``fit_coefficients`` fits both laws on a small grid of steps
+and returns a ``FitResult``: kappa^2 and tau^2 (the fits divided by mu2^2),
+each fit's misfit and the grid.  A column of fitted values that is all
+rounding noise reports a misfit of exactly 0.
 """
 
 from __future__ import annotations
@@ -46,15 +47,17 @@ _MIN_STEP = 1e-5
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of a through-origin quartic fit y = C * dt^4.
+    """kappa^2 and tau^2 from the through-origin quartic fits y = C * dt^4 on ``dt_grid``.
 
-    ``coefficient`` is already converted to the physical constant named by
-    the fitting routine (see its docstring), ``residual`` is the relative
-    L2 misfit of the quartic model on the grid.
+    ``fit_residual_kappa`` and ``fit_residual_tau`` are the relative L2
+    misfits of the two quartic models on the grid.  The fields are the keys
+    of a report's ``oracle`` block, in its order.
     """
 
-    coefficient: float
-    residual: float
+    kappa_sq: float
+    tau_sq: float
+    fit_residual_kappa: float
+    fit_residual_tau: float
     dt_grid: tuple[float, ...]
 
 
@@ -142,22 +145,20 @@ def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], d
     return dts, dict(zip(times, problem.evolve(times)))
 
 
-def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> tuple[FitResult, FitResult]:
-    """Curvature constant mu4 - mu2^2 and torsion constant tau^2 mu2^2, from
-    one grid check and one walk for the snapshots psi(dt) and psi(2 dt), on
-    ``dt_grid`` (default {1, 2, 4} * 1e-3 / v).
+def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> FitResult:
+    """kappa^2 and tau^2 from one grid check and one walk for the snapshots
+    psi(dt) and psi(2 dt), on ``dt_grid`` (default {1, 2, 4} * 1e-3 / v).
 
     Curvature: for each step dt the evolved midpoint psi(dt) is compared
     against the geodesic segment from psi(0) to psi(2 dt); the minimal
-    squared distance at unit metric prefactor is fitted to C dt^4, and the
-    first result's coefficient is 4 C, which approaches mu4 - mu2^2 as
-    dt -> 0.  Dividing by mu2^2 gives kappa^2.
+    squared distance at unit metric prefactor is fitted to C dt^4, and 4 C
+    approaches mu4 - mu2^2 as dt -> 0.  ``kappa_sq`` is 4 C / mu2^2.
 
     Torsion: the plane is spanned by the snapshots psi(0) and psi(dt); the
     weight of psi(2 dt) outside it, computed as an explicit residual norm,
-    is fitted to C dt^4, and the second result's coefficient is C itself,
-    which approaches tau^2 mu2^2.  For any single-qubit problem the plane is
-    the whole space and the coefficient vanishes identically.
+    is fitted to C dt^4, and C approaches tau^2 mu2^2.  ``tau_sq`` is
+    C / mu2^2, with the moment pass's mu2.  For any single-qubit problem
+    the plane is the whole space and tau_sq vanishes identically.
 
     Raises
     ------
@@ -171,10 +172,9 @@ def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> tuple[FitResult
     dts, states = _snapshots(problem, dt_grid)
     psi0 = problem.initial_state
     values = [_min_geodesic_deviation(psi0, states[dt], states[2.0 * dt]) for dt in dts]
-    coeff, residual = _fit_quartic(dts, values)
-    if residual > 0.05:
-        raise NumericalError(f"fit_residual_kappa: quartic fit residual {residual:.3g} exceeds 5%")
-    kappa_fit = FitResult(coefficient=4.0 * coeff, residual=residual, dt_grid=dts)
+    kappa_c, kappa_residual = _fit_quartic(dts, values)
+    if kappa_residual > 0.05:
+        raise NumericalError(f"fit_residual_kappa: quartic fit residual {kappa_residual:.3g} exceeds 5%")
 
     q0 = psi0 / np.linalg.norm(psi0)
     values = []
@@ -182,5 +182,6 @@ def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> tuple[FitResult
         u = _project_off(states[dt], q0, q0)  # the second pass keeps u orthogonal to q0
         r = _project_off(states[2.0 * dt], q0, u / np.linalg.norm(u))
         values.append(float(np.vdot(r, r).real))
-    tau_fit = FitResult(*_fit_quartic(dts, values), dt_grid=dts)
-    return kappa_fit, tau_fit
+    tau_c, tau_residual = _fit_quartic(dts, values)
+    mu2 = problem.moments.mu2
+    return FitResult(4.0 * kappa_c / mu2**2, tau_c / mu2**2, kappa_residual, tau_residual, dts)

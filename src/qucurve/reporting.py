@@ -1,5 +1,8 @@
 """Geometry reports and their deterministic serialization.
 
+``build_report`` returns a ``GeometryReport`` of each route's kappa^2 and tau^2,
+read from its entry point; ``trajectory_rows`` and ``sweep_row`` return CSV rows.
+
 All floating-point output (JSON and CSV) uses Python's repr of float, the
 shortest decimal string that round-trips to the same IEEE-754 double.  Output
 is a pure function of the input document, so repeated runs are byte-identical.
@@ -19,7 +22,7 @@ from .evolution import EvolutionProblem
 from .frame import _binormal_present, _curvature_torsion_at, curvature_torsion_geometric
 from .hilbert import HermitianOperator
 from .models import geodesic_efficiency, state_to_bloch
-from .moments import _CLAMP_FLOOR, NumericalError, curvature_from_moments, torsion_from_moments
+from .moments import _CLAMP_FLOOR, NumericalError
 from .oracles import fit_coefficients
 
 __all__ = ["GeometryReport", "build_report", "format_float", "trajectory_rows", "sweep_row"]
@@ -82,8 +85,8 @@ def build_report(
 
     Both paths are read at Psi(0) = psi0, so a plain report evolves nothing.
     With ``with_oracle`` the finite-difference fits are run on ``dt_grid``
-    (``fit_coefficients``' default when None) and reported normalized by mu2^2,
-    and the projector path is read on ``_ARC_SAMPLES`` arc-length points in
+    (``fit_coefficients``' default when None) into the ``oracle`` block, and
+    the projector path is read on ``_ARC_SAMPLES`` arc-length points in
     [0, 1]: kappa^2 and tau^2 are constants of the motion, so a spread above
     1e-9 is a warning.  The fits' warnings (a coarse grid) join ``warnings``.
 
@@ -99,8 +102,7 @@ def build_report(
     warnings: list[str] = []
 
     mom = problem.moments
-    kappa_m = curvature_from_moments(mom)
-    tau_m_raw = torsion_from_moments(mom)
+    kappa_m, tau_m_raw = mom.kappa_sq, mom.tau_sq
 
     kappa_g, tau_g = _curvature_torsion_at(problem, problem.initial_state)
 
@@ -122,15 +124,9 @@ def build_report(
                 warnings.append(f"{name} varies by {spread!r} across arc-length samples")
         with catch_warnings(record=True) as caught:
             simplefilter("always", UserWarning)  # a NumPy RuntimeWarning still meets the caller's filters
-            kfit, tfit = fit_coefficients(problem, dt_grid)
+            fit = fit_coefficients(problem, dt_grid)
         warnings.extend(dict.fromkeys(str(w.message) for w in caught))
-        oracle = {
-            "kappa_sq": kfit.coefficient / mom.mu2**2,
-            "tau_sq": tfit.coefficient / mom.mu2**2,
-            "fit_residual_kappa": kfit.residual,
-            "fit_residual_tau": tfit.residual,
-            "dt_grid": list(kfit.dt_grid),
-        }
+        oracle = {**vars(fit), "dt_grid": list(fit.dt_grid)}
 
     return GeometryReport(
         dimension=problem.dim,
@@ -165,8 +161,8 @@ def trajectory_rows(
     if not 0.0 < t_max < np.inf:  # also refuses NaN
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     problem = EvolutionProblem(hamiltonian, state)
-    kappa = curvature_from_moments(problem.moments)
-    tau = _clamp_tau(torsion_from_moments(problem.moments), "tau_sq", [])
+    kappa = problem.moments.kappa_sq
+    tau = _clamp_tau(problem.moments.tau_sq, "tau_sq", [])
 
     d = problem.dim
     header = ["t", "s", "fidelity_to_initial"]
@@ -199,12 +195,11 @@ def sweep_row(
     """One formatted sweep-CSV row: param, kappa_sq, tau_sq, eta, alpha4, alpha3_sq."""
     problem = EvolutionProblem(hamiltonian, state)
     mom = problem.moments
-    kappa = curvature_from_moments(mom)
-    tau = _clamp_tau(torsion_from_moments(mom), "tau_sq", [])
+    tau = _clamp_tau(mom.tau_sq, "tau_sq", [])
     eta = geodesic_efficiency(problem, efficiency_t)
     return [
         format_float(param_value),
-        format_float(kappa),
+        format_float(mom.kappa_sq),
         format_float(tau),
         format_float(eta),
         format_float(mom.alpha4),

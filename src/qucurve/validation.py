@@ -16,7 +16,7 @@ from . import models
 from .evolution import EvolutionProblem
 from .frame import build_frame, curvature_torsion_geometric
 from .hilbert import HermitianOperator
-from .moments import _CLAMP_FLOOR, StationaryStateError, central_moments, curvature_from_moments, torsion_from_moments
+from .moments import _CLAMP_FLOOR, StationaryStateError, central_moments
 from .oracles import fit_coefficients
 
 __all__ = ["CaseResult", "PERTURBABLE_CASES", "run_validation"]
@@ -89,9 +89,9 @@ def _case_xi_family_grid() -> float:
     for xi in np.linspace(0.01, 0.99, 99):
         state = models.xi_state(float(xi))
         mom = central_moments(ham, state)
-        worst = max(worst, abs(curvature_from_moments(mom) - models.xi_curvature(float(xi))))
+        worst = max(worst, abs(mom.kappa_sq - models.xi_curvature(float(xi))))
         worst = max(worst, abs(mom.alpha4 - models.xi_kurtosis(float(xi))))
-        worst = max(worst, abs(torsion_from_moments(mom)))
+        worst = max(worst, abs(mom.tau_sq))
     return worst
 
 
@@ -119,12 +119,8 @@ def _case_bloch_reduction() -> float:
         ham = models.single_qubit(m, m0=float(rng.normal()))
         state = models.bloch_to_state(a)
         mom = central_moments(ham, state)
-        worst = max(
-            worst,
-            abs(curvature_from_moments(mom) - models.curvature_bloch(a, m))
-            / max(1.0, models.curvature_bloch(a, m)),
-        )
-        worst = max(worst, abs(torsion_from_moments(mom)))
+        k_ref = models.curvature_bloch(a, m)
+        worst = max(worst, abs(mom.kappa_sq - k_ref) / max(1.0, k_ref), abs(mom.tau_sq))
     return worst
 
 
@@ -142,7 +138,7 @@ def _case_cross_path_random() -> float:
         for _ in range(15):
             prob = _random_problem(rng, dim)
             mom = prob.moments
-            km, tm = curvature_from_moments(mom), torsion_from_moments(mom)
+            km, tm = mom.kappa_sq, mom.tau_sq
             s = float(rng.uniform(0.0, 2.0))
             kg, tg = curvature_torsion_geometric(prob, [s])[0]
             worst = max(worst, abs(km - kg) / max(1.0, abs(km)))
@@ -153,40 +149,35 @@ def _case_cross_path_random() -> float:
     return worst
 
 
-def _case_two_qubit_formulas() -> float:
-    rng = np.random.default_rng(5150)
-    worst = 0.0
-    phi_plus = models.bell_state("phi+")
-    zero_zero = np.array([1, 0, 0, 0])
-    for _ in range(30):
-        m = rng.uniform(-2.0, 2.0, size=4)
-        nonlocal_h, local_h = models.two_qubit_nonlocal(*m), models.two_qubit_local(*m)
-        cases = [
-            (nonlocal_h, zero_zero, models.nonlocal_product_coefficients(*m)),
-            (nonlocal_h, phi_plus, models.nonlocal_bell_coefficients(*m)),
-            (local_h, phi_plus, models.local_bell_coefficients(*m)),
-            (local_h, zero_zero, models.local_product_coefficients(*m)),
-        ]
-        for ham, state, (k_ref, t_ref) in cases:
-            mom = central_moments(ham, state)
-            worst = max(worst, abs(curvature_from_moments(mom) - k_ref) / max(1.0, k_ref))
-            worst = max(worst, abs(torsion_from_moments(mom) - t_ref) / max(1.0, t_ref))
-    return worst
+def _two_qubit_rows(*m) -> list:
+    nonlocal_h, local_h = models.two_qubit_nonlocal(*m), models.two_qubit_local(*m)
+    phi_plus, zero_zero = models.bell_state("phi+"), np.array([1, 0, 0, 0])
+    return [
+        (nonlocal_h, zero_zero, models.nonlocal_product_coefficients(*m)),
+        (nonlocal_h, phi_plus, models.nonlocal_bell_coefficients(*m)),
+        (local_h, phi_plus, models.local_bell_coefficients(*m)),
+        (local_h, zero_zero, models.local_product_coefficients(*m)),
+    ]
 
 
-def _case_heisenberg_formulas() -> float:
-    rng = np.random.default_rng(77)
+def _heisenberg_rows(jx, jy, jz, h) -> list:
+    ham = models.heisenberg3(jx, jy, jz, h)
+    return [
+        (ham, models.ghz_state(), models.heisenberg_ghz_coefficients(jx, jy, jz, h)),
+        (ham, models.w_state(), models.heisenberg_w_coefficients(jx, jy, jz, h)),
+    ]
+
+
+def _closed_form_formulas(seed: int, rows) -> float:
+    """Worst relative moment-route error against the (builder, state, closed form)
+    rows of 30 seeded draws of four couplings in [-2, 2]."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(30):
-        jx, jy, jz, h = rng.uniform(-2.0, 2.0, size=4)
-        ham = models.heisenberg3(jx, jy, jz, h)
-        for state, (k_ref, t_ref) in (
-            (models.ghz_state(), models.heisenberg_ghz_coefficients(jx, jy, jz, h)),
-            (models.w_state(), models.heisenberg_w_coefficients(jx, jy, jz, h)),
-        ):
+        for ham, state, (k_ref, t_ref) in rows(*rng.uniform(-2.0, 2.0, size=4)):
             mom = central_moments(ham, state)
-            worst = max(worst, abs(curvature_from_moments(mom) - k_ref) / max(1.0, k_ref))
-            worst = max(worst, abs(torsion_from_moments(mom) - t_ref) / max(1.0, t_ref))
+            worst = max(worst, abs(mom.kappa_sq - k_ref) / max(1.0, k_ref))
+            worst = max(worst, abs(mom.tau_sq - t_ref) / max(1.0, t_ref))
     return worst
 
 
@@ -201,15 +192,13 @@ def _case_planar_bell_states() -> float:
                 mom = central_moments(ham, models.bell_state(kind))
             except StationaryStateError:
                 continue
-            worst = max(worst, abs(torsion_from_moments(mom)))
+            worst = max(worst, abs(mom.tau_sq))
     return worst
 
 
 def _case_quartic_fits() -> float:
-    prob = _two_qubit_cross_field()
-    mom = prob.moments
-    kfit, tfit = fit_coefficients(prob)
-    return max(abs(kfit.coefficient / mom.mu2**2 - 1.0), abs(tfit.coefficient / mom.mu2**2 - 1.0))
+    fit = fit_coefficients(_two_qubit_cross_field())
+    return max(abs(fit.kappa_sq - 1.0), abs(fit.tau_sq - 1.0))
 
 
 def _case_parallel_transport() -> float:
@@ -231,7 +220,7 @@ def _case_classical_circle() -> float:
     radius, theta = 1.7, 0.8
     kappa_geo = 1.0 / (np.tan(theta) * radius)
     mom = central_moments(models.single_qubit([0.0, 0.0, 1.0]), models.xi_state(float(np.cos(theta / 2.0))))
-    return abs(curvature_from_moments(mom) - 4.0 * radius**2 * kappa_geo**2)
+    return abs(mom.kappa_sq - 4.0 * radius**2 * kappa_geo**2)
 
 
 # name -> (tolerance, case), in the order of the report
@@ -242,8 +231,8 @@ _CASES = {
     "efficiency-grid": (1e-6, _case_efficiency_grid),
     "bloch-reduction": (1e-9, _case_bloch_reduction),
     "cross-path-random": (1e-9, _case_cross_path_random),
-    "two-qubit-formulas": (1e-9, _case_two_qubit_formulas),
-    "heisenberg-formulas": (1e-9, _case_heisenberg_formulas),
+    "two-qubit-formulas": (1e-9, lambda: _closed_form_formulas(5150, _two_qubit_rows)),
+    "heisenberg-formulas": (1e-9, lambda: _closed_form_formulas(77, _heisenberg_rows)),
     "planar-bell-states": (1e-10, _case_planar_bell_states),
     "quartic-fits": (0.02, _case_quartic_fits),
     "parallel-transport": (1e-6, _case_parallel_transport),

@@ -19,7 +19,6 @@ from qucurve import (
     build_frame,
     central_moments,
     curvature_bloch,
-    curvature_from_moments,
     curvature_torsion_geometric,
     fit_coefficients,
     geodesic_efficiency,
@@ -34,7 +33,6 @@ from qucurve import (
     single_qubit,
     StationaryStateError,
     torsion_bloch,
-    torsion_from_moments,
     two_qubit_local,
     two_qubit_nonlocal,
     w_state,
@@ -53,7 +51,7 @@ SIGMA_Z = single_qubit([0.0, 0.0, 1.0])
 
 def pipeline_coefficients(hamiltonian, state):
     mom = central_moments(hamiltonian, state)
-    return curvature_from_moments(mom), torsion_from_moments(mom)
+    return mom.kappa_sq, mom.tau_sq
 
 
 def draw_couplings(rng, denominator, floor):
@@ -166,7 +164,7 @@ def test_closed_form_value_table():
             ms = draw_couplings(rng, denominator, floor)
             ham = build(*ms)
             mom = central_moments(ham, state)
-            kappa = curvature_from_moments(mom)
+            kappa = mom.kappa_sq
             tau = curvature_torsion_geometric(EvolutionProblem(ham, state), [0.0])[0][1]
             ek, et = formula(*ms)
             assert kappa == pytest.approx(ek, rel=1e-9, abs=1e-10)
@@ -183,7 +181,7 @@ def test_closed_form_value_table():
         assert kappa == pytest.approx(ek, rel=1e-9, abs=1e-10)
         assert tau == pytest.approx(et, rel=1e-9, abs=1e-10)
         ham = heisenberg3(jx, jy, jz, h)
-        kappa = curvature_from_moments(central_moments(ham, w_state()))
+        kappa = central_moments(ham, w_state()).kappa_sq
         tau = curvature_torsion_geometric(EvolutionProblem(ham, w_state()), [0.0])[0][1]
         ek, et = heisenberg_w_coefficients(jx, jy, jz, h)
         assert kappa == pytest.approx(ek, rel=1e-9, abs=1e-10)
@@ -213,8 +211,8 @@ def test_cross_path_equivalence():
         for _ in range(50):
             prob = random_problem(rng, dim)
             mom = central_moments(prob.hamiltonian, prob.initial_state)
-            kappa_m = curvature_from_moments(mom)
-            tau_m = torsion_from_moments(mom)
+            kappa_m = mom.kappa_sq
+            tau_m = mom.tau_sq
             [(kappa_g, tau_g)] = curvature_torsion_geometric(prob, [0.0])
             assert abs(kappa_m - kappa_g) <= max(1e-9 * abs(kappa_m), 1e-10)
             assert abs(tau_m - tau_g) <= max(1e-9 * abs(tau_m), 1e-10)
@@ -233,10 +231,9 @@ def test_finite_difference_oracle():
         prob = random_problem(rng, dim)
         grid = tuple(j * 1e-3 / prob.speed for j in (1.0, 2.0, 4.0))
         kappa, tau = pipeline_coefficients(prob.hamiltonian, prob.initial_state)
-        mu2_sq = central_moments(prob.hamiltonian, prob.initial_state).mu2 ** 2
-        kfit, tfit = fit_coefficients(prob, grid)
-        assert kfit.coefficient / mu2_sq == pytest.approx(kappa, rel=0.02, abs=1e-8)
-        assert tfit.coefficient / mu2_sq == pytest.approx(tau, rel=0.02, abs=1e-8)
+        fit = fit_coefficients(prob, grid)
+        assert fit.kappa_sq == pytest.approx(kappa, rel=0.02, abs=1e-8)
+        assert fit.tau_sq == pytest.approx(tau, rel=0.02, abs=1e-8)
 
     # a single qubit's curve can never leave the plane of two snapshots:
     # the raw fitted constant must vanish to rounding precision
@@ -246,7 +243,7 @@ def test_finite_difference_oracle():
         except StationaryStateError:
             continue
         grid = tuple(j * 1e-3 / prob.speed for j in (1.0, 2.0, 4.0))
-        assert abs(fit_coefficients(prob, grid)[1].coefficient) <= 1e-10
+        assert abs(fit_coefficients(prob, grid).tau_sq * prob.moments.mu2**2) <= 1e-10
 
 
 def test_invariance_suite():
@@ -254,14 +251,7 @@ def test_invariance_suite():
 
     def profile(ham, state):
         mom = central_moments(ham, state)
-        return np.array(
-            [
-                curvature_from_moments(mom),
-                torsion_from_moments(mom),
-                mom.alpha3**2,
-                mom.alpha4,
-            ]
-        )
+        return np.array([mom.kappa_sq, mom.tau_sq, mom.alpha3**2, mom.alpha4])
 
     dims = (2, 3, 4, 8)
     for k in range(50):
@@ -304,9 +294,9 @@ def test_frame_geometry():
             assert np.max(np.abs(cart + cart.conj().T)) <= 1e-9
 
             mom = central_moments(prob.hamiltonian, prob.initial_state)
-            tau = np.sqrt(max(torsion_from_moments(mom), 0.0))
+            tau = np.sqrt(max(mom.tau_sq, 0.0))
             skew = np.sqrt(
-                max(curvature_from_moments(mom) - torsion_from_moments(mom), 0.0)
+                max(mom.kappa_sq - mom.tau_sq, 0.0)
             )
             if len(fr.rows) == 3:
                 assert abs(cart[1, 2]) == pytest.approx(tau, abs=1e-8)

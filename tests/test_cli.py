@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -303,13 +304,18 @@ def _skew_curvature(monkeypatch):
 
 
 def _negative_torsion(monkeypatch):
-    orig = qucurve.reporting._curvature_torsion_at
+    # tau^2 = -1e-3 on both routes, so the report's agreement gate passes and the clamp gate meets it
+    orig_at, orig_pass = qucurve.reporting._curvature_torsion_at, qucurve.evolution._moment_pass
 
     def negative(prob, psi):
-        return orig(prob, psi)[0], -1e-3
+        return orig_at(prob, psi)[0], -1e-3
+
+    def negative_pass(hamiltonian, psi):
+        mom, centered = orig_pass(hamiltonian, psi)
+        return dataclasses.replace(mom, tau_sq=-1e-3), centered
 
     monkeypatch.setattr(qucurve.reporting, "_curvature_torsion_at", negative)
-    monkeypatch.setattr(qucurve.reporting, "torsion_from_moments", lambda mom: -1e-3)
+    monkeypatch.setattr(qucurve.evolution, "_moment_pass", negative_pass)
 
 
 def _overshooting_evolution(monkeypatch):

@@ -11,9 +11,7 @@ from qucurve import (
     StationaryStateError,
     build_frame,
     central_moments,
-    curvature_from_moments,
     curvature_torsion_geometric,
-    torsion_from_moments,
 )
 from qucurve.models import single_qubit
 
@@ -99,8 +97,8 @@ class TestGeometricPath:
                 prob = random_problem(rng, dim)
                 m = central_moments(prob.hamiltonian, prob.initial_state)
                 kappa_sq, tau_sq = geometric_at(prob, 0.0)
-                assert kappa_sq == pytest.approx(curvature_from_moments(m), rel=1e-10, abs=1e-10)
-                assert tau_sq == pytest.approx(torsion_from_moments(m), rel=1e-8, abs=1e-10)
+                assert kappa_sq == pytest.approx(m.kappa_sq, rel=1e-10, abs=1e-10)
+                assert tau_sq == pytest.approx(m.tau_sq, rel=1e-8, abs=1e-10)
 
     def test_qubit_curves_are_planar(self):
         rng = np.random.default_rng(151)
@@ -196,7 +194,7 @@ class TestCartanMatrix:
                 prob = random_problem(rng, dim)
                 m = central_moments(prob.hamiltonian, prob.initial_state)
                 cart = build_frame(prob, 0.0).cartan
-                tau = np.sqrt(max(torsion_from_moments(m), 0.0))
+                tau = np.sqrt(max(m.tau_sq, 0.0))
                 assert abs(cart[1, 2]) == pytest.approx(tau, rel=1e-9, abs=1e-10)
                 assert abs(cart[1, 1]) == pytest.approx(abs(m.alpha3), rel=1e-9, abs=1e-10)
 
@@ -259,7 +257,7 @@ def test_pauli_backing_matches_dense_backing(n):
     for op, out in ((pauli, got), (dense_op, want)):
         mom = central_moments(op, state)
         prob = EvolutionProblem(op, state)
-        out.append([curvature_from_moments(mom), torsion_from_moments(mom)])
+        out.append([mom.kappa_sq, mom.tau_sq])
         out.append(geometric_at(prob, 0.7))
         out.append(build_frame(prob, 0.7).cartan)
     for g, w in zip(got, want):

@@ -12,7 +12,6 @@ from qucurve import (
     bloch_to_state,
     central_moments,
     curvature_bloch,
-    curvature_from_moments,
     geodesic_efficiency,
     ghz_state,
     heisenberg3,
@@ -25,7 +24,6 @@ from qucurve import (
     single_qubit,
     state_to_bloch,
     torsion_bloch,
-    torsion_from_moments,
     two_qubit_local,
     two_qubit_nonlocal,
     w_state,
@@ -89,10 +87,8 @@ class TestBlochCurvature:
                 continue
             ham = single_qubit(m, m0=float(rng.normal()))
             mom = central_moments(ham, bloch_to_state(a))
-            assert curvature_bloch(a, m) == pytest.approx(
-                curvature_from_moments(mom), rel=1e-9, abs=1e-11
-            )
-            assert abs(torsion_from_moments(mom)) < 1e-10
+            assert curvature_bloch(a, m) == pytest.approx(mom.kappa_sq, rel=1e-9, abs=1e-11)
+            assert abs(mom.tau_sq) < 1e-10
 
     def test_torsion_is_exactly_zero(self):
         assert torsion_bloch([0, 0, 1], [1, 0, 1]) == 0.0
@@ -348,7 +344,7 @@ class TestCoefficientFormulas:
     @staticmethod
     def _pipeline(ham, state):
         m = central_moments(ham, state)
-        return curvature_from_moments(m), torsion_from_moments(m)
+        return m.kappa_sq, m.tau_sq
 
     def test_nonlocal_product_matches_pipeline(self):
         rng = np.random.default_rng(233)
@@ -441,9 +437,7 @@ class TestXiFamily:
     def test_curvature_matches_pipeline(self):
         for xi in (0.2, 0.55, 0.9):
             mom = central_moments(single_qubit([0, 0, 1.5]), xi_state(xi))
-            assert xi_curvature(xi) == pytest.approx(
-                curvature_from_moments(mom), rel=1e-10, abs=1e-12
-            )
+            assert xi_curvature(xi) == pytest.approx(mom.kappa_sq, rel=1e-10, abs=1e-12)
 
     def test_eigenstate_endpoints_rejected(self):
         for xi in (0.0, 1.0):
@@ -505,6 +499,16 @@ class TestEfficiency:
     def test_non_finite_time_or_field(self, t, m):
         with pytest.raises(ValueError, match=r"^t and m must be finite, got "):
             xi_efficiency(t, 0.6, m)
+
+    @pytest.mark.parametrize(
+        "t, m, product",
+        [(1e200, -1e200, "-inf"), (1e-200, 1e-200, "0.0"), (1e-160, 1e-160, "1e-320")],
+        ids=["overflow", "underflow", "subnormal"],
+    )
+    def test_product_outside_the_normal_floats(self, t, m, product):
+        # cos and sin of an infinite m t are NaN, and a zero or subnormal m t loses the angle's digits
+        with pytest.raises(ValueError, match=rf"^m t must be a normal finite float, got m t = {product} at "):
+            xi_efficiency(t, 0.3, m)
 
     def test_invalid_time(self):
         prob = EvolutionProblem(single_qubit([0, 0, 1.0]), xi_state(0.5))

@@ -6,8 +6,6 @@ from qucurve import (
     HermitianOperator,
     StationaryStateError,
     central_moments,
-    curvature_from_moments,
-    torsion_from_moments,
     xi_state,
 )
 
@@ -74,8 +72,8 @@ class TestMomentGeometry:
         m = central_moments(
             crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state
         )
-        assert curvature_from_moments(m) == pytest.approx(1.0, rel=1e-13)
-        assert torsion_from_moments(m) == pytest.approx(1.0, rel=1e-13)
+        assert m.kappa_sq == pytest.approx(1.0, rel=1e-13)
+        assert m.tau_sq == pytest.approx(1.0, rel=1e-13)
 
     def test_qubit_torsion_vanishes(self):
         # any two-level problem has a two-point energy distribution, whose
@@ -83,8 +81,8 @@ class TestMomentGeometry:
         rng = np.random.default_rng(103)
         for _ in range(25):
             m = central_moments(random_hermitian(rng, 2), random_state(rng, 2))
-            assert abs(torsion_from_moments(m)) < 1e-10
-            assert curvature_from_moments(m) == pytest.approx(m.alpha3**2, rel=1e-8, abs=1e-10)
+            assert abs(m.tau_sq) < 1e-10
+            assert m.kappa_sq == pytest.approx(m.alpha3**2, rel=1e-8, abs=1e-10)
 
     def test_xi_state_curvature_closed_form(self):
         xi_zero = np.sqrt(2 + np.sqrt(2)) / 2  # where kappa^2 = 4
@@ -92,23 +90,23 @@ class TestMomentGeometry:
             m = central_moments(SIGMA_Z, xi_state(xi))
             assert m.mu2 == pytest.approx(4 * xi**2 * (1 - xi**2), rel=1e-13)
             expected = (1 - 2 * xi**2) ** 2 / (xi**2 * (1 - xi**2))
-            assert curvature_from_moments(m) == pytest.approx(expected, rel=1e-11, abs=1e-13)
+            assert m.kappa_sq == pytest.approx(expected, rel=1e-11, abs=1e-13)
             assert m.alpha4 == pytest.approx(
                 (1 - 3 * xi**2 + 3 * xi**4) / (xi**2 * (1 - xi**2)), rel=1e-11
             )
             # two-point energy distribution: the skewness soaks up all of the
             # curvature and the torsion vanishes
-            assert abs(torsion_from_moments(m)) < 1e-11
+            assert abs(m.tau_sq) < 1e-11
         m = central_moments(SIGMA_Z, xi_state(xi_zero))
-        assert curvature_from_moments(m) == pytest.approx(4.0, rel=1e-11)
+        assert m.kappa_sq == pytest.approx(4.0, rel=1e-11)
 
     def test_pearson_inequality_holds(self):
         rng = np.random.default_rng(109)
         for dim in (2, 3, 4, 6, 8):
             for _ in range(20):
                 m = central_moments(random_hermitian(rng, dim), random_state(rng, dim))
-                assert torsion_from_moments(m) >= -1e-9
-                assert curvature_from_moments(m) >= -1e-12
+                assert m.tau_sq >= -1e-9
+                assert m.kappa_sq >= -1e-12
 
     def test_stationary_state_raises(self):
         # both entry points to the moment pass refuse an eigenstate with one message
@@ -149,12 +147,8 @@ class TestInvariances:
         psi = random_state(rng, 6)
         base = central_moments(ham, psi)
         moved = central_moments(HermitianOperator(-0.7 * dense(ham) + 4.2 * np.eye(6)), psi)
-        assert curvature_from_moments(moved) == pytest.approx(
-            curvature_from_moments(base), rel=1e-10
-        )
-        assert torsion_from_moments(moved) == pytest.approx(
-            torsion_from_moments(base), rel=1e-9, abs=1e-11
-        )
+        assert moved.kappa_sq == pytest.approx(base.kappa_sq, rel=1e-10)
+        assert moved.tau_sq == pytest.approx(base.tau_sq, rel=1e-9, abs=1e-11)
 
 
 class TestEvolutionProblemMoments:

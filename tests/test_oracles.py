@@ -12,10 +12,8 @@ from qucurve import (
     NumericalError,
     StationaryStateError,
     central_moments,
-    curvature_from_moments,
     fit_coefficients,
     fubini_study_sq,
-    torsion_from_moments,
 )
 from qucurve.reporting import build_report
 from qucurve.hilbert import HermitianOperator
@@ -166,31 +164,30 @@ class TestCurvatureFit:
 
     def test_crossed_fields_coefficient(self, crossed_fields_problem):
         # mu4 - mu2^2 = 8 - 4 = 4 for this problem
-        fit = fit_coefficients(crossed_fields_problem, self.DT_GRID)[0]
-        assert fit.coefficient == pytest.approx(4.0, rel=1e-4)
-        assert fit.residual < 1e-4
-        assert fit.dt_grid == self.DT_GRID
+        fit = fit_coefficients(crossed_fields_problem, self.DT_GRID)
         m = central_moments(crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state)
-        assert fit.coefficient / m.mu2**2 == pytest.approx(1.0, rel=1e-4)
+        assert fit.kappa_sq * m.mu2**2 == pytest.approx(4.0, rel=1e-4)
+        assert fit.fit_residual_kappa < 1e-4
+        assert fit.dt_grid == self.DT_GRID
+        assert fit.kappa_sq == pytest.approx(1.0, rel=1e-4)
 
     def test_random_problems_within_two_percent(self):
         rng = np.random.default_rng(199)
         for dim in (2, 3, 4):
             prob = random_problem(rng, dim)
             grid = tuple(dt / prob.speed for dt in self.DT_GRID)
-            fit = fit_coefficients(prob, grid)[0]
-            m = central_moments(prob.hamiltonian, prob.initial_state)
-            expected = curvature_from_moments(m)
-            assert fit.coefficient / m.mu2**2 == pytest.approx(expected, rel=0.02, abs=1e-8)
+            fit = fit_coefficients(prob, grid)
+            expected = central_moments(prob.hamiltonian, prob.initial_state).kappa_sq
+            assert fit.kappa_sq == pytest.approx(expected, rel=0.02, abs=1e-8)
 
     def test_geodesic_has_no_misfit(self):
         # sigma_z on |+> runs along the equator, a great circle: every
         # deviation is rounding noise, which must neither fail the 5% gate
         # nor read as a misfit
         prob = EvolutionProblem(single_qubit([0.0, 0.0, 1.0]), PLUS)
-        fit = fit_coefficients(prob, self.DT_GRID)[0]
-        assert fit.residual == 0.0
-        assert abs(fit.coefficient) <= 1e-12
+        fit = fit_coefficients(prob, self.DT_GRID)
+        assert fit.fit_residual_kappa == 0.0
+        assert abs(fit.kappa_sq * prob.moments.mu2**2) <= 1e-12
 
     def test_grid_validation(self, crossed_fields_problem):
         with pytest.raises(ValueError, match="two distinct positive steps"):
@@ -213,10 +210,10 @@ class TestTorsionFit:
 
     def test_crossed_fields_coefficient(self, crossed_fields_problem):
         # tau^2 mu2^2 = 1 * 4 for this problem
-        fit = fit_coefficients(crossed_fields_problem, self.DT_GRID)[1]
-        assert fit.coefficient == pytest.approx(4.0, rel=1e-4)
+        fit = fit_coefficients(crossed_fields_problem, self.DT_GRID)
         m = central_moments(crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state)
-        assert fit.coefficient / m.mu2**2 == pytest.approx(1.0, rel=1e-4)
+        assert fit.tau_sq * m.mu2**2 == pytest.approx(4.0, rel=1e-4)
+        assert fit.tau_sq == pytest.approx(1.0, rel=1e-4)
 
     def test_single_qubit_coefficient_vanishes(self):
         # two snapshots already span the whole qubit space, so the third one
@@ -227,21 +224,19 @@ class TestTorsionFit:
                 single_qubit(rng.normal(size=3)),
                 np.array([0.6, 0.8j], dtype=complex),
             )
-            fit = fit_coefficients(prob, tuple(dt / prob.speed for dt in self.DT_GRID))[1]
-            assert abs(fit.coefficient) <= 1e-10
-            assert fit.residual == 0.0  # a column of rounding noise has no misfit
+            fit = fit_coefficients(prob, tuple(dt / prob.speed for dt in self.DT_GRID))
+            assert abs(fit.tau_sq * prob.moments.mu2**2) <= 1e-10
+            assert fit.fit_residual_tau == 0.0  # a column of rounding noise has no misfit
 
     def test_random_problems_within_two_percent(self):
         rng = np.random.default_rng(223)
         for dim in (3, 4, 8):
             prob = random_problem(rng, dim)
-            m = central_moments(prob.hamiltonian, prob.initial_state)
-            expected = torsion_from_moments(m)
+            expected = central_moments(prob.hamiltonian, prob.initial_state).tau_sq
             if expected < 1e-3:  # quartic signal would drown in noise
                 continue
             grid = tuple(dt / prob.speed for dt in self.DT_GRID)
-            fit = fit_coefficients(prob, grid)[1]
-            assert fit.coefficient / m.mu2**2 == pytest.approx(expected, rel=0.02)
+            assert fit_coefficients(prob, grid).tau_sq == pytest.approx(expected, rel=0.02)
 
 
 class TestGridChecks:
@@ -276,10 +271,9 @@ class TestGridChecks:
         # sigma_z on a state of Bloch height z has kappa^2 = 4 z^2 / (1 - z^2)
         theta = np.arccos(np.sqrt(1e-3 / (4 + 1e-3)))
         prob = EvolutionProblem(single_qubit([0.0, 0.0, 1.0]), [np.cos(theta / 2), np.sin(theta / 2)])
-        m = central_moments(prob.hamiltonian, prob.initial_state)
-        assert curvature_from_moments(m) == pytest.approx(1e-3, rel=1e-12)
-        fit = fit_coefficients(prob, tuple(k * 2e-5 / prob.speed for k in (1.0, 2.0, 4.0)))[0]
-        assert fit.coefficient / m.mu2**2 == pytest.approx(1e-3, rel=1e-5)
+        assert central_moments(prob.hamiltonian, prob.initial_state).kappa_sq == pytest.approx(1e-3, rel=1e-12)
+        fit = fit_coefficients(prob, tuple(k * 2e-5 / prob.speed for k in (1.0, 2.0, 4.0)))
+        assert fit.kappa_sq == pytest.approx(1e-3, rel=1e-5)
 
 
 class TestSnapshots:

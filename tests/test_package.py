@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "build_report",
     "central_moments",
     "curvature_bloch",
-    "curvature_from_moments",
     "curvature_torsion_geometric",
     "fit_coefficients",
     "format_float",
@@ -55,7 +54,6 @@ PUBLIC_NAMES = [
     "state_to_bloch",
     "sweep_row",
     "torsion_bloch",
-    "torsion_from_moments",
     "trajectory_rows",
     "two_qubit_local",
     "two_qubit_nonlocal",

@@ -19,9 +19,7 @@ from qucurve import (
     HermitianOperator,
     build_frame,
     central_moments,
-    curvature_from_moments,
     curvature_torsion_geometric,
-    torsion_from_moments,
 )
 
 from conftest import dense, random_hermitian, random_state
@@ -40,7 +38,7 @@ def _geometry(ham: HermitianOperator, state: np.ndarray, s: float):
     mom = central_moments(ham, state)
     prob = EvolutionProblem(ham, state)
     return (
-        np.array([curvature_from_moments(mom), torsion_from_moments(mom)]),
+        np.array([mom.kappa_sq, mom.tau_sq]),
         np.array(curvature_torsion_geometric(prob, [s])[0]),
         np.abs(build_frame(prob, s).cartan),
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ from qucurve import (
     build_frame,
     StationaryStateError,
     build_report,
+    central_moments,
+    fit_coefficients,
     format_float,
     sweep_row,
     trajectory_rows,
@@ -96,6 +99,23 @@ class TestBuildReport:
         assert rep.oracle["tau_sq"] == pytest.approx(1.0, rel=2e-2)
         expected_grid = [k * 1e-3 / np.sqrt(2) for k in (1.0, 2.0, 4.0)]
         np.testing.assert_allclose(rep.oracle["dt_grid"], expected_grid, rtol=1e-12)
+
+    @pytest.mark.parametrize("case", ["crossed fields", "random d = 8"])
+    def test_report_holds_each_route_answer(self, case, crossed_fields_problem):
+        # bit for bit: the report reads the moment route's MomentSet and the oracle's FitResult, in field order
+        if case == "crossed fields":
+            ham, psi = crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state
+        else:
+            rng = np.random.default_rng(8)
+            ham, psi = random_hermitian(rng, 8), random_state(rng, 8)
+        rep = build_report(ham, psi, with_oracle=True)
+        mom = central_moments(ham, psi)
+        assert rep.kappa_sq_moments == mom.kappa_sq
+        assert rep.pearson_gap == mom.tau_sq
+        fit = fit_coefficients(EvolutionProblem(ham, psi))
+        assert list(rep.oracle) == [f.name for f in dataclasses.fields(fit)]
+        for name, value in rep.oracle.items():
+            assert value == (list(fit.dt_grid) if name == "dt_grid" else getattr(fit, name))
 
     def test_explicit_dt_grid_is_used(self, crossed_fields_problem):
         grid = [5e-4, 1e-3]
