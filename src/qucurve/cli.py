@@ -36,6 +36,8 @@ EXIT_DEGENERATE = 3
 EXIT_NUMERICAL = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process that SIGPIPE ended
 
+_EXIT_FOR = {SpecError: EXIT_SCHEMA, StationaryStateError: EXIT_DEGENERATE, NumericalError: EXIT_NUMERICAL}
+
 # Most rows of a trajectory or sweep grid: np.linspace allocates the grid up front.
 MAX_GRID_POINTS = 1_000_000
 
@@ -152,6 +154,8 @@ def _cmd_sweep(args) -> int:
     for flag, value in (("--from", args.start), ("--to", args.stop)):
         if not math.isfinite(value):
             raise SpecError(flag, f"must be a finite number, got {value}")
+    if not math.isfinite(args.stop - args.start):  # else np.linspace fills the grid with NaN
+        raise SpecError("--to", f"the span {args.stop} - {args.start} is beyond floating-point range")
     _check_output(args.output)
     spec = load_problem_spec(args.input)
     grid = np.linspace(args.start, args.stop, args.points)
@@ -193,15 +197,9 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         return _cmd_validate(args)
-    except SpecError as exc:
+    except (SpecError, StationaryStateError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    except StationaryStateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return _EXIT_FOR[type(exc)]
 
 
 def entry_point():

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .hilbert import _NORM_TOL, HermitianOperator, _unit_state
+from .hilbert import _NORM_TOL, HermitianOperator
 from .moments import NumericalError, _moment_pass
 
 __all__ = ["EvolutionProblem"]
@@ -92,13 +92,8 @@ class EvolutionProblem:
     """
 
     def __init__(self, hamiltonian: HermitianOperator, initial_state):
-        psi = _unit_state(initial_state)
-        if hamiltonian.dim != len(psi):
-            raise ValueError(f"dimension mismatch: hamiltonian {hamiltonian.dim}, state {len(psi)}")
         self.hamiltonian = hamiltonian
-        self.initial_state = psi
-
-        self.moments, centered = _moment_pass(hamiltonian, psi)
+        self.moments, self.initial_state, self._residual = _moment_pass(hamiltonian, initial_state)
         self.energy = self.moments.mean
         self.speed = float(np.sqrt(self.moments.mu2))
 
@@ -109,7 +104,7 @@ class EvolutionProblem:
         # kept as the residual until then.
         self._breakdown = _BREAKDOWN_TOL * np.sqrt(hamiltonian.frobenius_sq)
         self._basis = np.empty((0, self.dim), dtype=complex)
-        self._alpha, self._beta, self._residual = [], [], centered
+        self._alpha, self._beta = [], []
         self._spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._rotated: np.ndarray | None = None  # U^T V_m^T of the last settle size m
 

@@ -174,7 +174,8 @@ def _pauli_sum(terms, encoded=None) -> HermitianOperator:
     groups = dict.fromkeys(masks)
     diags = np.zeros((len(groups), len(index)), dtype=complex)
     groups = dict(zip(groups, diags))  # each mask's row of ``diags``, a view
-    for k, ((c, word), x) in enumerate(zip(terms, masks)):
-        groups[x] += c * (_encode_word(word, index)[1] if rows is None else rows[k])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed group makes ||H||_F^2 inf or NaN, refused later
+        for k, ((c, word), x) in enumerate(zip(terms, masks)):
+            groups[x] += c * (_encode_word(word, index)[1] if rows is None else rows[k])
     perms = index ^ np.array(list(groups), dtype=np.int64)[:, None]
     return HermitianOperator._from_pauli_groups(perms, diags)

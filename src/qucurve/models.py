@@ -207,14 +207,10 @@ _FAMILY_ROWS = {family: _encode_family(words) for family, words in _FAMILY_WORDS
 
 
 def _family_operator(family: str, couplings) -> HermitianOperator:
-    """The Pauli sum of ``family`` with checked ``couplings`` in the table's order."""
+    """The Pauli sum of ``family`` with ``couplings`` in the table's order, each a finite real number."""
+    couplings = [float(_check_coefficient(c)) for c in couplings]
     weighted, encoded = _FAMILY_ROWS[family]
     return _pauli_sum([(couplings[k], word) for k, word in weighted], encoded)
-
-
-def _checked_family_operator(family: str, couplings) -> HermitianOperator:
-    """``_family_operator`` of couplings that must be finite real numbers."""
-    return _family_operator(family, [float(_check_coefficient(c)) for c in couplings])
 
 
 def single_qubit(m, m0: float = 0.0):
@@ -222,17 +218,17 @@ def single_qubit(m, m0: float = 0.0):
     m = np.asarray(m, dtype=object)
     if m.shape != (3,):
         raise ValueError(f"field must have shape (3,), got {m.shape}")
-    return _checked_family_operator("single_qubit", [*m.tolist(), m0])
+    return _family_operator("single_qubit", [*m.tolist(), m0])
 
 
 def two_qubit_nonlocal(m1: float, m2: float, m3: float, m4: float):
     """Purely two-body couplings: m1 XX + m2 ZZ + m3 XZ + m4 ZX."""
-    return _checked_family_operator("two_qubit_nonlocal", (m1, m2, m3, m4))
+    return _family_operator("two_qubit_nonlocal", (m1, m2, m3, m4))
 
 
 def two_qubit_local(m1: float, m2: float, m3: float, m4: float):
     """Independent local fields: m1 IX + m2 XI + m3 IZ + m4 ZI."""
-    return _checked_family_operator("two_qubit_local", (m1, m2, m3, m4))
+    return _family_operator("two_qubit_local", (m1, m2, m3, m4))
 
 
 def heisenberg3(j_x: float, j_y: float, j_z: float, h: float):
@@ -241,7 +237,7 @@ def heisenberg3(j_x: float, j_y: float, j_z: float, h: float):
     H = sum over pairs (i<j) of [ j_x X_i X_j + j_y Y_i Y_j + j_z Z_i Z_j ]
         + h (Z_1 + Z_2 + Z_3).
     """
-    return _checked_family_operator("heisenberg3", (j_x, j_y, j_z, h))
+    return _family_operator("heisenberg3", (j_x, j_y, j_z, h))
 
 
 # ---------------------------------------------------------------------------

@@ -94,14 +94,14 @@ def central_moments(hamiltonian: HermitianOperator, state) -> MomentSet:
     NumericalError
         For an H out of floating-point range, where alpha4 has no finite value.
     """
+    return _moment_pass(hamiltonian, state)[0]
+
+
+def _moment_pass(hamiltonian: HermitianOperator, state) -> tuple[MomentSet, np.ndarray, np.ndarray]:
+    """``central_moments``, psi as ``_unit_state`` keeps it, and w1 = (H - <H>) psi: the one place H meets psi."""
     psi = _unit_state(state)
     if hamiltonian.dim != len(psi):
-        raise ValueError(f"dimension mismatch: operator {hamiltonian.dim}, state {len(psi)}")
-    return _moment_pass(hamiltonian, psi)[0]
-
-
-def _moment_pass(hamiltonian: HermitianOperator, psi: np.ndarray) -> tuple[MomentSet, np.ndarray]:
-    """``central_moments`` of amplitudes psi, and w1 = (H - <H>) psi; the one refusal of an eigenstate."""
+        raise ValueError(f"dimension mismatch: hamiltonian {hamiltonian.dim}, state {len(psi)}")
     fro_sq = hamiltonian.frobenius_sq
     if not math.isfinite(fro_sq):  # else the stationary test below always holds
         raise NumericalError(f"alpha4 is out of floating-point range: hamiltonian ||H||_F^2 = {fro_sq!r}")
@@ -122,5 +122,5 @@ def _moment_pass(hamiltonian: HermitianOperator, psi: np.ndarray) -> tuple[Momen
     if not (math.isfinite(alpha3) and math.isfinite(alpha4)):
         raise NumericalError(f"alpha4 = mu4 / mu2^2 is out of floating-point range: mu2 = {mu2!r}, mu4 = {mu4!r}")
     kappa_sq, tau_sq = alpha4 - 1.0, alpha4 - 1.0 - alpha3**2
-    return MomentSet(mean, mu2, mu3, mu4, alpha3, alpha4, kappa_sq, tau_sq), w1
+    return MomentSet(mean, mu2, mu3, mu4, alpha3, alpha4, kappa_sq, tau_sq), psi, w1
 

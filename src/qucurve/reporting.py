@@ -106,12 +106,9 @@ def build_report(
 
     kappa_g, tau_g = _curvature_torsion_at(problem, problem.initial_state)
 
-    if abs(kappa_m - kappa_g) > _PATH_AGREEMENT * max(1.0, abs(kappa_m)):
-        raise NumericalError(
-            f"kappa_sq_moments {kappa_m!r} and kappa_sq_geometric {kappa_g!r} disagree"
-        )
-    if abs(tau_m_raw - tau_g) > _PATH_AGREEMENT * max(1.0, abs(tau_m_raw)):
-        raise NumericalError(f"tau_sq_moments {tau_m_raw!r} and tau_sq_geometric {tau_g!r} disagree")
+    for name, moment, geometric in (("kappa_sq", kappa_m, kappa_g), ("tau_sq", tau_m_raw, tau_g)):
+        if abs(moment - geometric) > _PATH_AGREEMENT * max(1.0, abs(moment)):
+            raise NumericalError(f"{name}_moments {moment!r} and {name}_geometric {geometric!r} disagree")
 
     tau_m = _clamp_tau(tau_m_raw, "tau_sq_moments", warnings)
 

@@ -183,6 +183,23 @@ class TestReportCommand:
                 )
                 for c in (1e-160, 1e-100, 1e77, 1e100, 1e150, 1e200, 1e250, 1e300)
             ),
+            # two weights of 1e308 in one Pauli group (no bit flips) sum past float range
+            (
+                {
+                    "hamiltonian": {
+                        "pauli_terms": [{"coeff": 1e308, "word": "ZI"}, {"coeff": 1e308, "word": "IZ"}, {"coeff": 1.0, "word": "XI"}]
+                    },
+                    "state": {"named": "00"},
+                },
+                "||H||_F^2",
+            ),
+            (
+                {
+                    "hamiltonian": {"family": "single_qubit", "couplings": {"mx": 1.0, "mz": 1e308, "m0": 1e308}},
+                    "state": {"named": "0"},
+                },
+                "||H||_F^2",
+            ),
         ],
     )
     def test_numerical_failure_exit_code(self, doc, quantity, tmp_path):
@@ -285,12 +302,18 @@ class TestNonFiniteInput:
             (["sweep", "--param", "xi", "--from", "nan", "--to", "0.8", "--points", "3"], "--from"),
             (["trajectory", "--t-max", "nan", "--steps", "3"], "--t-max"),
             (["sweep", "--param", "xi", "--from", "0.2", "--to", "inf", "--points", "3"], "--to"),
+            # finite ends whose span overflows, which np.linspace turns into NaN points
+            (["sweep", "--param", "xi", "--from=-1e308", "--to", "1e308", "--points", "3"], "--to"),
+            (["sweep", "--param", "mz", "--from=1e308", "--to=-1e308", "--points", "3"], "--to"),
         ],
     )
     def test_command_line_flag(self, argv, flag, xi_family_file, tmp_path, capsys):
-        argv = argv + ["--input", xi_family_file, "--output", str(tmp_path / "out.csv")]
-        assert main(argv) == 2
-        assert flag in capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--input", xi_family_file, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def _skew_curvature(monkeypatch):
@@ -310,9 +333,9 @@ def _negative_torsion(monkeypatch):
     def negative(prob, psi):
         return orig_at(prob, psi)[0], -1e-3
 
-    def negative_pass(hamiltonian, psi):
-        mom, centered = orig_pass(hamiltonian, psi)
-        return dataclasses.replace(mom, tau_sq=-1e-3), centered
+    def negative_pass(hamiltonian, state):
+        mom, psi, centered = orig_pass(hamiltonian, state)
+        return dataclasses.replace(mom, tau_sq=-1e-3), psi, centered
 
     monkeypatch.setattr(qucurve.reporting, "_curvature_torsion_at", negative)
     monkeypatch.setattr(qucurve.evolution, "_moment_pass", negative_pass)

@@ -63,8 +63,10 @@ class TestCentralMoments:
             central_moments(big, [1, 0])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            central_moments(SIGMA_Z, [1, 0, 0, 0])
+        # both entry points reach the one check, in the moment pass
+        for route in (central_moments, EvolutionProblem):
+            with pytest.raises(ValueError, match=r"^dimension mismatch: hamiltonian 2, state 4$"):
+                route(SIGMA_Z, [1, 0, 0, 0])
 
 
 class TestMomentGeometry:
