@@ -65,15 +65,13 @@ class EvolutionProblem:
     evolved in a Lanczos basis of (H - E, psi_0) that grows on demand, with
     full reorthogonalization, until the error estimate at the requested time
     is below 1e-14 or the Krylov space is invariant.  Between calls a problem
-    keeps the basis, the eigendecompositions of its tridiagonal matrices and
-    one rotation: the first m basis vectors rotated onto the eigenvectors of
-    T_m (an m x m by m x 2d real product), for the last size m at which a
-    time settled.  It is dropped before the basis grows or H is applied, so
-    it never adds to the peak memory of that work.  Once the basis stops
-    growing, a call costs one exp and one product with the rotated basis per
-    time.  A state depends only on (H, psi_0, t), never on the times
-    requested before or beside it.  ``evolve`` checks each row as it forms
-    it, for unit norm within 1e-12.  The public attributes are read-only.
+    keeps psi_0, the basis, its pending residual and the entries of the
+    tridiagonal T_m, and nothing derived from them: each call diagonalizes
+    T_m and rotates the basis onto its eigenvectors afresh at every size
+    where a time settles, and frees that rotation before the basis grows.
+    A state depends only on (H, psi_0, t), never on the times requested
+    before or beside it.  ``evolve`` checks each row as it forms it, for
+    unit norm within 1e-12.  The public attributes are read-only.
 
     Parameters
     ----------
@@ -105,8 +103,6 @@ class EvolutionProblem:
         self._breakdown = _BREAKDOWN_TOL * np.sqrt(hamiltonian.frobenius_sq)
         self._basis = np.empty((0, self.dim), dtype=complex)
         self._alpha, self._beta = [], []
-        self._spectra: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._rotated: np.ndarray | None = None  # U^T V_m^T of the last settle size m
 
     @property
     def dim(self) -> int:
@@ -114,7 +110,6 @@ class EvolutionProblem:
 
     def _apply_delta_h(self, vec: np.ndarray) -> np.ndarray:
         """(H - E) vec / v, without forming the centered matrix."""
-        self._rotated = None
         return (self.hamiltonian.apply(vec) - self.energy * vec) / self.speed
 
     def _complete(self, m: int) -> bool:
@@ -124,7 +119,6 @@ class EvolutionProblem:
     def _grow(self, target: int) -> None:
         """Extend the Lanczos basis to ``target`` vectors or until it is complete."""
         if target > self._basis.shape[0]:
-            self._rotated = None
             grown = np.empty((target, self.dim), dtype=complex)
             grown[: len(self._alpha)] = self._basis[: len(self._alpha)]
             self._basis = grown
@@ -148,16 +142,6 @@ class EvolutionProblem:
             self._beta.append(float(np.linalg.norm(w)))
             self._residual = w
 
-    def _spectrum(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """Cached eigendecomposition T_m = U diag(theta) U^T, as (theta, U)."""
-        eig = self._spectra.get(m)
-        if eig is None:
-            tri = np.diag(self._alpha[:m])
-            off = np.arange(m - 1)
-            tri[off, off + 1] = tri[off + 1, off] = self._beta[: m - 1]
-            eig = self._spectra[m] = np.linalg.eigh(tri)
-        return eig
-
     def evolve(self, ts) -> np.ndarray:
         """exp(-iHt) psi_0 for each time in ``ts``, as the rows of an array.
 
@@ -174,7 +158,10 @@ class EvolutionProblem:
         while len(todo):
             self._grow(min(size, self.dim))
             m = min(size, len(self._alpha))
-            theta, u = self._spectrum(m)
+            tri = np.diag(self._alpha[:m])
+            off = np.arange(m - 1)
+            tri[off, off + 1] = tri[off + 1, off] = self._beta[: m - 1]
+            theta, u = np.linalg.eigh(tri)  # T_m = U diag(theta) U^T
             t = ts[todo]
             reach = abs(self.energy) + float(np.abs(theta).max())
             if not math.isfinite(float(np.abs(t).max()) * reach):
@@ -188,15 +175,14 @@ class EvolutionProblem:
                 ok = np.abs(t) * np.abs((phases * g).sum(1)) <= _KRYLOV_TOL
                 settle, phases, todo = todo[ok], phases[ok], todo[~ok]
             if len(settle):
-                if self._rotated is None or len(self._rotated) != m:
-                    # U^T V_m^T, on the float64 view since U is real: half the work
-                    self._rotated = None  # free the old one first
-                    self._rotated = (u.T @ self._basis[:m].view(np.float64)).view(complex)
+                # U^T V_m^T, on the float64 view since U is real: half the work
+                rotated = (u.T @ self._basis[:m].view(np.float64)).view(complex)
                 for i, p in zip(settle.tolist(), phases):
-                    row = out[i] = np.exp(-1j * self.energy * ts[i]) * ((u[0] * p) @ self._rotated)
+                    row = out[i] = np.exp(-1j * self.energy * ts[i]) * ((u[0] * p) @ rotated)
                     norm = math.sqrt(np.vdot(row, row).real)
                     if not abs(norm - 1.0) <= _NORM_TOL:
                         raise NumericalError(f"t = {float(ts[i])!r}: the evolved state has norm {norm!r}, not 1")
+                del rotated  # freed before the basis grows again
             size += size // 4
         return out
 

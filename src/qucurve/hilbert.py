@@ -67,8 +67,10 @@ class HermitianOperator:
         perms.setflags(write=False)
         diags.setflags(write=False)
         op = cls.__new__(cls)
-        # the groups fill disjoint entries, so ||M||_F^2 sums their squared moduli
+        # the groups fill disjoint entries, so ||M||_F^2 sums their squared moduli;
+        # no entry is NaN (each addend is a finite c times +-1 or +-i), so a NaN is inf * conj(inf)
         frobenius_sq = float(np.vdot(diags, diags).real)
+        frobenius_sq = frobenius_sq if math.isfinite(frobenius_sq) else math.inf
         op._set(dim=diags.shape[1], frobenius_sq=frobenius_sq, _matrix=None, _perms=perms, _diags=diags)
         return op
 
@@ -174,7 +176,7 @@ def _pauli_sum(terms, encoded=None) -> HermitianOperator:
     groups = dict.fromkeys(masks)
     diags = np.zeros((len(groups), len(index)), dtype=complex)
     groups = dict(zip(groups, diags))  # each mask's row of ``diags``, a view
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed group makes ||H||_F^2 inf or NaN, refused later
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed group makes ||H||_F^2 inf, refused later
         for k, ((c, word), x) in enumerate(zip(terms, masks)):
             groups[x] += c * (_encode_word(word, index)[1] if rows is None else rows[k])
     perms = index ^ np.array(list(groups), dtype=np.int64)[:, None]

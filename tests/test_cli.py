@@ -183,7 +183,7 @@ class TestReportCommand:
                 )
                 for c in (1e-160, 1e-100, 1e77, 1e100, 1e150, 1e200, 1e250, 1e300)
             ),
-            # two weights of 1e308 in one Pauli group (no bit flips) sum past float range
+            # two weights of 1e308 in one Pauli group (no bit flips) sum past float range: ||H||_F^2 is inf, not NaN
             (
                 {
                     "hamiltonian": {
@@ -191,14 +191,14 @@ class TestReportCommand:
                     },
                     "state": {"named": "00"},
                 },
-                "||H||_F^2",
+                "||H||_F^2 = inf",
             ),
             (
                 {
                     "hamiltonian": {"family": "single_qubit", "couplings": {"mx": 1.0, "mz": 1e308, "m0": 1e308}},
                     "state": {"named": "0"},
                 },
-                "||H||_F^2",
+                "||H||_F^2 = inf",
             ),
         ],
     )

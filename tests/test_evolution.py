@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -354,14 +356,16 @@ class TestKrylovEvolution:
         np.testing.assert_array_equal(prob.transported(ts[::-1]), transported[::-1])
         np.testing.assert_array_equal(late.transported(ts[:2]), transported[:2])
 
-    def test_keeps_one_rotation_of_dimension_d_beyond_the_basis(self):
-        # between calls a problem keeps psi_0, the Lanczos basis and residual,
-        # which later calls grow, the m x m spectra, and the rotation of the
-        # basis at the last settle size, until H is next applied
-        n = 12
+    @staticmethod
+    def _ising_chain_from_zeros(n=12):
         terms = [(1.0, "I" * k + "ZZ" + "I" * (n - k - 2)) for k in range(n - 1)]
         terms += [(0.7, "I" * k + "X" + "I" * (n - k - 1)) for k in range(n)]
-        prob = EvolutionProblem(pauli_sum(terms), np.eye(1, 2**n)[0])
+        return EvolutionProblem(pauli_sum(terms), np.eye(1, 2**n)[0])
+
+    def test_keeps_nothing_of_dimension_d_beyond_the_basis(self):
+        # between calls a problem keeps psi_0 and the Lanczos basis and
+        # residual, which later calls grow, and only O(m) numbers besides
+        prob = self._ising_chain_from_zeros()
 
         def kept_bytes():
             def array_bytes(obj):
@@ -375,24 +379,29 @@ class TestKrylovEvolution:
 
         prob.evolve([0.05])
         assert len(prob._alpha) == 16
-        prob.evolve([0.2])
-        assert len(prob._alpha) == 20
-        assert kept_bytes() < 20 * prob.dim * 16 + 64 * 1024
-        prob._grow(25)  # a growing basis drops the rotation before it reallocates
         assert kept_bytes() < 64 * 1024
         prob.evolve([0.2])
-        assert kept_bytes() > 64 * 1024
+        assert len(prob._alpha) == 20
+        assert kept_bytes() < 64 * 1024
+        prob._grow(25)
+        assert kept_bytes() < 64 * 1024
         prob._apply_delta_h(prob.initial_state)
         assert kept_bytes() < 64 * 1024
 
-    def test_rotation_is_reused_by_later_calls_at_its_size(self):
-        prob = random_problem(np.random.default_rng(109), 300)
-        first = prob.evolve([0.3])[0]
-        rotated = prob._rotated
-        assert rotated is not None
-        again = prob.evolve([0.3, 0.3])
-        assert prob._rotated is rotated
-        assert np.array_equal(again[0], first) and np.array_equal(again[1], first)
+    def test_rotation_is_freed_before_the_rows_are_transported(self):
+        # the rotation of the largest settle size (31 here) is m x d, and is
+        # gone by the time ``transported`` forms its k x d product with the rows
+        prob = self._ising_chain_from_zeros()
+        prob.evolve([1.0])
+        m, k = len(prob._alpha), 10
+        assert m == 38
+        tracemalloc.start()
+        try:
+            prob.transported(np.linspace(0.06, 0.6, k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (m + k + 1) * prob.dim * 16
 
     def test_first_overflowing_time_is_named(self):
         prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), [1, 0])
