@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 
-from .hilbert import _NORM_TOL, HermitianOperator
+from .hilbert import _NORM_TOL, HermitianOperator, _norm
 from .moments import NumericalError, _moment_pass
 
 __all__ = ["EvolutionProblem"]
@@ -127,7 +127,7 @@ class EvolutionProblem:
             alpha0 = float(np.vdot(psi, self._residual).real)
             residual = self._residual - alpha0 * psi
             residual -= psi * np.vdot(psi, residual)
-            self._alpha, self._beta, self._residual = [alpha0], [float(np.linalg.norm(residual))], residual
+            self._alpha, self._beta, self._residual = [alpha0], [_norm(residual)], residual
         while len(self._alpha) < target and not self._complete(len(self._alpha)):
             m = len(self._alpha)
             v = self._residual / self._beta[-1]
@@ -139,7 +139,7 @@ class EvolutionProblem:
             for _ in range(2):  # one Gram-Schmidt pass leaves O(eps * growth) overlaps
                 w -= np.conj(basis @ np.conj(w)) @ basis
             self._alpha.append(alpha)
-            self._beta.append(float(np.linalg.norm(w)))
+            self._beta.append(_norm(w))
             self._residual = w
 
     def evolve(self, ts) -> np.ndarray:

@@ -130,6 +130,12 @@ def _unit_state(amplitudes) -> np.ndarray:
     return a
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v|| of a complex 1-d array, bit for bit as NumPy 2's ``np.linalg.norm`` forms it, minus its dispatch."""
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _project_off(vec: np.ndarray, *units: np.ndarray) -> np.ndarray:
     """vec minus its component along each unit vector in turn (modified
     Gram-Schmidt); naming a unit twice adds a second, reorthogonalizing pass."""

@@ -22,7 +22,8 @@ import math
 import numpy as np
 
 from .evolution import EvolutionProblem
-from .hilbert import _NORM_TOL, HermitianOperator, _check_coefficient, _encode_word, _pauli_sum, _project_off, _unit_state
+from .hilbert import _NORM_TOL, HermitianOperator, _check_coefficient, _encode_word, _norm, _pauli_sum
+from .hilbert import _project_off, _unit_state
 from .moments import NumericalError, StationaryStateError
 
 __all__ = [
@@ -129,7 +130,7 @@ def geodesic_efficiency(problem: EvolutionProblem, t: float) -> float:
     off = _project_off(psi_t, psi0)
     exp = math.frexp(float(np.max(np.abs(off))))[1]  # unscaled, squares of entries near v t underflow
     np.ldexp(off.view(np.float64), -exp, out=off.view(np.float64))
-    angle = np.arctan2(math.ldexp(np.linalg.norm(off), exp), abs(np.vdot(psi0, psi_t)))
+    angle = np.arctan2(math.ldexp(_norm(off), exp), abs(np.vdot(psi0, psi_t)))
     eta = float(angle / (problem.speed * t))
     if eta > 1.0 + 1e-9:
         raise NumericalError(f"geodesic efficiency eta = {eta!r} exceeds 1 beyond tolerance")

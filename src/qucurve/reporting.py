@@ -19,7 +19,7 @@ from warnings import catch_warnings, simplefilter
 import numpy as np
 
 from .evolution import EvolutionProblem
-from .frame import _binormal_present, _curvature_torsion_at, curvature_torsion_geometric
+from .frame import _binormal_present, _curvature_torsion_at
 from .hilbert import HermitianOperator
 from .models import geodesic_efficiency, state_to_bloch
 from .moments import _CLAMP_FLOOR, NumericalError
@@ -29,9 +29,6 @@ __all__ = ["GeometryReport", "build_report", "format_float", "trajectory_rows", 
 
 # Cross-path consistency required of every published report.
 _PATH_AGREEMENT = 1e-8
-
-# Arc-length points in [0, 1] on which an oracle report checks the projector route.
-_ARC_SAMPLES = 10
 
 # Amplitudes of the trajectory rows evolved together: a chunk of
 # max(1, 2^16 // d) rows shares one walk up the Krylov basis sizes, and the
@@ -84,11 +81,10 @@ def build_report(
     """Compute curvature/torsion along the moment and projector paths.
 
     Both paths are read at Psi(0) = psi0, so a plain report evolves nothing.
-    With ``with_oracle`` the finite-difference fits are run on ``dt_grid``
-    (``fit_coefficients``' default when None) into the ``oracle`` block, and
-    the projector path is read on ``_ARC_SAMPLES`` arc-length points in
-    [0, 1]: kappa^2 and tau^2 are constants of the motion, so a spread above
-    1e-9 is a warning.  The fits' warnings (a coarse grid) join ``warnings``.
+    With ``with_oracle``, ``fit_coefficients`` fits on ``dt_grid`` (its default
+    when None) into the ``oracle`` block, in the report's one walk, and its
+    warnings join ``warnings``: a coarse grid, or a spread of the projector
+    path across psi0 and the fits' snapshots.
 
     Raises
     ------
@@ -114,11 +110,6 @@ def build_report(
 
     oracle = None
     if with_oracle:
-        arc = curvature_torsion_geometric(problem, np.linspace(0.0, 1.0, _ARC_SAMPLES))
-        for name, vals in zip(("kappa_sq_geometric", "tau_sq_geometric"), zip(*arc)):
-            spread = max(vals) - min(vals)
-            if spread > 1e-9:
-                warnings.append(f"{name} varies by {spread!r} across arc-length samples")
         with catch_warnings(record=True) as caught:
             simplefilter("always", UserWarning)  # a NumPy RuntimeWarning still meets the caller's filters
             fit = fit_coefficients(problem, dt_grid)

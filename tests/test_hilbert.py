@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qucurve import HermitianOperator, models, parse_problem_spec
-from qucurve.hilbert import _project_off
+from qucurve.hilbert import _norm, _project_off
 
 from conftest import PAULI, dense, kron_word, pauli_sum, random_hermitian, random_state, reference_pauli_groups
 
@@ -260,3 +260,30 @@ class TestProjectOff:
         r = _project_off(vec, a, a)
         assert abs(np.vdot(a, r)) <= 1e-14 * np.linalg.norm(r)
         assert np.linalg.norm(r) == pytest.approx(1e-8, rel=1e-6)
+
+
+# Entries that stress a sum of squares: signed zeros, subnormals, the smallest
+# normal, and moduli near 1e154, whose squares reach or pass the float range.
+_EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e154, -1.4e154, 1e155, 1.0])
+
+
+class TestNorm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        d=st.integers(min_value=1, max_value=4096),
+        log_scale=st.floats(min_value=-330.0, max_value=300.0),
+        extremes=st.lists(st.tuples(st.integers(min_value=0), _EXTREMES, _EXTREMES), max_size=8),
+        step=st.integers(min_value=1, max_value=3),
+    )
+    @example(seed=0, d=1, log_scale=-400.0, extremes=[(0, -0.0, -0.0)], step=1)
+    @example(seed=1, d=3, log_scale=-320.0, extremes=[], step=2)
+    @example(seed=2, d=64, log_scale=0.0, extremes=[(5, 1e154, -1e154), (9, 0.0, 1e155)], step=3)
+    def test_bit_identical_to_linalg_norm(self, seed, d, log_scale, extremes, step):
+        rng = np.random.default_rng(seed)
+        v = (rng.normal(size=step * d) + 1j * rng.normal(size=step * d)) * 10.0**log_scale
+        for k, re, im in extremes:
+            v[k % len(v)] = complex(re, im)
+        view = v[::step]  # strided when step > 1
+        with np.errstate(over="ignore"):  # both warn when a square overflows
+            assert repr(_norm(view)) == repr(float(np.linalg.norm(view)))

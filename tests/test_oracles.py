@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qucurve.oracles
-import qucurve.reporting
 from qucurve import (
     EvolutionProblem,
     NumericalError,
@@ -300,16 +299,14 @@ class TestSnapshots:
         assert set(times) == {grid[0], grid[1], grid[2], 2.0 * grid[2]}
 
     def test_oracle_report_evolves_four_times_in_one_walk(self, crossed_fields_problem, walks):
-        """A plain report walks nothing; an oracle report walks its arc samples
-        in [0, 1] once, and both fits share one walk of 4 rows."""
+        """A plain report walks nothing; an oracle report makes one walk, of the
+        fits' 4 times, and checks the projector route on those rows."""
         args = crossed_fields_problem.hamiltonian, crossed_fields_problem.initial_state
         build_report(*args)
         assert walks == []
         build_report(*args, with_oracle=True)
-        arc = np.linspace(0.0, 1.0, qucurve.reporting._ARC_SAMPLES) / crossed_fields_problem.speed
-        assert len(walks) == 2
-        assert walks[0] == arc.tolist()
-        assert len(walks[1]) == len(set(walks[1])) == 4
+        grid = [k * 1e-3 / crossed_fields_problem.speed for k in (1.0, 2.0, 4.0)]
+        assert walks == [[grid[0], grid[1], grid[2], 2.0 * grid[2]]]
 
 
 class TestClassicalFrenetSerret:

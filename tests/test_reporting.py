@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import qucurve.evolution
 import qucurve.reporting
 from qucurve import (
     EvolutionProblem,
@@ -168,14 +169,14 @@ class TestBuildReport:
         ):
             assert getattr(rep, key) == pytest.approx(getattr(base, key), rel=1e-12), key
 
-    def test_ising_chain_oracle_report_grows_at_most_twenty_lanczos_vectors(self, monkeypatch):
-        # the oracle's arc samples reach s = 1, which needs 20 vectors on these
-        # chains; the sizes 16, 20, 25, ... stop there, where a doubling would grow 32
+    def test_ising_chain_oracle_report_grows_sixteen_lanczos_vectors(self, monkeypatch):
+        # the fits' snapshots reach only s = v t = 8e-3, which the smallest
+        # basis size settles: the walk stops at 16 vectors
         problems = _recorded_problems(monkeypatch)
         rep = build_report(*_ising_chain(np.random.default_rng(10), 10), with_oracle=True)
         assert rep.warnings == []
         assert len(problems) == 1
-        assert 16 < len(problems[0]._alpha) <= 20
+        assert len(problems[0]._alpha) == 16
 
     @pytest.mark.parametrize("case", ["crossed_fields", "planar_qubit", "dense_d16", "ising_n6"])
     def test_plain_and_oracle_reports_share_every_field(self, case, crossed_fields_problem):
@@ -196,24 +197,33 @@ class TestBuildReport:
         assert oracle["warnings"][: len(plain["warnings"])] == plain["warnings"]
 
     def test_oracle_report_warns_on_a_spread_across_arc_samples(self, monkeypatch):
-        # every arc row past s = 0 has its amplitudes rolled by one place, so
-        # the projector route read there is no longer constant along the arc
-        rng = np.random.default_rng(17)
-        ham, psi = random_hermitian(rng, 16), random_state(rng, 16)
-        transported = EvolutionProblem.transported
-
-        def rolled(problem, ts):
-            rows = transported(problem, ts)
-            rows[1:] = np.roll(rows[1:], 1, axis=1)
-            return rows
-
-        monkeypatch.setattr(EvolutionProblem, "transported", rolled)
-        plain = build_report(ham, psi)
-        rep = build_report(ham, psi, with_oracle=True)
-        assert plain.warnings == []
-        spread = [w for w in rep.warnings if w.endswith(" across arc-length samples")]
+        # every evolved row has its amplitudes rolled by one place, so the
+        # projector route read on the fits' snapshots no longer matches psi0.
+        # The uniform psi0 is unchanged by the roll, so the rolled rows are the
+        # evolution of psi0 under the rolled H, of the same moments: the fits still pass
+        ham, psi = random_hermitian(np.random.default_rng(17), 16), np.full(16, 0.25)
+        before = vars(build_report(ham, psi))
+        evolve = EvolutionProblem.evolve
+        monkeypatch.setattr(EvolutionProblem, "evolve", lambda problem, ts: np.roll(evolve(problem, ts), 1, axis=1))
+        plain = vars(build_report(ham, psi))
+        rep = vars(build_report(ham, psi, with_oracle=True))
+        assert repr(plain) == repr(before)
+        assert plain["warnings"] == []
+        spread = [w for w in rep["warnings"] if w.endswith(" across arc-length samples")]
         assert [w.split(" varies by ")[0] for w in spread] == ["kappa_sq_geometric", "tau_sq_geometric"]
-        assert rep.kappa_sq_geometric == plain.kappa_sq_geometric
+        for key in plain.keys() - {"oracle", "warnings"}:
+            assert repr(rep[key]) == repr(plain[key]), key
+
+    def test_oracle_report_warns_on_a_krylov_fault(self, monkeypatch):
+        # a basis that starts at 4 vectors and accepts an error estimate of 1e-2
+        # evolves the snapshots about 3e-9 off the curve, against the 1e-9 spread
+        # threshold (the 10 arc samples that reached s = 1 read 6.3e-3 there)
+        args = _ising_chain(np.random.default_rng(12), 12)
+        assert build_report(*args, with_oracle=True).warnings == []
+        monkeypatch.setattr(qucurve.evolution, "_KRYLOV_MIN_DIM", 4)
+        monkeypatch.setattr(qucurve.evolution, "_KRYLOV_TOL", 1e-2)
+        rep = build_report(*args, with_oracle=True)
+        assert [w.split(" varies by ")[0] for w in rep.warnings] == ["kappa_sq_geometric", "tau_sq_geometric"]
 
 
 def _recorded_problems(monkeypatch) -> list:
@@ -266,6 +276,18 @@ class TestOneMomentPass:
         assert applies[0] == 4
         assert len(problems) == 1
         assert len(problems[0]._alpha) == 0 and len(problems[0]._basis) == 0
+
+    @pytest.mark.parametrize("n", [3, 8, 12, 14])
+    def test_oracle_report(self, n, applies):
+        # the plain report's 4, 15 more to grow the 16 Lanczos vectors that settle
+        # the fits' snapshots (7 when d = 8 completes the basis), and 2 for each
+        # projector-route read at psi0 and the 4 snapshots
+        args = _ising_chain(np.random.default_rng(11), n)
+        build_report(*args)
+        assert applies[0] == 4
+        applies[0] = 0
+        build_report(*args, with_oracle=True)
+        assert (applies[0] == 21) if n == 3 else (applies[0] <= 29)
 
     def test_sweep_row(self, applies):
         ham = single_qubit([0.3, 0.0, 1.0])
