@@ -19,7 +19,6 @@ from qucurve import (
     EvolutionProblem,
     build_frame,
     central_moments,
-    curvature_torsion_geometric,
     two_qubit_nonlocal,
 )
 
@@ -39,15 +38,14 @@ print(f"  tau^2   = {mom.tau_sq!r}")
 # %%
 # Path two: projector geometry.  Differentiate the transported state twice,
 # project the acceleration off the curve for kappa, then off the tangent as
-# well for tau.  One call evolves all stations together and returns a
-# (kappa^2, tau^2) pair per station; both should reproduce the moment
-# numbers at every station.
+# well for tau.  The frame at each station carries both as named fields;
+# they should reproduce the moment numbers at every station.
 
-stations = (0.0, 0.7, 1.4)
 print("\nprojector path along the curve")
 print(f"{'s':>6s} {'kappa^2':>22s} {'tau^2':>22s}")
-for s, (kappa_sq, tau_sq) in zip(stations, curvature_torsion_geometric(problem, stations)):
-    print(f"{s:6.2f} {kappa_sq:22.15f} {tau_sq:22.15f}")
+for s in (0.0, 0.7, 1.4):
+    station = build_frame(problem, s)
+    print(f"{s:6.2f} {station.kappa_sq:22.15f} {station.tau_sq:22.15f}")
 
 # %%
 # The frame itself.  At s = 0 the tangent mixes |01> and |10> and the

@@ -9,13 +9,8 @@ which satisfies <Psi|dPsi/dt> = 0.  ``EvolutionProblem.evolve(ts)`` and
 
 Arc length along the projective-space curve is s = v t, where the speed v is
 the energy uncertainty, v^2 = <(H - E)^2>, so Psi at arc length s is
-``transported([s / v])[0]``.  In arc-length parametrization the curve has
-unit-norm tangent
-
-    T(s) = -i (dh) Psi(s),      dh = (H - E) / v,
-
-and second derivative T'(s) = -(dh)^2 Psi(s), whose squared norm <(dh)^4> is
-constant in s.  ``frame`` builds both from one state evaluation.
+``transported([s / v])[0]``.  ``frame`` differentiates it in s, with the
+arc-length generator dh = (H - E) / v.
 
 States are evolved in the Krylov space of (H - E, psi_0) (Hochbruck and
 Lubich, SIAM J. Numer. Anal. 34, 1997): a Lanczos basis V_m with tridiagonal
@@ -107,10 +102,6 @@ class EvolutionProblem:
     @property
     def dim(self) -> int:
         return self.hamiltonian.dim
-
-    def _apply_delta_h(self, vec: np.ndarray) -> np.ndarray:
-        """(H - E) vec / v, without forming the centered matrix."""
-        return (self.hamiltonian.apply(vec) - self.energy * vec) / self.speed
 
     def _complete(self, m: int) -> bool:
         """Whether the first m Lanczos vectors span an invariant subspace."""

@@ -1,13 +1,18 @@
 """Moving frame along a quantum evolution curve.
 
-The frame is built from the parallel-transported state Psi(s), the unit
-tangent T(s), and the normalized binormal N(s) obtained by projecting the
-acceleration T'(s) off the span of {Psi, T}:
+In arc-length parametrization the transported state Psi(s) =
+``problem.transported([s / v])[0]`` has unit tangent and acceleration
+
+    T(s) = -i dh Psi(s),   T'(s) = -i dh T(s),   dh = (H - E) / v,
+
+where E = <H> and v is the speed.  The frame is Psi(s), T(s) and the
+normalized binormal N(s) obtained by projecting T'(s) off the span of
+{Psi, T}:
 
     Nbar(s) = P_T P_Psi T'(s),   kappa^2 = ||P_Psi T'||^2,   tau^2 = ||Nbar||^2.
 
 Squared curvature and torsion computed this way agree with the moment
-formulas; both paths are exposed so they can cross-check each other.
+formulas, which read the energy distribution and never this frame.
 
 The frame's structure matrix C (the analogue of the classical Frenet-Serret
 coefficient matrix) collects C[i][j] = <frame_j | d/ds frame_i>.  Since
@@ -29,13 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import EvolutionProblem
-from .hilbert import _project_off
+from .hilbert import _norm, _project_off
 
-__all__ = [
-    "QuantumFrame",
-    "curvature_torsion_geometric",
-    "build_frame",
-]
+__all__ = ["QuantumFrame", "build_frame"]
 
 # Below this norm the raw binormal is rounding noise on an exactly planar
 # curve and no normalized binormal is emitted.
@@ -61,16 +62,21 @@ def _binormal_present(tau_sq: float) -> bool:
     return bool(np.sqrt(max(tau_sq, 0.0)) > _BINORMAL_NORM_TOL)
 
 
+def _dh(problem: EvolutionProblem, vec: np.ndarray) -> np.ndarray:
+    """(H - E) vec / v, without forming the centered matrix: one ``H.apply``."""
+    return (problem.hamiltonian.apply(vec) - problem.energy * vec) / problem.speed
+
+
 def _vectors_from(problem: EvolutionProblem, psi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(Psi, T, P_Psi T', Nbar) from the state Psi alone.
+    """(T, T', P_Psi T', Nbar) from the state Psi alone, with two dh products.
 
     With T = -i dh Psi and T' = -i dh T, the projections are applied as
     vector operations in sequence, never as assembled projector matrices.
     """
-    tan = -1j * problem._apply_delta_h(psi)
-    perp = _project_off(-1j * problem._apply_delta_h(tan), psi)
-    nbar = _project_off(perp, tan)
-    return psi, tan, perp, nbar
+    tan = -1j * _dh(problem, psi)
+    accel = -1j * _dh(problem, tan)
+    perp = _project_off(accel, psi)
+    return tan, accel, perp, _project_off(perp, tan)
 
 
 def _curvature_torsion_at(problem: EvolutionProblem, psi: np.ndarray) -> tuple[float, float]:
@@ -79,29 +85,30 @@ def _curvature_torsion_at(problem: EvolutionProblem, psi: np.ndarray) -> tuple[f
     return float(np.vdot(perp, perp).real), float(np.vdot(nbar, nbar).real)
 
 
-def curvature_torsion_geometric(problem: EvolutionProblem, s_points) -> list[tuple[float, float]]:
-    """``_curvature_torsion_at`` each arc length in ``s_points``, evolved in one walk; each
-    pair depends only on its own arc length, bit for bit.  A planar curve's tau^2 is about 1e-30."""
-    rows = problem.transported(np.asarray(s_points, dtype=float) / problem.speed)
-    return [_curvature_torsion_at(problem, psi) for psi in rows]
-
-
 def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
-    """The moving frame at arc length s and its structure matrix.
+    """The moving frame at arc length s, its curvature, torsion and structure matrix.
 
     ``rows`` holds the first k <= 3 Lanczos rows f = (Psi, T[, N]) of
     (dh, Psi(s)), up to phases: N is present (k = 3) only when the curve
     twists, and ``rows[0]`` is ``problem.transported([s / problem.speed])[0]``.
-    Its structure matrix is
+    ``kappa_sq`` and ``tau_sq`` are ``_curvature_torsion_at`` that state, bit
+    for bit; a planar curve's tau^2 is about 1e-30.  The structure matrix is
     C[i][j] = <f_j | d/ds f_i> = <f_j | -i dh f_i>, zero-padded to 3x3, so on
-    a planar curve only the 2x2 principal block is meaningful.  One state
-    evaluation and k + 2 dh products: O(d) work.
+    a planar curve only the 2x2 principal block is meaningful.  Its first two
+    rows read -i dh Psi = T and -i dh T = T', already formed, so one state
+    evaluation and k dh products make the frame: O(d) work.
     """
-    psi, tan, perp, nbar = _vectors_from(problem, problem.transported([s / problem.speed])[0])
+    psi = problem.transported([s / problem.speed])[0]
+    tan, accel, perp, nbar = _vectors_from(problem, psi)
     tau_sq = float(np.vdot(nbar, nbar).real)
-    rows = np.array([psi, tan, nbar / np.linalg.norm(nbar)] if _binormal_present(tau_sq) else [psi, tan])
+    rows, moved = [psi, tan], [tan, accel]
+    if _binormal_present(tau_sq):
+        binormal = nbar / _norm(nbar)
+        rows.append(binormal)
+        moved.append(-1j * _dh(problem, binormal))
+    rows = np.array(rows)
     rows.setflags(write=False)
     k = len(rows)
     cartan = np.zeros((3, 3), dtype=complex)
-    cartan[:k, :k] = np.array([-1j * problem._apply_delta_h(f) for f in rows]) @ rows.conj().T
+    cartan[:k, :k] = np.array(moved) @ rows.conj().T
     return QuantumFrame(s=s, rows=rows, kappa_sq=float(np.vdot(perp, perp).real), tau_sq=tau_sq, cartan=cartan)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import models
 from .evolution import EvolutionProblem
-from .frame import build_frame, curvature_torsion_geometric
+from .frame import build_frame
 from .hilbert import HermitianOperator
 from .moments import _CLAMP_FLOOR, StationaryStateError, central_moments
 from .oracles import fit_coefficients
@@ -140,9 +140,9 @@ def _case_cross_path_random() -> float:
             mom = prob.moments
             km, tm = mom.kappa_sq, mom.tau_sq
             s = float(rng.uniform(0.0, 2.0))
-            kg, tg = curvature_torsion_geometric(prob, [s])[0]
-            worst = max(worst, abs(km - kg) / max(1.0, abs(km)))
-            worst = max(worst, abs(tm - tg) / max(1.0, abs(tm)))
+            frame = build_frame(prob, s)
+            worst = max(worst, abs(km - frame.kappa_sq) / max(1.0, abs(km)))
+            worst = max(worst, abs(tm - frame.tau_sq) / max(1.0, abs(tm)))
             worst = max(worst, abs(km - tm - mom.alpha3**2))
             if tm < _CLAMP_FLOOR:
                 worst = max(worst, abs(tm))

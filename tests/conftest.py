@@ -99,6 +99,20 @@ def reference_pauli_groups(terms):
 
 
 @pytest.fixture
+def applies(monkeypatch):
+    """A one-element list counting the calls of ``HermitianOperator.apply`` from here on."""
+    count = [0]
+    apply = HermitianOperator.apply
+
+    def counted(op, vec):
+        count[0] += 1
+        return apply(op, vec)
+
+    monkeypatch.setattr(HermitianOperator, "apply", counted)
+    return count
+
+
+@pytest.fixture
 def crossed_fields_problem():
     """H = XZ + ZX on |00>: every frame quantity has a known closed form."""
     ham = two_qubit_nonlocal(0.0, 0.0, 1.0, 1.0)

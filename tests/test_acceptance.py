@@ -19,7 +19,6 @@ from qucurve import (
     build_frame,
     central_moments,
     curvature_bloch,
-    curvature_torsion_geometric,
     fit_coefficients,
     geodesic_efficiency,
     ghz_state,
@@ -73,7 +72,7 @@ def test_closed_form_value_table():
     for a in ([1, 0, 0], a_tilted):
         assert torsion_bloch(a, [0, 0, 1]) == 0.0
         prob = EvolutionProblem(SIGMA_Z, bloch_to_state(a))
-        assert abs(curvature_torsion_geometric(prob, [0.0])[0][1]) <= 1e-9
+        assert abs(build_frame(prob, 0.0).tau_sq) <= 1e-9
 
     # -- xi-family curvature and efficiency on a 99-point grid ----------
     t_eff = np.pi / 4
@@ -165,7 +164,7 @@ def test_closed_form_value_table():
             ham = build(*ms)
             mom = central_moments(ham, state)
             kappa = mom.kappa_sq
-            tau = curvature_torsion_geometric(EvolutionProblem(ham, state), [0.0])[0][1]
+            tau = build_frame(EvolutionProblem(ham, state), 0.0).tau_sq
             ek, et = formula(*ms)
             assert kappa == pytest.approx(ek, rel=1e-9, abs=1e-10)
             assert tau == pytest.approx(et, rel=1e-9, abs=1e-10)
@@ -182,7 +181,7 @@ def test_closed_form_value_table():
         assert tau == pytest.approx(et, rel=1e-9, abs=1e-10)
         ham = heisenberg3(jx, jy, jz, h)
         kappa = central_moments(ham, w_state()).kappa_sq
-        tau = curvature_torsion_geometric(EvolutionProblem(ham, w_state()), [0.0])[0][1]
+        tau = build_frame(EvolutionProblem(ham, w_state()), 0.0).tau_sq
         ek, et = heisenberg_w_coefficients(jx, jy, jz, h)
         assert kappa == pytest.approx(ek, rel=1e-9, abs=1e-10)
         assert tau == pytest.approx(et, rel=1e-9, abs=1e-10)
@@ -201,7 +200,7 @@ def test_closed_form_value_table():
             _, tau = pipeline_coefficients(two_qubit_nonlocal(*ms), state)
             assert abs(tau) <= 1e-10
             prob = EvolutionProblem(two_qubit_nonlocal(*ms), state)
-            assert curvature_torsion_geometric(prob, [0.0])[0][1] <= 1e-10
+            assert build_frame(prob, 0.0).tau_sq <= 1e-10
 
 
 def test_cross_path_equivalence():
@@ -213,7 +212,8 @@ def test_cross_path_equivalence():
             mom = central_moments(prob.hamiltonian, prob.initial_state)
             kappa_m = mom.kappa_sq
             tau_m = mom.tau_sq
-            [(kappa_g, tau_g)] = curvature_torsion_geometric(prob, [0.0])
+            frame = build_frame(prob, 0.0)
+            kappa_g, tau_g = frame.kappa_sq, frame.tau_sq
             assert abs(kappa_m - kappa_g) <= max(1e-9 * abs(kappa_m), 1e-10)
             assert abs(tau_m - tau_g) <= max(1e-9 * abs(tau_m), 1e-10)
             # the osculating-plane decomposition: curvature splits into

@@ -182,9 +182,9 @@ def _tangent(prob, s):
 
 
 def _acceleration(prob, s):
-    """T'(s) = -(dh)^2 Psi(s), read off the frame's P_Psi T' = T' + Psi."""
-    psi, _, perp, _ = _vectors_from(prob, prob.transported([s / prob.speed])[0])
-    return perp - psi
+    """T'(s) = -(dh)^2 Psi(s), as the frame forms it before projecting."""
+    _, accel, _, _ = _vectors_from(prob, prob.transported([s / prob.speed])[0])
+    return accel
 
 
 class TestTangent:
@@ -217,7 +217,7 @@ class TestTangent:
 
 
 class TestTangentDerivative:
-    """T' recovered from the frame's P_Psi T' against closed forms and T."""
+    """The frame's T' = -i dh T against closed forms and T."""
 
     def test_crossed_fields_closed_form(self, crossed_fields_problem):
         for s in (0.0, 0.7):
@@ -385,7 +385,7 @@ class TestKrylovEvolution:
         assert kept_bytes() < 64 * 1024
         prob._grow(25)
         assert kept_bytes() < 64 * 1024
-        prob._apply_delta_h(prob.initial_state)
+        build_frame(prob, 0.1)
         assert kept_bytes() < 64 * 1024
 
     def test_rotation_is_freed_before_the_rows_are_transported(self):

@@ -9,18 +9,29 @@ from qucurve import (
     EvolutionProblem,
     HermitianOperator,
     StationaryStateError,
+    bell_state,
     build_frame,
     central_moments,
-    curvature_torsion_geometric,
+    two_qubit_nonlocal,
 )
+from qucurve.frame import _curvature_torsion_at, _dh
 from qucurve.models import single_qubit
 
-from conftest import dense, pauli_sum, random_problem, random_state
+from conftest import dense, pauli_sum, random_hermitian, random_problem, random_state
 
 
 def geometric_at(problem, s):
     """(kappa^2, tau^2) on the projector route at one arc length."""
-    return curvature_torsion_geometric(problem, [s])[0]
+    fr = build_frame(problem, s)
+    return fr.kappa_sq, fr.tau_sq
+
+
+def ising_chain_from_zeros(rng, n):
+    """A transverse-field Ising chain with random signed couplings, Pauli-backed, from |0...0>."""
+    zz = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
+    terms = [(c, "I" * i + "ZZ" + "I" * (n - i - 2)) for i, c in enumerate(zz)]
+    terms += [(h, "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
+    return EvolutionProblem(pauli_sum(terms), np.eye(1, 2**n)[0])
 
 
 def crossed_fields_tangent(s):
@@ -46,7 +57,7 @@ class TestWorkedExample:
     """H = XZ + ZX on |00>: every frame ingredient has a trig closed form."""
 
     def test_curvature_and_torsion(self, crossed_fields_problem):
-        pairs = curvature_torsion_geometric(crossed_fields_problem, [0.0, 0.4, 1.1])
+        pairs = [geometric_at(crossed_fields_problem, s) for s in (0.0, 0.4, 1.1)]
         assert np.array(pairs) == pytest.approx(np.ones((3, 2)), abs=1e-12)
 
     def test_frame_vectors(self, crossed_fields_problem):
@@ -85,7 +96,7 @@ class TestGeometricPath:
     def test_coefficients_constant_along_curve(self):
         rng = np.random.default_rng(139)
         prob = random_problem(rng, 5)
-        (k0, t0), *rest = curvature_torsion_geometric(prob, [0.0, 0.6, 1.7, 3.1])
+        (k0, t0), *rest = [geometric_at(prob, s) for s in (0.0, 0.6, 1.7, 3.1)]
         for k, t in rest:
             assert k == pytest.approx(k0, rel=1e-10)
             assert t == pytest.approx(t0, rel=1e-10, abs=1e-12)
@@ -139,14 +150,7 @@ class TestBuildFrame:
     def test_frame_memory_is_linear_in_d(self):
         # the frame is k <= 3 rows of length d: at n = 12 (d = 4096) one
         # d x d array alone would take 256 MiB
-        rng = np.random.default_rng(11)
-        n = 12
-        zz = rng.uniform(0.5, 1.5, n - 1) * rng.choice([-1.0, 1.0], n - 1)
-        terms = [(c, "I" * i + "ZZ" + "I" * (n - i - 2)) for i, c in enumerate(zz)]
-        terms += [(h, "I" * i + "X" + "I" * (n - i - 1)) for i, h in enumerate(rng.uniform(0.5, 1.5, n))]
-        basis_state = np.zeros(2**n)
-        basis_state[0] = 1.0
-        prob = EvolutionProblem(pauli_sum(terms), basis_state)
+        prob = ising_chain_from_zeros(np.random.default_rng(11), 12)
         prob.transported([0.5 / prob.speed])  # grows the Krylov basis that build_frame reuses
         tracemalloc.start()
         try:
@@ -168,14 +172,20 @@ class TestBuildFrame:
         np.testing.assert_allclose(fr.cartan[2, :], 0.0, atol=1e-15)
         np.testing.assert_allclose(fr.cartan[:, 2], 0.0, atol=1e-15)
 
-    def test_coefficients_match_standalone_functions(self):
-        rng = np.random.default_rng(163)
-        prob = random_problem(rng, 4)
-        s = 0.8
-        fr = build_frame(prob, s)
-        kappa_sq, tau_sq = geometric_at(prob, s)
-        assert fr.kappa_sq == pytest.approx(kappa_sq, rel=1e-12)
-        assert fr.tau_sq == pytest.approx(tau_sq, rel=1e-12)
+    @pytest.mark.parametrize("case", ["crossed_fields", "nonlocal_phi_plus", "ising_n10"])
+    def test_applies_h_once_per_frame_row(self, case, crossed_fields_problem, applies):
+        # T and T' are formed once, for the coefficients and the structure
+        # matrix alike: only the binormal's row needs one more product
+        if case == "crossed_fields":
+            prob, k = crossed_fields_problem, 3
+        elif case == "nonlocal_phi_plus":
+            prob, k = EvolutionProblem(two_qubit_nonlocal(0.7, 0.4, -0.3, 0.9), bell_state("phi+")), 2
+        else:
+            prob, k = ising_chain_from_zeros(np.random.default_rng(10), 10), 3
+        prob.transported([0.5 / prob.speed])  # grows the basis, so the frame's state costs no apply
+        applies[0] = 0
+        assert len(build_frame(prob, 0.5).rows) == k
+        assert applies[0] == k
 
 
 class TestCartanMatrix:
@@ -264,20 +274,47 @@ def test_pauli_backing_matches_dense_backing(n):
         np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("dim", [4, 64])
-@pytest.mark.parametrize("backing", ["pauli", "dense"])
-def test_batched_points_are_bitwise_independent(backing, dim):
-    # each pair depends on its own arc length only, bit for bit, so a batch
-    # of points gives exactly what one-point calls give
-    rng = np.random.default_rng(dim)
-    n = dim.bit_length() - 1
+def _bitwise_case(backing, dim, shape, rng):
+    """A problem with a random psi0.  On a planar one H has two eigenvalues,
+    so the curve stays in the plane of psi0's two eigenspace components."""
     if backing == "pauli":
-        words = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(2 * n)]
-        op = pauli_sum(zip(rng.normal(size=2 * n), words))
-        prob = EvolutionProblem(op, random_state(rng, dim))
+        n = dim.bit_length() - 1
+        if shape == "planar":  # h . sigma on the first qubit
+            words = [p + "I" * (n - 1) for p in "XYZ"]
+        else:
+            words = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(2 * n)]
+        op = pauli_sum(zip(rng.normal(size=len(words)), words))
+    elif shape == "planar":
+        q = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        m = (q * np.resize([1.0, -0.5], dim)) @ q.conj().T
+        op = HermitianOperator((m + m.conj().T) / 2)
     else:
-        prob = random_problem(rng, dim)
-    pts = np.linspace(0.0, 3.0, 10)
-    batch = curvature_torsion_geometric(prob, pts)
-    for k, s in enumerate(pts):
-        assert batch[k] == curvature_torsion_geometric(prob, [s])[0]
+        op = random_hermitian(rng, dim)
+    return EvolutionProblem(op, random_state(rng, dim))
+
+
+# Pauli words need d = 2^n, and every qubit curve is planar.
+_BITWISE_CASES = [
+    (backing, dim, shape)
+    for backing in ("pauli", "dense")
+    for dim in (2, 3, 4, 8, 64)
+    for shape in ("planar", "twisting")
+    if not (backing == "pauli" and dim == 3) and not (shape == "twisting" and dim == 2)
+]
+
+
+@pytest.mark.parametrize("backing, dim, shape", _BITWISE_CASES)
+def test_frame_is_bitwise_its_per_row_reference(backing, dim, shape):
+    # the structure matrix reuses T and T' for its first two rows, and the
+    # coefficients read the same vectors: both equal the direct per-row
+    # forms bit for bit
+    rng = np.random.default_rng(dim)
+    prob = _bitwise_case(backing, dim, shape, rng)
+    for s in rng.uniform(0.0, 3.0, 3):
+        fr = build_frame(prob, s)
+        k = len(fr.rows)
+        assert k == (3 if shape == "twisting" else 2)
+        reference = np.zeros((3, 3), dtype=complex)
+        reference[:k, :k] = np.array([-1j * _dh(prob, f) for f in fr.rows]) @ fr.rows.conj().T
+        np.testing.assert_array_equal(fr.cartan, reference)
+        assert (fr.kappa_sq, fr.tau_sq) == _curvature_torsion_at(prob, prob.transported([s / prob.speed])[0])

@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "build_report",
     "central_moments",
     "curvature_bloch",
-    "curvature_torsion_geometric",
     "fit_coefficients",
     "format_float",
     "fubini_study_sq",

@@ -19,7 +19,6 @@ from qucurve import (
     HermitianOperator,
     build_frame,
     central_moments,
-    curvature_torsion_geometric,
 )
 
 from conftest import dense, random_hermitian, random_state
@@ -36,11 +35,11 @@ arc_lengths = st.floats(min_value=0.0, max_value=3.0)
 def _geometry(ham: HermitianOperator, state: np.ndarray, s: float):
     """(kappa^2, tau^2) by moments, the same by projectors, and |cartan| at s."""
     mom = central_moments(ham, state)
-    prob = EvolutionProblem(ham, state)
+    frame = build_frame(EvolutionProblem(ham, state), s)
     return (
         np.array([mom.kappa_sq, mom.tau_sq]),
-        np.array(curvature_torsion_geometric(prob, [s])[0]),
-        np.abs(build_frame(prob, s).cartan),
+        np.array([frame.kappa_sq, frame.tau_sq]),
+        np.abs(frame.cartan),
     )
 
 

@@ -252,18 +252,6 @@ class TestOneMomentPass:
     of a second ``central_moments`` pass: they apply H only as often as the
     problem's construction and the route they read do."""
 
-    @pytest.fixture
-    def applies(self, monkeypatch):
-        count = [0]
-        apply = HermitianOperator.apply
-
-        def counted(op, vec):
-            count[0] += 1
-            return apply(op, vec)
-
-        monkeypatch.setattr(HermitianOperator, "apply", counted)
-        return count
-
     @pytest.mark.parametrize("n", [None, 6, 10], ids=["dense-d4", "pauli-n6", "pauli-n10"])
     def test_report(self, n, applies, monkeypatch):
         # both routes are read at psi0: H psi and H (H - E) psi for the moments,
