@@ -13,7 +13,7 @@ from physically measurable data only:
 * torsion -- how fast the state leaves the plane spanned by two earlier
   snapshots; the out-of-plane weight grows as tau^2 * mu2^2 * dt^4.
 
-The entry point ``fit_coefficients`` fits both laws and checks the projector route on the same states.
+The entry point ``fit_coefficients`` only fits both laws: it calls nothing of the projector route.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import EvolutionProblem
-from .frame import _curvature_torsion_at
 from .hilbert import _norm, _project_off
 from .moments import NumericalError
 
@@ -125,8 +124,10 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
     return coeff, residual
 
 
-def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], dict[float, np.ndarray]]:
-    """The checked steps, and psi(t) for every distinct t in {dt, 2 dt}, evolved in one walk."""
+def _snapshots(problem: EvolutionProblem, dt_grid=None) -> tuple[tuple[float, ...], dict[float, np.ndarray]]:
+    """The steps of ``dt_grid`` (default {1, 2, 4} * 1e-3 / v), and psi(t) at each distinct t in {dt, 2 dt}."""
+    if dt_grid is None:
+        dt_grid = [k * 1e-3 / problem.speed for k in (1.0, 2.0, 4.0)]
     dts = tuple(float(dt) for dt in dt_grid)
     if len(set(dts)) < 2 or not all(0 < dt < math.inf for dt in dts):  # also refuses NaN
         raise ValueError("dt_grid must contain at least two distinct positive steps, all finite")
@@ -141,6 +142,25 @@ def _snapshots(problem: EvolutionProblem, dt_grid) -> tuple[tuple[float, ...], d
         )
     times = list(dict.fromkeys(t for dt in dts for t in (dt, 2.0 * dt)))
     return dts, dict(zip(times, problem.evolve(times)))
+
+
+def _fit(problem: EvolutionProblem, dts: tuple[float, ...], states: dict[float, np.ndarray]) -> FitResult:
+    """The two quartic fits on the steps and snapshots that ``_snapshots`` returns."""
+    psi0 = problem.initial_state
+    values = [_min_geodesic_deviation(psi0, states[dt], states[2.0 * dt]) for dt in dts]
+    kappa_c, kappa_residual = _fit_quartic(dts, values)
+    if kappa_residual > 0.05:
+        raise NumericalError(f"fit_residual_kappa: quartic fit residual {kappa_residual:.3g} exceeds 5%")
+
+    q0 = psi0 / _norm(psi0)
+    values = []
+    for dt in dts:
+        u = _project_off(states[dt], q0, q0)  # the second pass keeps u orthogonal to q0
+        r = _project_off(states[2.0 * dt], q0, u / _norm(u))
+        values.append(float(np.vdot(r, r).real))
+    tau_c, tau_residual = _fit_quartic(dts, values)
+    mu2 = problem.moments.mu2
+    return FitResult(4.0 * kappa_c / mu2**2, tau_c / mu2**2, kappa_residual, tau_residual, dts)
 
 
 def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> FitResult:
@@ -158,12 +178,6 @@ def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> FitResult:
     C / mu2^2, with the moment pass's mu2.  For any single-qubit problem
     the plane is the whole space and tau_sq vanishes identically.
 
-    Check: kappa^2 and tau^2 are constants of the motion, so a spread above
-    1e-9 of the projector route (``frame._curvature_torsion_at``) across psi0
-    and the snapshots (arc length s = v t, at most 8e-3 by default) warns.  This
-    close to s = 0 a Krylov fault shows barely: a basis started at 4 vectors with
-    tolerance 1e-2 reads 3e-9 on a 12-qubit Ising chain, against 6e-3 at s <= 1.
-
     Raises
     ------
     NumericalError
@@ -171,25 +185,4 @@ def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> FitResult:
         finite, the smallest dt v is below 1e-5, or psi(0) and psi(2 dt)
         are orthogonal.
     """
-    if dt_grid is None:
-        dt_grid = [k * 1e-3 / problem.speed for k in (1.0, 2.0, 4.0)]
-    dts, states = _snapshots(problem, dt_grid)
-    psi0 = problem.initial_state
-    reads = zip(*(_curvature_torsion_at(problem, psi) for psi in (psi0, *states.values())))
-    for name, vals in zip(("kappa_sq_geometric", "tau_sq_geometric"), reads):
-        if (spread := max(vals) - min(vals)) > 1e-9:
-            warnings.warn(f"{name} varies by {spread!r} across arc-length samples", stacklevel=2)
-    values = [_min_geodesic_deviation(psi0, states[dt], states[2.0 * dt]) for dt in dts]
-    kappa_c, kappa_residual = _fit_quartic(dts, values)
-    if kappa_residual > 0.05:
-        raise NumericalError(f"fit_residual_kappa: quartic fit residual {kappa_residual:.3g} exceeds 5%")
-
-    q0 = psi0 / _norm(psi0)
-    values = []
-    for dt in dts:
-        u = _project_off(states[dt], q0, q0)  # the second pass keeps u orthogonal to q0
-        r = _project_off(states[2.0 * dt], q0, u / _norm(u))
-        values.append(float(np.vdot(r, r).real))
-    tau_c, tau_residual = _fit_quartic(dts, values)
-    mu2 = problem.moments.mu2
-    return FitResult(4.0 * kappa_c / mu2**2, tau_c / mu2**2, kappa_residual, tau_residual, dts)
+    return _fit(problem, *_snapshots(problem, dt_grid))

@@ -298,6 +298,13 @@ class TestSnapshots:
         assert len(times) == len(set(times)) == 4
         assert set(times) == {grid[0], grid[1], grid[2], 2.0 * grid[2]}
 
+    def test_fits_apply_h_only_to_grow_the_walk(self, crossed_fields_problem, applies):
+        # the Krylov space of H = XZ + ZX and |00> has dimension 3: two applies
+        # complete its basis, and the fits read no other route
+        applies[0] = 0
+        fit_coefficients(crossed_fields_problem)
+        assert applies[0] == 2
+
     def test_oracle_report_evolves_four_times_in_one_walk(self, crossed_fields_problem, walks):
         """A plain report walks nothing; an oracle report makes one walk, of the
         fits' 4 times, and checks the projector route on those rows."""
@@ -307,6 +314,11 @@ class TestSnapshots:
         build_report(*args, with_oracle=True)
         grid = [k * 1e-3 / crossed_fields_problem.speed for k in (1.0, 2.0, 4.0)]
         assert walks == [[grid[0], grid[1], grid[2], 2.0 * grid[2]]]
+
+
+def test_oracles_bind_nothing_of_the_projector_route():
+    # the report compares the routes; the fits that it compares stay independent of the frame
+    assert [k for k, v in vars(qucurve.oracles).items() if getattr(v, "__module__", None) == "qucurve.frame"] == []
 
 
 class TestClassicalFrenetSerret:

@@ -214,14 +214,52 @@ class TestBuildReport:
         for key in plain.keys() - {"oracle", "warnings"}:
             assert repr(rep[key]) == repr(plain[key]), key
 
-    def test_oracle_report_warns_on_a_krylov_fault(self, monkeypatch):
-        # a basis that starts at 4 vectors and accepts an error estimate of 1e-2
-        # evolves the snapshots about 3e-9 off the curve, against the 1e-9 spread
-        # threshold (the 10 arc samples that reached s = 1 read 6.3e-3 there)
-        args = _ising_chain(np.random.default_rng(12), 12)
+    def test_oracle_report_warns_on_a_coarse_grid_then_on_a_spread(self, monkeypatch):
+        # the rolled rows of the spread test above, on a grid whose largest
+        # dt v is 0.17: the fits still pass (kappa misfit 1.7e-3), and the
+        # grid's warning comes first, then kappa's spread, then tau's
+        ham, psi = random_hermitian(np.random.default_rng(17), 16), np.full(16, 0.25)
+        v = EvolutionProblem(ham, psi).speed
+        evolve = EvolutionProblem.evolve
+        monkeypatch.setattr(EvolutionProblem, "evolve", lambda problem, ts: np.roll(evolve(problem, ts), 1, axis=1))
+        rep = build_report(ham, psi, with_oracle=True, dt_grid=[k * 0.17 / v for k in (0.25, 0.5, 1.0)])
+        prefixes = ["largest step has dt*v", "kappa_sq_geometric varies by", "tau_sq_geometric varies by"]
+        assert len(rep.warnings) == 3
+        assert all(w.startswith(p) for w, p in zip(rep.warnings, prefixes))
+
+    def test_oracle_report_spread_includes_psi0(self, monkeypatch):
+        # every snapshot is the same rolled state, so the 4 reads there agree and
+        # only psi0's pair, the report's own, sets the spread; the fits see no motion
+        ham, psi = random_hermitian(np.random.default_rng(17), 16), np.full(16, 0.25)
+        evolve = EvolutionProblem.evolve
+        monkeypatch.setattr(
+            EvolutionProblem, "evolve", lambda problem, ts: np.roll(evolve(problem, [ts[0]] * len(ts)), 1, axis=1)
+        )
+        rep = build_report(ham, psi, with_oracle=True)
+        assert [w.split(" varies by ")[0] for w in rep.warnings] == ["kappa_sq_geometric", "tau_sq_geometric"]
+
+    @pytest.mark.parametrize("fault, n", [("loose", 12), ("beta1", 6), ("beta1", 10), ("beta1", 12)])
+    def test_oracle_report_warns_on_a_krylov_fault(self, fault, n, monkeypatch):
+        # "loose": a basis that starts at 4 vectors and accepts an error estimate of
+        # 1e-2 evolves the snapshots about 3e-9 off the curve, against the 1e-9 spread
+        # threshold (the 10 arc samples that reached s = 1 read 6.3e-3 there);
+        # "beta1": beta_1 of the tridiagonal T_m, scaled by 1 + 1e-4 once it exists,
+        # evolves them 1.6e-8 to 3.1e-8 off
+        args = _ising_chain(np.random.default_rng(n), n)
         assert build_report(*args, with_oracle=True).warnings == []
-        monkeypatch.setattr(qucurve.evolution, "_KRYLOV_MIN_DIM", 4)
-        monkeypatch.setattr(qucurve.evolution, "_KRYLOV_TOL", 1e-2)
+        if fault == "loose":
+            monkeypatch.setattr(qucurve.evolution, "_KRYLOV_MIN_DIM", 4)
+            monkeypatch.setattr(qucurve.evolution, "_KRYLOV_TOL", 1e-2)
+        else:
+            grow = EvolutionProblem._grow
+
+            def scaled(problem, target):
+                had_beta1 = len(problem._beta) > 1
+                grow(problem, target)
+                if not had_beta1 and len(problem._beta) > 1:
+                    problem._beta[1] *= 1 + 1e-4
+
+            monkeypatch.setattr(EvolutionProblem, "_grow", scaled)
         rep = build_report(*args, with_oracle=True)
         assert [w.split(" varies by ")[0] for w in rep.warnings] == ["kappa_sq_geometric", "tau_sq_geometric"]
 
@@ -269,13 +307,13 @@ class TestOneMomentPass:
     def test_oracle_report(self, n, applies):
         # the plain report's 4, 15 more to grow the 16 Lanczos vectors that settle
         # the fits' snapshots (7 when d = 8 completes the basis), and 2 for each
-        # projector-route read at psi0 and the 4 snapshots
+        # projector-route read at the 4 snapshots: psi0's pair is the report's own
         args = _ising_chain(np.random.default_rng(11), n)
         build_report(*args)
         assert applies[0] == 4
         applies[0] = 0
         build_report(*args, with_oracle=True)
-        assert (applies[0] == 21) if n == 3 else (applies[0] <= 29)
+        assert applies[0] == (19 if n == 3 else 27)
 
     def test_sweep_row(self, applies):
         ham = single_qubit([0.3, 0.0, 1.0])
