@@ -88,14 +88,14 @@ class EvolutionProblem:
         self.hamiltonian = hamiltonian
         self.moments, self.initial_state, self._residual = _moment_pass(hamiltonian, initial_state)
         self.energy = self.moments.mean
-        self.speed = float(np.sqrt(self.moments.mu2))
+        self.speed = math.sqrt(self.moments.mu2)
 
         # Lanczos state: basis rows v_0..v_{m-1}, diagonal alpha_0..alpha_{m-1},
         # off-diagonal beta_0..beta_{m-1} (beta_{m-1} is the norm of the
         # pending residual, which becomes v_m).  A plain report reads none of
         # it: the first ``_grow`` starts it from the moment pass's (H - E) psi_0,
         # kept as the residual until then.
-        self._breakdown = _BREAKDOWN_TOL * np.sqrt(hamiltonian.frobenius_sq)
+        self._breakdown = _BREAKDOWN_TOL * math.sqrt(hamiltonian.frobenius_sq)
         self._basis = np.empty((0, self.dim), dtype=complex)
         self._alpha, self._beta = [], []
 
@@ -119,18 +119,18 @@ class EvolutionProblem:
             residual = self._residual - alpha0 * psi
             residual -= psi * np.vdot(psi, residual)
             self._alpha, self._beta, self._residual = [alpha0], [_norm(residual)], residual
-        while len(self._alpha) < target and not self._complete(len(self._alpha)):
-            m = len(self._alpha)
-            v = self._residual / self._beta[-1]
-            self._basis[m] = v
-            w = self.hamiltonian.apply(v) - self.energy * v
+        basis, alphas, betas, apply, energy = self._basis, self._alpha, self._beta, self.hamiltonian.apply, self.energy
+        while len(alphas) < target and not self._complete(len(alphas)):
+            m = len(alphas)
+            v = np.divide(self._residual, betas[-1], out=basis[m])
+            w = apply(v) - energy * v
             alpha = float(np.vdot(v, w).real)
-            w -= alpha * v + self._beta[-1] * self._basis[m - 1]
-            basis = self._basis[: m + 1]
+            w -= alpha * v + betas[-1] * basis[m - 1]
+            done = basis[: m + 1]
             for _ in range(2):  # one Gram-Schmidt pass leaves O(eps * growth) overlaps
-                w -= np.conj(basis @ np.conj(w)) @ basis
-            self._alpha.append(alpha)
-            self._beta.append(_norm(w))
+                w -= np.conj(done @ np.conj(w)) @ done
+            alphas.append(alpha)
+            betas.append(_norm(w))
             self._residual = w
 
     def evolve(self, ts) -> np.ndarray:
@@ -149,12 +149,12 @@ class EvolutionProblem:
         while len(todo):
             self._grow(min(size, self.dim))
             m = min(size, len(self._alpha))
-            tri = np.diag(self._alpha[:m])
-            off = np.arange(m - 1)
-            tri[off, off + 1] = tri[off + 1, off] = self._beta[: m - 1]
-            theta, u = np.linalg.eigh(tri)  # T_m = U diag(theta) U^T
+            tri = np.zeros((m, m))
+            tri.flat[:: m + 1] = self._alpha[:m]
+            tri.flat[1 :: m + 1] = tri.flat[m :: m + 1] = self._beta[: m - 1]
+            theta, u = np.linalg.eigh(tri)  # T_m = U diag(theta) U^T, theta ascending
             t = ts[todo]
-            reach = abs(self.energy) + float(np.abs(theta).max())
+            reach = abs(self.energy) + float(max(-theta[0], theta[-1]))
             if not math.isfinite(float(np.abs(t).max()) * reach):
                 bad = next(x for x in t.tolist() if not math.isfinite(abs(x) * reach))
                 raise NumericalError(f"t = {bad!r}: the evolution phases (E + theta) t are not finite")
@@ -168,8 +168,9 @@ class EvolutionProblem:
             if len(settle):
                 # U^T V_m^T, on the float64 view since U is real: half the work
                 rotated = (u.T @ self._basis[:m].view(np.float64)).view(complex)
-                for i, p in zip(settle.tolist(), phases):
-                    row = out[i] = np.exp(-1j * self.energy * ts[i]) * ((u[0] * p) @ rotated)
+                dynamical = np.exp(-1j * self.energy * ts[settle])
+                for i, e, p in zip(settle.tolist(), dynamical, phases):
+                    row = out[i] = e * ((u[0] * p) @ rotated)
                     norm = math.sqrt(np.vdot(row, row).real)
                     if not abs(norm - 1.0) <= _NORM_TOL:
                         raise NumericalError(f"t = {float(ts[i])!r}: the evolved state has norm {norm!r}, not 1")
@@ -180,7 +181,8 @@ class EvolutionProblem:
     def transported(self, ts) -> np.ndarray:
         """The rows of ``evolve(ts)`` times exp(+iEt): the parallel-transported states Psi(t)."""
         ts = np.asarray(ts, dtype=float)
-        return np.exp(1j * self.energy * ts)[:, None] * self.evolve(ts)
+        states = self.evolve(ts)  # first, so that its finiteness check names an overflowing t
+        return np.exp(1j * self.energy * ts)[:, None] * states
 
     def __repr__(self):
         return (

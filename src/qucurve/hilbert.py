@@ -6,11 +6,13 @@ operator is backed either by a dense matrix or, when assembled from Pauli
 words by ``_pauli_sum`` (a ``pauli_terms`` document or a model family), by
 the words' signed permutations grouped by their bit-flip masks; the second
 backing applies H to a vector in O(d) per group and never stores a d x d
-matrix, so Pauli sums reach MAX_QUBITS qubits.  The words of one operator
+matrix, so Pauli sums reach MAX_QUBITS qubits.  The words of one document
 share one index row np.arange(d): a word with Z or Y letters computes its
 d signs from it, and a word without them adds its coefficient to its
-group's diagonal as a scalar.  The frame and the oracle fits share one
-projection off unit vectors, ``_project_off``.
+group's diagonal as a scalar.  A model family's K words are encoded once
+per process: their masks, the group order, the groups' read-only ``perms``
+and their rows as one (K, d) table.  The frame and the oracle fits share
+one projection off unit vectors, ``_project_off``.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ class HermitianOperator:
             raise ValueError(f"operator on C^{self.dim} cannot apply to an array of shape {v.shape}")
         if self._perms is None:
             return self._matrix @ v
-        return (self._diags * v[self._perms]).sum(0)
+        return np.add.reduce(self._diags * v[self._perms], axis=0)
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim})"
@@ -167,23 +169,34 @@ def _encode_word(word: str, index: np.ndarray) -> tuple[int, np.ndarray | int]:
     return x, np.where(np.bitwise_count((index ^ x) & z) & 1, -phase, phase)
 
 
-def _pauli_sum(terms, encoded=None) -> HermitianOperator:
+def _pauli_sum(terms, layout=None) -> HermitianOperator:
     """sum_k c_k P_k over (c_k, P_k) pairs, Pauli words of one length.
 
-    ``encoded`` holds the words' flip masks and rows when the caller has them
-    (a model family encodes its words once per process).  The masks come
-    first: the groups, in order of first use of their masks, are the rows of
-    one (G, d) array of zeros.  Each word's row, encoded as it is summed if
-    not given, is then added in place to its group's row, so no per-word or
-    per-group array outlives its term.
+    The masks come first: the groups, in order of first use of their masks,
+    are the rows of one (G, d) array of zeros.  Each word's row is then
+    encoded, multiplied by its coefficient and added in place to its group's
+    row, in term order, so no per-word or per-group array outlives its term.
+    The groups' ``perms`` are formed last.
+
+    A model family passes its ``layout`` (``models._encode_family``), all of
+    its K words that does not depend on the couplings: their masks, the
+    groups' masks in order, the groups' read-only ``perms`` and their rows as
+    one (K, d) table.  ``terms`` is then the K coefficients alone, whose
+    products with the rows are one (K, d) array, added row by row in order.
     """
-    index = np.arange(2 ** len(terms[0][1]))
-    masks, rows = encoded or ([int(word.translate(_X_BITS), 2) for _, word in terms], None)
-    groups = dict.fromkeys(masks)
-    diags = np.zeros((len(groups), len(index)), dtype=complex)
-    groups = dict(zip(groups, diags))  # each mask's row of ``diags``, a view
+    if layout is None:
+        index = np.arange(2 ** len(terms[0][1]))
+        masks = [int(word.translate(_X_BITS), 2) for _, word in terms]
+        groups, perms, dim = dict.fromkeys(masks), None, len(index)
+        addends = (c * _encode_word(word, index)[1] for c, word in terms)
+    else:
+        masks, groups, perms, table = layout
+        dim, addends = table.shape[1], np.array(terms)[:, None] * table
+    diags = np.zeros((len(groups), dim), dtype=complex)
+    views = dict(zip(groups, diags))  # each mask's row of ``diags``
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed group makes ||H||_F^2 inf, refused later
-        for k, ((c, word), x) in enumerate(zip(terms, masks)):
-            groups[x] += c * (_encode_word(word, index)[1] if rows is None else rows[k])
-    perms = index ^ np.array(list(groups), dtype=np.int64)[:, None]
+        for x, addend in zip(masks, addends):
+            views[x] += addend
+    if perms is None:
+        perms = index ^ np.array(list(groups), dtype=np.int64)[:, None]
     return HermitianOperator._from_pauli_groups(perms, diags)

@@ -196,22 +196,27 @@ _FAMILY_WORDS = {
 
 
 def _encode_family(words: dict) -> tuple[list, tuple]:
-    """Each word with the index of the coupling that weights it, and the words' flip masks and rows over np.arange(d)."""
+    """Each word's coupling index, and the words' ``_pauli_sum`` layout: their flip masks, the
+    groups' masks in order, the groups' read-only ``perms`` and the words' rows as one read-only (K, d) table."""
     weighted = [(k, word) for k, group in enumerate(words.values()) for word in group]
-    index = np.arange(2 ** len(weighted[0][1]))
-    return weighted, tuple(zip(*(_encode_word(word, index) for _, word in weighted)))
+    perms = _pauli_sum([(0.0, word) for _, word in weighted])._perms  # read-only, as a document forms them
+    index = np.arange(perms.shape[1])
+    masks, rows = zip(*(_encode_word(word, index) for _, word in weighted))
+    table = np.array([np.broadcast_to(row, index.shape) for row in rows], dtype=complex)
+    table.setflags(write=False)
+    return [k for k, _ in weighted], (masks, list(dict.fromkeys(masks)), perms, table)
 
 
-# Each family's words encoded once per process: a build only sums couplings
-# times rows.
+# Each family's words encoded once per process: a build only multiplies the
+# couplings into the table and sums its rows into the groups.
 _FAMILY_ROWS = {family: _encode_family(words) for family, words in _FAMILY_WORDS.items()}
 
 
 def _family_operator(family: str, couplings) -> HermitianOperator:
     """The Pauli sum of ``family`` with ``couplings`` in the table's order, each a finite real number."""
     couplings = [float(_check_coefficient(c)) for c in couplings]
-    weighted, encoded = _FAMILY_ROWS[family]
-    return _pauli_sum([(couplings[k], word) for k, word in weighted], encoded)
+    coupling_index, layout = _FAMILY_ROWS[family]
+    return _pauli_sum([couplings[k] for k in coupling_index], layout)
 
 
 def single_qubit(m, m0: float = 0.0):

@@ -116,9 +116,10 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
     y = np.asarray(values, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):  # the finiteness check below reports it
         x = np.asarray(dt_grid, dtype=float) ** 4
-        coeff = float(np.dot(x, y) / np.dot(x, x))
-        noise = np.all(np.abs(y) <= _ROUNDING_FLOOR)
-        residual = 0.0 if noise else float(np.linalg.norm(y - coeff * x) / np.linalg.norm(y))
+        coeff = float(x.dot(y) / x.dot(x))
+        noise = np.all(np.abs(y) <= _ROUNDING_FLOOR)  # so that ||y|| > 0 below
+        r = y - coeff * x
+        residual = 0.0 if noise else math.sqrt(r.dot(r)) / math.sqrt(y.dot(y))  # NumPy 2's norm, minus its dispatch
     if not (np.isfinite(coeff) and np.isfinite(residual)):
         raise NumericalError(f"dt_grid: quartic fit gives coefficient {coeff!r}, residual {residual!r}")
     return coeff, residual

@@ -1003,6 +1003,20 @@ class TestGoldenOutputs:
         capsys.readouterr()
         assert out.read_bytes() == (FIXTURES / "sweep_single_qubit_xi.csv").read_bytes()
 
+    def test_heisenberg3_coupling_sweep_matches_fixture_bytes(self, tmp_path, capsys):
+        # each point is a fresh d = 8 family build and a four-vector Krylov walk
+        doc = {
+            "hamiltonian": {"family": "heisenberg3", "couplings": {"Jx": 1.0, "Jy": 0.4, "Jz": 0.2, "h": 0.5}},
+            "state": {"named": "ghz"},
+        }
+        path = tmp_path / "ghz.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--input", str(path), "--param", "h", "--from", "-1", "--to", "1", "--points", "7"]
+        assert main(argv + ["--output", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (FIXTURES / "sweep_heisenberg3_ghz_h.csv").read_bytes()
+
 
 class TestValidateCommand:
     def test_all_cases_pass(self, capsys):

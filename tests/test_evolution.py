@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,10 +12,15 @@ from qucurve import (
     HermitianOperator,
     NumericalError,
     StationaryStateError,
+    bell_state,
     build_frame,
     ghz_state,
     heisenberg3,
     single_qubit,
+    two_qubit_local,
+    two_qubit_nonlocal,
+    w_state,
+    xi_state,
 )
 from qucurve.frame import _vectors_from
 
@@ -407,6 +414,37 @@ class TestKrylovEvolution:
         prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), [1, 0])
         with pytest.raises(NumericalError, match=r"t = 5e\+307"):
             prob.evolve([1e307, 5e307, np.inf, 1e308])
+
+    def test_overflowing_transport_names_the_time(self):
+        # |E t| is past float range at t = 1e308: the phase exp(iEt) is formed
+        # after evolve's finiteness check, so no overflow warning comes first
+        prob = EvolutionProblem(single_qubit([0.6, 0.0, 0.8], m0=5.0), xi_state(0.3, 0.25))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^t = 1e\+308: "):
+                prob.transported([1e308])
+            with pytest.raises(NumericalError, match=f"^t = {re.escape(repr(1e308 / prob.speed))}: "):
+                build_frame(prob, 1e308)
+
+    @pytest.mark.parametrize(
+        "hamiltonian, state, krylov_dim",
+        [
+            (single_qubit([0.6, 0.0, 0.8]), xi_state(0.3, 0.25), 2),
+            (heisenberg3(1.4, 0.3, 0.6, 0.9), w_state(), 2),
+            (two_qubit_nonlocal(0.7, 0.4, -0.3, 0.9), bell_state("phi+"), 2),
+            (heisenberg3(1.4, 0.3, 0.6, 0.9), ghz_state(), 4),
+            (two_qubit_nonlocal(0.7, 0.4, -0.3, 0.9), np.eye(1, 4)[0], 4),
+            (two_qubit_local(0.7, 0.4, -0.3, 0.9), np.eye(1, 4)[0], 4),
+            (random_hermitian(np.random.default_rng(8), 8), random_state(np.random.default_rng(9), 8), 8),
+        ],
+        ids=["qubit", "heisenberg3-w", "nonlocal-phi+", "heisenberg3-ghz", "nonlocal-00", "local-00", "dense-8"],
+    )
+    def test_walk_stops_at_the_krylov_dimension(self, hamiltonian, state, krylov_dim):
+        # the Krylov space of (H, psi_0) has one dimension per distinct energy
+        # in psi_0's support: the walk stops there, neither early nor late
+        prob = EvolutionProblem(hamiltonian, state)
+        prob.evolve([1.0])
+        assert len(prob._alpha) == krylov_dim
 
     @pytest.mark.parametrize("t", [np.nan, np.inf])
     def test_non_finite_time_fails_closed(self, t):

@@ -236,8 +236,11 @@ class TestFamilyEncoding:
     def test_table_sum_equals_pauli_terms_document(self, family):
         rng = np.random.default_rng(sorted(models._FAMILY_WORDS).index(family))
         groups = list(models._FAMILY_WORDS[family].values())
-        for _ in range(50):
-            couplings = self._couplings(rng, len(groups))
+        # first each coupling takes -0.0, 0.0 and a negative value in turn, so
+        # every word's row is weighted by a signed zero: equal bytes are equal
+        # float64 halves with equal sign bits, which a value comparison misses
+        signed_zeros = [np.roll([-0.0, 0.0, -1.5, 0.25], k).tolist() for k in range(len(groups))]
+        for couplings in signed_zeros + [self._couplings(rng, len(groups)) for _ in range(50)]:
             want = pauli_sum((c, word) for c, group in zip(couplings, groups) for word in group)
             got = models._family_operator(family, couplings)
             assert got._perms.tobytes() == want._perms.tobytes()
