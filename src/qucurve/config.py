@@ -22,7 +22,8 @@ Hamiltonian forms (exactly one):
 State forms (exactly one):
   amplitudes  -- list of [re, im] pairs (unit norm), at most 2**MAX_QUBITS
   named       -- "bloch:theta,phi", "xi:xi,phi", "bell:phi+|phi-|psi+|psi-",
-                 "ghz", "w", or a computational basis string like "010"
+                 "ghz", "w", or a computational basis string like "010" of
+                 at most MAX_QUBITS letters
 
 Numbers must be finite JSON numbers, not booleans.  ``parse_problem_spec``
 is the only pass over a document; ``ProblemSpec.build`` then checks what
@@ -56,11 +57,15 @@ class SpecError(ValueError):
         super().__init__(f"{pointer}: {message}")
 
 
-# Named states "kind:a,b" with two numeric arguments: the argument names, which
-# a sweep rebinds, and the builder.
-_NAMED_ARGS = {
-    "bloch": (("theta", "phi"), models._bloch_angle_state),
-    "xi": (("xi", "phi"), models.xi_state),
+# Each named state's builder and the arguments a sweep may rebind; a kind with
+# such arguments is written "kind:a,b", two numbers.
+_NAMED = {
+    "bloch": (models._bloch_angle_state, ("theta", "phi")),
+    "xi": (models.xi_state, ("xi", "phi")),
+    "bell": (models.bell_state, ()),
+    "ghz": (models.ghz_state, ()),
+    "w": (models.w_state, ()),
+    "basis": (models._basis_state, ()),
 }
 
 _DEFAULT_OPTIONS = {
@@ -92,24 +97,29 @@ class ProblemSpec:
         else:
             fam = data["family"]
             op = models._family_operator(fam, [data["couplings"][k] for k in models._FAMILY_WORDS[fam]])
-        state = _build_state(self.state_form, self.state_data, op.dim)
+        if self.state_form == "amplitudes":
+            try:
+                state = _unit_state(self.state_data)
+            except ValueError as exc:
+                raise SpecError("state.amplitudes", str(exc)) from exc
+        else:
+            kind, args = self.state_data
+            if kind == "basis" and (implied := 2 ** len(args[0])) != op.dim:
+                raise SpecError("state.named", f"basis string {args[0]!r} implies dimension {implied}, hamiltonian has {op.dim}")
+            state = _named_state(kind, args)
         if len(state) != op.dim:
             raise SpecError("state", f"state dimension {len(state)} does not match hamiltonian dimension {op.dim}")
         return op, state
 
     def with_parameter(self, name: str, value: float) -> "ProblemSpec":
-        """Copy of this description with one named parameter rebound.
-
-        Parameters live either in the Hamiltonian family couplings or in the
-        named-state arguments (xi, theta, phi).
-        """
+        """Copy with one parameter rebound: a family coupling, or a state argument that its ``_NAMED`` row lists."""
         ham, state = self.hamiltonian_data, self.state_data
-        names = _NAMED_ARGS[state[0]][0] if self.state_form == "named" and state[0] in _NAMED_ARGS else ()
+        names = _NAMED[state[0]][1] if self.state_form == "named" else ()
         if self.hamiltonian_form == "family" and name in ham["couplings"]:
             ham = {"family": ham["family"], "couplings": {**ham["couplings"], name: float(value)}}
         elif name in names:
             state = state[0], tuple(float(value) if n == name else a for n, a in zip(names, state[1]))
-            _check_xi(*state)
+            _named_state(*state)
         else:
             raise SpecError("param", f"unknown parameter {name!r} for this problem")
         return ProblemSpec(self.hamiltonian_form, ham, self.state_form, state, dict(self.options))
@@ -258,54 +268,34 @@ def _parse_state(form: str, data):
         return amps
     if not isinstance(data, str) or not data:
         raise SpecError("state.named", "must be a nonempty string")
-    if data in ("ghz", "w"):
-        return data, ()
-    if set(data) <= {"0", "1"}:
-        return "basis", (data,)
     kind, colon, argstr = data.partition(":")
-    if colon and kind == "bell":
-        label = argstr.strip()
+    if data in ("ghz", "w"):
+        args = ()
+    elif set(data) <= {"0", "1"}:
+        if len(data) > MAX_QUBITS:
+            raise SpecError("state.named", f"basis string has {len(data)} letters, more than {MAX_QUBITS}")
+        kind, args = "basis", (data,)
+    elif colon and kind == "bell":
+        args = (argstr.strip(),)
+    elif colon and kind in _NAMED and _NAMED[kind][1]:
+        parts = [p.strip() for p in argstr.split(",")]
+        if len(parts) != 2:
+            raise SpecError("state.named", f"{kind} takes two comma-separated numbers, got {argstr!r}")
         try:
-            models.bell_state(label)
+            args = tuple(float(p) for p in parts)
         except ValueError as exc:
-            raise SpecError("state.named", str(exc)) from exc
-        return "bell", (label,)
-    if not (colon and kind in _NAMED_ARGS):
+            raise SpecError("state.named", f"non-numeric argument in {data!r}") from exc
+        if not all(math.isfinite(a) for a in args):
+            raise SpecError("state.named", f"non-finite argument in {data!r}")
+    else:
         raise SpecError("state.named", f"unrecognized named state {data!r}")
-    parts = [p.strip() for p in argstr.split(",")]
-    if len(parts) != 2:
-        raise SpecError("state.named", f"{kind} takes two comma-separated numbers, got {argstr!r}")
-    try:
-        args = tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise SpecError("state.named", f"non-numeric argument in {data!r}") from exc
-    if not all(math.isfinite(a) for a in args):
-        raise SpecError("state.named", f"non-finite argument in {data!r}")
-    _check_xi(kind, args)
+    _named_state(kind, args)
     return kind, args
 
 
-def _check_xi(kind: str, args: tuple):
-    if kind == "xi" and not 0.0 <= args[0] <= 1.0:
-        raise SpecError("state.named", f"xi must lie in [0, 1], got {args[0]}")
-
-
-def _build_state(form: str, data, dim: int) -> np.ndarray:
-    if form == "amplitudes":
-        try:
-            return _unit_state(data)
-        except ValueError as exc:
-            raise SpecError("state.amplitudes", str(exc)) from exc
-    kind, args = data
-    if kind in _NAMED_ARGS:
-        return _NAMED_ARGS[kind][1](*args)
-    if kind == "basis":
-        word = args[0]
-        if 2 ** len(word) != dim:
-            raise SpecError("state.named", f"basis string {word!r} implies dimension {2**len(word)}, hamiltonian has {dim}")
-        amps = np.zeros(dim, dtype=complex)
-        amps[int(word, 2)] = 1.0
-        return _unit_state(amps)
-    if kind == "bell":
-        return models.bell_state(args[0])
-    return models.ghz_state() if kind == "ghz" else models.w_state()
+def _named_state(kind: str, args: tuple) -> np.ndarray:
+    """The state that ``kind``'s ``_NAMED`` builder makes of ``args``; a refusal names ``state.named``."""
+    try:
+        return _NAMED[kind][0](*args)
+    except ValueError as exc:
+        raise SpecError("state.named", str(exc)) from exc

@@ -168,6 +168,11 @@ def w_state() -> np.ndarray:
     return _unit_state(_W_AMPLITUDES)
 
 
+def _basis_state(word: str) -> np.ndarray:
+    """Computational basis state |word> of len(word) qubits, its first letter the most significant."""
+    return _unit_state(np.eye(1, 2 ** len(word), int(word, 2), dtype=complex)[0])
+
+
 def xi_state(xi: float, phi: float = 0.0) -> np.ndarray:
     """Qubit superposition xi |0> + e^(i phi) sqrt(1 - xi^2) |1>, xi in [0, 1]."""
     if not 0.0 <= xi <= 1.0:

@@ -125,8 +125,8 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
     return coeff, residual
 
 
-def _snapshots(problem: EvolutionProblem, dt_grid=None) -> tuple[tuple[float, ...], dict[float, np.ndarray]]:
-    """The steps of ``dt_grid`` (default {1, 2, 4} * 1e-3 / v), and psi(t) at each distinct t in {dt, 2 dt}."""
+def _snapshots(problem: EvolutionProblem, dt_grid=None) -> tuple[tuple[float, ...], dict[float, np.ndarray], list[str]]:
+    """Steps of ``dt_grid`` (default {1, 2, 4} * 1e-3 / v), psi(t) at each t in {dt, 2 dt}, any coarse-grid note."""
     if dt_grid is None:
         dt_grid = [k * 1e-3 / problem.speed for k in (1.0, 2.0, 4.0)]
     dts = tuple(float(dt) for dt in dt_grid)
@@ -136,13 +136,9 @@ def _snapshots(problem: EvolutionProblem, dt_grid=None) -> tuple[tuple[float, ..
     if least < _MIN_STEP:
         raise NumericalError(f"dt_grid: smallest dt*v = {least:.3g} is below {_MIN_STEP:.0e}, where fits see rounding")
     worst = max(dts) * problem.speed
-    if worst > 0.1:
-        warnings.warn(
-            f"largest step has dt*v = {worst:.3g} > 0.1; quartic scaling may not dominate",
-            stacklevel=3,
-        )
+    notes = [f"largest step has dt*v = {worst:.3g} > 0.1; quartic scaling may not dominate"] if worst > 0.1 else []
     times = list(dict.fromkeys(t for dt in dts for t in (dt, 2.0 * dt)))
-    return dts, dict(zip(times, problem.evolve(times)))
+    return dts, dict(zip(times, problem.evolve(times))), notes
 
 
 def _fit(problem: EvolutionProblem, dts: tuple[float, ...], states: dict[float, np.ndarray]) -> FitResult:
@@ -186,4 +182,7 @@ def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> FitResult:
         finite, the smallest dt v is below 1e-5, or psi(0) and psi(2 dt)
         are orthogonal.
     """
-    return _fit(problem, *_snapshots(problem, dt_grid))
+    dts, states, notes = _snapshots(problem, dt_grid)
+    for note in notes:
+        warnings.warn(note, stacklevel=2)
+    return _fit(problem, dts, states)

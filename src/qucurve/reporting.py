@@ -14,7 +14,6 @@ import json
 import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from warnings import catch_warnings, simplefilter
 
 import numpy as np
 
@@ -112,11 +111,9 @@ def build_report(
 
     oracle = None
     if with_oracle:
-        with catch_warnings(record=True) as caught:
-            simplefilter("always", UserWarning)  # a NumPy RuntimeWarning still meets the caller's filters
-            dts, states = _snapshots(problem, dt_grid)
-            fit = _fit(problem, dts, states)
-        warnings.extend(dict.fromkeys(str(w.message) for w in caught))
+        dts, states, notes = _snapshots(problem, dt_grid)
+        fit = _fit(problem, dts, states)
+        warnings += notes
         reads = zip((kappa_g, tau_g), *(_curvature_torsion_at(problem, psi) for psi in states.values()))
         for name, vals in zip(("kappa_sq_geometric", "tau_sq_geometric"), reads):
             if (spread := max(vals) - min(vals)) > 1e-9:

@@ -990,18 +990,26 @@ class TestGoldenOutputs:
         suffix = "_oracle" if flags else ""
         assert captured.out == (FIXTURES / f"report_{stem}{suffix}.json").read_text()
 
-    def test_xi_sweep_matches_fixture_bytes(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "named, param, start, stop, fixture",
+        [
+            ("xi:0.3,0.25", "xi", "0.1", "0.9", "sweep_single_qubit_xi.csv"),
+            ("bloch:0.3,0.25", "theta", "1", "3", "sweep_single_qubit_bloch_theta.csv"),
+        ],
+        ids=["xi", "bloch-theta"],
+    )
+    def test_named_state_sweep_matches_fixture_bytes(self, named, param, start, stop, fixture, tmp_path, capsys):
         doc = {
             "hamiltonian": {"family": "single_qubit", "couplings": {"mx": 0.6, "mz": 0.8}},
-            "state": {"named": "xi:0.3,0.25"},
+            "state": {"named": named},
         }
-        path = tmp_path / "xi.json"
+        path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "sweep.csv"
-        argv = ["sweep", "--input", str(path), "--param", "xi", "--from", "0.1", "--to", "0.9", "--points", "7"]
+        argv = ["sweep", "--input", str(path), "--param", param, "--from", start, "--to", stop, "--points", "7"]
         assert main(argv + ["--output", str(out)]) == 0
         capsys.readouterr()
-        assert out.read_bytes() == (FIXTURES / "sweep_single_qubit_xi.csv").read_bytes()
+        assert out.read_bytes() == (FIXTURES / fixture).read_bytes()
 
     def test_heisenberg3_coupling_sweep_matches_fixture_bytes(self, tmp_path, capsys):
         # each point is a fresh d = 8 family build and a four-vector Krylov walk

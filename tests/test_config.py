@@ -1,7 +1,11 @@
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from qucurve import MAX_DENSE_DIM, MAX_QUBITS, ProblemSpec, SpecError, load_problem_spec, parse_problem_spec
+from qucurve import MAX_DENSE_DIM, MAX_QUBITS, ProblemSpec, SpecError, config, load_problem_spec, parse_problem_spec
 from qucurve.cli import main
 
 from conftest import MALFORMED_FILES, dense, kron_word
@@ -93,6 +97,15 @@ class TestParsing:
         parse_problem_spec(doc)  # validation only; nothing is built
         doc["hamiltonian"]["pauli_terms"] = [{"coeff": 1.0, "word": "X" * (MAX_QUBITS + 1)}]
         with pytest.raises(SpecError, match=rf"pauli_terms\[0\]\.word: has {MAX_QUBITS + 1} letters"):
+            parse_problem_spec(doc)
+
+    def test_basis_string_qubit_ceiling(self):
+        doc = minimal_doc()
+        doc["hamiltonian"]["pauli_terms"] = [{"coeff": 1.0, "word": "X" * MAX_QUBITS}]
+        doc["state"] = {"named": "1" * MAX_QUBITS}
+        parse_problem_spec(doc)
+        doc["state"] = {"named": "1" * (MAX_QUBITS + 1)}
+        with pytest.raises(SpecError, match=rf"^state\.named: basis string has {MAX_QUBITS + 1} letters, more than {MAX_QUBITS}$"):
             parse_problem_spec(doc)
 
     def test_dense_hamiltonian(self):
@@ -334,6 +347,7 @@ MALFORMED = [
     (probe(state={"named": "bloch:nan,0"}), "state.named: non-finite argument in 'bloch:nan,0'"),
     (probe(state={"named": "xi:1.5,0"}), "state.named: xi must lie in [0, 1], got 1.5"),
     (probe(state={"named": "0"}), "state.named: basis string '0' implies dimension 2, hamiltonian has 4"),
+    (probe(state={"named": "0" * 15000}), f"state.named: basis string has 15000 letters, more than {MAX_QUBITS}"),
     (
         probe({"family": "single_qubit", "couplings": {"mz": 1.0}}),
         "state.named: basis string '00' implies dimension 4, hamiltonian has 2",
@@ -353,6 +367,22 @@ def test_malformed_document_message(doc, message):
     with pytest.raises(SpecError) as info:
         parse_problem_spec(doc).build()
     assert str(info.value) == message
+
+
+def test_long_basis_string_exits_2_in_one_line(tmp_path):
+    # 2**15000 has more digits than Python converts to a string by default
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(probe(state={"named": "0" * 15000})))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qucurve.cli", "report", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: state.named: basis string has 15000 letters, more than {MAX_QUBITS}\n"
+    assert "Traceback" not in proc.stderr
 
 
 # Cells, as JSON text, that a parse of the flattened pairs could mishandle.
@@ -402,6 +432,40 @@ class TestLoadFromFile:
             path.write_bytes(content)
             with pytest.raises(SpecError, match="invalid JSON"):
                 load_problem_spec(str(path))
+
+
+# One example per row of the named-state table, with a family of its dimension.
+NAMED_EXAMPLES = {
+    "bloch": ("bloch:0.3,0.25", "single_qubit"),
+    "xi": ("xi:0.3,0.25", "single_qubit"),
+    "bell": ("bell:psi-", "two_qubit_nonlocal"),
+    "ghz": ("ghz", "heisenberg3"),
+    "w": ("w", "heisenberg3"),
+    "basis": ("010", "heisenberg3"),
+}
+
+
+def named_doc(named, family):
+    return {"hamiltonian": {"family": family, "couplings": {}}, "state": {"named": named}}
+
+
+@pytest.mark.parametrize("kind", sorted(config._NAMED))
+def test_named_table_row(kind):
+    # parse, build and every rebindable argument of the kind's row
+    named, family = NAMED_EXAMPLES[kind]
+    spec = parse_problem_spec(named_doc(named, family))
+    assert spec.state_data[0] == kind
+    _, state = spec.build()
+    assert not state.flags.writeable
+    assert abs(np.vdot(state, state).real - 1.0) <= 1e-12
+    for k, name in enumerate(config._NAMED[kind][1]):
+        args = spec.state_data[1][:k] + (0.6,) + spec.state_data[1][k + 1 :]
+        bound = spec.with_parameter(name, 0.6)
+        assert bound.state_data == (kind, args)
+        _, rebound = bound.build()
+        assert rebound.tobytes() != state.tobytes()
+        _, parsed = parse_problem_spec(named_doc(f"{kind}:{args[0]!r},{args[1]!r}", family)).build()
+        assert rebound.tobytes() == parsed.tobytes()
 
 
 class TestWithParameter:
