@@ -26,8 +26,9 @@ State forms (exactly one):
                  at most MAX_QUBITS letters
 
 Numbers must be finite JSON numbers, not booleans.  ``parse_problem_spec``
-is the only pass over a document; ``ProblemSpec.build`` then checks what
-needs the built objects: Hermiticity, unit norm and matching dimensions.
+is the only pass over a document, and it builds psi0 once, checking its unit
+norm; ``ProblemSpec.build`` then builds H and checks what needs it:
+Hermiticity and matching dimensions.
 """
 
 from __future__ import annotations
@@ -80,12 +81,12 @@ class ProblemSpec:
 
     hamiltonian_form: str  # "pauli_terms" | "dense" | "family"
     hamiltonian_data: object  # [(coeff, word)] | complex (d, d) array | {"family": name, "couplings": {...}}
-    state_form: str  # "amplitudes" | "named"
-    state_data: object  # read-only complex (d,) array | (kind, args)
+    state: np.ndarray  # psi0: read-only complex (d,) amplitudes of unit norm
+    named: tuple | None  # (kind, args) of a named state, None for amplitudes
     options: dict = field(default_factory=dict)
 
     def build(self) -> tuple[HermitianOperator, np.ndarray]:
-        """H and the amplitudes of psi0; an ``amplitudes`` state is ``state_data`` itself, not a copy."""
+        """H and the amplitudes of psi0, which are ``state`` itself, not a copy."""
         data = self.hamiltonian_data
         if self.hamiltonian_form == "pauli_terms":
             op = _pauli_sum(data)
@@ -97,32 +98,26 @@ class ProblemSpec:
         else:
             fam = data["family"]
             op = models._family_operator(fam, [data["couplings"][k] for k in models._FAMILY_WORDS[fam]])
-        if self.state_form == "amplitudes":
-            try:
-                state = _unit_state(self.state_data)
-            except ValueError as exc:
-                raise SpecError("state.amplitudes", str(exc)) from exc
-        else:
-            kind, args = self.state_data
-            if kind == "basis" and (implied := 2 ** len(args[0])) != op.dim:
-                raise SpecError("state.named", f"basis string {args[0]!r} implies dimension {implied}, hamiltonian has {op.dim}")
-            state = _named_state(kind, args)
-        if len(state) != op.dim:
-            raise SpecError("state", f"state dimension {len(state)} does not match hamiltonian dimension {op.dim}")
-        return op, state
+        d = len(self.state)
+        if self.named and self.named[0] == "basis" and d != op.dim:
+            word = self.named[1][0]
+            raise SpecError("state.named", f"basis string {word!r} implies dimension {d}, hamiltonian has {op.dim}")
+        if d != op.dim:
+            raise SpecError("state", f"state dimension {d} does not match hamiltonian dimension {op.dim}")
+        return op, self.state
 
     def with_parameter(self, name: str, value: float) -> "ProblemSpec":
         """Copy with one parameter rebound: a family coupling, or a state argument that its ``_NAMED`` row lists."""
-        ham, state = self.hamiltonian_data, self.state_data
-        names = _NAMED[state[0]][1] if self.state_form == "named" else ()
+        ham, state, named = self.hamiltonian_data, self.state, self.named
+        names = _NAMED[named[0]][1] if named else ()
         if self.hamiltonian_form == "family" and name in ham["couplings"]:
             ham = {"family": ham["family"], "couplings": {**ham["couplings"], name: float(value)}}
         elif name in names:
-            state = state[0], tuple(float(value) if n == name else a for n, a in zip(names, state[1]))
-            _named_state(*state)
+            named = named[0], tuple(float(value) if n == name else a for n, a in zip(names, named[1]))
+            state = _named_state(*named)
         else:
             raise SpecError("param", f"unknown parameter {name!r} for this problem")
-        return ProblemSpec(self.hamiltonian_form, ham, self.state_form, state, dict(self.options))
+        return ProblemSpec(self.hamiltonian_form, ham, state, named, dict(self.options))
 
 
 def load_problem_spec(path: str) -> ProblemSpec:
@@ -147,8 +142,8 @@ def parse_problem_spec(doc) -> ProblemSpec:
     ham_form, ham = _section(doc, "hamiltonian", ("pauli_terms", "dense", "family"))
     ham_data = _parse_hamiltonian(ham_form, ham)
     state_form, state = _section(doc, "state", ("amplitudes", "named"))
-    state_data = _parse_state(state_form, state[state_form])
-    return ProblemSpec(ham_form, ham_data, state_form, state_data, _parse_options(doc.get("options", {})))
+    psi0, named = _parse_state(state_form, state[state_form])
+    return ProblemSpec(ham_form, ham_data, psi0, named, _parse_options(doc.get("options", {})))
 
 
 def _is_number(x) -> bool:
@@ -264,8 +259,11 @@ def _parse_state(form: str, data):
         if len(data) > 2**MAX_QUBITS:
             raise SpecError("state.amplitudes", f"has {len(data)} entries, more than {2**MAX_QUBITS}")
         amps = _complex_pairs(data, "state.amplitudes")
-        amps.setflags(write=False)  # so the built state is this array, the one copy of psi0
-        return amps
+        amps.setflags(write=False)  # so psi0 is this array, its one copy
+        try:
+            return _unit_state(amps), None
+        except ValueError as exc:
+            raise SpecError("state.amplitudes", str(exc)) from exc
     if not isinstance(data, str) or not data:
         raise SpecError("state.named", "must be a nonempty string")
     kind, colon, argstr = data.partition(":")
@@ -289,8 +287,7 @@ def _parse_state(form: str, data):
             raise SpecError("state.named", f"non-finite argument in {data!r}")
     else:
         raise SpecError("state.named", f"unrecognized named state {data!r}")
-    _named_state(kind, args)
-    return kind, args
+    return _named_state(kind, args), (kind, args)
 
 
 def _named_state(kind: str, args: tuple) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 ``build_report`` returns a ``GeometryReport`` of each route's kappa^2 and tau^2,
 read from its entry point or its parts; ``trajectory_rows`` and ``sweep_row`` return CSV rows.
+All three print the moment route's values only once the projector route agrees at psi0.
 
 All floating-point output (JSON and CSV) uses Python's repr of float, the
 shortest decimal string that round-trips to the same IEEE-754 double.  Output
@@ -62,13 +63,25 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _clamp_tau(value: float, label: str, warnings: list[str]) -> float:
-    if _CLAMP_FLOOR <= value < 0.0:
-        warnings.append(f"{label} raw value {value!r} clamped to 0.0 (rounding below zero)")
-        return 0.0
-    if value < _CLAMP_FLOOR:
-        raise NumericalError(f"{label} = {value!r} violates the nonnegativity bound {_CLAMP_FLOOR}")
-    return value
+def _gated_pair(problem: EvolutionProblem, warnings: list[str]) -> tuple[float, float, float]:
+    """The projector route's (kappa^2, tau^2) at psi0 and the moment tau^2, once both routes agree within 1e-8.
+
+    Every command reads psi0 through this gate.  A moment tau^2 in [_CLAMP_FLOOR, 0)
+    is rounding noise: it reads 0.0, and ``warnings`` gains a line saying so; below
+    the floor, or when the routes disagree, ``NumericalError`` is raised.
+    """
+    mom = problem.moments
+    kappa_g, tau_g = _curvature_torsion_at(problem, problem.initial_state)
+    for name, moment, geometric in (("kappa_sq", mom.kappa_sq, kappa_g), ("tau_sq", mom.tau_sq, tau_g)):
+        if abs(moment - geometric) > _PATH_AGREEMENT * max(1.0, abs(moment)):
+            raise NumericalError(f"{name}_moments {moment!r} and {name}_geometric {geometric!r} disagree")
+    tau_m = mom.tau_sq
+    if tau_m < _CLAMP_FLOOR:
+        raise NumericalError(f"tau_sq_moments = {tau_m!r} violates the nonnegativity bound {_CLAMP_FLOOR}")
+    if tau_m < 0.0:
+        warnings.append(f"tau_sq_moments raw value {tau_m!r} clamped to 0.0 (rounding below zero)")
+        tau_m = 0.0
+    return kappa_g, tau_g, tau_m
 
 
 def build_report(
@@ -97,17 +110,8 @@ def build_report(
     """
     problem = EvolutionProblem(hamiltonian, state)
     warnings: list[str] = []
-
+    kappa_g, tau_g, tau_m = _gated_pair(problem, warnings)
     mom = problem.moments
-    kappa_m, tau_m_raw = mom.kappa_sq, mom.tau_sq
-
-    kappa_g, tau_g = _curvature_torsion_at(problem, problem.initial_state)
-
-    for name, moment, geometric in (("kappa_sq", kappa_m, kappa_g), ("tau_sq", tau_m_raw, tau_g)):
-        if abs(moment - geometric) > _PATH_AGREEMENT * max(1.0, abs(moment)):
-            raise NumericalError(f"{name}_moments {moment!r} and {name}_geometric {geometric!r} disagree")
-
-    tau_m = _clamp_tau(tau_m_raw, "tau_sq_moments", warnings)
 
     oracle = None
     if with_oracle:
@@ -124,13 +128,13 @@ def build_report(
         dimension=problem.dim,
         energy=problem.energy,
         speed=problem.speed,
-        kappa_sq_moments=kappa_m,
+        kappa_sq_moments=mom.kappa_sq,
         kappa_sq_geometric=kappa_g,
         tau_sq_moments=tau_m,
         tau_sq_geometric=tau_g,
         alpha3=mom.alpha3,
         alpha4=mom.alpha4,
-        pearson_gap=tau_m_raw,
+        pearson_gap=mom.tau_sq,
         frame_present=_binormal_present(tau_g),
         oracle=oracle,
         warnings=warnings,
@@ -153,8 +157,7 @@ def trajectory_rows(
     if not 0.0 < t_max < np.inf:  # also refuses NaN
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
     problem = EvolutionProblem(hamiltonian, state)
-    kappa = problem.moments.kappa_sq
-    tau = _clamp_tau(problem.moments.tau_sq, "tau_sq", [])
+    kappa, tau = problem.moments.kappa_sq, _gated_pair(problem, [])[2]
 
     d = problem.dim
     header = ["t", "s", "fidelity_to_initial"]
@@ -187,13 +190,6 @@ def sweep_row(
     """One formatted sweep-CSV row: param, kappa_sq, tau_sq, eta, alpha4, alpha3_sq."""
     problem = EvolutionProblem(hamiltonian, state)
     mom = problem.moments
-    tau = _clamp_tau(mom.tau_sq, "tau_sq", [])
+    tau = _gated_pair(problem, [])[2]
     eta = geodesic_efficiency(problem, efficiency_t)
-    return [
-        format_float(param_value),
-        format_float(mom.kappa_sq),
-        format_float(tau),
-        format_float(eta),
-        format_float(mom.alpha4),
-        format_float(mom.alpha3**2),
-    ]
+    return [format_float(x) for x in (param_value, mom.kappa_sq, tau, eta, mom.alpha4, mom.alpha3**2)]

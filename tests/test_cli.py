@@ -327,7 +327,7 @@ def _skew_curvature(monkeypatch):
 
 
 def _negative_torsion(monkeypatch):
-    # tau^2 = -1e-3 on both routes, so the report's agreement gate passes and the clamp gate meets it
+    # tau^2 = -1e-3 on both routes, so the agreement gate passes and the nonnegativity floor meets it
     orig_at, orig_pass = qucurve.reporting._curvature_torsion_at, qucurve.evolution._moment_pass
 
     def negative(prob, psi):
@@ -360,8 +360,10 @@ class TestNumericalFailures:
             (_skew_curvature, "report", "kappa_sq_geometric"),
             (_negative_torsion, "report", "tau_sq_moments"),
             (_overshooting_evolution, "sweep", "eta"),
-            (_negative_torsion, "sweep", "tau_sq"),
-            (_negative_torsion, "trajectory", "tau_sq"),
+            (_skew_curvature, "sweep", "kappa_sq_geometric"),
+            (_skew_curvature, "trajectory", "kappa_sq_geometric"),
+            (_negative_torsion, "sweep", "tau_sq_moments"),
+            (_negative_torsion, "trajectory", "tau_sq_moments"),
         ],
     )
     def test_exit_code(self, corrupt, command, quantity, xi_family_file, tmp_path, monkeypatch, capsys):
@@ -441,6 +443,61 @@ class TestNumericalFailures:
         assert main(argv + ["--t-max", "1e308", "--steps", "5", "--output", "/dev/null"]) == 4
         assert capsys.readouterr().err.startswith("error: t = 5e+307: ")
         assert removed == []
+
+
+def _seeded_family(family, seed):
+    """A ``COMMANDS_ALIKE`` entry: seeded couplings and amplitudes, swept over the first coupling from its value."""
+    rng = np.random.default_rng(seed)
+    words = qucurve.models._FAMILY_WORDS[family]
+    couplings = dict(zip(words, rng.uniform(-1.0, 1.0, len(words)).tolist()))
+    d = 2 ** len(next(iter(words.values()))[0])
+    psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+    psi /= np.linalg.norm(psi)
+    doc = {"hamiltonian": {"family": family, "couplings": couplings}, "state": {"amplitudes": [[z.real, z.imag] for z in psi]}}
+    param = next(iter(words))
+    return doc, param, couplings[param], couplings[param] + 0.5, 0
+
+
+# (document, sweep parameter, --from, --to, the exit code of all three commands):
+# a qubit whose torsion is exactly 0 but whose moment route reads 3e-8 from
+# xi = 1e-4, seeded starts on each family, and a dense H from a named state
+COMMANDS_ALIKE = {
+    "xi-1e-4": (
+        {"hamiltonian": {"family": "single_qubit", "couplings": {"mz": 1.0}}, "state": {"named": "xi:1e-4,0"}},
+        "xi", 1e-4, 2e-3, 4,
+    ),
+    **{family: _seeded_family(family, seed) for seed, family in enumerate(qucurve.models._FAMILY_WORDS, 61)},
+    "dense-bloch": (
+        {"hamiltonian": {"dense": [[[0.3, 0], [0.5, -0.2]], [[0.5, 0.2], [-0.7, 0]]]}, "state": {"named": "bloch:0.7,0.2"}},
+        "theta", 0.7, 2.0, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("doc, param, start, stop, code", COMMANDS_ALIKE.values(), ids=COMMANDS_ALIKE)
+def test_commands_end_alike(doc, param, start, stop, code, tmp_path, capsys):
+    # report, sweep and trajectory read psi0 through one gate: each prints the
+    # report's moment-route values, or all refuse in one line and write nothing
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    assert main(["report", "--input", str(path)]) == code
+    report = capsys.readouterr()
+    sweep, trajectory = tmp_path / "sweep.csv", tmp_path / "trajectory.csv"
+    for argv in (
+        ["sweep", "--param", param, "--from", repr(start), "--to", repr(stop), "--points", "5", "--output", str(sweep)],
+        ["trajectory", "--t-max", "1", "--steps", "3", "--output", str(trajectory)],
+    ):
+        assert main(argv + ["--input", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == report.err
+    if code:
+        assert report.err.count("\n") == 1 and "disagree" in report.err
+        assert list(tmp_path.iterdir()) == [path]
+        return
+    values = json.loads(report.out)
+    expected = [repr(values["kappa_sq_moments"]), repr(values["tau_sq_moments"])]
+    assert sweep.read_text().splitlines()[1].split(",")[1:3] == expected
+    assert [line.split(",")[-2:] for line in trajectory.read_text().splitlines()[1:]] == [expected] * 3
 
 
 # An eigenstate in each input form: Pauli words, a dense matrix and a family.

@@ -454,18 +454,37 @@ def test_named_table_row(kind):
     # parse, build and every rebindable argument of the kind's row
     named, family = NAMED_EXAMPLES[kind]
     spec = parse_problem_spec(named_doc(named, family))
-    assert spec.state_data[0] == kind
+    assert spec.named[0] == kind
     _, state = spec.build()
+    assert state is spec.state
     assert not state.flags.writeable
     assert abs(np.vdot(state, state).real - 1.0) <= 1e-12
     for k, name in enumerate(config._NAMED[kind][1]):
-        args = spec.state_data[1][:k] + (0.6,) + spec.state_data[1][k + 1 :]
+        args = spec.named[1][:k] + (0.6,) + spec.named[1][k + 1 :]
         bound = spec.with_parameter(name, 0.6)
-        assert bound.state_data == (kind, args)
+        assert bound.named == (kind, args)
         _, rebound = bound.build()
         assert rebound.tobytes() != state.tobytes()
         _, parsed = parse_problem_spec(named_doc(f"{kind}:{args[0]!r},{args[1]!r}", family)).build()
         assert rebound.tobytes() == parsed.tobytes()
+
+
+@pytest.mark.parametrize("param, builds", [("mz", 1), ("xi", 1 + 5)])
+def test_a_named_state_is_built_once_per_binding(param, builds, tmp_path, monkeypatch):
+    # parse builds psi0 and a coupling sweep reuses it at every point; each
+    # rebound xi builds its state once, and build() builds none
+    builder, names = config._NAMED["xi"]
+    calls = []
+    monkeypatch.setitem(config._NAMED, "xi", (lambda *args: calls.append(args) or builder(*args), names))
+    doc = {
+        "hamiltonian": {"family": "single_qubit", "couplings": {"mx": 0.6, "mz": 0.8}},
+        "state": {"named": "xi:0.3,0.25"},
+    }
+    path = tmp_path / "xi.json"
+    path.write_text(json.dumps(doc))
+    argv = ["sweep", "--input", str(path), "--param", param, "--from", "0.1", "--to", "0.9", "--points", "5"]
+    assert main(argv + ["--output", str(tmp_path / "sweep.csv")]) == 0
+    assert len(calls) == builds
 
 
 class TestWithParameter:

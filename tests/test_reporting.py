@@ -287,8 +287,9 @@ def _ising_chain(rng, n):
 
 class TestOneMomentPass:
     """A report, a trajectory and a sweep row read the problem's moments instead
-    of a second ``central_moments`` pass: they apply H only as often as the
-    problem's construction and the route they read do."""
+    of a second ``central_moments`` pass, and all three read the projector route
+    at psi0 for the gate: they apply H only as often as the problem's
+    construction, that read's two products and the route they go on to read do."""
 
     @pytest.mark.parametrize("n", [None, 6, 10], ids=["dense-d4", "pauli-n6", "pauli-n10"])
     def test_report(self, n, applies, monkeypatch):
@@ -321,7 +322,15 @@ class TestOneMomentPass:
         row = applies[0]
         applies[0] = 0
         EvolutionProblem(ham, xi_state(0.4)).evolve([1.0])
-        assert row == applies[0]
+        assert row == applies[0] + 2
+
+    def test_trajectory_rows(self, applies):
+        args = _ising_chain(np.random.default_rng(5), 4)
+        list(trajectory_rows(*args, t_max=2.0, steps=9)[1])
+        rows = applies[0]
+        applies[0] = 0
+        EvolutionProblem(*args).evolve(np.linspace(0.0, 2.0, 9))
+        assert rows == applies[0] + 2
 
 
 class TestTrajectoryRows:

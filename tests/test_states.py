@@ -135,6 +135,6 @@ class TestAcceptedState:
     def test_a_document_holds_psi0_once(self):
         spec = parse_problem_spec(_document([0.6, 0.8j]))
         _, state = spec.build()
-        assert np.shares_memory(state, spec.state_data)
-        assert not spec.state_data.flags.writeable
+        assert state is spec.state and spec.named is None
+        assert not state.flags.writeable
         assert EvolutionProblem(pauli_sum(QUBIT), state).initial_state is state
