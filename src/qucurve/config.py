@@ -42,7 +42,7 @@ from itertools import chain
 import numpy as np
 
 from . import models
-from .hilbert import MAX_QUBITS, HermitianOperator, _pauli_sum, _unit_state
+from .hilbert import MAX_QUBITS, HermitianOperator, _check_coefficient, _pauli_sum, _unit_state
 
 __all__ = ["MAX_DENSE_DIM", "SpecError", "ProblemSpec", "load_problem_spec", "parse_problem_spec"]
 
@@ -77,7 +77,7 @@ _DEFAULT_OPTIONS = {
 
 @dataclass
 class ProblemSpec:
-    """Problem description as ``load_problem_spec`` checked it; ``build()`` trusts its Pauli pairs."""
+    """Problem description as ``load_problem_spec`` checked it; ``build()`` trusts its Pauli pairs and couplings."""
 
     hamiltonian_form: str  # "pauli_terms" | "dense" | "family"
     hamiltonian_data: object  # [(coeff, word)] | complex (d, d) array | {"family": name, "couplings": {...}}
@@ -107,11 +107,11 @@ class ProblemSpec:
         return op, self.state
 
     def with_parameter(self, name: str, value: float) -> "ProblemSpec":
-        """Copy with one parameter rebound: a family coupling, or a state argument that its ``_NAMED`` row lists."""
+        """Copy with one parameter rebound: a family coupling, checked here, or an argument its ``_NAMED`` row lists."""
         ham, state, named = self.hamiltonian_data, self.state, self.named
         names = _NAMED[named[0]][1] if named else ()
         if self.hamiltonian_form == "family" and name in ham["couplings"]:
-            ham = {"family": ham["family"], "couplings": {**ham["couplings"], name: float(value)}}
+            ham = {"family": ham["family"], "couplings": {**ham["couplings"], name: _check_coefficient(value)}}
         elif name in names:
             named = named[0], tuple(float(value) if n == name else a for n, a in zip(names, named[1]))
             state = _named_state(*named)

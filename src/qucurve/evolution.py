@@ -1,11 +1,11 @@
 """Unitary evolution under a stationary Hamiltonian, in the parallel-transport gauge.
 
 Throughout, hbar = 1.  A problem instance pairs a Hamiltonian H with an
-initial pure state psi_0.  The physically evolved state is
-psi(t) = exp(-iHt) psi_0; multiplying by exp(+iEt) with E = <H> removes the
-dynamical phase and yields the parallel-transported representative Psi(t),
-which satisfies <Psi|dPsi/dt> = 0.  ``EvolutionProblem.evolve(ts)`` and
-``EvolutionProblem.transported(ts)`` give psi(t) and Psi(t), one row per time.
+initial pure state psi_0.  With E = <H>, the parallel-transported state
+Psi(t) = exp(-i(H - E)t) psi_0 satisfies <Psi|dPsi/dt> = 0, and the
+physically evolved state is psi(t) = exp(-iEt) Psi(t).
+``EvolutionProblem.transported(ts)`` and ``EvolutionProblem.evolve(ts)``
+give Psi(t) and psi(t), one row per time.
 
 Arc length along the projective-space curve is s = v t, where the speed v is
 the energy uncertainty, v^2 = <(H - E)^2>, so Psi at arc length s is
@@ -14,11 +14,11 @@ arc-length generator dh = (H - E) / v.
 
 States are evolved in the Krylov space of (H - E, psi_0) (Hochbruck and
 Lubich, SIAM J. Numer. Anal. 34, 1997): a Lanczos basis V_m with tridiagonal
-T_m = V_m^dagger (H - E) V_m gives exp(-iHt) psi_0 ~ exp(-iEt) V_m
-exp(-itT_m) e_1, at the cost of m products ``H.apply(v)``, so a Pauli-backed
-H is never formed as a matrix.  The basis grows by quarters (16, 20, 25,
-31, ...), and many times share one walk up these sizes.  Nothing here
-diagonalizes H itself: only the m x m tridiagonal T_m is diagonalized.
+T_m = V_m^dagger (H - E) V_m = U diag(theta) U^T gives Psi(t) ~ c(t) V_m,
+with m coefficients c(t) = U (U^T e_1 exp(-i theta t)), at the cost of m
+products ``H.apply(v)``, so a Pauli-backed H is never formed as a matrix.
+The basis grows by quarters (16, 20, 25, 31, ...), and many times share one
+walk up these sizes.  Only the m x m tridiagonal T_m is diagonalized.
 """
 
 from __future__ import annotations
@@ -55,18 +55,18 @@ class EvolutionProblem:
 
     One ``central_moments`` pass (two products ``H.apply``) at construction
     gives ``moments``, the mean energy E and the speed v = sqrt(<(H-E)^2>) > 0,
-    since it refuses an eigenstate.  ``evolve`` and ``transported`` give
-    psi(t) and Psi(t) at many times, as the rows of one array.  States are
+    since it refuses an eigenstate.  ``transported`` and ``evolve`` give
+    Psi(t) and psi(t) at many times, as the rows of one array.  States are
     evolved in a Lanczos basis of (H - E, psi_0) that grows on demand, with
     full reorthogonalization, until the error estimate at the requested time
     is below 1e-14 or the Krylov space is invariant.  Between calls a problem
     keeps psi_0, the basis, its pending residual and the entries of the
     tridiagonal T_m, and nothing derived from them: each call diagonalizes
-    T_m and rotates the basis onto its eigenvectors afresh at every size
-    where a time settles, and frees that rotation before the basis grows.
-    A state depends only on (H, psi_0, t), never on the times requested
-    before or beside it.  ``evolve`` checks each row as it forms it, for
-    unit norm within 1e-12.  The public attributes are read-only.
+    T_m afresh at every size where a time settles, and forms each row as
+    its m Krylov coefficients times V_m, making no m x d array besides the
+    basis.  A state depends only on (H, psi_0, t), never on the times
+    requested before or beside it.  Each row is checked as it is formed,
+    for unit norm within 1e-12.  The public attributes are read-only.
 
     Parameters
     ----------
@@ -133,14 +133,14 @@ class EvolutionProblem:
             betas.append(_norm(w))
             self._residual = w
 
-    def evolve(self, ts) -> np.ndarray:
-        """exp(-iHt) psi_0 for each time in ``ts``, as the rows of an array.
+    def transported(self, ts) -> np.ndarray:
+        """Psi(t) = exp(-i(H - E)t) psi_0 for each time in ``ts``, as the rows of an array.
 
         One walk up the basis sizes serves every time.  A time is settled at
         the first size whose error estimate it passes, the size it would
-        reach alone, and its row is formed by its own product with the
-        rotated basis, so each row depends only on (H, psi_0, t).  A row whose
-        norm is off 1 by more than ``_NORM_TOL``, or NaN, raises ``NumericalError``.
+        reach alone, and its row is its own c(t) V_m, so each row depends
+        only on (H, psi_0, t).  A row whose norm is off 1 by more than
+        ``_NORM_TOL``, or NaN, raises ``NumericalError``.
         """
         ts = np.asarray(ts, dtype=float)
         out = np.empty((len(ts), self.dim), dtype=complex)
@@ -165,24 +165,20 @@ class EvolutionProblem:
                 g = self._beta[m - 1] * u[m - 1] * u[0]
                 ok = np.abs(t) * np.abs((phases * g).sum(1)) <= _KRYLOV_TOL
                 settle, phases, todo = todo[ok], phases[ok], todo[~ok]
-            if len(settle):
-                # U^T V_m^T, on the float64 view since U is real: half the work
-                rotated = (u.T @ self._basis[:m].view(np.float64)).view(complex)
-                dynamical = np.exp(-1j * self.energy * ts[settle])
-                for i, e, p in zip(settle.tolist(), dynamical, phases):
-                    row = out[i] = e * ((u[0] * p) @ rotated)
-                    norm = math.sqrt(np.vdot(row, row).real)
-                    if not abs(norm - 1.0) <= _NORM_TOL:
-                        raise NumericalError(f"t = {float(ts[i])!r}: the evolved state has norm {norm!r}, not 1")
-                del rotated  # freed before the basis grows again
+            for i, p in zip(settle.tolist(), phases):
+                row = out[i] = (u @ (u[0] * p)) @ self._basis[:m]
+                norm = math.sqrt(np.vdot(row, row).real)
+                if not abs(norm - 1.0) <= _NORM_TOL:
+                    raise NumericalError(f"t = {float(ts[i])!r}: the evolved state has norm {norm!r}, not 1")
             size += size // 4
         return out
 
-    def transported(self, ts) -> np.ndarray:
-        """The rows of ``evolve(ts)`` times exp(+iEt): the parallel-transported states Psi(t)."""
+    def evolve(self, ts) -> np.ndarray:
+        """exp(-iHt) psi_0 for each time in ``ts``: the rows of ``transported(ts)`` times exp(-iEt)."""
         ts = np.asarray(ts, dtype=float)
-        states = self.evolve(ts)  # first, so that its finiteness check names an overflowing t
-        return np.exp(1j * self.energy * ts)[:, None] * states
+        states = self.transported(ts)  # first: its finiteness check covers (E + theta) t and names an overflowing t
+        states *= np.exp(-1j * self.energy * ts)[:, None]
+        return states
 
     def __repr__(self):
         return (

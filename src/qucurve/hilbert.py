@@ -97,7 +97,7 @@ class HermitianOperator:
 
 
 def _check_coefficient(c):
-    """c, a Pauli weight or coupling; refused unless it is a finite real number."""
+    """c, a Pauli weight or coupling, as a float; refused unless it is a finite real number."""
     if isinstance(c, bool) or not isinstance(c, numbers.Real):  # a complex weight breaks Hermiticity
         raise ValueError(f"coefficient must be a real number, got {c!r}")
     if not abs(c) <= sys.float_info.max:  # NaN, inf, and an int beyond float range
@@ -105,7 +105,7 @@ def _check_coefficient(c):
             k = int(abs(c).bit_length() * math.log10(2)) + 1  # |c| has k or k - 1 digits
             raise ValueError(f"coefficient must be finite, got an integer of {k - (10 ** (k - 1) > abs(c))} digits")
         raise ValueError(f"coefficient must be finite, got {c!r}")
-    return c
+    return float(c)
 
 
 def _hermitian_deviation(m: np.ndarray) -> float:

@@ -218,8 +218,7 @@ _FAMILY_ROWS = {family: _encode_family(words) for family, words in _FAMILY_WORDS
 
 
 def _family_operator(family: str, couplings) -> HermitianOperator:
-    """The Pauli sum of ``family`` with ``couplings`` in the table's order, each a finite real number."""
-    couplings = [float(_check_coefficient(c)) for c in couplings]
+    """The Pauli sum of ``family`` with ``couplings`` in the table's order, finite floats that it trusts."""
     coupling_index, layout = _FAMILY_ROWS[family]
     return _pauli_sum([couplings[k] for k in coupling_index], layout)
 
@@ -229,17 +228,17 @@ def single_qubit(m, m0: float = 0.0):
     m = np.asarray(m, dtype=object)
     if m.shape != (3,):
         raise ValueError(f"field must have shape (3,), got {m.shape}")
-    return _family_operator("single_qubit", [*m.tolist(), m0])
+    return _family_operator("single_qubit", [_check_coefficient(c) for c in (*m.tolist(), m0)])
 
 
 def two_qubit_nonlocal(m1: float, m2: float, m3: float, m4: float):
     """Purely two-body couplings: m1 XX + m2 ZZ + m3 XZ + m4 ZX."""
-    return _family_operator("two_qubit_nonlocal", (m1, m2, m3, m4))
+    return _family_operator("two_qubit_nonlocal", [_check_coefficient(c) for c in (m1, m2, m3, m4)])
 
 
 def two_qubit_local(m1: float, m2: float, m3: float, m4: float):
     """Independent local fields: m1 IX + m2 XI + m3 IZ + m4 ZI."""
-    return _family_operator("two_qubit_local", (m1, m2, m3, m4))
+    return _family_operator("two_qubit_local", [_check_coefficient(c) for c in (m1, m2, m3, m4)])
 
 
 def heisenberg3(j_x: float, j_y: float, j_z: float, h: float):
@@ -248,7 +247,7 @@ def heisenberg3(j_x: float, j_y: float, j_z: float, h: float):
     H = sum over pairs (i<j) of [ j_x X_i X_j + j_y Y_i Y_j + j_z Z_i Z_j ]
         + h (Z_1 + Z_2 + Z_3).
     """
-    return _family_operator("heisenberg3", (j_x, j_y, j_z, h))
+    return _family_operator("heisenberg3", [_check_coefficient(c) for c in (j_x, j_y, j_z, h)])
 
 
 # ---------------------------------------------------------------------------

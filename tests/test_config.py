@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qucurve import MAX_DENSE_DIM, MAX_QUBITS, ProblemSpec, SpecError, config, load_problem_spec, parse_problem_spec
+from qucurve import MAX_DENSE_DIM, MAX_QUBITS, ProblemSpec, SpecError, config, load_problem_spec, models, parse_problem_spec
 from qucurve.cli import main
 
 from conftest import MALFORMED_FILES, dense, kron_word
@@ -487,6 +487,28 @@ def test_a_named_state_is_built_once_per_binding(param, builds, tmp_path, monkey
     assert len(calls) == builds
 
 
+def test_a_coupling_is_checked_once_per_binding(tmp_path, monkeypatch):
+    # parse checks the document's couplings, each rebinding checks its value,
+    # and build() trusts them all
+    check, calls = config._check_coefficient, []
+
+    def counted(c):
+        calls.append(c)
+        return check(c)
+
+    monkeypatch.setattr(config, "_check_coefficient", counted)
+    monkeypatch.setattr(models, "_check_coefficient", counted)
+    doc = {
+        "hamiltonian": {"family": "heisenberg3", "couplings": {"Jx": 1.0, "Jy": 0.4, "Jz": 0.2, "h": 0.5}},
+        "state": {"named": "ghz"},
+    }
+    path = tmp_path / "ghz.json"
+    path.write_text(json.dumps(doc))
+    argv = ["sweep", "--input", str(path), "--param", "h", "--from=-1", "--to", "1", "--points", "5"]
+    assert main(argv + ["--output", str(tmp_path / "sweep.csv")]) == 0
+    assert calls == [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
 class TestWithParameter:
     def test_rebind_family_coupling(self):
         doc = {
@@ -526,6 +548,11 @@ class TestWithParameter:
         }
         with pytest.raises(SpecError, match=r"^state\.named: xi must lie in \[0, 1\], got 1\.5$"):
             parse_problem_spec(doc).with_parameter("xi", 1.5)
+
+    def test_rebound_coupling_is_checked(self):
+        spec = parse_problem_spec({"hamiltonian": {"family": "heisenberg3", "couplings": {}}, "state": {"named": "ghz"}})
+        with pytest.raises(ValueError, match=r"^coefficient must be finite, got nan$"):
+            spec.with_parameter("Jx", float("nan"))
 
     def test_unknown_parameter(self):
         spec = parse_problem_spec(minimal_doc())

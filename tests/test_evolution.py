@@ -356,9 +356,9 @@ class TestKrylovEvolution:
         late = EvolutionProblem(ham, psi)
         late.evolve([40.0])
         np.testing.assert_array_equal(late.evolve(ts[:2]), alone[:2])
-        # transported rows are the same rows times the phase exp(iEt), bit for bit
+        # evolved rows are the transported rows times the phase exp(-iEt), bit for bit
         transported = [EvolutionProblem(ham, psi).transported([t])[0] for t in ts]
-        np.testing.assert_array_equal(transported, np.exp(1j * prob.energy * np.array(ts))[:, None] * alone)
+        np.testing.assert_array_equal(alone, transported * np.exp(-1j * prob.energy * np.array(ts))[:, None])
         np.testing.assert_array_equal(prob.transported(ts), transported)
         np.testing.assert_array_equal(prob.transported(ts[::-1]), transported[::-1])
         np.testing.assert_array_equal(late.transported(ts[:2]), transported[:2])
@@ -395,20 +395,21 @@ class TestKrylovEvolution:
         build_frame(prob, 0.1)
         assert kept_bytes() < 64 * 1024
 
-    def test_rotation_is_freed_before_the_rows_are_transported(self):
-        # the rotation of the largest settle size (31 here) is m x d, and is
-        # gone by the time ``transported`` forms its k x d product with the rows
+    def test_rows_are_formed_without_an_m_by_d_array(self):
+        # each row is its m coefficients times the basis: besides the k x d
+        # result, a call holds O(1) arrays of dimension d, whatever m is
         prob = self._ising_chain_from_zeros()
         prob.evolve([1.0])
         m, k = len(prob._alpha), 10
         assert m == 38
-        tracemalloc.start()
-        try:
-            prob.transported(np.linspace(0.06, 0.6, k))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < (m + k + 1) * prob.dim * 16
+        for rows in (prob.transported, prob.evolve):
+            tracemalloc.start()
+            try:
+                rows(np.linspace(0.06, 0.6, k))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= (k + 3) * prob.dim * 16
 
     def test_first_overflowing_time_is_named(self):
         prob = EvolutionProblem(single_qubit([3.0, 0.0, 1.0]), [1, 0])
@@ -416,13 +417,15 @@ class TestKrylovEvolution:
             prob.evolve([1e307, 5e307, np.inf, 1e308])
 
     def test_overflowing_transport_names_the_time(self):
-        # |E t| is past float range at t = 1e308: the phase exp(iEt) is formed
-        # after evolve's finiteness check, so no overflow warning comes first
+        # |E t| is past float range at t = 1e308: the walk's finiteness check
+        # covers (E + theta) t, and evolve forms exp(-iEt) only after it, so
+        # no overflow warning comes first
         prob = EvolutionProblem(single_qubit([0.6, 0.0, 0.8], m0=5.0), xi_state(0.3, 0.25))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NumericalError, match=r"^t = 1e\+308: "):
-                prob.transported([1e308])
+            for rows in (prob.transported, prob.evolve):
+                with pytest.raises(NumericalError, match=r"^t = 1e\+308: "):
+                    rows([1e308])
             with pytest.raises(NumericalError, match=f"^t = {re.escape(repr(1e308 / prob.speed))}: "):
                 build_frame(prob, 1e308)
 
