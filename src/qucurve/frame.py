@@ -67,22 +67,23 @@ def _dh(problem: EvolutionProblem, vec: np.ndarray) -> np.ndarray:
     return (problem.hamiltonian.apply(vec) - problem.energy * vec) / problem.speed
 
 
-def _vectors_from(problem: EvolutionProblem, psi: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(T, T', P_Psi T', Nbar) from the state Psi alone, with two dh products.
+def _vectors_from(problem: EvolutionProblem, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, float]:
+    """(T, T', Nbar, kappa^2, tau^2) from the state Psi alone, with two dh products.
 
     With T = -i dh Psi and T' = -i dh T, the projections are applied as
-    vector operations in sequence, never as assembled projector matrices.
+    vector operations in sequence, never as assembled projector matrices;
+    kappa^2 = ||P_Psi T'||^2 and tau^2 = ||Nbar||^2 are formed here and nowhere else.
     """
     tan = -1j * _dh(problem, psi)
     accel = -1j * _dh(problem, tan)
     perp = _project_off(accel, psi)
-    return tan, accel, perp, _project_off(perp, tan)
+    nbar = _project_off(perp, tan)
+    return tan, accel, nbar, float(np.vdot(perp, perp).real), float(np.vdot(nbar, nbar).real)
 
 
 def _curvature_torsion_at(problem: EvolutionProblem, psi: np.ndarray) -> tuple[float, float]:
     """(kappa^2, tau^2) = (||P_Psi T'||^2, ||P_T P_Psi T'||^2) at the state Psi, from two dh products."""
-    _, _, perp, nbar = _vectors_from(problem, psi)
-    return float(np.vdot(perp, perp).real), float(np.vdot(nbar, nbar).real)
+    return _vectors_from(problem, psi)[3:]
 
 
 def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
@@ -99,8 +100,7 @@ def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
     evaluation and k dh products make the frame: O(d) work.
     """
     psi = problem.transported([s / problem.speed])[0]
-    tan, accel, perp, nbar = _vectors_from(problem, psi)
-    tau_sq = float(np.vdot(nbar, nbar).real)
+    tan, accel, nbar, kappa_sq, tau_sq = _vectors_from(problem, psi)
     rows, moved = [psi, tan], [tan, accel]
     if _binormal_present(tau_sq):
         binormal = nbar / _norm(nbar)
@@ -111,4 +111,4 @@ def build_frame(problem: EvolutionProblem, s: float) -> QuantumFrame:
     k = len(rows)
     cartan = np.zeros((3, 3), dtype=complex)
     cartan[:k, :k] = np.array(moved) @ rows.conj().T
-    return QuantumFrame(s=s, rows=rows, kappa_sq=float(np.vdot(perp, perp).real), tau_sq=tau_sq, cartan=cartan)
+    return QuantumFrame(s=s, rows=rows, kappa_sq=kappa_sq, tau_sq=tau_sq, cartan=cartan)

@@ -13,7 +13,7 @@ from physically measurable data only:
 * torsion -- how fast the state leaves the plane spanned by two earlier
   snapshots; the out-of-plane weight grows as tau^2 * mu2^2 * dt^4.
 
-The entry point ``fit_coefficients`` only fits both laws: it calls nothing of the projector route.
+``_fit`` checks the grid, evolves and fits both laws in one call; it calls nothing of the projector route.
 """
 
 from __future__ import annotations
@@ -125,24 +125,21 @@ def _fit_quartic(dt_grid, values) -> tuple[float, float]:
     return coeff, residual
 
 
-def _snapshots(problem: EvolutionProblem, dt_grid=None) -> tuple[tuple[float, ...], dict[float, np.ndarray], list[str]]:
-    """Steps of ``dt_grid`` (default {1, 2, 4} * 1e-3 / v), psi(t) at each t in {dt, 2 dt}, any coarse-grid note."""
+def _fit(problem: EvolutionProblem, dt_grid, notes: list[str]) -> tuple[FitResult, dict[float, np.ndarray]]:
+    """The two quartic fits on ``dt_grid`` (default {1, 2, 4} * 1e-3 / v) and their snapshots psi(t), t in {dt, 2 dt},
+    from one grid check and one walk; a coarse grid's note joins ``notes`` before any fit can raise."""
     if dt_grid is None:
         dt_grid = [k * 1e-3 / problem.speed for k in (1.0, 2.0, 4.0)]
     dts = tuple(float(dt) for dt in dt_grid)
     if len(set(dts)) < 2 or not all(0 < dt < math.inf for dt in dts):  # also refuses NaN
         raise ValueError("dt_grid must contain at least two distinct positive steps, all finite")
-    least = min(dts) * problem.speed
-    if least < _MIN_STEP:
+    if (least := min(dts) * problem.speed) < _MIN_STEP:
         raise NumericalError(f"dt_grid: smallest dt*v = {least:.3g} is below {_MIN_STEP:.0e}, where fits see rounding")
-    worst = max(dts) * problem.speed
-    notes = [f"largest step has dt*v = {worst:.3g} > 0.1; quartic scaling may not dominate"] if worst > 0.1 else []
+    if (worst := max(dts) * problem.speed) > 0.1:
+        notes.append(f"largest step has dt*v = {worst:.3g} > 0.1; quartic scaling may not dominate")
     times = list(dict.fromkeys(t for dt in dts for t in (dt, 2.0 * dt)))
-    return dts, dict(zip(times, problem.evolve(times))), notes
+    states = dict(zip(times, problem.evolve(times)))
 
-
-def _fit(problem: EvolutionProblem, dts: tuple[float, ...], states: dict[float, np.ndarray]) -> FitResult:
-    """The two quartic fits on the steps and snapshots that ``_snapshots`` returns."""
     psi0 = problem.initial_state
     values = [_min_geodesic_deviation(psi0, states[dt], states[2.0 * dt]) for dt in dts]
     kappa_c, kappa_residual = _fit_quartic(dts, values)
@@ -157,7 +154,7 @@ def _fit(problem: EvolutionProblem, dts: tuple[float, ...], states: dict[float, 
         values.append(float(np.vdot(r, r).real))
     tau_c, tau_residual = _fit_quartic(dts, values)
     mu2 = problem.moments.mu2
-    return FitResult(4.0 * kappa_c / mu2**2, tau_c / mu2**2, kappa_residual, tau_residual, dts)
+    return FitResult(4.0 * kappa_c / mu2**2, tau_c / mu2**2, kappa_residual, tau_residual, dts), states
 
 
 def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> FitResult:
@@ -182,7 +179,9 @@ def fit_coefficients(problem: EvolutionProblem, dt_grid=None) -> FitResult:
         finite, the smallest dt v is below 1e-5, or psi(0) and psi(2 dt)
         are orthogonal.
     """
-    dts, states, notes = _snapshots(problem, dt_grid)
-    for note in notes:
-        warnings.warn(note, stacklevel=2)
-    return _fit(problem, dts, states)
+    notes: list[str] = []
+    try:
+        return _fit(problem, dt_grid, notes)[0]
+    finally:
+        for note in notes:
+            warnings.warn(note, stacklevel=2)

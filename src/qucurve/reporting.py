@@ -1,8 +1,8 @@
 """Geometry reports and their deterministic serialization.
 
-``build_report`` returns a ``GeometryReport`` of each route's kappa^2 and tau^2,
-read from its entry point or its parts; ``trajectory_rows`` and ``sweep_row`` return CSV rows.
-All three print the moment route's values only once the projector route agrees at psi0.
+``build_report`` returns a ``GeometryReport`` of each route's kappa^2 and tau^2, one call per
+route; ``trajectory_rows`` and ``sweep_row`` return CSV rows.  All three build their problem in
+``_gated``, which passes the moment route's values only once the projector route agrees at psi0.
 
 All floating-point output (JSON and CSV) uses Python's repr of float, the
 shortest decimal string that round-trips to the same IEEE-754 double.  Output
@@ -23,7 +23,7 @@ from .frame import _binormal_present, _curvature_torsion_at
 from .hilbert import HermitianOperator
 from .models import geodesic_efficiency, state_to_bloch
 from .moments import _CLAMP_FLOOR, NumericalError
-from .oracles import _fit, _snapshots
+from .oracles import _fit
 
 __all__ = ["GeometryReport", "build_report", "format_float", "trajectory_rows", "sweep_row"]
 
@@ -63,13 +63,14 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
-def _gated_pair(problem: EvolutionProblem, warnings: list[str]) -> tuple[float, float, float]:
-    """The projector route's (kappa^2, tau^2) at psi0 and the moment tau^2, once both routes agree within 1e-8.
+def _gated(hamiltonian: HermitianOperator, state, warnings: list[str]) -> tuple[EvolutionProblem, float, float, float]:
+    """The problem of (H, psi0), the projector route's (kappa^2, tau^2) at psi0 and the moment tau^2, once both agree.
 
-    Every command reads psi0 through this gate.  A moment tau^2 in [_CLAMP_FLOOR, 0)
-    is rounding noise: it reads 0.0, and ``warnings`` gains a line saying so; below
-    the floor, or when the routes disagree, ``NumericalError`` is raised.
+    Every command builds its problem here, so it prints only values this gate has seen.  The routes must
+    agree within 1e-8.  A moment tau^2 in [_CLAMP_FLOOR, 0) is rounding noise: it reads 0.0, and ``warnings``
+    gains a line saying so; below the floor, or when the routes disagree, ``NumericalError`` is raised.
     """
+    problem = EvolutionProblem(hamiltonian, state)
     mom = problem.moments
     kappa_g, tau_g = _curvature_torsion_at(problem, problem.initial_state)
     for name, moment, geometric in (("kappa_sq", mom.kappa_sq, kappa_g), ("tau_sq", mom.tau_sq, tau_g)):
@@ -81,7 +82,7 @@ def _gated_pair(problem: EvolutionProblem, warnings: list[str]) -> tuple[float, 
     if tau_m < 0.0:
         warnings.append(f"tau_sq_moments raw value {tau_m!r} clamped to 0.0 (rounding below zero)")
         tau_m = 0.0
-    return kappa_g, tau_g, tau_m
+    return problem, kappa_g, tau_g, tau_m
 
 
 def build_report(
@@ -108,16 +109,13 @@ def build_report(
         If the moment and projector paths disagree, tau^2 falls below the
         rounding floor, or the oracle's curvature fit misfits.
     """
-    problem = EvolutionProblem(hamiltonian, state)
     warnings: list[str] = []
-    kappa_g, tau_g, tau_m = _gated_pair(problem, warnings)
+    problem, kappa_g, tau_g, tau_m = _gated(hamiltonian, state, warnings)
     mom = problem.moments
 
     oracle = None
     if with_oracle:
-        dts, states, notes = _snapshots(problem, dt_grid)
-        fit = _fit(problem, dts, states)
-        warnings += notes
+        fit, states = _fit(problem, dt_grid, warnings)
         reads = zip((kappa_g, tau_g), *(_curvature_torsion_at(problem, psi) for psi in states.values()))
         for name, vals in zip(("kappa_sq_geometric", "tau_sq_geometric"), reads):
             if (spread := max(vals) - min(vals)) > 1e-9:
@@ -156,8 +154,8 @@ def trajectory_rows(
         raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     if not 0.0 < t_max < np.inf:  # also refuses NaN
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    problem = EvolutionProblem(hamiltonian, state)
-    kappa, tau = problem.moments.kappa_sq, _gated_pair(problem, [])[2]
+    problem, _, _, tau = _gated(hamiltonian, state, [])
+    kappa = problem.moments.kappa_sq
 
     d = problem.dim
     header = ["t", "s", "fidelity_to_initial"]
@@ -188,8 +186,7 @@ def sweep_row(
     hamiltonian: HermitianOperator, state, param_value: float, efficiency_t: float
 ) -> list[str]:
     """One formatted sweep-CSV row: param, kappa_sq, tau_sq, eta, alpha4, alpha3_sq."""
-    problem = EvolutionProblem(hamiltonian, state)
+    problem, _, _, tau = _gated(hamiltonian, state, [])
     mom = problem.moments
-    tau = _gated_pair(problem, [])[2]
     eta = geodesic_efficiency(problem, efficiency_t)
     return [format_float(x) for x in (param_value, mom.kappa_sq, tau, eta, mom.alpha4, mom.alpha3**2)]

@@ -190,7 +190,7 @@ def _tangent(prob, s):
 
 def _acceleration(prob, s):
     """T'(s) = -(dh)^2 Psi(s), as the frame forms it before projecting."""
-    _, accel, _, _ = _vectors_from(prob, prob.transported([s / prob.speed])[0])
+    _, accel, _, _, _ = _vectors_from(prob, prob.transported([s / prob.speed])[0])
     return accel
 
 
