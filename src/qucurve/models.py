@@ -96,6 +96,7 @@ def curvature_bloch(a, m) -> float:
     m = np.asarray(m, dtype=float)
     if m.shape != (3,) or not np.isfinite(m).all():
         raise ValueError(f"field m must be a finite vector of shape (3,), got m = {m.tolist()!r}")
+    m = np.array(_scaled_couplings(*m))
     m_sq = float(np.dot(m, m))
     am = float(np.dot(a, m))
     denom = m_sq - am * am

@@ -102,6 +102,22 @@ class TestBlochCurvature:
             torsion_bloch([1, 0, 0], [2, 0, 0])
 
     @pytest.mark.parametrize("closed_form", [curvature_bloch, torsion_bloch])
+    def test_bit_exact_under_power_of_two_scaling(self, closed_form):
+        # kappa^2 and tau^2 do not depend on the scale of H, and scaling the field by 2^k is exact
+        a, m = (0.6, 0.0, 0.8), (0.7, 0.4, -0.3)
+        want = closed_form(a, m)
+        for k in range(-900, 901):
+            assert closed_form(a, [math.ldexp(c, k) for c in m]) == want, k
+
+    @pytest.mark.parametrize("closed_form", [curvature_bloch, torsion_bloch])
+    @pytest.mark.parametrize("scale", [1e-300, 1e-7, 1e200, 1e300])
+    def test_finite_at_any_field_scale(self, closed_form, scale):
+        # 1e200 overflowed to NaN, and 1e-7 read as stationary (|m|^2 = 7.4e-15)
+        a, m = (0.6, 0.0, 0.8), (0.7, 0.4, -0.3)
+        got = closed_form(a, [scale * c for c in m])
+        np.testing.assert_allclose(got, closed_form(a, m), rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("closed_form", [curvature_bloch, torsion_bloch])
     @pytest.mark.parametrize(
         "a, message",
         [

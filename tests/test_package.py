@@ -1,3 +1,4 @@
+import importlib
 import os
 import re
 import subprocess
@@ -66,6 +67,45 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert sorted(qucurve.__all__) == PUBLIC_NAMES
+
+
+# The span targets of perfbench/spans.py that name a function of this tree, in
+# TARGETS order, by the rule of CI's "Unresolved span targets" step.  A target
+# that stops resolving reads 0 calls and 0 s in every traced run, so a change
+# that renames or moves one of these functions updates this list.
+RESOLVED_SPAN_TARGETS = [
+    "qucurve.config.load_problem_spec",
+    "qucurve.config.ProblemSpec.build",
+    "qucurve.evolution.EvolutionProblem.__init__",
+    "qucurve.moments.central_moments",
+    "qucurve.frame.build_frame",
+    "qucurve.oracles.fubini_study_sq",
+    "qucurve.models.geodesic_efficiency",
+    "qucurve.models.single_qubit",
+    "qucurve.models.two_qubit_nonlocal",
+    "qucurve.models.two_qubit_local",
+    "qucurve.models.heisenberg3",
+    "qucurve.reporting.build_report",
+    "qucurve.reporting.trajectory_rows",
+    "qucurve.reporting.sweep_row",
+    "qucurve.reporting.format_float",
+    "qucurve.reporting.GeometryReport.to_json",
+    "qucurve.validation.run_validation",
+    "qucurve.cli.main",
+]
+
+
+def test_resolved_span_targets_are_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from spans import TARGETS
+
+    def resolves(module, attr):
+        owner = importlib.import_module(module)
+        cls, _, name = attr.rpartition(".")
+        owner = getattr(owner, cls, None) if cls else owner
+        return owner is not None and name in vars(owner)
+
+    assert [f"{module}.{attr}" for module, attr, _ in TARGETS if resolves(module, attr)] == RESOLVED_SPAN_TARGETS
 
 
 def test_readme_quick_start_runs(tmp_path):
