@@ -190,6 +190,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors, matching the schema-error code
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        if args.oracle and args.command != "report":
+            raise SpecError("--oracle", f"applies to report only, not {args.command}")
         if args.command == "report":
             return _cmd_report(args)
         if args.command == "trajectory":

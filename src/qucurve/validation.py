@@ -50,7 +50,6 @@ def _case_evolved_state_closed_form(perturb: bool = False) -> float:
     for t, got in zip(ts, prob.evolve(ts)):
         expected = _closed_form_state(t)
         if perturb:
-            expected = expected.copy()
             expected[0] += 1e-3
         worst = max(worst, float(np.max(np.abs(got - expected))))
     return worst
@@ -71,7 +70,6 @@ def _case_frame_closed_form(perturb: bool = False) -> float:
             [0.5 - 0.5 * c, 0.5j * sn, 0.5j * sn, 0.5 * c + 0.5]
         )
         if perturb:
-            tan_expected = tan_expected.copy()
             tan_expected[0] += 1e-3
         frame = build_frame(prob, s)
         worst = max(worst, float(np.max(np.abs(frame.rows[1] - tan_expected))))

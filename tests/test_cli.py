@@ -381,6 +381,39 @@ class TestNumericalFailures:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "doc, argv",
+        [
+            # mz + m0 = 2e308 on the diagonal of the group with no bit flips, at every sweep point
+            (
+                {"hamiltonian": {"family": "single_qubit", "couplings": {"mz": 1e308, "m0": 1e308}}, "state": {"named": "0"}},
+                ["sweep", "--param", "mx", "--from", "0", "--to", "1", "--points", "2"],
+            ),
+            # two weights of 1e308 in that group, in a plain report
+            (
+                {
+                    "hamiltonian": {
+                        "pauli_terms": [{"coeff": 1e308, "word": "ZI"}, {"coeff": 1e308, "word": "IZ"}, {"coeff": 1.0, "word": "XI"}]
+                    },
+                    "state": {"named": "00"},
+                },
+                ["report"],
+            ),
+        ],
+        ids=["family-sweep", "pauli-report"],
+    )
+    def test_overflowing_norm_refused_in_one_line(self, doc, argv, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        if argv[0] == "sweep":
+            argv = argv + ["--output", str(tmp_path / "out.csv")]
+        assert main(argv + ["--input", str(path)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("||H||_F^2 = inf\n")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
         "command, options, t",
         [
             # t-max 1e308 on steps of 5e307: the phase (E + theta) t of the third row overflows
@@ -551,6 +584,25 @@ class TestUsageErrors:
         assert main(["--gamma", "1", "report", "--input", crossed_fields_file]) == 2
         assert main(["report", "--input", crossed_fields_file, "--gamma", "1"]) == 2
         assert "unrecognized arguments: --gamma 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trajectory", "--t-max", "1", "--steps", "3"],
+            ["sweep", "--param", "xi", "--from", "0.2", "--to", "0.8", "--points", "3"],
+            ["validate"],
+        ],
+        ids=["trajectory", "sweep", "validate"],
+    )
+    def test_oracle_only_with_report(self, argv, xi_family_file, tmp_path, capsys):
+        # only a report runs the fits: the flag is refused, not ignored, before any work or output file
+        if argv[0] != "validate":
+            argv = argv + ["--input", xi_family_file, "--output", str(tmp_path / "out.csv")]
+        assert main(["--oracle", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --oracle: applies to report only, not {argv[0]}\n"
+        assert list(tmp_path.iterdir()) == [Path(xi_family_file)]
 
     @pytest.mark.parametrize(
         "argv, flag",

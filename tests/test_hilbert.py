@@ -42,6 +42,17 @@ class TestHermitianOperator:
         with pytest.raises(ValueError, match=re.escape(f"operator on C^2 cannot apply to an array of shape {shape}")):
             op.apply(np.ones(shape, dtype=complex))
 
+    @pytest.mark.parametrize("backing", ["pauli", "dense"])
+    def test_refuses_attribute_assignment(self, backing):
+        op = pauli_sum([(1.0, "X"), (0.5, "Z")])
+        if backing == "dense":
+            op = HermitianOperator(dense(op))
+        for name, value in (("dim", 4), ("frobenius_sq", 0.0), ("_perms", None), ("label", "H")):
+            with pytest.raises(AttributeError, match="HermitianOperator is immutable"):
+                setattr(op, name, value)
+        assert (op.dim, op.frobenius_sq) == (2, 2.5)
+        assert not hasattr(op, "label")
+
     def test_deviation_over_many_blocks(self):
         # d = 150 spans three row blocks; the worst entry sits below the diagonal
         rng = np.random.default_rng(19)
